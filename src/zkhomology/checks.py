@@ -12,14 +12,7 @@ from math import gcd
 
 from .exact import field_rank
 from .simplicial import boundary_matrix
-from .actions import (
-    check_regularity,
-    compatible_ordering,
-    index_reducing,
-    lex_lift,
-    lex_max_lift,
-    quotient,
-)
+from .actions import compatible_ordering, index_reducing, lex_lift, lex_max_lift
 from .transfer import (
     build_complex_of_groups,
     build_triple,
@@ -279,12 +272,10 @@ def _guarded(name, thunk):
         return CheckOutcome(name, False, str(exc))
 
 
-def run_action_suite(action, fields):
-    """Full invariant suite for a regular action (caller gates regularity)."""
-    witness = check_regularity(action)
-    if witness is not None:
-        return [CheckOutcome("regularity", False, witness.describe())]
-    qd = quotient(action)
+def run_action_suite(qd, fields):
+    """Full invariant suite for the action of `qd`, a QuotientData: regular
+    by construction, so the leading regularity outcome always passes."""
+    action = qd.action
     lift = lex_lift(qd)
     triple = build_triple(action, lift=lift, qd=qd)
     items = [

@@ -3,13 +3,12 @@
 Subcommands: `check` (action validity and regularity), `homology` (direct,
 compressed, or both), `verify` (the invariant suite), and `corpus`
 (bundled example inputs).  Exit codes are a stable contract: 0 ok, 2 input
-error, 3 valid-but-non-regular, 4 verification failure.
+error, 3 valid-but-non-regular, 4 verification failure (a failed check, a
+`both`-mode mismatch or a failed internal self-check).
 """
 
 import argparse
 import sys
-from dataclasses import dataclass
-from math import gcd
 
 from .actions import check_regularity, lex_lift, lex_max_lift, quotient, regularize
 from .checks import run_action_suite, run_triple_suite
@@ -17,12 +16,14 @@ from .corpus import entry as corpus_entry, names as corpus_names, to_input_dict
 from .errors import (
     InputFormatError,
     InvalidActionError,
+    InvalidGeneratorError,
+    RegularityError,
     TripleValidationError,
     ZkHomologyError,
 )
 from .exact import field_rank, parse_field
 from .jsonio import dump_json, load_input
-from .pipeline import compressed_result
+from .pipeline import check_generator, compressed_result
 from .simplicial import betti_direct, boundary_matrix
 from .transfer import build_triple
 
@@ -30,41 +31,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_REGULARITY = 3
 EXIT_VERIFY = 4
-
-
-@dataclass
-class JobSpec:
-    """One parsed command invocation; owns the flag-level invariants."""
-
-    input_path: str
-    field_name: str
-    mode: str = "compressed"
-    output_format: str = "table"
-    generator_exponent: int = 1
-    lift_policy: str = "lex-min"
-    auto_regularize: bool = False
-
-    @classmethod
-    def from_args(cls, args):
-        return cls(
-            input_path=args.input,
-            field_name=args.field,
-            mode=getattr(args, "mode", "compressed"),
-            output_format=args.output_format,
-            generator_exponent=args.generator,
-            lift_policy=args.lift_policy,
-            auto_regularize=args.regularize,
-        )
-
-    def field(self):
-        """Parsed coefficient field; rejects non-prime moduli."""
-        return parse_field(self.field_name)
-
-    def check_generator(self, k):
-        if gcd(self.generator_exponent, k) != 1:
-            raise InputFormatError(
-                f"--generator {self.generator_exponent} is not coprime to k={k}"
-            )
 
 
 def _build_parser():
@@ -77,30 +43,24 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mode=False):
+    p_check = sub.add_parser("check", help="validate the action and test regularity")
+    p_hom = sub.add_parser("homology", help="Betti numbers (direct, compressed, or both)")
+    p_verify = sub.add_parser("verify", help="run the full invariant suite on the input")
+    for p in (p_check, p_hom, p_verify):
         p.add_argument("input", help="JSON input file (action or triple form)")
+    for p in (p_hom, p_verify):
         p.add_argument("--field", default="Q", metavar="DESC",
                        help='coefficient field: "Q" or "Fp:<prime>" (default Q)')
         p.add_argument("--format", default="table", choices=["table", "json"],
                        dest="output_format")
         p.add_argument("--regularize", action="store_true",
                        help="double-subdivide a non-regular action first")
-        p.add_argument("--generator", type=int, default=1, metavar="C",
+    p_hom.add_argument("--generator", type=int, default=1, metavar="C",
                        help="generator exponent, coprime to k (default 1)")
-        p.add_argument("--lift", default="lex-min", choices=["lex-min", "lex-max"],
+    p_hom.add_argument("--lift", default="lex-min", choices=["lex-min", "lex-max"],
                        dest="lift_policy")
-        if with_mode:
-            p.add_argument("--mode", default="compressed",
-                           choices=["direct", "compressed", "both"])
-
-    p_check = sub.add_parser("check", help="validate the action and test regularity")
-    common(p_check)
-
-    p_hom = sub.add_parser("homology", help="Betti numbers (direct, compressed, or both)")
-    common(p_hom, with_mode=True)
-
-    p_verify = sub.add_parser("verify", help="run the full invariant suite on the input")
-    common(p_verify)
+    p_hom.add_argument("--mode", default="compressed",
+                       choices=["direct", "compressed", "both"])
 
     p_corpus = sub.add_parser("corpus", help="bundled example inputs")
     p_corpus.add_argument("name", nargs="?", help="entry to emit (omit with --list)")
@@ -109,31 +69,31 @@ def _build_parser():
     return parser
 
 
-def _load(path):
-    kind, payload = load_input(path)
-    return kind, payload
-
-
 def _lift_for(qd, policy):
     return lex_lift(qd) if policy == "lex-min" else lex_max_lift(qd)
 
 
-def _gate_regular(action, auto_regularize, out):
-    witness = check_regularity(action)
-    if witness is None:
-        return action, EXIT_OK
-    if auto_regularize:
-        print("input action is non-regular; regularizing by double subdivision",
-              file=out)
-        return regularize(action), EXIT_OK
-    print("non-regular action; witness: " + witness.describe(), file=out)
-    print("re-run with --regularize to double-subdivide first", file=out)
-    return None, EXIT_REGULARITY
+def _regular_quotient(action, auto_regularize, out):
+    """Quotient data of the action, or of its double subdivision when
+    `auto_regularize` is set; None, after printing the witness to `out`, when
+    the action is non-regular and may not be subdivided."""
+    try:
+        return quotient(action)
+    except RegularityError as exc:
+        if exc.witness is None:
+            raise
+        if not auto_regularize:
+            print("non-regular action; witness: " + exc.witness.describe(), file=out)
+            print("re-run with --regularize to double-subdivide first", file=out)
+            return None
+    print("input action is non-regular; regularizing by double subdivision",
+          file=sys.stderr)
+    return quotient(regularize(action))
 
 
 def cmd_check(args, out=None):
     out = out or sys.stdout
-    kind, payload = _load(args.input)
+    kind, payload = load_input(args.input)
     if kind == "triple":
         payload.validate()
         print(f"triple: valid (k={payload.k}, "
@@ -184,59 +144,55 @@ def _print_direct_table(report, field_name, out):
 
 def cmd_homology(args, out=None):
     out = out or sys.stdout
-    spec = JobSpec.from_args(args)
-    field = spec.field()
-    kind, payload = _load(spec.input_path)
+    field = parse_field(args.field)
+    kind, payload = load_input(args.input)
+    if kind == "triple" and args.mode != "compressed":
+        print("triple inputs carry no acted-on complex; only "
+              "--mode compressed applies", file=sys.stderr)
+        return EXIT_INPUT
+    check_generator(args.generator, payload.k)
 
     if kind == "triple":
-        if spec.mode != "compressed":
-            print("triple inputs carry no acted-on complex; only "
-                  "--mode compressed applies", file=sys.stderr)
-            return EXIT_INPUT
         triple = payload
         triple.validate()
-        spec.check_generator(triple.k)
         res = compressed_result(triple, field,
-                                generator_exponent=spec.generator_exponent,
+                                generator_exponent=args.generator,
                                 lift_policy="(given triple)")
-        if spec.output_format == "json":
+        if args.output_format == "json":
             print(dump_json(res.as_dict()), file=out)
         else:
             _print_compressed_table(res, out)
         return EXIT_OK
 
     action = payload
-    spec.check_generator(action.k)
 
     direct = None
-    if spec.mode in ("direct", "both"):
+    if args.mode in ("direct", "both"):
         # The oracle runs on the complex as given; subdivision never changes it.
         direct = _direct_report(action.complex, field)
 
     compressed = None
-    if spec.mode in ("compressed", "both"):
-        gated, code = _gate_regular(action, spec.auto_regularize, sys.stderr)
-        if gated is None:
-            return code
-        qd = quotient(gated)
-        lift = _lift_for(qd, spec.lift_policy)
-        triple = build_triple(gated, lift=lift, qd=qd)
+    if args.mode in ("compressed", "both"):
+        qd = _regular_quotient(action, args.regularize, sys.stderr)
+        if qd is None:
+            return EXIT_REGULARITY
+        triple = build_triple(qd.action, lift=_lift_for(qd, args.lift_policy), qd=qd)
         compressed = compressed_result(
             triple, field,
-            generator_exponent=spec.generator_exponent,
-            lift_policy=spec.lift_policy,
+            generator_exponent=args.generator,
+            lift_policy=args.lift_policy,
         )
 
-    if spec.mode == "direct":
-        if spec.output_format == "json":
+    if args.mode == "direct":
+        if args.output_format == "json":
             print(dump_json({"field": field.name, "mode": "direct", **direct}),
                   file=out)
         else:
             _print_direct_table(direct, field.name, out)
         return EXIT_OK
 
-    if spec.mode == "compressed":
-        if spec.output_format == "json":
+    if args.mode == "compressed":
+        if args.output_format == "json":
             body = compressed.as_dict()
             body["mode"] = "compressed"
             print(dump_json(body), file=out)
@@ -245,7 +201,7 @@ def cmd_homology(args, out=None):
         return EXIT_OK
 
     match = list(compressed.betti) == direct["betti"]
-    if spec.output_format == "json":
+    if args.output_format == "json":
         body = compressed.as_dict()
         body["mode"] = "both"
         body["direct_betti"] = direct["betti"]
@@ -260,11 +216,10 @@ def cmd_homology(args, out=None):
 
 def cmd_verify(args, out=None):
     out = out or sys.stdout
-    spec = JobSpec.from_args(args)
-    field = spec.field()
+    field = parse_field(args.field)
     fields = [field]
     try:
-        kind, payload = _load(spec.input_path)
+        kind, payload = load_input(args.input)
     except TripleValidationError as exc:
         print(f"FAIL triple-structure: {exc}", file=out)
         return EXIT_VERIFY
@@ -272,18 +227,13 @@ def cmd_verify(args, out=None):
     if kind == "triple":
         outcomes = run_triple_suite(payload, fields)
     else:
-        action = payload
-        witness = check_regularity(action)
-        if witness is not None:
-            if not spec.auto_regularize:
-                print("non-regular action; witness: " + witness.describe(), file=out)
-                print("re-run with --regularize to double-subdivide first", file=out)
-                return EXIT_REGULARITY
-            action = regularize(action)
-        outcomes = run_action_suite(action, fields)
+        qd = _regular_quotient(payload, args.regularize, out)
+        if qd is None:
+            return EXIT_REGULARITY
+        outcomes = run_action_suite(qd, fields)
 
     ok = all(o.ok for o in outcomes)
-    if spec.output_format == "json":
+    if args.output_format == "json":
         print(dump_json({
             "field": field.name,
             "ok": ok,
@@ -335,13 +285,18 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (InputFormatError, InvalidActionError, TripleValidationError,
-            ValueError) as exc:
+    except (InputFormatError, InvalidActionError, InvalidGeneratorError,
+            TripleValidationError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ZkHomologyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ArithmeticError as exc:
+        # An internal self-check failed: a negative Betti number, an SNF
+        # self-check or a rank certificate.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 def main(argv=None):

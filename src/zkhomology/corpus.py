@@ -149,19 +149,32 @@ def _subdivided_antipodal_entry():
 
 _BY_NAME = {e.name: e for e in _RAW_ENTRIES}
 
+# Listing order.  The subdivided antipodal entry is built on demand by
+# entry(): regularizing at import time would slow every start-up.
+_NAMES = (
+    "path_flip",
+    "cycle8_rot4",
+    "two_triangles_swap",
+    "cycle9_rot3",
+    "torus9x3_rot3",
+    "cycle4_antipodal_subdivided",
+    "trivial_k1_octagon",
+    "trivial_k2_triangle",
+    "trivial_k3_two_circles",
+    "cycle4_antipodal",
+)
 
-def names(include_nonregular=True):
-    out = [e.name for e in _RAW_ENTRIES if e.regular or include_nonregular]
-    out.insert(out.index("trivial_k1_octagon") if "trivial_k1_octagon" in out else len(out),
-               "cycle4_antipodal_subdivided")
-    return tuple(out)
+
+def names():
+    """Every entry name, in listing order."""
+    return _NAMES
 
 
 def entry(name):
     if name == "cycle4_antipodal_subdivided":
         return _subdivided_antipodal_entry()
     if name not in _BY_NAME:
-        raise KeyError(f"unknown corpus entry {name!r}; know {sorted(_BY_NAME)}")
+        raise KeyError(f"unknown corpus entry {name!r}; know {', '.join(_NAMES)}")
     return _BY_NAME[name]
 
 

@@ -60,9 +60,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def __repr__(self):
         return self.name
 
@@ -660,11 +657,3 @@ def _validate_snf(A, m, n):
             return False
     return True
 
-
-def snf_diagonal(mat):
-    """Diagonal entries of snf_over_polys as a list of Poly."""
-    D, ok = snf_over_polys(mat)
-    if not ok:
-        raise ArithmeticError("Smith normal form self-check failed")
-    size = min(len(D), len(D[0]) if D else 0)
-    return [D[i][i] for i in range(size)]

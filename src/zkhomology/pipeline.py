@@ -137,7 +137,8 @@ def g_boundary_matrix(triple, d, field, orders=None):
     return GroupRingMatrix(field, triple.k, len(rows), len(cols), data)
 
 
-def _check_generator(exponent, k):
+def check_generator(exponent, k):
+    """Raise InvalidGeneratorError unless alpha^exponent generates Z_k."""
     if gcd(exponent, k) != 1:
         raise InvalidGeneratorError(
             f"exponent {exponent} is not coprime to k={k}, so it does not "
@@ -148,7 +149,7 @@ def _check_generator(exponent, k):
 def compressed_snf(triple, d, field, generator_exponent=1, orders=None):
     """SNF diagonal of the d-th G-boundary matrix, expressed in the basis
     of the chosen generator."""
-    _check_generator(generator_exponent, triple.k)
+    check_generator(generator_exponent, triple.k)
     M = g_boundary_matrix(triple, d, field, orders=orders)
     if generator_exponent % triple.k != 1 % triple.k:
         M = M.map_entries(lambda w: w.reindex(generator_exponent))
@@ -209,7 +210,7 @@ class CompressedResult:
 def compressed_result(triple, field, generator_exponent=1, orders=None,
                       lift_policy="lex-min"):
     """Betti numbers plus per-dimension diagnostics from a triple alone."""
-    _check_generator(generator_exponent, triple.k)
+    check_generator(generator_exponent, triple.k)
     Y = triple.quotient
     dims = [triple.chain_dim(d) for d in range(Y.dim + 1)]
     ranks = [0] * (Y.dim + 2)
@@ -245,13 +246,6 @@ def compressed_result(triple, field, generator_exponent=1, orders=None,
 def compressed_betti(triple, field, generator_exponent=1, orders=None):
     """Betti numbers of the acted-on complex from the quotient data alone."""
     return compressed_result(triple, field, generator_exponent, orders).betti
-
-
-def compressed_betti_from_action(action, field, lift=None, generator_exponent=1):
-    """Convenience wrapper: quotient, lift, triple, then compressed Betti."""
-    qd = quotient(action)
-    triple = build_triple(action, lift=lift, qd=qd)
-    return compressed_betti(triple, field, generator_exponent)
 
 
 def verify_expansion_lemma(action, lift, d, field, qd=None):

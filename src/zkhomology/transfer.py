@@ -218,9 +218,6 @@ class ComplexOfGroups:
         t = self.transfer_ext[(psi1, psi2)]
         return (t + h - t) % self.triple.k
 
-    def two_morphism(self, psi1, psi2, psi3):
-        return self.two_morphisms[(psi1, psi2, psi3)]
-
 
 def _nested_pairs(Y):
     for psi1 in Y.all_simplices():

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from zkhomology import cli
+from zkhomology import actions, cli
 from zkhomology.corpus import entry, names, to_input_dict
 from zkhomology.jsonio import (
     action_to_dict,
@@ -121,6 +122,61 @@ class TestHomology:
         assert "betti: [1, 0]" in capsys.readouterr().out
         assert cli.run(["homology", triple_file, "--mode", "both"]) == 2
         assert cli.run(["homology", triple_file, "--mode", "direct"]) == 2
+
+    def test_internal_self_check_failure_exit_four(self, tmp_path, capsys):
+        # Passes validate(), but its G-boundary maps do not compose to zero,
+        # so the rank reconstruction yields a negative Betti number.
+        body = {"k": 2, "triple": {
+            "quotient": [[0, 1, 2]],
+            "S": {"0": 1, "1": 1, "2": 1, "0,1": 1, "0,2": 1, "1,2": 1, "0,1,2": 1},
+            "Tstar": {"0,1|0": [0], "0,1|1": [0], "0,2|0": [0], "0,2|2": [0],
+                      "1,2|1": [0], "1,2|2": [1], "0,1,2|0,1": [0],
+                      "0,1,2|0,2": [0], "0,1,2|1,2": [0]}}}
+        f = _write(tmp_path, "bad_triple.json", body)
+        assert cli.run(["homology", f, "--field", "Q"]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == ["error: negative Betti number at dimension 1"]
+        assert cli.run(["verify", f]) == 4
+
+
+class TestRegularityCheckedOnce:
+    """The regularity check runs once per action object a command touches:
+    quotient() is the only gate."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        original = actions.check_regularity
+        seen = []
+
+        def counting(action):
+            seen.append(action)
+            return original(action)
+
+        # Replace the check wherever the package binds it.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("zkhomology") and \
+                    getattr(module, "check_regularity", None) is original:
+                monkeypatch.setattr(module, "check_regularity", counting)
+        return seen
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--mode", "compressed"],
+        ["verify"],
+    ])
+    def test_regular_input_one_check(self, path_file, calls, capsys, argv):
+        assert cli.run(argv[:1] + [path_file] + argv[1:]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--mode", "compressed", "--regularize"],
+        ["verify", "--regularize"],
+    ])
+    def test_regularized_input_one_check_per_action(self, antipodal_file, calls,
+                                                    capsys, argv):
+        assert cli.run(argv[:1] + [antipodal_file] + argv[1:]) == 0
+        assert len(calls) == 2
+        assert calls[0] is not calls[1]
 
 
 class TestVerify:
