@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: `check` (action validity and regularity), `homology` (direct,
-compressed, or both), `verify` (the invariant suite), and `corpus`
-(bundled example inputs).  Exit codes are a stable contract: 0 ok, 2 input
-error, 3 valid-but-non-regular, 4 verification failure (a failed check, a
-`both`-mode mismatch or a failed internal self-check).
+Subcommands: `check` (action validity and regularity, or triple validity),
+`homology` (direct, compressed, or both), `verify` (the invariant suite),
+and `corpus` (bundled example inputs).  Exit codes are a stable contract:
+0 ok, 2 input error, 3 valid-but-non-regular, 4 verification failure (a
+failed check, a `both`-mode mismatch or a failed internal self-check).
 """
 
 import argparse
@@ -14,6 +14,7 @@ from .actions import check_regularity, lex_lift, lex_max_lift, quotient, regular
 from .checks import run_action_suite, run_triple_suite
 from .corpus import entry as corpus_entry, names as corpus_names, to_input_dict
 from .errors import (
+    AxiomError,
     InputFormatError,
     InvalidActionError,
     InvalidGeneratorError,
@@ -25,7 +26,7 @@ from .exact import field_rank, parse_field
 from .jsonio import dump_json, load_input
 from .pipeline import check_generator, compressed_result
 from .simplicial import betti_direct, boundary_matrix
-from .transfer import build_triple
+from .transfer import build_complex_of_groups, build_triple
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -96,6 +97,7 @@ def cmd_check(args, out=None):
     kind, payload = load_input(args.input)
     if kind == "triple":
         payload.validate()
+        build_complex_of_groups(payload)
         print(f"triple: valid (k={payload.k}, "
               f"quotient {payload.quotient.face_counts()})", file=out)
         return EXIT_OK
@@ -155,6 +157,7 @@ def cmd_homology(args, out=None):
     if kind == "triple":
         triple = payload
         triple.validate()
+        build_complex_of_groups(triple)
         res = compressed_result(triple, field,
                                 generator_exponent=args.generator,
                                 lift_policy="(given triple)")
@@ -285,8 +288,8 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (InputFormatError, InvalidActionError, InvalidGeneratorError,
-            TripleValidationError, ValueError) as exc:
+    except (AxiomError, InputFormatError, InvalidActionError,
+            InvalidGeneratorError, TripleValidationError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ZkHomologyError as exc:

@@ -1,18 +1,25 @@
 """Smith normal form over R = F[Z_k], via the quotient presentation
-R = F[x]/(x^k - 1).
+R = F[x]/(q) with q = x^k - 1.
 
 The invariant-ideal chain of an m x n matrix M over R is read off the
-Euclidean Smith normal form of the augmented lift [M~ | (x^k-1) I_m] over
-F[x]: the augmentation presents the same cokernel, forces every invariant
-factor to divide x^k - 1, and (for m > n) pads the chain with copies of
-x^k - 1 that reduce to zero in R.  No transformation matrices are
-produced; instead every call certifies itself by comparing the predicted
-rank sum with the exact rank of the expanded field matrix.
+Euclidean Smith normal form D = U M~ V of its plain lift M~ over F[x]:
+the lifts are gcd(d_i, q) for i < min(m, n), with gcd(0, q) = q.
+
+Why this is exact: the cokernel of M over R is presented over F[x] by the
+augmented lift [M~ | q I_m].  Since [M~ | q I_m] = U^-1 [D V^-1 | q U],
+unimodular row operations (by U) and column operations within each block
+(by V and by U^-1) turn it into [D | q I_m].  Row i of that matrix gives
+the summand F[x]/(gcd(d_i, q)); a row beyond n gives F[x]/(q).  The gcds
+divide q and, as d_i | d_{i+1}, each divides the next, so by uniqueness
+of invariant factors they are the augmented lift's own, its padding
+copies of q included.  No transformation matrices are produced; instead
+every call certifies itself by comparing the predicted rank sum with the
+exact rank of the expanded field matrix.
 """
 
 from dataclasses import dataclass
 
-from .exact import Poly, field_rank, snf_over_polys, poly_str
+from .exact import Poly, field_rank, poly_gcd, snf_over_polys, poly_str
 from .groupring import GroupRingElem, rho_extend
 
 
@@ -28,10 +35,6 @@ class SnfDiagonal:
     shape: tuple
     lifts: tuple
     diag: tuple
-
-    @property
-    def k(self):
-        return self.diag[0].k if self.diag else None
 
     def entry_ranks(self, k):
         """rank(rho(D_ii)) per entry: k minus the lift degree."""
@@ -52,10 +55,10 @@ def _group_ring_of_poly(field, k, f):
     return GroupRingElem(field, k, folded)
 
 
-def snf_over_R(M, check=True):
+def snf_over_R(M):
     """Smith normal form diagonal of a GroupRingMatrix.
 
-    With check=True (the default) the rank-consistency certificate
+    The rank-consistency certificate
     field_rank(rho_extend(M)) == sum_i (k - deg f_i) is enforced.
     """
     field, k, m, n = M.field, M.k, M.rows, M.cols
@@ -63,36 +66,19 @@ def snf_over_R(M, check=True):
     if size == 0:
         return SnfDiagonal(shape=(m, n), lifts=(), diag=())
     q = Poly.x_pow_minus_one(field, k)
-    zero = Poly.zero(field)
-    augmented = []
-    for i in range(m):
-        row = [M.data[i][j].lift() for j in range(n)]
-        row.extend(q if i == j else zero for j in range(m))
-        augmented.append(row)
-    D, ok = snf_over_polys(augmented)
+    D, ok = snf_over_polys([[entry.lift() for entry in row] for row in M.data])
     if not ok:
         raise ArithmeticError("polynomial SNF self-check failed")
-    factors = [D[i][i] for i in range(m)]
-    for i, f in enumerate(factors):
-        if f.is_zero() or not f.divides(q):
-            raise ArithmeticError(
-                f"invariant factor {i} = {f} does not divide x^{k}-1"
-            )
-    for a, b in zip(factors, factors[1:]):
+    lifts = tuple(poly_gcd(D[i][i], q) for i in range(size))
+    for a, b in zip(lifts, lifts[1:]):
         if not a.divides(b):
             raise ArithmeticError("divisibility chain broken in lifted SNF")
-    for f in factors[size:]:
-        # Only the free part of the cokernel can be dropped by truncation.
-        if f != q:
-            raise ArithmeticError("truncated a non-free invariant factor")
-    lifts = tuple(factors[:size])
     diag = tuple(_group_ring_of_poly(field, k, f) for f in lifts)
     result = SnfDiagonal(shape=(m, n), lifts=lifts, diag=diag)
-    if check:
-        expected = field_rank(rho_extend(M))
-        if result.rank_sum(k) != expected:
-            raise ArithmeticError(
-                f"rank certificate failed: SNF predicts {result.rank_sum(k)}, "
-                f"expanded matrix has rank {expected}"
-            )
+    expected = field_rank(rho_extend(M))
+    if result.rank_sum(k) != expected:
+        raise ArithmeticError(
+            f"rank certificate failed: SNF predicts {result.rank_sum(k)}, "
+            f"expanded matrix has rank {expected}"
+        )
     return result

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from zkhomology import actions, cli
+from zkhomology import actions, cli, ring_snf
 from zkhomology.corpus import entry, names, to_input_dict
 from zkhomology.jsonio import (
     action_to_dict,
@@ -123,20 +123,69 @@ class TestHomology:
         assert cli.run(["homology", triple_file, "--mode", "both"]) == 2
         assert cli.run(["homology", triple_file, "--mode", "direct"]) == 2
 
-    def test_internal_self_check_failure_exit_four(self, tmp_path, capsys):
-        # Passes validate(), but its G-boundary maps do not compose to zero,
-        # so the rank reconstruction yields a negative Betti number.
-        body = {"k": 2, "triple": {
-            "quotient": [[0, 1, 2]],
-            "S": {"0": 1, "1": 1, "2": 1, "0,1": 1, "0,2": 1, "1,2": 1, "0,1,2": 1},
-            "Tstar": {"0,1|0": [0], "0,1|1": [0], "0,2|0": [0], "0,2|2": [0],
-                      "1,2|1": [0], "1,2|2": [1], "0,1,2|0,1": [0],
-                      "0,1,2|0,2": [0], "0,1,2|1,2": [0]}}}
-        f = _write(tmp_path, "bad_triple.json", body)
-        assert cli.run(["homology", f, "--field", "Q"]) == 4
+    def test_internal_self_check_failure_exit_four(self, path_file, monkeypatch,
+                                                   capsys):
+        # A rank certificate that cannot hold: the expanded rank is off by one.
+        original = ring_snf.field_rank
+        monkeypatch.setattr(ring_snf, "field_rank", lambda M: original(M) + 1)
+        assert cli.run(["homology", path_file, "--field", "Q"]) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.splitlines() == ["error: negative Betti number at dimension 1"]
+        assert err.splitlines() == [
+            "error: rank certificate failed: SNF predicts 2, "
+            "expanded matrix has rank 3"]
+
+
+class TestAxiomGate:
+    """Triples that pass validate() but break the complex-of-groups axioms
+    are input errors for `check` and `homology`, and fail `verify`."""
+
+    # Its G-boundary maps do not compose to zero: over Q the rank
+    # reconstruction would yield a negative Betti number.
+    NEGATIVE_BETTI = {"k": 2, "triple": {
+        "quotient": [[0, 1, 2]],
+        "S": {"0": 1, "1": 1, "2": 1, "0,1": 1, "0,2": 1, "1,2": 1, "0,1,2": 1},
+        "Tstar": {"0,1|0": [0], "0,1|1": [0], "0,2|0": [0], "0,2|2": [0],
+                  "1,2|1": [0], "1,2|2": [1], "0,1,2|0,1": [0],
+                  "0,1,2|0,2": [0], "0,1,2|1,2": [0]}}}
+
+    @pytest.fixture
+    def shifted_torus_file(self, tmp_path, corpus_actions):
+        # Two T* cosets shifted by 1: still cosets of their (trivial)
+        # groups, so validate() passes, but d_G1 . d_G2 != 0.
+        body = triple_to_dict(build_triple(corpus_actions["torus9x3_rot3"]))
+        tstar = body["triple"]["Tstar"]
+        for key in ("0,1|0", "0,1,3|0,1"):
+            tstar[key] = [(c + 1) % body["k"] for c in tstar[key]]
+        f = _write(tmp_path, "shifted.json", body)
+        load_input(f)[1].validate()
+        return f
+
+    @pytest.mark.parametrize("argv", [
+        ["check"],
+        ["homology", "--field", "Q"],
+        ["homology", "--field", "Fp:2"],
+    ])
+    def test_shifted_cosets_exit_two(self, shifted_torus_file, capsys, argv):
+        assert cli.run(argv[:1] + [shifted_torus_file] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: ")
+        assert "outside the group of" in err[0]
+
+    def test_shifted_cosets_fail_verify(self, shifted_torus_file, capsys):
+        assert cli.run(["verify", shifted_torus_file]) == 4
+        assert "FAIL complex-of-groups-axioms" in capsys.readouterr().out
+
+    def test_negative_betti_triple_exit_two(self, tmp_path, capsys):
+        f = _write(tmp_path, "bad_triple.json", self.NEGATIVE_BETTI)
+        assert cli.run(["homology", f, "--field", "Q"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "input error: 2-morphism of ((0, 1, 2),(1, 2),(2,)) has exponent 1 "
+            "outside the group of (2,)"]
         assert cli.run(["verify", f]) == 4
 
 

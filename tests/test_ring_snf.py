@@ -1,10 +1,13 @@
 import random
 
-from zkhomology.exact import GF, QQ, Poly, field_rank, poly_str
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from zkhomology.exact import GF, QQ, Poly, field_rank, poly_str, snf_over_polys
 from zkhomology.groupring import GroupRingElem, GroupRingMatrix, rho_extend
 from zkhomology.ring_snf import snf_over_R
 
-F2, F3 = GF(2), GF(3)
+F2, F3, F5 = GF(2), GF(3), GF(5)
 
 
 def _e(field, k):
@@ -46,8 +49,9 @@ class TestSnfOverR:
         assert snf.diag == (_e(QQ, 2),)
 
     def test_triangle_boundary_entries(self):
-        # quotient boundary of the swapped triangles: rank 2 plus the
-        # augmentation factor x^2 - 1 that dies in the quotient ring
+        # quotient boundary of the swapped triangles: the lift has rank 2
+        # over Q[x], so its third invariant factor is 0 and lifts to
+        # gcd(0, x^2 - 1) = x^2 - 1, which dies in the quotient ring
         e, z = _e(QQ, 2), GroupRingElem.zero(QQ, 2)
         M = GroupRingMatrix.from_rows(QQ, 2, [
             [-e, -e, z], [e, z, -e], [z, e, e]])
@@ -94,7 +98,7 @@ class TestSnfOverR:
                         field, k,
                         [[_random_elem(rng, field, k) for _ in range(n)]
                          for _ in range(m)])
-                    snf = snf_over_R(M, check=False)
+                    snf = snf_over_R(M)
                     assert snf.rank_sum(k) == field_rank(rho_extend(M))
 
     def test_idempotence_on_normal_forms(self):
@@ -129,7 +133,7 @@ class TestSnfOverR:
                     assert snf_over_R(P * M * Q).lifts == snf_over_R(M).lifts
 
     def test_wide_and_tall_padding(self):
-        # m > n: the truncated factors must be exactly x^k - 1
+        # one invariant factor per min(m, n), whichever side is longer
         e = _e(F2, 2)
         z = GroupRingElem.zero(F2, 2)
         tall = GroupRingMatrix.from_rows(F2, 2, [[e], [e], [z]])
@@ -137,3 +141,54 @@ class TestSnfOverR:
         assert len(snf.lifts) == 1
         wide = GroupRingMatrix.from_rows(F2, 2, [[e, e, z]])
         assert len(snf_over_R(wide).lifts) == 1
+
+
+def _augmented_lifts(M):
+    """The first min(m, n) invariant factors of [M~ | (x^k-1) I_m] over
+    F[x]: the augmented presentation of the cokernel, kept as an oracle."""
+    q = Poly.x_pow_minus_one(M.field, M.k)
+    zero = Poly.zero(M.field)
+    augmented = [
+        [v.lift() for v in row] + [q if i == j else zero for j in range(M.rows)]
+        for i, row in enumerate(M.data)
+    ]
+    D, ok = snf_over_polys(augmented)
+    assert ok
+    return tuple(D[i][i] for i in range(min(M.rows, M.cols)))
+
+
+@st.composite
+def _ring_matrices(draw):
+    field = draw(st.sampled_from([QQ, F2, F3, F5]))
+    k = draw(st.integers(1, 9))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    zero_rows = draw(st.sets(st.integers(0, m - 1)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    coeff = st.integers(-2, 2) if field.char == 0 else st.integers(0, field.char - 1)
+    rows = [
+        [GroupRingElem.zero(field, k) if i in zero_rows or j in zero_cols
+         else GroupRingElem(field, k, draw(st.lists(coeff, min_size=k, max_size=k)))
+         for j in range(n)]
+        for i in range(m)
+    ]
+    return GroupRingMatrix.from_rows(field, k, rows)
+
+
+def _tall_with_zero_row():
+    e, a = _e(F3, 3), _a(F3, 3)
+    z = GroupRingElem.zero(F3, 3)
+    return GroupRingMatrix.from_rows(F3, 3, [[e + a, e], [e - a, a], [z, z]])
+
+
+def _wide_with_zero_column():
+    e, a = _e(QQ, 4), _a(QQ, 4)
+    z = GroupRingElem.zero(QQ, 4)
+    return GroupRingMatrix.from_rows(QQ, 4, [[e - a, z, e + a * a]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ring_matrices())
+@example(_tall_with_zero_row())
+@example(_wide_with_zero_column())
+def test_plain_lift_matches_augmented_lift(M):
+    assert snf_over_R(M).lifts == _augmented_lifts(M)
