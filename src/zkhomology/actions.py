@@ -13,7 +13,7 @@ one when addressing Python sequences.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 from .errors import (
@@ -203,50 +203,39 @@ def _divisors(k):
     return [d for d in range(1, k + 1) if k % d == 0]
 
 
-def _nonempty_subsets(elements):
-    subs = []
-    n = len(elements)
-    for mask in range(1, 1 << n):
-        subs.append(tuple(elements[i] for i in range(n) if mask >> i & 1))
-    subs.sort(key=lambda t: (len(t), t))
-    return subs
-
-
 def check_regularity(action):
-    """Exhaustive regularity check; None if regular, else a witness.
+    """Regularity check; None if regular, else a witness.
 
-    For every subgroup H, simplex, and assignment of a nonempty subset of H
-    to each vertex (equivalent to every finite tuple with repeated
-    vertices): if the moved vertex set is a simplex, some single h in H
-    must realize the whole assignment.
+    Regular means: for every subgroup H, simplex, and assignment of a
+    nonempty subset of H to each vertex, if the moved vertex set is a
+    simplex, some single h in H realizes the whole assignment.  For cyclic
+    H this is decided on vertices and edges (cost sum_{d|k} d^2 |E|):
+    (i) no h1 < h2 in H move a vertex onto the two ends of an edge; then
+    each vertex has one target, and h v_i = h_i v_i is a system of
+    congruences on h, solvable iff pairwise solvable (Ore, 1952), so
+    (ii) on each edge (u, v), every (h1, h2) with {h1 u, h2 v} a simplex
+    is realized by one h.  Subgroups in increasing order and simplices in
+    complex order give the witness the exhaustive search would meet first.
     """
     X, k = action.complex, action.k
+    move = action.apply_vertex
     for d_order in _divisors(k):
         if d_order == 1:
             continue  # h = e always realizes the trivial subgroup
         H = Subgroup(k, d_order)
         hs = H.exponents()
-        subsets = _nonempty_subsets(hs)
-        for s in X.all_simplices():
-            for choice in product(subsets, repeat=len(s)):
-                image = set()
-                for v, sub in zip(s, choice):
-                    image.update(action.apply_vertex(c, v) for c in sub)
-                image = tuple(sorted(image))
-                if image not in X:
-                    continue
-                realized = any(
-                    all(
-                        action.apply_vertex(h, v) == action.apply_vertex(c, v)
-                        for v, sub in zip(s, choice)
-                        for c in sub
-                    )
-                    for h in hs
-                )
-                if not realized:
-                    vs = tuple(v for v, sub in zip(s, choice) for _ in sub)
-                    es = tuple(c for _, sub in zip(s, choice) for c in sub)
-                    return RegularityWitness(H, s, vs, es, image)
+        for (u,) in X.simplices(0):
+            for h1, h2 in combinations(hs, 2):
+                image = tuple(sorted({move(h1, u), move(h2, u)}))
+                if len(image) == 2 and image in X:
+                    return RegularityWitness(H, (u,), (u, u), (h1, h2), image)
+        for u, v in X.simplices(1):
+            realized = {(move(h, u), move(h, v)) for h in hs}
+            for h1, h2 in product(hs, repeat=2):
+                moved = (move(h1, u), move(h2, v))
+                image = tuple(sorted(set(moved)))
+                if moved not in realized and image in X:
+                    return RegularityWitness(H, (u, v), (u, v), (h1, h2), image)
     return None
 
 

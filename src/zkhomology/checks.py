@@ -209,10 +209,7 @@ def check_snf_invariants(triple, fields):
         for d in range(1, triple.quotient.dim + 1):
             try:
                 snf = compressed_snf(triple, d, field)  # certificate enforced inside
-            except ZkHomologyError as exc:
-                failures.append(f"{field.name} d={d}: {exc}")
-                continue
-            except ArithmeticError as exc:
+            except (ZkHomologyError, ArithmeticError) as exc:
                 failures.append(f"{field.name} d={d}: {exc}")
                 continue
             for a, b in zip(snf.lifts, snf.lifts[1:]):

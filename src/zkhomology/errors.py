@@ -55,7 +55,7 @@ class TripleValidationError(ZkHomologyError):
 
 class AxiomError(ZkHomologyError):
     """A complex-of-groups axiom fails; ``witness`` is the offending
-    simplex triple (or quadruple for the cocycle condition)."""
+    simplex pair or triple."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -44,6 +44,11 @@ def _require(cond, message):
         raise InputFormatError(message)
 
 
+def _is_int(v):
+    """A JSON integer: Python's bool is an int, JSON's true is not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_input(data):
     """Parse a decoded JSON object into an action or a triple.
 
@@ -54,7 +59,7 @@ def parse_input(data):
     _require(isinstance(data, dict), "input must be a JSON object")
     _require("k" in data, 'input needs a top-level "k"')
     k = data["k"]
-    _require(isinstance(k, int) and k >= 1, '"k" must be a positive integer')
+    _require(_is_int(k) and k >= 1, '"k" must be a positive integer')
 
     if "triple" in data:
         return "triple", _parse_triple(k, data["triple"])
@@ -74,7 +79,7 @@ def parse_input(data):
         raise InputFormatError(f"bad simplex in input: {exc}") from None
     gen = data["generator"]
     _require(
-        isinstance(gen, list) and all(isinstance(v, int) for v in gen),
+        isinstance(gen, list) and all(_is_int(v) for v in gen),
         '"generator" must be a list of integers',
     )
     n = X.n_simplices(0)
@@ -105,7 +110,7 @@ def _parse_triple(k, body):
     S = {}
     _require(isinstance(body["S"], dict), '"S" must be an object')
     for key, order in body["S"].items():
-        _require(isinstance(order, int) and order >= 1, f"S[{key!r}] must be a positive integer")
+        _require(_is_int(order) and order >= 1, f"S[{key!r}] must be a positive integer")
         q = parse_simplex_key(key)
         _require(q in Y, f"S defined on {q}, which is not a quotient simplex")
         try:
@@ -119,7 +124,7 @@ def _parse_triple(k, body):
         pk, ok_ = key.split("|", 1)
         pair = (parse_simplex_key(pk), parse_simplex_key(ok_))
         _require(
-            isinstance(exps, list) and all(isinstance(c, int) for c in exps),
+            isinstance(exps, list) and all(_is_int(c) for c in exps),
             f"Tstar[{key!r}] must be a list of exponents",
         )
         Tstar[pair] = frozenset(c % k for c in exps)

@@ -10,7 +10,7 @@ coset of S(omega').  Triples can also be constructed standalone (parsed
 from JSON) and validated without ever materializing the acted-on complex.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
@@ -203,20 +203,15 @@ class ComplexOfGroups:
 
     For Z_k all face maps are (trivial) conjugations, so what is stored is
     the single-valued transfer choice on codimension-1 pairs, its extension
-    along fixed face chains, and the resulting 2-morphism elements.
+    along fixed face chains, and the 2-morphism elements of the
+    codimension-2 squares.
     """
 
     triple: IsotropyTriple
     groups: dict
     transfer_choice: dict      # codim-1 pair -> exponent picked from T*
     transfer_ext: dict         # any nested pair (psi1, psi2) -> exponent
-    two_morphisms: dict = dataclass_field(default_factory=dict)
-
-    def face_map(self, psi1, psi2, h):
-        """f_{psi1 psi2}: conjugation by the transfer choice (identity on
-        exponents since Z_k is abelian)."""
-        t = self.transfer_ext[(psi1, psi2)]
-        return (t + h - t) % self.triple.k
+    two_morphisms: dict        # codim-2 square (psi1, psi2, psi3) -> exponent
 
 
 def _nested_pairs(Y):
@@ -233,7 +228,17 @@ def build_complex_of_groups(triple, transfer_choice=None):
     `transfer_choice` may pick one exponent from each codimension-1 T*
     coset (default: the least exponent).  Longer face chains use the fixed
     descent that repeatedly drops the largest vertex not in the target.
-    Raises AxiomError with the offending simplex triple on any violation.
+    Raises AxiomError with the offending simplices on any violation.
+
+    Face maps are the identity on exponents (Z_k is abelian) and the
+    2-morphism of psi1 >= psi2 >= psi3 is g = e23 + e12 - e13 (e: the
+    extended transfer), so the cocycle condition, the constant-morphism
+    constraint and the triviality of degenerate 2-morphisms hold by
+    definition.  The axiom left, g in S(psi3), is checked on the
+    codimension-2 squares psi1 > psi1 - a > psi1 - {a, b} only: two
+    descents from psi1 to psi3 differ by swaps of adjacent drops, each
+    swap changes the sum by a square's g, and the group of that square's
+    bottom face embeds into S(psi3) by the nested-pair check.
     """
     Y, k = triple.quotient, triple.k
     choice = {}
@@ -258,13 +263,6 @@ def build_complex_of_groups(triple, transfer_choice=None):
             current = nxt
         ext[(psi1, psi2)] = t
 
-    cog = ComplexOfGroups(
-        triple=triple,
-        groups={q: triple.S[q] for q in Y.all_simplices()},
-        transfer_choice=choice,
-        transfer_ext=ext,
-    )
-
     # f_{psi1 psi2} must inject the coface group into the face group.
     for (psi1, psi2) in ext:
         if triple.S[psi2].order % triple.S[psi1].order != 0:
@@ -274,51 +272,22 @@ def build_complex_of_groups(triple, transfer_choice=None):
             )
 
     two = {}
-    for psi1 in Y.all_simplices():
-        for r2 in range(1, len(psi1) + 1):
-            for psi2 in combinations(psi1, r2):
-                for r3 in range(1, len(psi2) + 1):
-                    for psi3 in combinations(psi2, r3):
-                        g = (ext[(psi2, psi3)] + ext[(psi1, psi2)] - ext[(psi1, psi3)]) % k
-                        two[(psi1, psi2, psi3)] = g
-                        if g not in triple.S[psi3]:
-                            raise AxiomError(
-                                f"2-morphism of ({psi1},{psi2},{psi3}) has exponent "
-                                f"{g} outside the group of {psi3}",
-                                witness=(psi1, psi2, psi3),
-                            )
-                        if (psi1 == psi2 or psi2 == psi3) and g != 0:
-                            raise AxiomError(
-                                f"degenerate 2-morphism of ({psi1},{psi2},{psi3}) "
-                                "is not the identity",
-                                witness=(psi1, psi2, psi3),
-                            )
-    cog.two_morphisms = two
-
-    # cocycle condition over every 4-chain psi4 <= psi3 <= psi2 <= psi1
-    for psi1 in Y.all_simplices():
-        for r2 in range(1, len(psi1) + 1):
-            for psi2 in combinations(psi1, r2):
-                for r3 in range(1, len(psi2) + 1):
-                    for psi3 in combinations(psi2, r3):
-                        for r4 in range(1, len(psi3) + 1):
-                            for psi4 in combinations(psi3, r4):
-                                lhs = (cog.face_map(psi3, psi4, two[(psi1, psi2, psi3)])
-                                       + two[(psi1, psi3, psi4)]) % k
-                                rhs = (two[(psi2, psi3, psi4)]
-                                       + two[(psi1, psi2, psi4)]) % k
-                                if lhs != rhs:
-                                    raise AxiomError(
-                                        "cocycle condition fails on "
-                                        f"({psi1},{psi2},{psi3},{psi4})",
-                                        witness=(psi1, psi2, psi3, psi4),
-                                    )
-
-    # constant-morphism constraint: Phi_psi3(g) . T(psi1,psi3) = T(psi2,psi3) . T(psi1,psi2)
-    for (p1, p2, p3), g in two.items():
-        if (g + ext[(p1, p3)]) % k != (ext[(p2, p3)] + ext[(p1, p2)]) % k:
-            raise AxiomError(
-                f"constant-morphism compatibility fails on ({p1},{p2},{p3})",
-                witness=(p1, p2, p3),
-            )
-    return cog
+    for d in range(2, Y.dim + 1):
+        for psi1 in Y.simplices(d):
+            for psi2 in combinations(psi1, d):
+                for psi3 in combinations(psi2, d - 1):
+                    g = (ext[(psi2, psi3)] + ext[(psi1, psi2)] - ext[(psi1, psi3)]) % k
+                    two[(psi1, psi2, psi3)] = g
+                    if g not in triple.S[psi3]:
+                        raise AxiomError(
+                            f"2-morphism of ({psi1},{psi2},{psi3}) has exponent "
+                            f"{g} outside the group of {psi3}",
+                            witness=(psi1, psi2, psi3),
+                        )
+    return ComplexOfGroups(
+        triple=triple,
+        groups={q: triple.S[q] for q in Y.all_simplices()},
+        transfer_choice=choice,
+        transfer_ext=ext,
+        two_morphisms=two,
+    )

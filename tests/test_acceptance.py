@@ -193,7 +193,7 @@ def test_criterion_7_structural_invariants(prepared):
             assert len(hits) == H.order
             base = min(hits)
             assert hits == {(base + g) % triple.k for g in H.exponents()}
-        build_complex_of_groups(triple)  # validates the cocycle condition
+        build_complex_of_groups(triple)  # validates the complex-of-groups axioms
         for d in range(qd.quotient.dim + 1):
             lp = compatible_ordering(qd, lift, d)
             J = index_reducing(lp, action.k)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from zkhomology import actions, cli, ring_snf
+from zkhomology import actions, cli, corpus, ring_snf
 from zkhomology.corpus import entry, names, to_input_dict
 from zkhomology.jsonio import (
     action_to_dict,
@@ -64,6 +64,34 @@ class TestCheck:
         assert "valid" in capsys.readouterr().out
 
 
+class TestBooleansRejected:
+    """JSON true and false are not integers: every integer field rejects
+    them (exit 2) rather than reading them as 1 and 0."""
+
+    PATH_TRIPLE = {"quotient": [[0, 1]], "S": {"0": 1, "1": 2, "0,1": 1},
+                   "Tstar": {"0,1|0": [0], "0,1|1": [0, 1]}}
+
+    @pytest.mark.parametrize("body, message", [
+        ({"k": True, "simplices": [[0, 1], [1, 2]], "generator": [0, 1, 2]},
+         '"k" must be a positive integer'),
+        ({"k": 2, "simplices": [[0, 1]], "generator": [False, True]},
+         '"generator" must be a list of integers'),
+        ({"k": 2, "triple": {**PATH_TRIPLE,
+                             "S": {**PATH_TRIPLE["S"], "0,1": True}}},
+         "S['0,1'] must be a positive integer"),
+        ({"k": 2, "triple": {**PATH_TRIPLE,
+                             "Tstar": {**PATH_TRIPLE["Tstar"], "0,1|1": [False, True]}}},
+         "Tstar['0,1|1'] must be a list of exponents"),
+    ], ids=["k", "generator", "S", "Tstar"])
+    def test_boolean_exit_two(self, tmp_path, capsys, body, message):
+        f = _write(tmp_path, "bool.json", body)
+        mode = "both" if "triple" not in body else "compressed"
+        assert cli.run(["homology", f, "--mode", mode, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["input error: " + message]
+
+
 class TestHomology:
     def test_path_compressed_table(self, path_file, capsys):
         assert cli.run(["homology", path_file, "--mode", "compressed"]) == 0
@@ -122,6 +150,16 @@ class TestHomology:
         assert "betti: [1, 0]" in capsys.readouterr().out
         assert cli.run(["homology", triple_file, "--mode", "both"]) == 2
         assert cli.run(["homology", triple_file, "--mode", "direct"]) == 2
+
+    def test_k8_torus_both_match(self, tmp_path, capsys):
+        # 24x3 grid torus rotated by 3 rows, a free Z_8 action: the
+        # regularity gate must stay polynomial in the subgroup order.
+        body = {"k": 8,
+                "simplices": [sorted(t) for t in corpus._grid_torus(24, 3)],
+                "generator": list(corpus._torus_shift_perm(24, 3, 3))}
+        f = _write(tmp_path, "torus24x3.json", body)
+        assert cli.run(["homology", f, "--mode", "both", "--field", "Fp:2"]) == 0
+        assert "MATCH" in capsys.readouterr().out
 
     def test_internal_self_check_failure_exit_four(self, path_file, monkeypatch,
                                                    capsys):
