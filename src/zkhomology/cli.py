@@ -267,8 +267,13 @@ def cmd_corpus(args, out=None):
         return EXIT_INPUT
     text = dump_json(to_input_dict(e))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"input error: cannot write {args.output}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_INPUT
         print(f"wrote {args.output}", file=out)
     else:
         print(text, file=out)

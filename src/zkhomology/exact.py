@@ -17,16 +17,33 @@ from .errors import DomainMismatchError
 NEG_INF = float("-inf")
 
 
+# Miller-Rabin with the twelve prime bases up to 37 is exact below the
+# least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin primality test for n < _MR_LIMIT."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -112,6 +129,9 @@ class PrimeField(Field):
     """F_p for a prime p; values are ints kept in [0, p)."""
 
     def __init__(self, p):
+        if p >= _MR_LIMIT:
+            raise ValueError(
+                f"{p} is too large: primality is decided only below {_MR_LIMIT}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -372,24 +392,6 @@ def poly_gcd(a, b):
     return a.monic()
 
 
-def poly_xgcd(a, b):
-    """Extended gcd in F[x]: (g, s, t) with s*a + t*b = g, g monic (or 0)."""
-    _same_field(a, b)
-    F = a.field
-    s, s_next = Poly.one(F), Poly.zero(F)
-    t, t_next = Poly.zero(F), Poly.one(F)
-    g, g_next = a, b
-    while not g_next.is_zero():
-        q = g // g_next
-        g, g_next = g_next, g - q * g_next
-        s, s_next = s_next, s - q * s_next
-        t, t_next = t_next, t - q * t_next
-    if g.is_zero():
-        return g, s, t
-    c = F.inv(g.leading())
-    return g.monic(), s.scale(c), t.scale(c)
-
-
 class FieldMatrix:
     """Dense matrix over a Field; immutable after construction."""
 
@@ -549,12 +551,15 @@ def snf_over_polys(mat):
     then zeros), ok reports the internal shape/divisibility validation.
     Transformation matrices are not produced.
 
-    Pivot entries are eliminated pairwise with 2x2 extended-gcd transforms
-    (determinant 1, so unimodular); the exact-division path handles the
-    common already-divisible case.  Rows and columns are rescaled to
-    primitive integer form over Q after each transform -- scaling a line
-    by a nonzero constant is unimodular over F[x] and keeps coefficients
-    near the size of the matrix minors instead of compounding.
+    One Euclidean rule: a nonzero entry of least degree moves to the pivot
+    slot, and every other entry of its row and column is replaced by its
+    remainder modulo the pivot.  A nonzero remainder has lower degree and
+    becomes the next pivot, so each step ends with a clear row and column.
+    The diagonal is then sorted into a divisibility chain, since diag(a, b)
+    is equivalent to diag(gcd(a, b), lcm(a, b)) over a PID.  Every changed
+    line is rescaled to primitive integer form over Q -- scaling a line by
+    a nonzero constant is unimodular over F[x] and keeps coefficients near
+    the size of the matrix minors instead of compounding.
     """
     A, m, n, _ = _poly_grid(mat)
     for i in range(m):
@@ -562,77 +567,41 @@ def snf_over_polys(mat):
     t = 0
     size = min(m, n)
     while t < size:
-        # Move a nonzero entry of minimal degree into the pivot slot.
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if not A[i][j].is_zero():
-                    if best is None or A[i][j].degree < A[best[0]][best[1]].degree:
-                        best = (i, j)
-        if best is None:
+        nonzero = [
+            (A[i][j].degree, i, j)
+            for i in range(t, m) for j in range(t, n) if not A[i][j].is_zero()
+        ]
+        if not nonzero:
             break
-        i0, j0 = best
+        _, i0, j0 = min(nonzero)
         A[t], A[i0] = A[i0], A[t]
         for row in A:
             row[t], row[j0] = row[j0], row[t]
+        pivot, clear = A[t][t], True
+        for i in range(t + 1, m):
+            if not A[i][t].is_zero():
+                q, r = divmod(A[i][t], pivot)
+                clear = clear and r.is_zero()
+                A[i][t:] = _primitive([a - q * b for a, b in zip(A[i][t:], A[t][t:])])
+        for j in range(t + 1, n):
+            if not A[t][j].is_zero():
+                q, r = divmod(A[t][j], pivot)
+                clear = clear and r.is_zero()
+                col = _primitive([row[j] - q * row[t] for row in A[t:]])
+                for row, v in zip(A[t:], col):
+                    row[j] = v
+        if clear:
+            t += 1
 
-        while True:
-            for i in range(t + 1, m):
-                if A[i][t].is_zero():
-                    continue
-                a, b = A[t][t], A[i][t]
-                if (b % a).is_zero():
-                    q = b // a
-                    A[i] = _primitive([A[i][j] - q * A[t][j] for j in range(n)])
-                else:
-                    g, s, u = poly_xgcd(a, b)
-                    ag, bg = a // g, b // g
-                    new_t = [s * A[t][j] + u * A[i][j] for j in range(n)]
-                    new_i = [ag * A[i][j] - bg * A[t][j] for j in range(n)]
-                    A[t] = _primitive(new_t)
-                    A[i] = _primitive(new_i)
-            for j in range(t + 1, n):
-                if A[t][j].is_zero():
-                    continue
-                a, b = A[t][t], A[t][j]
-                if (b % a).is_zero():
-                    q = b // a
-                    col = _primitive([row[j] - q * row[t] for row in A])
-                    for row, v in zip(A, col):
-                        row[j] = v
-                else:
-                    g, s, u = poly_xgcd(a, b)
-                    ag, bg = a // g, b // g
-                    new_t = [s * row[t] + u * row[j] for row in A]
-                    new_j = [ag * row[j] - bg * row[t] for row in A]
-                    new_t = _primitive(new_t)
-                    new_j = _primitive(new_j)
-                    for row, vt, vj in zip(A, new_t, new_j):
-                        row[t] = vt
-                        row[j] = vj
-            # The xgcd column transforms mix column t back in, so recheck
-            # both lines only now.
-            col_clear = all(A[i][t].is_zero() for i in range(t + 1, m))
-            row_clear = all(A[t][j].is_zero() for j in range(t + 1, n))
-            if not (col_clear and row_clear):
-                continue
-            # Pivot row and column are clear; force pivot | submatrix.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if not (A[i][j] % A[t][t]).is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            A[t] = [A[t][j] + A[offender][j] for j in range(n)]
-        t += 1
-
-    for i in range(size):
-        if not A[i][i].is_zero():
-            A[i][i] = A[i][i].monic()
+    # The first t diagonal entries are the nonzero pivots.
+    diag = [A[i][i].monic() for i in range(t)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            if not diag[i].divides(diag[j]):
+                g = poly_gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, (diag[i] * diag[j] // g).monic()
+    for i, d in enumerate(diag):
+        A[i][i] = d
 
     ok = _validate_snf(A, m, n)
     return A, ok

@@ -203,23 +203,15 @@ class ComplexOfGroups:
 
     For Z_k all face maps are (trivial) conjugations, so what is stored is
     the single-valued transfer choice on codimension-1 pairs, its extension
-    along fixed face chains, and the 2-morphism elements of the
-    codimension-2 squares.
+    along the fixed descent to codimension-2 pairs, and the 2-morphism
+    elements of the codimension-2 squares.
     """
 
     triple: IsotropyTriple
     groups: dict
     transfer_choice: dict      # codim-1 pair -> exponent picked from T*
-    transfer_ext: dict         # any nested pair (psi1, psi2) -> exponent
+    transfer_ext: dict         # codim-1 or codim-2 pair (psi1, psi2) -> exponent
     two_morphisms: dict        # codim-2 square (psi1, psi2, psi3) -> exponent
-
-
-def _nested_pairs(Y):
-    for psi1 in Y.all_simplices():
-        verts = psi1
-        for r in range(1, len(verts) + 1):
-            for psi2 in combinations(verts, r):
-                yield psi1, psi2
 
 
 def build_complex_of_groups(triple, transfer_choice=None):
@@ -238,7 +230,8 @@ def build_complex_of_groups(triple, transfer_choice=None):
     codimension-2 squares psi1 > psi1 - a > psi1 - {a, b} only: two
     descents from psi1 to psi3 differ by swaps of adjacent drops, each
     swap changes the sum by a square's g, and the group of that square's
-    bottom face embeds into S(psi3) by the nested-pair check.
+    bottom face embeds into S(psi3).  Embeddings are checked on the
+    codimension-1 pairs only: divisibility of orders is transitive.
     """
     Y, k = triple.quotient, triple.k
     choice = {}
@@ -252,30 +245,27 @@ def build_complex_of_groups(triple, transfer_choice=None):
             )
         choice[(psi, omega)] = picked
 
-    ext = {}
-    for psi1, psi2 in _nested_pairs(Y):
-        t = 0
-        current = psi1
-        while current != psi2:
-            drop = max(v for v in current if v not in psi2)
-            nxt = tuple(v for v in current if v != drop)
-            t = (t + choice[(current, nxt)]) % k
-            current = nxt
-        ext[(psi1, psi2)] = t
-
     # f_{psi1 psi2} must inject the coface group into the face group.
-    for (psi1, psi2) in ext:
-        if triple.S[psi2].order % triple.S[psi1].order != 0:
-            raise AxiomError(
-                f"group of {psi1} does not embed into group of {psi2}",
-                witness=(psi1, psi2),
-            )
+    ext = {}
+    for d in range(1, Y.dim + 1):
+        for psi1 in Y.simplices(d):
+            for psi2 in combinations(psi1, d):
+                if triple.S[psi2].order % triple.S[psi1].order != 0:
+                    raise AxiomError(
+                        f"group of {psi1} does not embed into group of {psi2}",
+                        witness=(psi1, psi2),
+                    )
+                ext[(psi1, psi2)] = choice[(psi1, psi2)]
 
     two = {}
     for d in range(2, Y.dim + 1):
         for psi1 in Y.simplices(d):
             for psi2 in combinations(psi1, d):
                 for psi3 in combinations(psi2, d - 1):
+                    # The fixed descent drops the larger missing vertex first.
+                    drop = max(v for v in psi1 if v not in psi3)
+                    mid = tuple(v for v in psi1 if v != drop)
+                    ext[(psi1, psi3)] = (choice[(psi1, mid)] + choice[(mid, psi3)]) % k
                     g = (ext[(psi2, psi3)] + ext[(psi1, psi2)] - ext[(psi1, psi3)]) % k
                     two[(psi1, psi2, psi3)] = g
                     if g not in triple.S[psi3]:

@@ -135,6 +135,16 @@ class TestHomology:
     def test_bad_field_exit_two(self, path_file):
         assert cli.run(["homology", path_file, "--field", "Fp:6"]) == 2
 
+    def test_large_prime_field(self, path_file, capsys):
+        assert cli.run(["homology", path_file, "--field",
+                        "Fp:2305843009213693951"]) == 0
+        assert "compressed betti: [1, 0]" in capsys.readouterr().out
+
+    def test_too_large_prime_exit_two(self, path_file, capsys):
+        p = 2**89 - 1  # a Mersenne prime beyond the deterministic test's range
+        assert cli.run(["homology", path_file, "--field", f"Fp:{p}"]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_non_coprime_generator_exit_two(self, tmp_path):
         f = _write(tmp_path, "c9.json", to_input_dict(entry("cycle9_rot3")))
         assert cli.run(["homology", f, "--generator", "0"]) == 2
@@ -315,6 +325,14 @@ class TestCorpusCommand:
 
     def test_unknown_name(self):
         assert cli.run(["corpus", "nope"]) == 2
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        target = tmp_path / "missing_dir" / "out.json"
+        assert cli.run(["corpus", "path_flip", "-o", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:")
 
 
 class TestRoundTrip:

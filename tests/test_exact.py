@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zkhomology.errors import DomainMismatchError
@@ -22,6 +22,7 @@ from zkhomology.exact import (
 
 F2 = GF(2)
 F3 = GF(3)
+F5 = GF(5)
 
 
 def P(field, *coeffs):
@@ -36,6 +37,19 @@ class TestFields:
             parse_field("Fp:6")
         with pytest.raises(ValueError):
             parse_field("R")
+
+    def test_large_prime_accepted(self):
+        # Trial division up to sqrt(2^61 - 1) would take minutes.
+        assert parse_field("Fp:2305843009213693951").p == 2**61 - 1
+
+    @pytest.mark.parametrize("p", [
+        561,                        # Carmichael number
+        3215031751,                 # strong pseudoprime to bases 2, 3, 5, 7
+        318665857834031151167461,   # strong pseudoprime to every base <= 37
+    ])
+    def test_pseudoprimes_rejected(self, p):
+        with pytest.raises(ValueError):
+            parse_field(f"Fp:{p}")
 
     def test_prime_field_canonical_range(self):
         assert F3.coerce(-1) == 2
@@ -141,6 +155,20 @@ def _determinantal_divisor(rows, i):
     return g
 
 
+@st.composite
+def _coefficient_grids(draw):
+    """m x n grids (1 <= m, n <= 5) of coefficient lists of degree <= 3,
+    with random zero rows and columns."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    zero_rows = draw(st.sets(st.integers(0, m - 1)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    coeffs = st.lists(st.integers(-2, 2), max_size=4)
+    return [
+        [[] if i in zero_rows or j in zero_cols else draw(coeffs) for j in range(n)]
+        for i in range(m)
+    ]
+
+
 class TestSnfOverPolys:
     def test_already_diagonal(self):
         x = Poly.x(QQ)
@@ -165,26 +193,28 @@ class TestSnfOverPolys:
         D, ok = snf_over_polys([[], []])
         assert ok and D == [[], []]
 
-    @pytest.mark.parametrize("field", [QQ, F2, F3])
-    def test_determinantal_divisors(self, field):
-        # gcd of i x i minors == product of the first i diagonal entries,
+    @pytest.mark.parametrize("field", [QQ, F2, F3, F5])
+    @settings(max_examples=150, deadline=None)
+    @given(grid=_coefficient_grids())
+    @example(grid=[[[0, 1], []], [[], [1, 1]]])  # diag(x, x+1) ~ diag(1, x^2+x)
+    def test_determinantal_divisors(self, field, grid):
+        # D_ii == Delta_i / Delta_{i-1}, Delta_i the gcd of the i x i minors,
         # computed with an independent cofactor-expansion oracle
-        rng = random.Random(123)
-        for _ in range(6):
-            rows = [
-                [Poly(field, [rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
-                 for _ in range(4)]
-                for _ in range(4)
-            ]
-            D, ok = snf_over_polys([row[:] for row in rows])
-            assert ok
-            diag = [D[i][i] for i in range(4)]
-            for i in range(1, 4):
-                expected = _determinantal_divisor(rows, i)
-                prod = Poly.one(field)
-                for p in diag[:i]:
-                    prod = prod * p
-                assert prod.monic() == expected, (i, rows)
+        rows = [[Poly(field, c) for c in row] for row in grid]
+        m, n = len(rows), len(rows[0])
+        D, ok = snf_over_polys([row[:] for row in rows])
+        assert ok
+        assert all(D[i][j].is_zero() for i in range(m) for j in range(n) if i != j)
+        prev = Poly.one(field)
+        for i in range(1, min(m, n) + 1):
+            delta = _determinantal_divisor(rows, i)
+            if delta.is_zero():
+                assert D[i - 1][i - 1].is_zero(), (i, rows)
+                continue
+            q, r = divmod(delta, prev)
+            assert r.is_zero()
+            assert D[i - 1][i - 1] == q.monic(), (i, rows)
+            prev = delta
 
     @pytest.mark.parametrize("field", [QQ, F2])
     def test_divisibility_chain(self, field):
