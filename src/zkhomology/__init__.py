@@ -30,9 +30,7 @@ from .actions import (
     CyclicAction,
     Subgroup,
     check_regularity,
-    compatible_ordering,
     coset_ordering,
-    index_reducing,
     is_regular,
     lex_lift,
     lex_max_lift,
@@ -55,17 +53,20 @@ from .transfer import (
     build_triple,
     coset_map,
     extended_transfer,
-    transfer_matrix,
 )
 from .ring_snf import SnfDiagonal, snf_over_R
 from .pipeline import (
     CompressedResult,
-    compatible_boundary,
-    compatible_orientations,
     compressed_betti,
     compressed_rank,
     compressed_result,
     g_boundary_matrix,
+)
+from .checks import (
+    compatible_boundary,
+    compatible_ordering,
+    compatible_orientations,
+    index_reducing,
     isotropy_expansion,
     verify_expansion_lemma,
 )
@@ -77,16 +78,16 @@ __all__ = [
     "poly_gcd", "snf_over_polys",
     "Complex", "barycentric_subdivision", "betti_direct", "boundary_matrix",
     "build_complex",
-    "CyclicAction", "Subgroup", "check_regularity", "compatible_ordering",
-    "coset_ordering", "index_reducing", "is_regular", "lex_lift",
-    "lex_max_lift", "quotient", "regularize", "trivial_action",
-    "validate_action",
+    "CyclicAction", "Subgroup", "check_regularity", "coset_ordering",
+    "is_regular", "lex_lift", "lex_max_lift", "quotient", "regularize",
+    "trivial_action", "validate_action",
     "GroupRingElem", "GroupRingMatrix", "circulant_rank", "rho", "rho_extend",
     "sigma",
     "IsotropyTriple", "build_complex_of_groups", "build_triple", "coset_map",
-    "extended_transfer", "transfer_matrix",
+    "extended_transfer",
     "SnfDiagonal", "snf_over_R",
-    "CompressedResult", "compatible_boundary", "compatible_orientations",
-    "compressed_betti", "compressed_rank", "compressed_result",
-    "g_boundary_matrix", "isotropy_expansion", "verify_expansion_lemma",
+    "CompressedResult", "compressed_betti", "compressed_rank",
+    "compressed_result", "g_boundary_matrix",
+    "compatible_boundary", "compatible_ordering", "compatible_orientations",
+    "index_reducing", "isotropy_expansion", "verify_expansion_lemma",
 ]

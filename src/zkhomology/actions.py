@@ -5,11 +5,6 @@ permutation alpha, matching the fixed ordering (e, alpha, ..., alpha^(k-1)).
 Subgroups of Z_k are stored by their order (a divisor of k).  All derived
 tables (orbits, isotropy) are computed eagerly; everything is read-only
 after construction.
-
-Index conventions: lifted partitions and the index-reducing function keep
-the 1-based positions used by their definitions (block I_a starts at n_a,
-values of the reducing map land in {1, ..., |Sigma_d|}); callers subtract
-one when addressing Python sequences.
 """
 
 from dataclasses import dataclass
@@ -325,76 +320,3 @@ def lex_lift(qd):
 def lex_max_lift(qd):
     """The opposite deterministic choice, used by lift-independence tests."""
     return {q: qd.fiber(q)[-1] for q in qd.quotient.all_simplices()}
-
-
-@dataclass(frozen=True)
-class LiftedPartition:
-    """Compatible ordering of the d-simplices upstairs, block by block.
-
-    `ordering` lists the d-simplices of the acted-on complex: fibers are
-    concatenated in quotient order, and within the fiber over psi'_a the
-    j-th simplex is (coset j of the isotropy of the lift) applied to the
-    lift.  `starts[a]` is n_a and `blocks[a]` the 1-based index range I_a;
-    the lift of psi'_a sits at position starts[a].
-    """
-
-    d: int
-    quotient_order: tuple
-    ordering: tuple
-    starts: tuple
-    blocks: tuple
-    subgroup_orders: tuple
-
-
-def compatible_ordering(qd, lift, d, quotient_order=None):
-    """Order Sigma_d of the acted-on complex compatibly with the quotient
-    ordering, the lift, and the group ordering (e, alpha, ...)."""
-    if quotient_order is None:
-        quotient_order = qd.quotient.simplices(d)
-    else:
-        quotient_order = tuple(tuple(s) for s in quotient_order)
-        if sorted(quotient_order) != list(qd.quotient.simplices(d)):
-            raise ValueError("quotient_order is not a permutation of the d-simplices")
-    action = qd.action
-    ordering = []
-    starts = []
-    blocks = []
-    horders = []
-    n_next = 1
-    for q in quotient_order:
-        ell = lift[q]
-        H = action.isotropy(ell)
-        block = [action.apply_simplex(cs[0], ell) for cs in coset_ordering(H)]
-        if len(set(block)) != len(block) or set(block) != set(qd.fiber(q)):
-            raise RegularityError(f"coset orbit of {ell} does not tile the fiber of {q}")
-        starts.append(n_next)
-        blocks.append(range(n_next, n_next + len(block)))
-        horders.append(H.order)
-        ordering.extend(block)
-        n_next += len(block)
-    return LiftedPartition(
-        d=d,
-        quotient_order=tuple(quotient_order),
-        ordering=tuple(ordering),
-        starts=tuple(starts),
-        blocks=tuple(blocks),
-        subgroup_orders=tuple(horders),
-    )
-
-
-def index_reducing(lp, k):
-    """The isotropy index-reducing map as a tuple of 1-based values.
-
-    Writing i = (b-1)k + c with c in {1..k}, position i maps to
-    n_b - 1 + gamma where gamma is the position of alpha^(c-1)'s coset in
-    the coset ordering of the b-th block's isotropy subgroup.  The image of
-    each length-k slab L_b is exactly the block I_b.
-    """
-    values = []
-    for b, h in enumerate(lp.subgroup_orders):
-        H = Subgroup(k, h)
-        q_b = lp.starts[b]
-        for c in range(1, k + 1):
-            gamma = coset_position(H, c - 1)
-            values.append(q_b - 1 + gamma)
-    return tuple(values)

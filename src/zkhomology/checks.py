@@ -1,4 +1,13 @@
-"""Invariant suites for actions and triples.
+"""Invariant suites for actions and triples, and the upstairs model that
+ties the G-boundary matrix to the acted-on complex: lifted partitions,
+compatible orientations and boundaries, the index-reducing map and the
+isotropy expansion, which equals the circulant image of the G-boundary
+entry by entry (the expansion lemma).  Production code never reads it.
+
+Index conventions: lifted partitions and the index-reducing function keep
+the 1-based positions used by their definitions (block I_a starts at n_a,
+values of the reducing map land in {1, ..., |Sigma_d|}); callers subtract
+one when addressing Python sequences.
 
 Each check returns a CheckOutcome; a suite is a list of them, every line
 carrying a first counterexample when it fails.  The CLI's verify command
@@ -10,25 +19,248 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .exact import field_rank
-from .simplicial import boundary_matrix
-from .actions import compatible_ordering, index_reducing, lex_lift, lex_max_lift
-from .transfer import (
-    build_complex_of_groups,
-    build_triple,
-    extended_transfer,
-    extended_transfer_via_face,
-)
-from .pipeline import (
-    compatible_boundary,
-    compressed_betti,
-    compressed_rank,
-    compressed_snf,
-    isotropy_expansion,
-    verify_expansion_lemma,
-)
-from .errors import ZkHomologyError
-from .simplicial import betti_direct
+from .errors import (DimensionError, RegularityError, TripleValidationError,
+                     UnknownSimplexError, ZkHomologyError)
+from .exact import FieldMatrix, field_rank
+from .simplicial import betti_direct, boundary_matrix, default_orientation
+from .actions import (Subgroup, coset_ordering, coset_position, lex_lift,
+                      lex_max_lift, quotient)
+from .groupring import rho_extend
+from .transfer import build_complex_of_groups, build_triple, extended_transfer
+from .pipeline import compressed_betti, compressed_rank, compressed_snf, g_boundary_matrix
+
+
+@dataclass(frozen=True)
+class LiftedPartition:
+    """Compatible ordering of the d-simplices upstairs, block by block.
+
+    `ordering` lists the d-simplices of the acted-on complex: fibers are
+    concatenated in quotient order, and within the fiber over psi'_a the
+    j-th simplex is (coset j of the isotropy of the lift) applied to the
+    lift.  `starts[a]` is n_a and `blocks[a]` the 1-based index range I_a;
+    the lift of psi'_a sits at position starts[a].
+    """
+
+    d: int
+    quotient_order: tuple
+    ordering: tuple
+    starts: tuple
+    blocks: tuple
+    subgroup_orders: tuple
+
+
+def compatible_ordering(qd, lift, d, quotient_order=None):
+    """Order Sigma_d of the acted-on complex compatibly with the quotient
+    ordering, the lift, and the group ordering (e, alpha, ...)."""
+    if quotient_order is None:
+        quotient_order = qd.quotient.simplices(d)
+    else:
+        quotient_order = tuple(tuple(s) for s in quotient_order)
+        if sorted(quotient_order) != list(qd.quotient.simplices(d)):
+            raise ValueError("quotient_order is not a permutation of the d-simplices")
+    action = qd.action
+    ordering = []
+    starts = []
+    blocks = []
+    horders = []
+    n_next = 1
+    for q in quotient_order:
+        ell = lift[q]
+        H = action.isotropy(ell)
+        block = [action.apply_simplex(cs[0], ell) for cs in coset_ordering(H)]
+        if len(set(block)) != len(block) or set(block) != set(qd.fiber(q)):
+            raise RegularityError(f"coset orbit of {ell} does not tile the fiber of {q}")
+        starts.append(n_next)
+        blocks.append(range(n_next, n_next + len(block)))
+        horders.append(H.order)
+        ordering.extend(block)
+        n_next += len(block)
+    return LiftedPartition(
+        d=d,
+        quotient_order=tuple(quotient_order),
+        ordering=tuple(ordering),
+        starts=tuple(starts),
+        blocks=tuple(blocks),
+        subgroup_orders=tuple(horders),
+    )
+
+
+def index_reducing(lp, k):
+    """The isotropy index-reducing map as a tuple of 1-based values.
+
+    Writing i = (b-1)k + c with c in {1..k}, position i maps to
+    n_b - 1 + gamma where gamma is the position of alpha^(c-1)'s coset in
+    the coset ordering of the b-th block's isotropy subgroup.  The image of
+    each length-k slab L_b is exactly the block I_b.
+    """
+    values = []
+    for b, h in enumerate(lp.subgroup_orders):
+        H = Subgroup(k, h)
+        q_b = lp.starts[b]
+        for c in range(1, k + 1):
+            gamma = coset_position(H, c - 1)
+            values.append(q_b - 1 + gamma)
+    return tuple(values)
+
+
+def extended_transfer_via_face(qd, lift, psi, omega):
+    """Second, independent route: locate the unique face of lift(psi) over
+    omega and collect the exponents carrying lift(omega) onto it."""
+    psi, omega = tuple(psi), tuple(omega)
+    if psi not in lift or omega not in lift:
+        raise UnknownSimplexError(f"{psi} or {omega} is not a quotient simplex")
+    if len(psi) != len(omega) + 1:
+        raise DimensionError("extended transfer needs a codimension-1 pair")
+    if not set(omega) <= set(psi):
+        return frozenset()
+    lp = lift[psi]
+    matches = [
+        f for f in combinations(lp, len(omega)) if qd.project_simplex(f) == omega
+    ]
+    if len(matches) != 1:
+        raise TripleValidationError(
+            f"face of {lp} over {omega} is not unique: {matches}",
+            witness=(psi, omega),
+        )
+    target = matches[0]
+    lo = lift[omega]
+    return frozenset(
+        c for c in range(qd.action.k) if qd.action.apply_simplex(c, lo) == target
+    )
+
+
+def _orbit_sorted_tuple(qd, simplex):
+    # Vertices ordered by their orbit label; pulls the quotient orientation
+    # back along the projection.
+    return tuple(sorted(simplex, key=lambda v: qd.label[v]))
+
+
+def _parity(tuple_order):
+    seq = list(tuple_order)
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
+def compatible_orientations(action, lift, qd=None):
+    """Orientations making the projection and the action chain-friendly.
+
+    Quotient simplices are oriented by increasing orbit labels (sign +1).
+    Each lift is oriented so its elementary chain projects onto the
+    quotient chain; the rest of the orbit carries the image orientation
+    (well-defined because regular stabilizers fix simplices vertex-wise).
+    The result satisfies g[psi] = [g psi] for every g and
+    pi[psi] = [pi psi] for every psi.
+
+    Returns (orientation of the acted-on complex, orientation of the
+    quotient).
+    """
+    if qd is None:
+        qd = quotient(action)
+    orient_q = default_orientation(qd.quotient)
+    orient_x = {}
+    for q in qd.quotient.all_simplices():
+        base = _orbit_sorted_tuple(qd, lift[q])
+        for c in range(action.k):
+            moved = tuple(action.apply_vertex(c, v) for v in base)
+            s = tuple(sorted(moved))
+            sign = _parity(moved)
+            if s in orient_x and orient_x[s] != sign:
+                raise ArithmeticError(
+                    f"orientation transport inconsistent at {s}"
+                )
+            orient_x[s] = sign
+    return orient_x, orient_q
+
+
+def oriented_tuple(orient, simplex):
+    """The vertex tuple of the chosen elementary chain for a simplex (the
+    increasing tuple with its last two entries swapped when the sign is -1)."""
+    s = tuple(simplex)
+    if orient[s] == 1 or len(s) == 1:
+        return s
+    return s[:-2] + (s[-1], s[-2])
+
+
+def _compatible_parts(action, lift, d, field, qd):
+    # The compatible boundary with its row and column lifted partitions.
+    if qd is None:
+        qd = quotient(action)
+    X = action.complex
+    if not (1 <= d <= X.dim):
+        raise DimensionError(f"d={d} out of range 1..{X.dim}")
+    orient_x, _ = compatible_orientations(action, lift, qd=qd)
+    row_lp = compatible_ordering(qd, lift, d - 1)
+    col_lp = compatible_ordering(qd, lift, d)
+    B = boundary_matrix(
+        X, d, field, orient=orient_x,
+        row_order=row_lp.ordering, col_order=col_lp.ordering,
+    )
+    return B, row_lp, col_lp
+
+
+def compatible_boundary(action, lift, d, field, qd=None):
+    """Boundary matrix of the acted-on complex in the compatible ordered
+    basis: rows and columns follow the lifted-partition orderings, signs
+    follow the compatible orientations."""
+    return _compatible_parts(action, lift, d, field, qd)[0]
+
+
+def isotropy_expansion(action, lift, d, field, qd=None):
+    """The (m k x n k) coset-duplicated enlargement of the compatible
+    boundary matrix; same rank as the boundary itself."""
+    B, row_lp, col_lp = _compatible_parts(action, lift, d, field, qd)
+    J_rows = index_reducing(row_lp, action.k)
+    J_cols = index_reducing(col_lp, action.k)
+    data = [[B.data[r - 1][c - 1] for c in J_cols] for r in J_rows]
+    return FieldMatrix(field, len(J_rows), len(J_cols), data)
+
+
+def verify_expansion_lemma(action, lift, d, field, qd=None):
+    """Check that the isotropy expansion equals the entry-wise circulant
+    image of the G-boundary matrix, and that each expansion entry matches
+    the direct containment test.  Returns (True, None) or (False, report).
+    """
+    if qd is None:
+        qd = quotient(action)
+    k = action.k
+    triple = build_triple(action, lift=lift, qd=qd)
+    E = isotropy_expansion(action, lift, d, field, qd=qd)
+    G = rho_extend(g_boundary_matrix(triple, d, field))
+    if E.rows != G.rows or E.cols != G.cols:
+        return False, f"shape mismatch {E.rows}x{E.cols} vs {G.rows}x{G.cols}"
+    for i in range(E.rows):
+        for j in range(E.cols):
+            if E.data[i][j] != G.data[i][j]:
+                return False, (
+                    f"d={d}: entry ({i + 1},{j + 1}) differs: expansion has "
+                    f"{E.data[i][j]}, circulant image has {G.data[i][j]}"
+                )
+    # Entry cases by direct containment: block (a, b), offsets (c, c').
+    Y = qd.quotient
+    Bq = boundary_matrix(Y, d, field)
+    for a, omega in enumerate(Y.simplices(d - 1)):
+        lo = lift[omega]
+        for b, psi in enumerate(Y.simplices(d)):
+            lp = lift[psi]
+            for c in range(1, k + 1):
+                moved_o = set(action.apply_simplex(c - 1, lo))
+                for cp in range(1, k + 1):
+                    moved_p = set(action.apply_simplex(cp - 1, lp))
+                    want = (
+                        Bq.data[a][b] if moved_o <= moved_p else field.zero()
+                    )
+                    got = E.data[k * a + c - 1][k * b + cp - 1]
+                    if got != want:
+                        return False, (
+                            f"d={d}: containment case fails at block ({a + 1},"
+                            f"{b + 1}) offsets ({c},{cp}): expansion {got}, "
+                            f"containment predicts {want}"
+                        )
+    return True, None
 
 
 @dataclass(frozen=True)

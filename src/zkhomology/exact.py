@@ -418,14 +418,6 @@ class FieldMatrix:
         z = field.zero()
         return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    def entry(self, i, j):
-        return self.data[i][j]
-
     def transpose(self):
         return FieldMatrix(
             self.field, self.cols, self.rows,

@@ -172,15 +172,6 @@ class GroupRingMatrix:
         o = GroupRingElem.one(field, k)
         return cls(field, k, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
-    def entry(self, i, j):
-        return self.data[i][j]
-
-    def map_entries(self, fn):
-        return GroupRingMatrix(
-            self.field, self.k, self.rows, self.cols,
-            [[fn(v) for v in row] for row in self.data],
-        )
-
     def __mul__(self, other):
         if self.field != other.field or self.k != other.k:
             raise DomainMismatchError("matrix product over mixed group rings")

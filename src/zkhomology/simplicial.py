@@ -17,12 +17,12 @@ from .exact import FieldMatrix, field_rank
 def as_simplex(vertices):
     """Canonicalize a vertex collection into a simplex tuple."""
     given = tuple(vertices)
+    for v in given:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise InvalidSimplexError(f"bad vertex identifier {v!r}")
     vs = tuple(sorted(set(given)))
     if not vs:
         raise InvalidSimplexError("a simplex needs at least one vertex")
-    for v in vs:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise InvalidSimplexError(f"bad vertex identifier {v!r}")
     if len(vs) != len(given) and not isinstance(vertices, (set, frozenset)):
         raise InvalidSimplexError(f"repeated vertices in {given!r}")
     return vs

@@ -1,6 +1,6 @@
 """The isotropy transfer triple and its derived structures: the extended
-transfer, the transfer matrix over F[Z_k], the coset map, and the
-associated complex of groups with its axiom validation.
+transfer, the coset map, and the associated complex of groups with its
+axiom validation.
 
 The triple (quotient, S, T*) is all the compressed pipeline consumes: S
 sends each quotient simplex to the isotropy subgroup of its lift, and T*
@@ -20,7 +20,6 @@ from .errors import (
     UnknownSimplexError,
 )
 from .actions import Subgroup, coset_position, lex_lift, quotient
-from .groupring import GroupRingMatrix, sigma
 
 
 def extended_transfer(action, lift, psi, omega):
@@ -42,32 +41,6 @@ def extended_transfer(action, lift, psi, omega):
     return hits
 
 
-def extended_transfer_via_face(qd, lift, psi, omega):
-    """Second, independent route: locate the unique face of lift(psi) over
-    omega and collect the exponents carrying lift(omega) onto it."""
-    psi, omega = tuple(psi), tuple(omega)
-    if psi not in lift or omega not in lift:
-        raise UnknownSimplexError(f"{psi} or {omega} is not a quotient simplex")
-    if len(psi) != len(omega) + 1:
-        raise DimensionError("extended transfer needs a codimension-1 pair")
-    if not set(omega) <= set(psi):
-        return frozenset()
-    lp = lift[psi]
-    matches = [
-        f for f in combinations(lp, len(omega)) if qd.project_simplex(f) == omega
-    ]
-    if len(matches) != 1:
-        raise TripleValidationError(
-            f"face of {lp} over {omega} is not unique: {matches}",
-            witness=(psi, omega),
-        )
-    target = matches[0]
-    lo = lift[omega]
-    return frozenset(
-        c for c in range(qd.action.k) if qd.action.apply_simplex(c, lo) == target
-    )
-
-
 class IsotropyTriple:
     """The compressed data (quotient complex, S, T*) for one action+lift."""
 
@@ -84,15 +57,6 @@ class IsotropyTriple:
         if q not in self.S:
             raise UnknownSimplexError(f"{q} is not a quotient simplex")
         return self.S[q]
-
-    def transfer_set(self, psi, omega):
-        """T*(psi, omega); empty for non-face pairs of codimension 1."""
-        psi, omega = tuple(psi), tuple(omega)
-        if psi not in self.quotient or omega not in self.quotient:
-            raise UnknownSimplexError(f"{psi} or {omega} is not a quotient simplex")
-        if len(psi) != len(omega) + 1:
-            raise DimensionError("transfer sets live on codimension-1 pairs")
-        return self.Tstar.get((psi, omega), frozenset())
 
     def chain_dim(self, d):
         """dim C_d of the acted-on complex via orbit-stabilizer: each
@@ -173,22 +137,6 @@ def build_triple(action, lift=None, qd=None):
             for omega in combinations(psi, d):
                 Tstar[(psi, omega)] = extended_transfer(action, lift, psi, omega)
     return IsotropyTriple(action.k, Y, S, Tstar)
-
-
-def transfer_matrix(triple, d, field, row_order=None, col_order=None):
-    """The d-th transfer matrix over F[Z_k]: rows over the (d-1)-simplices,
-    columns over the d-simplices, entry (a, b) = sigma(T*(psi_b, omega_a))."""
-    Y = triple.quotient
-    if not (1 <= d <= Y.dim):
-        raise DimensionError(f"d={d} out of range 1..{Y.dim}")
-    rows = tuple(row_order) if row_order is not None else Y.simplices(d - 1)
-    cols = tuple(col_order) if col_order is not None else Y.simplices(d)
-    k = triple.k
-    data = [
-        [sigma(triple.transfer_set(psi, omega), field, k) for psi in cols]
-        for omega in rows
-    ]
-    return GroupRingMatrix(field, k, len(rows), len(cols), data)
 
 
 def coset_map(triple, omega, exponent):

@@ -12,12 +12,16 @@ import pytest
 
 from zkhomology.actions import (
     check_regularity,
-    compatible_ordering,
-    index_reducing,
     lex_lift,
     lex_max_lift,
     quotient,
     regularize,
+)
+from zkhomology.checks import (
+    compatible_boundary,
+    compatible_ordering,
+    index_reducing,
+    isotropy_expansion,
 )
 from zkhomology.corpus import build_action, entry, regular_entries
 from zkhomology.exact import GF, QQ, Poly, field_rank
@@ -28,11 +32,9 @@ from zkhomology.groupring import (
     rho_extend,
 )
 from zkhomology.pipeline import (
-    compatible_boundary,
     compressed_betti,
     compressed_snf,
     g_boundary_matrix,
-    isotropy_expansion,
 )
 from zkhomology.ring_snf import snf_over_R
 from zkhomology.simplicial import betti_direct, boundary_matrix

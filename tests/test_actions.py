@@ -3,10 +3,8 @@ import pytest
 from zkhomology.actions import (
     Subgroup,
     check_regularity,
-    compatible_ordering,
     coset_ordering,
     coset_position,
-    index_reducing,
     is_regular,
     lex_lift,
     lex_max_lift,
@@ -15,6 +13,7 @@ from zkhomology.actions import (
     trivial_action,
     validate_action,
 )
+from zkhomology.checks import compatible_ordering, index_reducing
 from zkhomology.errors import (
     InvalidActionError,
     RegularityError,

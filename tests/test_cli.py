@@ -92,6 +92,22 @@ class TestBooleansRejected:
         assert captured.err.splitlines() == ["input error: " + message]
 
 
+class TestNonIntegerQuotientVertex:
+    """A quotient vertex that is not an integer is an input error (exit 2),
+    not a traceback, under every command that reads a triple."""
+
+    @pytest.mark.parametrize("command", ["check", "homology", "verify"])
+    @pytest.mark.parametrize("vertex", ["a", None, [1], {}],
+                             ids=["string", "null", "list", "object"])
+    def test_exit_two(self, tmp_path, capsys, command, vertex):
+        body = {"k": 2, "triple": {"quotient": [[0, vertex]], "S": {}, "Tstar": {}}}
+        assert cli.run([command, _write(tmp_path, "vertex.json", body)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"input error: bad quotient simplex: bad vertex identifier {vertex!r}"]
+
+
 class TestHomology:
     def test_path_compressed_table(self, path_file, capsys):
         assert cli.run(["homology", path_file, "--mode", "compressed"]) == 0

@@ -105,4 +105,4 @@ class TestTripleSchema:
         body["triple"]["Tstar"]["0,1|1"] = [0, 3]  # 3 == 1 mod 2
         kind, triple = parse_input(body)
         triple.validate()
-        assert triple.transfer_set((0, 1), (1,)) == {0, 1}
+        assert triple.Tstar[(0, 1), (1,)] == {0, 1}

@@ -1,5 +1,7 @@
+import ast
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -10,22 +12,27 @@ from zkhomology.actions import (
     trivial_action,
     validate_action,
 )
-from zkhomology.errors import DimensionError, InvalidGeneratorError
-from zkhomology.exact import GF, QQ, field_rank
-from zkhomology.groupring import rho_extend
-from zkhomology.pipeline import (
+from zkhomology.checks import (
     compatible_boundary,
+    compatible_ordering,
     compatible_orientations,
-    compressed_betti,
-    compressed_rank,
-    compressed_result,
-    g_boundary_matrix,
     isotropy_expansion,
     oriented_tuple,
     verify_expansion_lemma,
 )
-from zkhomology.simplicial import betti_direct, build_complex
+from zkhomology.errors import DimensionError, InvalidGeneratorError
+from zkhomology.exact import GF, QQ, field_rank
+from zkhomology.groupring import GroupRingMatrix, rho_extend, sigma
+from zkhomology.pipeline import (
+    compressed_betti,
+    compressed_rank,
+    compressed_result,
+    g_boundary_matrix,
+)
+from zkhomology.simplicial import betti_direct, boundary_matrix, build_complex
 from zkhomology.transfer import build_triple
+
+from test_random_families import FAMILIES
 
 F2, F3 = GF(2), GF(3)
 LEMMA_FIELDS = (QQ, F2, F3)
@@ -113,7 +120,6 @@ class TestCompatibleBoundary:
             [-1, 0], [0, -1], [1, 1]]
 
     def test_trivial_action_is_lex_boundary(self):
-        from zkhomology.simplicial import boundary_matrix
         act = trivial_action(build_complex([{0, 1, 2}]), 1)
         B = compatible_boundary(act, lex_lift(quotient(act)), 1, QQ)
         assert B == boundary_matrix(act.complex, 1, QQ)
@@ -131,8 +137,6 @@ class TestCompatibleBoundary:
 
     def test_entries_match_quotient_boundary(self, corpus_triples):
         # compatible-matrix entry lemma: same face pair downstairs, same entry
-        from zkhomology.actions import compatible_ordering
-        from zkhomology.simplicial import boundary_matrix
         for act, qd, lift, _ in corpus_triples.values():
             for d in range(1, act.complex.dim + 1):
                 B = compatible_boundary(act, lift, d, QQ, qd=qd)
@@ -187,7 +191,6 @@ class TestGBoundary:
         assert [[str(v) for v in row] for row in G.data] == [["-1"], ["1 + a^1"]]
 
     def test_trivial_k1_embeds_boundary(self):
-        from zkhomology.simplicial import boundary_matrix
         act = trivial_action(build_complex([{0, 1}, {1, 2}]), 1)
         tri = build_triple(act)
         G = g_boundary_matrix(tri, 1, QQ)
@@ -203,6 +206,75 @@ class TestGBoundary:
         alphas = [v for v in entries if v.coeffs[0] == 0]
         assert len(entries) == 8 and len(alphas) == 1
         assert abs(alphas[0].coeffs[1]) == 1
+
+
+def _two_stage_g_boundary(tri, d, field, orders, g):
+    # The quotient boundary sign times sigma(T*), then re-expressed in the
+    # basis of alpha^g entry by entry.
+    Y = tri.quotient
+    rows = orders.get(d - 1) or Y.simplices(d - 1)
+    cols = orders.get(d) or Y.simplices(d)
+    Bq = boundary_matrix(Y, d, field, row_order=rows, col_order=cols)
+    data = [
+        [sigma(tri.Tstar.get((psi, omega), ()), field, tri.k)
+         .scale(Bq.data[a][b]).reindex(g)
+         for b, psi in enumerate(cols)]
+        for a, omega in enumerate(rows)
+    ]
+    return GroupRingMatrix(field, tri.k, len(rows), len(cols), data)
+
+
+class TestGBoundaryReference:
+    def test_one_pass_equals_two_stage_build(self, corpus_triples, fields):
+        triples = [tri for *_, tri in corpus_triples.values()]
+        for seed in (101, 202, 303):
+            rng = random.Random(seed)
+            for _ in range(8):
+                action, _ = rng.choice(FAMILIES)(rng)
+                triples.append(build_triple(action))
+        rng = random.Random(41)
+        for tri in triples:
+            Y = tri.quotient
+            shuffled = {}
+            for d in range(Y.dim + 1):
+                perm = list(Y.simplices(d))
+                rng.shuffle(perm)
+                shuffled[d] = tuple(perm)
+            exps = [g for g in range(1, tri.k + 1) if gcd(g, tri.k) == 1]
+            for field in fields:
+                for orders in ({}, shuffled):
+                    for d in range(1, Y.dim + 1):
+                        for g in exps:
+                            want = _two_stage_g_boundary(tri, d, field, orders, g)
+                            got = g_boundary_matrix(tri, d, field, orders, g)
+                            assert got == want, (tri, field.name, d, g)
+
+    def test_non_permutation_orders_rejected(self, corpus_triples):
+        tri = corpus_triples["cycle9_rot3"][3]
+        vertices = tri.quotient.simplices(0)
+        edges = tri.quotient.simplices(1)
+        for orders in ({0: (vertices[0],) * len(vertices)},
+                       {1: edges[:-1]}):
+            with pytest.raises(ValueError):
+                g_boundary_matrix(tri, 1, QQ, orders)
+
+
+def test_production_path_does_not_import_the_upstairs_model():
+    # pipeline and ring_snf compute from a triple alone: they never reach
+    # the action, the transfer construction or the lemma checks.
+    import zkhomology
+    src = Path(zkhomology.__file__).parent
+    for module in ("pipeline.py", "ring_snf.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((src / module).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                if not node.module:
+                    imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    imported.update(a.name.split("."))
+        assert not imported & {"actions", "transfer", "checks"}, module
 
 
 class TestCompressedRank:

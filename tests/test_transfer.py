@@ -12,7 +12,9 @@ from zkhomology.errors import (
     TripleValidationError,
     UnknownSimplexError,
 )
+from zkhomology.checks import extended_transfer_via_face
 from zkhomology.exact import QQ
+from zkhomology.pipeline import g_boundary_matrix
 from zkhomology.simplicial import build_complex
 from zkhomology.transfer import (
     IsotropyTriple,
@@ -20,8 +22,6 @@ from zkhomology.transfer import (
     build_triple,
     coset_map,
     extended_transfer,
-    extended_transfer_via_face,
-    transfer_matrix,
 )
 
 
@@ -79,8 +79,8 @@ class TestBuildTriple:
         tri = build_triple(act, lift=lift, qd=qd)
         assert {q: H.order for q, H in tri.S.items()} == {
             (0,): 1, (1,): 2, (0, 1): 1}
-        assert tri.transfer_set((0, 1), (1,)) == {0, 1}
-        assert tri.transfer_set((0, 1), (0,)) == {0}
+        assert tri.Tstar[(0, 1), (1,)] == {0, 1}
+        assert tri.Tstar[(0, 1), (0,)] == {0}
 
     def test_trivial_k1(self):
         act = trivial_action(build_complex([{0, 1}, {1, 2}]), 1)
@@ -113,26 +113,26 @@ class TestTransferMatrix:
     def test_path_column(self, path_setup):
         act, qd, lift = path_setup
         tri = build_triple(act, lift=lift, qd=qd)
-        T = transfer_matrix(tri, 1, QQ)
-        assert [[str(v) for v in row] for row in T.data] == [["1"], ["1 + a^1"]]
+        T = g_boundary_matrix(tri, 1, QQ)
+        assert [[str(v) for v in row] for row in T.data] == [["-1"], ["1 + a^1"]]
 
     def test_trivial_k1_identity_entries(self):
         act = trivial_action(build_complex([{0, 1}, {1, 2}]), 1)
-        T = transfer_matrix(build_triple(act), 1, QQ)
+        T = g_boundary_matrix(build_triple(act), 1, QQ)
         flat = [str(v) for row in T.data for v in row]
-        assert flat == ["1", "0", "1", "1", "0", "1"]
+        assert flat == ["-1", "0", "1", "-1", "0", "1"]
 
     def test_octagon_entry_counts(self, corpus_actions):
         tri = build_triple(corpus_actions["cycle8_rot4"])
-        T = transfer_matrix(tri, 1, QQ)
-        nonzero = [str(v) for row in T.data for v in row if not v.is_zero()]
+        T = g_boundary_matrix(tri, 1, QQ)
+        nonzero = [str(v).lstrip("-") for row in T.data for v in row if not v.is_zero()]
         assert sorted(nonzero) == ["1"] * 7 + ["a^1"]
 
     def test_dimension_gate(self, path_setup):
         act, qd, lift = path_setup
         tri = build_triple(act, lift=lift, qd=qd)
         with pytest.raises(DimensionError):
-            transfer_matrix(tri, 2, QQ)
+            g_boundary_matrix(tri, 2, QQ)
 
 
 class TestCosetMap:
