@@ -219,15 +219,17 @@ def isotropy_expansion(action, lift, d, field, qd=None):
     return FieldMatrix(field, len(J_rows), len(J_cols), data)
 
 
-def verify_expansion_lemma(action, lift, d, field, qd=None):
+def verify_expansion_lemma(action, lift, d, field, qd=None, triple=None):
     """Check that the isotropy expansion equals the entry-wise circulant
-    image of the G-boundary matrix, and that each expansion entry matches
-    the direct containment test.  Returns (True, None) or (False, report).
+    image of the G-boundary matrix of `triple` (built from `lift` when not
+    given), and that each expansion entry matches the direct containment
+    test.  Returns (True, None) or (False, report).
     """
     if qd is None:
         qd = quotient(action)
     k = action.k
-    triple = build_triple(action, lift=lift, qd=qd)
+    if triple is None:
+        triple = build_triple(action, lift=lift, qd=qd)
     E = isotropy_expansion(action, lift, d, field, qd=qd)
     G = rho_extend(g_boundary_matrix(triple, d, field))
     if E.rows != G.rows or E.cols != G.cols:
@@ -395,11 +397,11 @@ def check_index_reducing(qd, lift):
     return _outcome("index-reducing-range", failures)
 
 
-def check_expansion_lemma(action, qd, lift, fields):
+def check_expansion_lemma(action, qd, lift, fields, triple=None):
     failures = []
     for field in fields:
         for d in range(1, action.complex.dim + 1):
-            ok, report = verify_expansion_lemma(action, lift, d, field, qd=qd)
+            ok, report = verify_expansion_lemma(action, lift, d, field, qd, triple)
             if not ok:
                 failures.append(f"{field.name}: {report}")
     return _outcome("expansion-equals-circulant-image", failures)
@@ -450,9 +452,10 @@ def check_snf_invariants(triple, fields):
     return _outcome("snf-divisibility-and-certificate", failures)
 
 
-def check_lift_independence(action, qd, fields):
+def check_lift_independence(action, qd, fields, tri_min=None):
     failures = []
-    tri_min = build_triple(action, lift=lex_lift(qd), qd=qd)
+    if tri_min is None:
+        tri_min = build_triple(action, lift=lex_lift(qd), qd=qd)
     tri_max = build_triple(action, lift=lex_max_lift(qd), qd=qd)
     for field in fields:
         a = compressed_betti(tri_min, field)
@@ -517,11 +520,11 @@ def run_action_suite(qd, fields):
         ("transfer-coset-and-two-routes", lambda: check_transfer_cosets(action, qd, lift, triple)),
         ("complex-of-groups-axioms", lambda: check_complex_of_groups(triple)),
         ("index-reducing-range", lambda: check_index_reducing(qd, lift)),
-        ("expansion-equals-circulant-image", lambda: check_expansion_lemma(action, qd, lift, fields)),
+        ("expansion-equals-circulant-image", lambda: check_expansion_lemma(action, qd, lift, fields, triple)),
         ("expansion-preserves-rank", lambda: check_rank_preservation(action, qd, lift, fields)),
         ("rank-reconstruction", lambda: check_rank_reconstruction(action, qd, lift, triple, fields)),
         ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, fields)),
-        ("lift-independence", lambda: check_lift_independence(action, qd, fields)),
+        ("lift-independence", lambda: check_lift_independence(action, qd, fields, triple)),
         ("ordering-independence", lambda: check_ordering_independence(triple, fields)),
         ("compressed-matches-direct-oracle", lambda: check_oracle_equality(action, triple, fields)),
     ]

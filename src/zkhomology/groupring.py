@@ -211,17 +211,21 @@ def rho(w):
 
 
 def rho_extend(M):
-    """Entry-wise matrix extension of rho: blocks (a, b) hold rho(M[a][b])."""
+    """Entry-wise matrix extension of rho: blocks (a, b) hold rho(M[a][b]).
+    Only nonzero blocks are written; entries are canonical already."""
     k = M.k
     z = M.field.zero()
     out = [[z] * (M.cols * k) for _ in range(M.rows * k)]
-    for a in range(M.rows):
-        for b in range(M.cols):
-            w = M.data[a][b]
-            for i in range(k):
-                for j in range(k):
-                    out[a * k + i][b * k + j] = w.coeffs[(i - j) % k]
-    return FieldMatrix(M.field, M.rows * k, M.cols * k, out)
+    for a, row in enumerate(M.data):
+        for b, w in enumerate(row):
+            if any(w.coeffs):
+                for i in range(k):
+                    out[a * k + i][b * k:(b + 1) * k] = [
+                        w.coeffs[(i - j) % k] for j in range(k)]
+    R = object.__new__(FieldMatrix)
+    R.field, R.rows, R.cols = M.field, M.rows * k, M.cols * k
+    R.data = tuple(map(tuple, out))
+    return R
 
 
 def circulant_rank(w):

@@ -1,26 +1,37 @@
-"""Smith normal form over R = F[Z_k], via the quotient presentation
-R = F[x]/(q) with q = x^k - 1.
+"""Smith normal form over R = F[Z_k] = F[x]/(q), q = x^k - 1.
 
-The invariant-ideal chain of an m x n matrix M over R is read off the
-Euclidean Smith normal form D = U M~ V of its plain lift M~ over F[x]:
-the lifts are gcd(d_i, q) for i < min(m, n), with gcd(0, q) = q.
+Unit pivots first.  An entry u = c x^e (one nonzero coefficient) is a unit
+of R.  Subtracting a_ij u^-1 times the pivot row p from every other row i
+clears u's column j; column operations then clear row p, and scaling by
+u^-1 makes the pivot 1.  These steps are unimodular over R, so
+M ~ diag(1, S), S the updated matrix less row p and column j (the Schur
+complement).  Repeating while a monomial entry is left, least Markowitz
+cost (r-1)(c-1) first to limit fill-in, gives M ~ diag(1^p, S) for a
+residual S of shape (m-p) x (n-p); a matrix without one is its own residual.
 
-Why this is exact: the cokernel of M over R is presented over F[x] by the
-augmented lift [M~ | q I_m].  Since [M~ | q I_m] = U^-1 [D V^-1 | q U],
-unimodular row operations (by U) and column operations within each block
-(by V and by U^-1) turn it into [D | q I_m].  Row i of that matrix gives
-the summand F[x]/(gcd(d_i, q)); a row beyond n gives F[x]/(q).  The gcds
-divide q and, as d_i | d_{i+1}, each divides the next, so by uniqueness
-of invariant factors they are the augmented lift's own, its padding
-copies of q included.  No transformation matrices are produced; instead
-every call certifies itself by comparing the predicted rank sum with the
-exact rank of the expanded field matrix.
+The residual is read off the Euclidean Smith form D = U S~ V of its plain
+lift S~ over F[x].  coker S over R is presented over F[x] by [S~ | q I],
+and [S~ | q I] = U^-1 [D V^-1 | q U]: row operations by U and column
+operations within each block (by V, by U^-1) give [D | q I], whose row i
+is the summand F[x]/(gcd(d_i, q)), with gcd(0, q) = q.  These gcds divide
+q and each the next, so they are the invariant factors of [S~ | q I].
+
+Together: coker M = coker S over R, and an m-generator presentation of it
+has the invariant factors 1^p followed by the m-p of S.  So the first
+min(m, n) = p + min(m-p, n-p) lifts are 1 per pivot, then gcd(d_i, q) for
+i < min(m-p, n-p), and rank_F rho(M) = k p + rank_F rho(S).  No transform
+is kept; every call checks the predicted rank sum against the exact rank
+of the expanded field matrix.
 """
 
+import logging
+from collections import Counter
 from dataclasses import dataclass
 
 from .exact import Poly, field_rank, poly_gcd, snf_over_polys, poly_str
 from .groupring import GroupRingElem, rho_extend
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -47,33 +58,65 @@ class SnfDiagonal:
         return [poly_str(f) for f in self.lifts]
 
 
-def _group_ring_of_poly(field, k, f):
-    # Reduce mod x^k - 1 by folding exponents (x^k == 1 in the quotient).
-    folded = [field.zero()] * k
-    for e, c in enumerate(f.coeffs):
-        folded[e % k] = field.add(folded[e % k], c)
-    return GroupRingElem(field, k, folded)
+def _unit_pivot_reduce(M):
+    """Eliminate monomial pivots, least Markowitz cost first.  Returns the
+    pivot count and the plain lift of the residual.  Entries are held as
+    {exponent: coefficient} dicts while rows change."""
+    field, k, p = M.field, M.k, M.field.char
+    norm = (lambda v: v % p) if p else (lambda v: v)
+    rows = {i: {j: {e: c for e, c in enumerate(w.coeffs) if c}
+                for j, w in enumerate(row) if any(w.coeffs)}
+            for i, row in enumerate(M.data)}
+    pivot_cols = set()
+    while True:
+        count = Counter(j for r in rows.values() for j in r)
+        _, pi, pj = min((((len(r) - 1) * (count[j] - 1), i, j)
+                         for i, r in rows.items() for j, w in r.items()
+                         if len(w) == 1), default=(0, None, None))
+        if pi is None:
+            break
+        prow = rows.pop(pi)
+        ((e, c),) = prow.pop(pj).items()
+        inv = field.inv(c)
+        pivot_cols.add(pj)
+        for r in rows.values():
+            if pj in r:
+                # row -= a u^-1 row_p, with a u^-1 = c^-1 x^-e a
+                f = [((t - e) % k, a * inv) for t, a in r.pop(pj).items()]
+                for j, b in prow.items():
+                    out = dict(r.get(j, {}))
+                    for s, fs in f:
+                        for t, bt in b.items():
+                            u = (s + t) % k
+                            out[u] = norm(out.get(u, 0) - fs * bt)
+                    r[j] = {t: v for t, v in out.items() if v}
+                    if not r[j]:
+                        del r[j]
+    lift = [[Poly(field, [r.get(j, {}).get(e, 0) for e in range(k)])
+             for j in range(M.cols) if j not in pivot_cols]
+            for _, r in sorted(rows.items())]
+    return len(pivot_cols), lift
 
 
 def snf_over_R(M):
-    """Smith normal form diagonal of a GroupRingMatrix.
-
-    The rank-consistency certificate
-    field_rank(rho_extend(M)) == sum_i (k - deg f_i) is enforced.
-    """
+    """Smith normal form diagonal of a GroupRingMatrix, certified by
+    field_rank(rho_extend(M)) == sum_i (k - deg f_i)."""
     field, k, m, n = M.field, M.k, M.rows, M.cols
-    size = min(m, n)
-    if size == 0:
-        return SnfDiagonal(shape=(m, n), lifts=(), diag=())
     q = Poly.x_pow_minus_one(field, k)
-    D, ok = snf_over_polys([[entry.lift() for entry in row] for row in M.data])
+    pivots, residual = _unit_pivot_reduce(M)
+    logger.debug("snf_over_R: %dx%d over F[Z_%d], %d unit pivots, residual %dx%d",
+                 m, n, k, pivots, m - pivots, n - pivots)
+    D, ok = snf_over_polys(residual)
     if not ok:
         raise ArithmeticError("polynomial SNF self-check failed")
-    lifts = tuple(poly_gcd(D[i][i], q) for i in range(size))
+    lifts = (Poly.one(field),) * pivots + tuple(
+        poly_gcd(D[i][i], q) for i in range(min(m, n) - pivots))
     for a, b in zip(lifts, lifts[1:]):
         if not a.divides(b):
             raise ArithmeticError("divisibility chain broken in lifted SNF")
-    diag = tuple(_group_ring_of_poly(field, k, f) for f in lifts)
+    # x^k = 1 in R: fold each lift's exponents mod k
+    diag = tuple(GroupRingElem(field, k, [sum(f.coeffs[e::k], field.zero())
+                                          for e in range(k)]) for f in lifts)
     result = SnfDiagonal(shape=(m, n), lifts=lifts, diag=diag)
     expected = field_rank(rho_extend(M))
     if result.rank_sum(k) != expected:

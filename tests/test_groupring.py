@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zkhomology.errors import DomainMismatchError
-from zkhomology.exact import GF, QQ, field_rank
+from zkhomology.exact import GF, QQ, FieldMatrix, field_rank
 from zkhomology.groupring import (
     GroupRingElem,
     GroupRingMatrix,
@@ -125,6 +125,25 @@ class TestRhoExtend:
 
     def test_zero(self):
         assert rho_extend(GroupRingMatrix.zeros(QQ, 2, 3, 2)).is_zero()
+
+    def test_equals_block_assembly_of_rho(self):
+        # the sparse build against the blocks rho(M[a][b]), zero blocks
+        # included, assembled through the coercing FieldMatrix constructor
+        rng = random.Random(29)
+        for field in (QQ, F2, F3, F5):
+            for k in (1, 2, 3, 4):
+                rows, cols = rng.randint(0, 3), rng.randint(1, 3)
+                M = GroupRingMatrix(field, k, rows, cols, [
+                    [_random_elem(rng, field, k) if rng.random() < 0.6
+                     else GroupRingElem.zero(field, k) for _ in range(cols)]
+                    for _ in range(rows)])
+                data = [[rho(M.data[a][b]).data[i][j]
+                         for b in range(cols) for j in range(k)]
+                        for a in range(rows) for i in range(k)]
+                want = FieldMatrix(field, rows * k, cols * k, data)
+                got = rho_extend(M)
+                assert got == want
+                assert (got.rows, got.cols) == (want.rows, want.cols)
 
     def test_preserves_products_and_inverses(self):
         rng = random.Random(23)

@@ -12,6 +12,7 @@ from zkhomology.actions import (
     trivial_action,
     validate_action,
 )
+from zkhomology import checks
 from zkhomology.checks import (
     compatible_boundary,
     compatible_ordering,
@@ -365,6 +366,12 @@ class TestExpansionLemma:
                     ok, report = verify_expansion_lemma(act, lift, d, field, qd=qd)
                     assert ok, report
 
+    def test_given_triple_equals_rebuilt(self, corpus_triples):
+        for act, qd, lift, tri in corpus_triples.values():
+            for d in range(1, act.complex.dim + 1):
+                given = verify_expansion_lemma(act, lift, d, F3, qd=qd, triple=tri)
+                assert given == verify_expansion_lemma(act, lift, d, F3, qd=qd)
+
     def test_both_sides_equal_explicitly(self, corpus_triples):
         act, qd, lift, tri = corpus_triples["cycle9_rot3"]
         E = isotropy_expansion(act, lift, 1, F3, qd=qd)
@@ -411,3 +418,21 @@ class TestOracleAgreement:
             assert compressed_betti(tri, field) == betti_direct(X, field) == (1, 1)
         for t in (1, 3):
             assert compressed_betti(tri, GF(2), generator_exponent=t) == (1, 1)
+
+
+class TestActionSuite:
+    def test_builds_each_triple_once(self, corpus_actions, monkeypatch):
+        # the suite's lex-min triple serves every check; only lift
+        # independence builds one more, from the lex-max lift
+        built = []
+        original = checks.build_triple
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("lift"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(checks, "build_triple", counting)
+        qd = quotient(corpus_actions["torus9x3_rot3"])
+        outcomes = checks.run_action_suite(qd, (QQ, F3))
+        assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+        assert built == [lex_lift(qd), lex_max_lift(qd)]

@@ -1,9 +1,11 @@
 """Randomized oracle cross-checks on generated regular actions.
 
-Three families with known-regular rotations (rim spacing of at least 3
+Four families with known-regular rotations (rim spacing of at least 3
 keeps mixed-shift images from being simplices): plain cycles, disjoint
-unions of two cycles, and cones over a cycle whose apex is fixed by the
-whole group (full isotropy in every dimension of the cone).
+unions of two cycles, cones over a cycle whose apex is fixed by the
+whole group (full isotropy in every dimension of the cone), and grid tori
+rotated along their rows, whose free action makes every G-boundary entry
+a unit +-x^c (the all-unit case of the ring Smith form's pivot reduction).
 """
 
 import random
@@ -56,7 +58,28 @@ def _cone(rng):
     return validate_action(X, perm, k), (1, 0, 0)
 
 
-FAMILIES = [_rotated_cycle, _two_cycles, _cone]
+def _grid_torus(rows, shift, cols=3):
+    """Triangulated rows x cols grid torus and its rotation by `shift` rows."""
+    def v(i, j):
+        return (i % rows) * cols + j % cols
+
+    tris = []
+    for i in range(rows):
+        for j in range(cols):
+            tris.append({v(i, j), v(i + 1, j), v(i, j + 1)})
+            tris.append({v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)})
+    perm = {v(i, j): v(i + shift, j) for i in range(rows) for j in range(cols)}
+    return tris, perm
+
+
+def _torus(rng):
+    k = rng.randint(1, 4)
+    r = rng.randint(3, 4)
+    tris, perm = _grid_torus(k * r, r)
+    return validate_action(build_complex(tris), perm, k), (1, 2, 1)
+
+
+FAMILIES = [_rotated_cycle, _two_cycles, _cone, _torus]
 
 
 @pytest.mark.parametrize("seed", [101, 202, 303])
@@ -75,8 +98,21 @@ def test_random_regular_actions_match_oracle(seed):
         assert compressed_betti(triple, field, generator_exponent=t) == direct
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_torus_family_matches_oracle_over_every_field(k):
+    action, expected = _torus(_FixedRng([k, 3]))
+    assert check_regularity(action) is None
+    triple = build_triple(action)
+    assert all(H.order == 1 for H in triple.S.values())
+    generators = [t for t in range(1, k + 1) if gcd(t, k) == 1]
+    for field in FIELDS:
+        assert betti_direct(action.complex, field) == expected
+        for t in generators:
+            assert compressed_betti(triple, field, generator_exponent=t) == expected
+
+
 class _FixedRng:
-    """Stand-in rng yielding fixed draws: k then spacing."""
+    """Stand-in rng yielding fixed draws: k, then spacing or row shift."""
 
     def __init__(self, values):
         self._values = list(values)

@@ -1,10 +1,13 @@
+import logging
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zkhomology.exact import GF, QQ, Poly, field_rank, poly_str, snf_over_polys
-from zkhomology.groupring import GroupRingElem, GroupRingMatrix, rho_extend
+from zkhomology.exact import (GF, QQ, Poly, field_rank, poly_gcd, poly_str,
+                              snf_over_polys)
+from zkhomology.groupring import GroupRingElem, GroupRingMatrix, rho_extend, sigma
 from zkhomology.ring_snf import snf_over_R
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -157,6 +160,26 @@ def _augmented_lifts(M):
     return tuple(D[i][i] for i in range(min(M.rows, M.cols)))
 
 
+def _plain_lifts(M):
+    """gcd(d_i, x^k-1) over the Smith form of the whole plain lift: the
+    route taken before unit pivots were eliminated, kept as an oracle."""
+    q = Poly.x_pow_minus_one(M.field, M.k)
+    D, ok = snf_over_polys([[v.lift() for v in row] for row in M.data])
+    assert ok
+    return tuple(poly_gcd(D[i][i], q) for i in range(min(M.rows, M.cols)))
+
+
+def _monomial(field, k, c, e):
+    coeffs = [0] * k
+    coeffs[e % k] = c
+    return GroupRingElem(field, k, coeffs)
+
+
+def _sigma_coset(field, k, order, shift, sign=1):
+    """sign x^shift sigma(H) for the subgroup H of Z_k of the given order."""
+    return sigma([shift + i * (k // order) for i in range(order)], field, k).scale(sign)
+
+
 @st.composite
 def _ring_matrices(draw):
     field = draw(st.sampled_from([QQ, F2, F3, F5]))
@@ -164,10 +187,23 @@ def _ring_matrices(draw):
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     zero_rows = draw(st.sets(st.integers(0, m - 1)))
     zero_cols = draw(st.sets(st.integers(0, n - 1)))
-    coeff = st.integers(-2, 2) if field.char == 0 else st.integers(0, field.char - 1)
+    if field.char == 0:
+        coeff, unit = st.integers(-2, 2), st.sampled_from([-2, -1, 1, 2])
+    else:
+        coeff, unit = st.integers(0, field.char - 1), st.integers(1, field.char - 1)
+    orders = [h for h in range(1, k + 1) if k % h == 0]
+
+    def entry():
+        kind = draw(st.sampled_from(["dense", "monomial", "sigma"]))
+        if kind == "monomial":
+            return _monomial(field, k, draw(unit), draw(st.integers(0, k - 1)))
+        if kind == "sigma":
+            return _sigma_coset(field, k, draw(st.sampled_from(orders)),
+                                draw(st.integers(0, k - 1)), draw(st.sampled_from([1, -1])))
+        return GroupRingElem(field, k, draw(st.lists(coeff, min_size=k, max_size=k)))
+
     rows = [
-        [GroupRingElem.zero(field, k) if i in zero_rows or j in zero_cols
-         else GroupRingElem(field, k, draw(st.lists(coeff, min_size=k, max_size=k)))
+        [GroupRingElem.zero(field, k) if i in zero_rows or j in zero_cols else entry()
          for j in range(n)]
         for i in range(m)
     ]
@@ -186,9 +222,60 @@ def _wide_with_zero_column():
     return GroupRingMatrix.from_rows(QQ, 4, [[e - a, z, e + a * a]])
 
 
+def _no_unit_pivot():
+    # every entry is 0 or sigma(Z_3), over F3 where 3 | k: no monomial at all
+    s, z = _sigma_coset(F3, 3, 3, 0), GroupRingElem.zero(F3, 3)
+    return GroupRingMatrix.from_rows(F3, 3, [[s, -s, z], [z, s, s]])
+
+
+def _all_units():
+    # every entry a monomial +-c x^e over Q[Z_4]; fill-in leaves a residual
+    u = [[(1, 0), (-1, 1), (2, 3)], [(1, 2), (1, 0), (-1, 1)], [(-2, 1), (1, 3), (1, 2)]]
+    return GroupRingMatrix.from_rows(
+        QQ, 4, [[_monomial(QQ, 4, c, e) for c, e in row] for row in u])
+
+
+def _all_units_reducing():
+    # every Schur complement is a monomial again, whatever the pivot order
+    a = _a(QQ, 4)
+    return GroupRingMatrix.from_rows(QQ, 4, [[_e(QQ, 4), a], [a, (a * a).scale(2)]])
+
+
+def _residual_without_rows():
+    # both rows take a unit pivot, so the residual is 0 x 2
+    a, s = _a(F2, 4), _sigma_coset(F2, 4, 2, 1)
+    z = GroupRingElem.zero(F2, 4)
+    return GroupRingMatrix.from_rows(F2, 4, [[a, s, z, s], [s, a * a, s, z]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_ring_matrices())
 @example(_tall_with_zero_row())
 @example(_wide_with_zero_column())
+@example(_no_unit_pivot())
+@example(_all_units())
+@example(_all_units_reducing())
+@example(_residual_without_rows())
 def test_plain_lift_matches_augmented_lift(M):
-    assert snf_over_R(M).lifts == _augmented_lifts(M)
+    lifts = snf_over_R(M).lifts
+    assert lifts == _augmented_lifts(M)
+    assert lifts == _plain_lifts(M)
+
+
+@pytest.mark.parametrize("build, pivots, residual", [
+    (_no_unit_pivot, 0, "2x3"),
+    (_all_units_reducing, 2, "0x0"),
+    (_residual_without_rows, 2, "0x2"),
+])
+def test_unit_pivot_count_and_residual(build, pivots, residual, caplog, capsys):
+    M = build()
+    with caplog.at_level(logging.DEBUG, logger="zkhomology.ring_snf"):
+        snf = snf_over_R(M)
+    assert snf.lifts == _augmented_lifts(M)
+    [record] = [r for r in caplog.records if r.name == "zkhomology.ring_snf"]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == (
+        f"snf_over_R: {M.rows}x{M.cols} over F[Z_{M.k}], {pivots} unit pivots, "
+        f"residual {residual}")
+    # the library logs and never prints
+    assert capsys.readouterr() == ("", "")
