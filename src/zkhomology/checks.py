@@ -397,7 +397,7 @@ def check_index_reducing(qd, lift):
     return _outcome("index-reducing-range", failures)
 
 
-def check_expansion_lemma(action, qd, lift, fields, triple=None):
+def check_expansion_lemma(action, qd, lift, fields, triple):
     failures = []
     for field in fields:
         for d in range(1, action.complex.dim + 1):
@@ -452,10 +452,8 @@ def check_snf_invariants(triple, fields):
     return _outcome("snf-divisibility-and-certificate", failures)
 
 
-def check_lift_independence(action, qd, fields, tri_min=None):
+def check_lift_independence(action, qd, fields, tri_min):
     failures = []
-    if tri_min is None:
-        tri_min = build_triple(action, lift=lex_lift(qd), qd=qd)
     tri_max = build_triple(action, lift=lex_max_lift(qd), qd=qd)
     for field in fields:
         a = compressed_betti(tri_min, field)

@@ -398,13 +398,21 @@ class FieldMatrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field, rows, cols, data):
-        data = tuple(tuple(field.coerce(v) for v in row) for row in data)
+        self._fill(field, rows, cols,
+                   tuple(tuple(field.coerce(v) for v in row) for row in data))
+
+    @classmethod
+    def _from_canonical(cls, field, rows, cols, data):
+        """Rows whose values are canonical in `field` already: the shape is
+        checked, the per-cell coercion skipped."""
+        self = object.__new__(cls)
+        self._fill(field, rows, cols, tuple(map(tuple, data)))
+        return self
+
+    def _fill(self, field, rows, cols, data):
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError(f"shape mismatch: want {rows}x{cols}")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        self.field, self.rows, self.cols, self.data = field, rows, cols, data
 
     @classmethod
     def from_rows(cls, field, data):

@@ -222,10 +222,7 @@ def rho_extend(M):
                 for i in range(k):
                     out[a * k + i][b * k:(b + 1) * k] = [
                         w.coeffs[(i - j) % k] for j in range(k)]
-    R = object.__new__(FieldMatrix)
-    R.field, R.rows, R.cols = M.field, M.rows * k, M.cols * k
-    R.data = tuple(map(tuple, out))
-    return R
+    return FieldMatrix._from_canonical(M.field, M.rows * k, M.cols * k, out)
 
 
 def circulant_rank(w):

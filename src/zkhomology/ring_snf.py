@@ -24,15 +24,11 @@ is kept; every call checks the predicted rank sum against the exact rank
 of the expanded field matrix.
 """
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 
 from .exact import Poly, field_rank, poly_gcd, snf_over_polys, poly_str
 from .groupring import GroupRingElem, rho_extend
-
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class SnfDiagonal:
@@ -69,12 +65,11 @@ def _unit_pivot_reduce(M):
             for i, row in enumerate(M.data)}
     pivot_cols = set()
     while True:
-        count = Counter(j for r in rows.values() for j in r)
-        _, pi, pj = min((((len(r) - 1) * (count[j] - 1), i, j)
-                         for i, r in rows.items() for j, w in r.items()
-                         if len(w) == 1), default=(0, None, None))
-        if pi is None:
+        units = [(i, j) for i, r in rows.items() for j, w in r.items() if len(w) == 1]
+        if not units:
             break
+        count = Counter(j for r in rows.values() for j in r)
+        _, pi, pj = min(((len(rows[i]) - 1) * (count[j] - 1), i, j) for i, j in units)
         prow = rows.pop(pi)
         ((e, c),) = prow.pop(pj).items()
         inv = field.inv(c)
@@ -92,7 +87,8 @@ def _unit_pivot_reduce(M):
                     r[j] = {t: v for t, v in out.items() if v}
                     if not r[j]:
                         del r[j]
-    lift = [[Poly(field, [r.get(j, {}).get(e, 0) for e in range(k)])
+    zero = Poly.zero(field)
+    lift = [[Poly(field, [r[j].get(e, 0) for e in range(k)]) if j in r else zero
              for j in range(M.cols) if j not in pivot_cols]
             for _, r in sorted(rows.items())]
     return len(pivot_cols), lift
@@ -104,8 +100,6 @@ def snf_over_R(M):
     field, k, m, n = M.field, M.k, M.rows, M.cols
     q = Poly.x_pow_minus_one(field, k)
     pivots, residual = _unit_pivot_reduce(M)
-    logger.debug("snf_over_R: %dx%d over F[Z_%d], %d unit pivots, residual %dx%d",
-                 m, n, k, pivots, m - pivots, n - pivots)
     D, ok = snf_over_polys(residual)
     if not ok:
         raise ArithmeticError("polynomial SNF self-check failed")
