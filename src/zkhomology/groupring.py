@@ -172,6 +172,13 @@ class GroupRingMatrix:
         o = GroupRingElem.one(field, k)
         return cls(field, k, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
+    def sparse_rows(self):
+        """Row index -> {column: {exponent: coefficient}} over the nonzero
+        entries; every row has a key, empty rows included."""
+        return {i: {j: {e: c for e, c in enumerate(w.coeffs) if c}
+                    for j, w in enumerate(row) if any(w.coeffs)}
+                for i, row in enumerate(self.data)}
+
     def __mul__(self, other):
         if self.field != other.field or self.k != other.k:
             raise DomainMismatchError("matrix product over mixed group rings")
@@ -210,19 +217,25 @@ def rho(w):
     return FieldMatrix(w.field, k, k, data)
 
 
-def rho_extend(M):
-    """Entry-wise matrix extension of rho: blocks (a, b) hold rho(M[a][b]).
-    Only nonzero blocks are written; entries are canonical already."""
-    k = M.k
-    z = M.field.zero()
-    out = [[z] * (M.cols * k) for _ in range(M.rows * k)]
-    for a, row in enumerate(M.data):
-        for b, w in enumerate(row):
-            if any(w.coeffs):
+def circulant_expansion(field, k, blocks, cols):
+    """The (rows k) x (cols k) field matrix whose block (a, b) is rho of the
+    coefficients blocks[a][b]: canonical in `field`, at most k of them
+    (missing ones are zero).  Only nonzero blocks are written."""
+    z = field.zero()
+    out = [[z] * (cols * k) for _ in range(len(blocks) * k)]
+    for a, row in enumerate(blocks):
+        for b, c in enumerate(row):
+            if any(c):
+                c = tuple(c) + (z,) * (k - len(c))
                 for i in range(k):
-                    out[a * k + i][b * k:(b + 1) * k] = [
-                        w.coeffs[(i - j) % k] for j in range(k)]
-    return FieldMatrix._from_canonical(M.field, M.rows * k, M.cols * k, out)
+                    out[a * k + i][b * k:(b + 1) * k] = [c[(i - j) % k] for j in range(k)]
+    return FieldMatrix._from_canonical(field, len(out), cols * k, out)
+
+
+def rho_extend(M):
+    """Entry-wise matrix extension of rho: blocks (a, b) hold rho(M[a][b])."""
+    return circulant_expansion(M.field, M.k, [[w.coeffs for w in row] for row in M.data],
+                               M.cols)
 
 
 def circulant_rank(w):

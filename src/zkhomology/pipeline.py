@@ -4,12 +4,15 @@ The G-boundary matrix over F[Z_k] is built straight from the triple: the
 quotient boundary sign of each face pair times the group-ring sum of its
 transfer coset.  Its Smith normal form gives the rank reconstruction
 rank(boundary_d) = sum_i rank(rho(D_ii)), and with it the Betti numbers
-from the quotient data alone.  The upstairs model that ties this matrix
-to the acted-on complex (compatible boundaries, the isotropy expansion)
-lives in `checks`.
+from the quotient data alone, once consecutive G-boundaries are checked to
+compose to zero over F[Z_k] (a product of downstairs size).  The upstairs
+model that ties this matrix to the acted-on complex (compatible
+boundaries, the isotropy expansion) lives in `checks`.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 from .errors import DimensionError, InvalidGeneratorError
@@ -76,6 +79,21 @@ def compressed_rank(triple, d, field, generator_exponent=1, orders=None):
     return snf.rank_sum(triple.k)
 
 
+def _composes_to_zero(A, B):
+    """A B == 0 over F[Z_k], multiplied over sparse rows of
+    {exponent: coefficient} entries and reduced mod p only at the end."""
+    k, p, rows_b = A.k, A.field.char, B.sparse_rows()
+    for row in A.sparse_rows().values():
+        acc = Counter()     # (column, exponent) -> coefficient in A B
+        for t, a in row.items():
+            for j, b in rows_b[t].items():
+                for (s, x), (u, y) in product(a.items(), b.items()):
+                    acc[j, (s + u) % k] += x * y
+        if any(v % p if p else v for v in acc.values()):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class DimensionReport:
     d: int
@@ -125,32 +143,25 @@ def compressed_result(triple, field, generator_exponent=1, orders=None,
     dims = [triple.chain_dim(d) for d in range(Y.dim + 1)]
     ranks = [0] * (Y.dim + 2)
     lifts = [()] * (Y.dim + 1)
+    prev = None
     for d in range(1, Y.dim + 1):
-        snf = compressed_snf(triple, d, field, generator_exponent, orders)
+        M = g_boundary_matrix(triple, d, field, orders, generator_exponent)
+        if prev is not None and not _composes_to_zero(prev, M):
+            raise ArithmeticError(f"composition check failed at d={d}: the G-boundaries "
+                                  f"d={d - 1} and d={d} do not compose to zero")
+        prev, snf = M, snf_over_R(M)
         ranks[d] = snf.rank_sum(triple.k)
         lifts[d] = tuple(snf.lift_strings())
     reports = []
-    betti = []
     for d in range(Y.dim + 1):
         b = dims[d] - ranks[d] - ranks[d + 1]
         if b < 0:
             raise ArithmeticError(f"negative Betti number at dimension {d}")
-        betti.append(b)
-        reports.append(
-            DimensionReport(
-                d=d, chain_dim=dims[d], rank=ranks[d],
-                snf_lifts=lifts[d], betti=b,
-            )
-        )
+        reports.append(DimensionReport(d, dims[d], ranks[d], lifts[d], b))
     return CompressedResult(
-        field_name=field.name,
-        k=triple.k,
-        generator_exponent=generator_exponent,
-        lift_policy=lift_policy,
-        orderings="lex" if orders is None else "custom",
-        betti=tuple(betti),
-        per_dim=tuple(reports),
-    )
+        field_name=field.name, k=triple.k, generator_exponent=generator_exponent,
+        lift_policy=lift_policy, orderings="lex" if orders is None else "custom",
+        betti=tuple(r.betti for r in reports), per_dim=tuple(reports))
 
 
 def compressed_betti(triple, field, generator_exponent=1, orders=None):

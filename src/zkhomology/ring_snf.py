@@ -20,15 +20,15 @@ Together: coker M = coker S over R, and an m-generator presentation of it
 has the invariant factors 1^p followed by the m-p of S.  So the first
 min(m, n) = p + min(m-p, n-p) lifts are 1 per pivot, then gcd(d_i, q) for
 i < min(m-p, n-p), and rank_F rho(M) = k p + rank_F rho(S).  No transform
-is kept; every call checks the predicted rank sum against the exact rank
-of the expanded field matrix.
+is kept.  Every call checks that the lifts of S predict rank_F rho(S), the
+(m-p)k x (n-p)k expansion of S~; the mk x nk one of M is left to `verify`.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 
 from .exact import Poly, field_rank, poly_gcd, snf_over_polys, poly_str
-from .groupring import GroupRingElem, rho_extend
+from .groupring import GroupRingElem, circulant_expansion
 
 @dataclass(frozen=True)
 class SnfDiagonal:
@@ -60,9 +60,7 @@ def _unit_pivot_reduce(M):
     {exponent: coefficient} dicts while rows change."""
     field, k, p = M.field, M.k, M.field.char
     norm = (lambda v: v % p) if p else (lambda v: v)
-    rows = {i: {j: {e: c for e, c in enumerate(w.coeffs) if c}
-                for j, w in enumerate(row) if any(w.coeffs)}
-            for i, row in enumerate(M.data)}
+    rows = M.sparse_rows()
     pivot_cols = set()
     while True:
         units = [(i, j) for i, r in rows.items() for j, w in r.items() if len(w) == 1]
@@ -96,7 +94,7 @@ def _unit_pivot_reduce(M):
 
 def snf_over_R(M):
     """Smith normal form diagonal of a GroupRingMatrix, certified by
-    field_rank(rho_extend(M)) == sum_i (k - deg f_i)."""
+    sum_i (k - deg f_i) == k p + rank_F rho(S) after p unit pivots."""
     field, k, m, n = M.field, M.k, M.rows, M.cols
     q = Poly.x_pow_minus_one(field, k)
     pivots, residual = _unit_pivot_reduce(M)
@@ -112,10 +110,9 @@ def snf_over_R(M):
     diag = tuple(GroupRingElem(field, k, [sum(f.coeffs[e::k], field.zero())
                                           for e in range(k)]) for f in lifts)
     result = SnfDiagonal(shape=(m, n), lifts=lifts, diag=diag)
-    expected = field_rank(rho_extend(M))
+    expected = k * pivots + field_rank(circulant_expansion(
+        field, k, [[f.coeffs for f in row] for row in residual], n - pivots))
     if result.rank_sum(k) != expected:
-        raise ArithmeticError(
-            f"rank certificate failed: SNF predicts {result.rank_sum(k)}, "
-            f"expanded matrix has rank {expected}"
-        )
+        raise ArithmeticError(f"rank certificate failed: SNF predicts "
+                              f"{result.rank_sum(k)}, expanded matrix has rank {expected}")
     return result

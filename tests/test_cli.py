@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from zkhomology import actions, cli, corpus, ring_snf
+from zkhomology import actions, checks, cli, corpus, ring_snf
 from zkhomology.corpus import entry, names, to_input_dict
+from zkhomology.exact import GF, QQ
 from zkhomology.jsonio import (
     action_to_dict,
     dump_json,
@@ -12,6 +13,7 @@ from zkhomology.jsonio import (
     parse_input,
     triple_to_dict,
 )
+from zkhomology.pipeline import compressed_result
 from zkhomology.transfer import build_triple
 
 
@@ -238,6 +240,14 @@ class TestAxiomGate:
         assert len(err) == 1 and err[0].startswith("input error: ")
         assert "outside the group of" in err[0]
 
+    def test_composition_check_without_the_axiom_gate(self, shifted_torus_file):
+        # compressed_result alone, past build_complex_of_groups: the shifted
+        # cosets break d_G1 . d_G2 = 0, which the production path checks
+        tri = load_input(shifted_torus_file)[1]
+        for field in (QQ, GF(2), GF(3)):
+            with pytest.raises(ArithmeticError, match=r"failed at d=2: "):
+                compressed_result(tri, field)
+
     def test_shifted_cosets_fail_verify(self, shifted_torus_file, capsys):
         assert cli.run(["verify", shifted_torus_file]) == 4
         assert "FAIL complex-of-groups-axioms" in capsys.readouterr().out
@@ -317,6 +327,44 @@ class TestVerify:
         assert cli.run(["verify", f]) == 4
         out = capsys.readouterr().out
         assert "FAIL triple-structure" in out and "coset" in out
+
+    def test_verify_runs_the_upstairs_certificate(self, triple_file, path_file,
+                                                 monkeypatch, capsys):
+        # An expanded rank off by one fails the full certificate, which
+        # verify runs itself rather than inside the production SNF.
+        original = checks.field_rank
+        monkeypatch.setattr(checks, "field_rank", lambda M: original(M) + 1)
+        assert cli.run(["verify", triple_file]) == 4
+        failed = [l for l in capsys.readouterr().out.splitlines()
+                  if l.startswith("FAIL")]
+        assert failed == [
+            "FAIL snf-divisibility-and-certificate: Q d=1: rank certificate "
+            "failed: SNF predicts 2, expanded matrix has rank 3"]
+        assert cli.run(["verify", path_file]) == 4
+        assert "FAIL snf-divisibility-and-certificate: " in capsys.readouterr().out
+
+    def test_homology_never_expands_upstairs(self, tmp_path, corpus_actions,
+                                             monkeypatch, capsys):
+        torus = _write(tmp_path, "torus.json", to_input_dict(entry("torus9x3_rot3")))
+        triple = _write(tmp_path, "torus_triple.json", triple_to_dict(
+            build_triple(corpus_actions["torus9x3_rot3"])))
+        runs = [["homology", f, "--mode", "compressed", "--field", field]
+                for f in (torus, triple) for field in ("Q", "Fp:2", "Fp:3")]
+        before = []
+        for argv in runs:
+            assert cli.run(argv) == 0
+            before.append(capsys.readouterr().out)
+
+        def refuse(M):
+            raise AssertionError("rho_extend on the homology path")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "zkhomology" and hasattr(module, "rho_extend"):
+                monkeypatch.setattr(module, "rho_extend", refuse)
+        for argv, want in zip(runs, before):
+            assert cli.run(argv) == 0
+            assert capsys.readouterr().out == want
+        assert "compressed betti: [1, 2, 1]" in before[0]
 
     def test_triple_verify_json(self, triple_file, capsys):
         assert cli.run(["verify", triple_file, "--format", "json"]) == 0

@@ -25,6 +25,7 @@ from zkhomology.errors import DimensionError, InvalidGeneratorError
 from zkhomology.exact import GF, QQ, field_rank
 from zkhomology.groupring import GroupRingMatrix, rho_extend, sigma
 from zkhomology.pipeline import (
+    _composes_to_zero,
     compressed_betti,
     compressed_rank,
     compressed_result,
@@ -262,20 +263,55 @@ class TestGBoundaryReference:
 
 def test_production_path_does_not_import_the_upstairs_model():
     # pipeline and ring_snf compute from a triple alone: they never reach
-    # the action, the transfer construction or the lemma checks.
+    # the action, the transfer construction or the lemma checks, and never
+    # expand a matrix to its mk x nk circulant image.
     import zkhomology
     src = Path(zkhomology.__file__).parent
     for module in ("pipeline.py", "ring_snf.py"):
-        imported = set()
+        imported, names = set(), set()
         for node in ast.walk(ast.parse((src / module).read_text())):
             if isinstance(node, ast.ImportFrom):
                 imported.update((node.module or "").split("."))
+                names.update(a.name for a in node.names)
                 if not node.module:
                     imported.update(a.name for a in node.names)
             elif isinstance(node, ast.Import):
                 for a in node.names:
                     imported.update(a.name.split("."))
         assert not imported & {"actions", "transfer", "checks"}, module
+        assert not names & {"rho_extend", "rho"}, module
+
+
+class TestCompositionCheck:
+    def test_passes_corpus_wide(self, corpus_triples, fields):
+        # every generator, every field, lexicographic and one shuffled order
+        rng = random.Random(11)
+        checked = 0
+        for name, (_, _, _, tri) in corpus_triples.items():
+            Y = tri.quotient
+            shuffled = {}
+            for d in range(Y.dim + 1):
+                perm = list(Y.simplices(d))
+                rng.shuffle(perm)
+                shuffled[d] = tuple(perm)
+            exps = [g for g in range(1, tri.k + 1) if gcd(g, tri.k) == 1]
+            for field in fields:
+                for orders in (None, shuffled):
+                    for g in exps:
+                        mats = [g_boundary_matrix(tri, d, field, orders, g)
+                                for d in range(1, Y.dim + 1)]
+                        for A, B in zip(mats, mats[1:]):
+                            assert _composes_to_zero(A, B), (name, field.name, g)
+                            checked += 1
+                        compressed_result(tri, field, g, orders)
+        assert checked > 0
+
+    def test_product_is_exact_over_the_field(self):
+        # (1 + a)^2 = 2 + 2a in F[Z_2]: zero over F2 only
+        for field, zero in ((F2, True), (F3, False), (QQ, False)):
+            w = sigma([0, 1], field, 2)
+            A = GroupRingMatrix.from_rows(field, 2, [[w]])
+            assert _composes_to_zero(A, A) is zero
 
 
 class TestCompressedRank:
@@ -436,3 +472,19 @@ class TestActionSuite:
         outcomes = checks.run_action_suite(qd, (QQ, F3))
         assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
         assert built == [lex_lift(qd), lex_max_lift(qd)]
+
+    def test_computes_orientations_once(self, corpus_actions, monkeypatch):
+        # one pass over the complex serves every upstairs boundary the
+        # suite builds, for every field and dimension
+        calls = []
+        original = checks.compatible_orientations
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(checks, "compatible_orientations", counting)
+        qd = quotient(corpus_actions["torus9x3_rot3"])
+        outcomes = checks.run_action_suite(qd, (QQ, F3))
+        assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+        assert len(calls) == 1

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from zkhomology.exact import (GF, QQ, Poly, field_rank, poly_gcd, poly_str,
                               snf_over_polys)
-from zkhomology.groupring import GroupRingElem, GroupRingMatrix, rho_extend, sigma
+from zkhomology.groupring import (GroupRingElem, GroupRingMatrix, circulant_expansion,
+                                  rho_extend, sigma)
 from zkhomology.ring_snf import _unit_pivot_reduce, snf_over_R
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -259,6 +260,22 @@ def test_plain_lift_matches_augmented_lift(M):
     lifts = snf_over_R(M).lifts
     assert lifts == _augmented_lifts(M)
     assert lifts == _plain_lifts(M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ring_matrices())
+@example(_no_unit_pivot())
+@example(_all_units())
+@example(_residual_without_rows())
+def test_residual_expansion_keeps_the_upstairs_rank(M):
+    # rank_F rho(M) = k p + rank_F rho(S): the downstairs certificate
+    # checks what the full mk x nk one would
+    pivots, lift = _unit_pivot_reduce(M)
+    residual = circulant_expansion(M.field, M.k, [[f.coeffs for f in row] for row in lift],
+                                   M.cols - pivots)
+    full = field_rank(rho_extend(M))
+    assert M.k * pivots + field_rank(residual) == full
+    assert snf_over_R(M).rank_sum(M.k) == full
 
 
 @pytest.mark.parametrize("build, pivots, residual", [
