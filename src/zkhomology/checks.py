@@ -187,16 +187,17 @@ def oriented_tuple(orient, simplex):
     return s[:-2] + (s[-1], s[-2])
 
 
-def _compatible_parts(action, lift, d, field, qd, orient_x):
-    # The compatible boundary with its row and column lifted partitions.
+def _compatible_parts(action, lift, d, field, qd, orient_x, partition=None):
+    # The compatible boundary with its row and column lifted partitions,
+    # taken from partition(d) when that is given.
     if qd is None:
         qd = quotient(action)
     X = action.complex
     if not (1 <= d <= X.dim):
         raise DimensionError(f"d={d} out of range 1..{X.dim}")
     orient_x = orient_x or compatible_orientations(action, lift, qd=qd)[0]
-    row_lp = compatible_ordering(qd, lift, d - 1)
-    col_lp = compatible_ordering(qd, lift, d)
+    partition = partition or (lambda e: compatible_ordering(qd, lift, e))
+    row_lp, col_lp = partition(d - 1), partition(d)
     B = boundary_matrix(
         X, d, field, orient=orient_x,
         row_order=row_lp.ordering, col_order=col_lp.ordering,
@@ -214,11 +215,14 @@ def compatible_boundary(action, lift, d, field, qd=None, orient_x=None):
 def isotropy_expansion(action, lift, d, field, qd=None, orient_x=None):
     """The (m k x n k) coset-duplicated enlargement of the compatible
     boundary matrix; same rank as the boundary itself."""
-    B, row_lp, col_lp = _compatible_parts(action, lift, d, field, qd, orient_x)
-    J_rows = index_reducing(row_lp, action.k)
-    J_cols = index_reducing(col_lp, action.k)
+    return _expand(*_compatible_parts(action, lift, d, field, qd, orient_x), action.k)
+
+
+def _expand(B, row_lp, col_lp, k):
+    J_rows = index_reducing(row_lp, k)
+    J_cols = index_reducing(col_lp, k)
     data = [[B.data[r - 1][c - 1] for c in J_cols] for r in J_rows]
-    return FieldMatrix(field, len(J_rows), len(J_cols), data)
+    return FieldMatrix(B.field, len(J_rows), len(J_cols), data)
 
 
 def verify_expansion_lemma(action, lift, d, field, qd=None, triple=None, orient_x=None):
@@ -229,10 +233,15 @@ def verify_expansion_lemma(action, lift, d, field, qd=None, triple=None, orient_
     """
     if qd is None:
         qd = quotient(action)
-    k = action.k
     if triple is None:
         triple = build_triple(action, lift=lift, qd=qd)
     E = isotropy_expansion(action, lift, d, field, qd=qd, orient_x=orient_x)
+    return _expansion_report(E, action, lift, d, field, qd, triple)
+
+
+def _expansion_report(E, action, lift, d, field, qd, triple):
+    # verify_expansion_lemma on the isotropy expansion E
+    k = action.k
     G = rho_extend(g_boundary_matrix(triple, d, field))
     if E.rows != G.rows or E.cols != G.cols:
         return False, f"shape mismatch {E.rows}x{E.cols} vs {G.rows}x{G.cols}"
@@ -381,11 +390,11 @@ def check_complex_of_groups(triple):
     return CheckOutcome("complex-of-groups-axioms", True)
 
 
-def check_index_reducing(qd, lift):
+def check_index_reducing(qd, partition):
     failures = []
     k = qd.action.k
     for d in range(qd.quotient.dim + 1):
-        lp = compatible_ordering(qd, lift, d)
+        lp = partition(d)
         J = index_reducing(lp, k)
         for b, block in enumerate(lp.blocks):
             slab = J[b * k:(b + 1) * k]
@@ -399,22 +408,22 @@ def check_index_reducing(qd, lift):
     return _outcome("index-reducing-range", failures)
 
 
-def check_expansion_lemma(action, qd, lift, fields, triple, orient_x=None):
+def check_expansion_lemma(action, qd, lift, fields, triple, expansion):
     failures = []
     for field in fields:
         for d in range(1, action.complex.dim + 1):
-            ok, report = verify_expansion_lemma(action, lift, d, field, qd, triple, orient_x)
+            ok, report = _expansion_report(expansion(field, d), action, lift, d, field,
+                                           qd, triple)
             if not ok:
                 failures.append(f"{field.name}: {report}")
     return _outcome("expansion-equals-circulant-image", failures)
 
 
-def check_rank_preservation(action, qd, lift, fields, orient_x=None):
+def check_rank_preservation(action, fields, rank, expansion):
     failures = []
     for field in fields:
         for d in range(1, action.complex.dim + 1):
-            rb = field_rank(compatible_boundary(action, lift, d, field, qd, orient_x))
-            re = field_rank(isotropy_expansion(action, lift, d, field, qd, orient_x))
+            rb, re = rank(field, d), field_rank(expansion(field, d))
             if rb != re:
                 failures.append(
                     f"{field.name} d={d}: boundary rank {rb} vs expansion rank {re}"
@@ -422,13 +431,13 @@ def check_rank_preservation(action, qd, lift, fields, orient_x=None):
     return _outcome("expansion-preserves-rank", failures)
 
 
-def check_rank_reconstruction(action, qd, lift, triple, fields, orient_x=None):
+def check_rank_reconstruction(action, triple, fields, rank):
     """The main rank identity, for every generator of Z_k."""
     failures = []
     generators = [t for t in range(1, triple.k + 1) if gcd(t, triple.k) == 1]
     for field in fields:
         for d in range(1, action.complex.dim + 1):
-            upstairs = field_rank(compatible_boundary(action, lift, d, field, qd, orient_x))
+            upstairs = rank(field, d)
             for t in generators:
                 got = compressed_rank(triple, d, field, generator_exponent=t)
                 if got != upstairs:
@@ -515,8 +524,16 @@ def run_action_suite(qd, fields):
     action = qd.action
     lift = lex_lift(qd)
     triple = build_triple(action, lift=lift, qd=qd)
-    # one pass, made inside the first guarded check that needs it
+    # The upstairs model, each piece built once, inside the first guarded
+    # check that needs it: the orientations, the lifted partition of each
+    # dimension, and per (field, d) the compatible boundary, its rank and
+    # its isotropy expansion.
     orient = cache(lambda: compatible_orientations(action, lift, qd=qd)[0])
+    partition = cache(lambda d: compatible_ordering(qd, lift, d))
+    parts = cache(lambda field, d: _compatible_parts(action, lift, d, field, qd, orient(),
+                                                     partition))
+    rank = cache(lambda field, d: field_rank(parts(field, d)[0]))
+    expansion = cache(lambda field, d: _expand(*parts(field, d), action.k))
     items = [
         ("boundary-squared-zero", lambda: check_boundary_squared(action.complex, fields)),
         ("boundary-squared-zero", lambda: check_boundary_squared(qd.quotient, fields)),
@@ -526,10 +543,10 @@ def run_action_suite(qd, fields):
         ("unique-face-over-quotient", lambda: check_unique_face_over_quotient(qd)),
         ("transfer-coset-and-two-routes", lambda: check_transfer_cosets(action, qd, lift, triple)),
         ("complex-of-groups-axioms", lambda: check_complex_of_groups(triple)),
-        ("index-reducing-range", lambda: check_index_reducing(qd, lift)),
-        ("expansion-equals-circulant-image", lambda: check_expansion_lemma(action, qd, lift, fields, triple, orient())),
-        ("expansion-preserves-rank", lambda: check_rank_preservation(action, qd, lift, fields, orient())),
-        ("rank-reconstruction", lambda: check_rank_reconstruction(action, qd, lift, triple, fields, orient())),
+        ("index-reducing-range", lambda: check_index_reducing(qd, partition)),
+        ("expansion-equals-circulant-image", lambda: check_expansion_lemma(action, qd, lift, fields, triple, expansion)),
+        ("expansion-preserves-rank", lambda: check_rank_preservation(action, fields, rank, expansion)),
+        ("rank-reconstruction", lambda: check_rank_reconstruction(action, triple, fields, rank)),
         ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, fields)),
         ("lift-independence", lambda: check_lift_independence(action, qd, fields, triple)),
         ("ordering-independence", lambda: check_ordering_independence(triple, fields)),

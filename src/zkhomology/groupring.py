@@ -136,9 +136,13 @@ def sigma(exponents, field, k):
 
 
 class GroupRingMatrix:
-    """Dense matrix over F[Z_k]."""
+    """Sparse matrix over F[Z_k]: `entries` maps every row index to
+    {column: {exponent: coefficient}} over its nonzero entries, with
+    coefficients canonical in the field.  `data`, the dense rows of
+    GroupRingElem, is built when read (for products, printing and the
+    tests)."""
 
-    __slots__ = ("field", "k", "rows", "cols", "data")
+    __slots__ = ("field", "k", "rows", "cols", "entries")
 
     def __init__(self, field, k, rows, cols, data):
         data = tuple(tuple(row) for row in data)
@@ -148,11 +152,21 @@ class GroupRingMatrix:
             for v in row:
                 if not isinstance(v, GroupRingElem) or v.field != field or v.k != k:
                     raise DomainMismatchError("entry outside the declared group ring")
-        self.field = field
-        self.k = k
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        self._fill(field, k, rows, cols, {
+            i: {j: {e: c for e, c in enumerate(w.coeffs) if c}
+                for j, w in enumerate(row) if any(w.coeffs)}
+            for i, row in enumerate(data)})
+
+    @classmethod
+    def from_sparse(cls, field, k, rows, cols, entries):
+        """Adopt `entries` (every row keyed, coefficients canonical and
+        nonzero) as they are: nothing is checked or copied."""
+        self = object.__new__(cls)
+        self._fill(field, k, rows, cols, entries)
+        return self
+
+    def _fill(self, field, k, rows, cols, entries):
+        self.field, self.k, self.rows, self.cols, self.entries = field, k, rows, cols, entries
 
     @classmethod
     def from_rows(cls, field, k, data):
@@ -163,21 +177,23 @@ class GroupRingMatrix:
 
     @classmethod
     def zeros(cls, field, k, rows, cols):
-        z = GroupRingElem.zero(field, k)
-        return cls(field, k, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls.from_sparse(field, k, rows, cols, {i: {} for i in range(rows)})
 
     @classmethod
     def identity(cls, field, k, n):
-        z = GroupRingElem.zero(field, k)
-        o = GroupRingElem.one(field, k)
-        return cls(field, k, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.from_sparse(field, k, n, n, {i: {i: {0: field.one()}} for i in range(n)})
+
+    @property
+    def data(self):
+        """The dense rows, one GroupRingElem per entry."""
+        F, k = self.field, self.k
+        return tuple(tuple(GroupRingElem(F, k, [w.get(e, 0) for e in range(k)])
+                           for w in (self.entries[i].get(j, {}) for j in range(self.cols)))
+                     for i in range(self.rows))
 
     def sparse_rows(self):
-        """Row index -> {column: {exponent: coefficient}} over the nonzero
-        entries; every row has a key, empty rows included."""
-        return {i: {j: {e: c for e, c in enumerate(w.coeffs) if c}
-                    for j, w in enumerate(row) if any(w.coeffs)}
-                for i, row in enumerate(self.data)}
+        """A copy of `entries` that the caller may mutate."""
+        return {i: {j: dict(w) for j, w in r.items()} for i, r in self.entries.items()}
 
     def __mul__(self, other):
         if self.field != other.field or self.k != other.k:
@@ -201,7 +217,8 @@ class GroupRingMatrix:
             isinstance(other, GroupRingMatrix)
             and self.field == other.field
             and self.k == other.k
-            and self.data == other.data
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self.entries == other.entries
         )
 
     def __repr__(self):
@@ -234,8 +251,10 @@ def circulant_expansion(field, k, blocks, cols):
 
 def rho_extend(M):
     """Entry-wise matrix extension of rho: blocks (a, b) hold rho(M[a][b])."""
-    return circulant_expansion(M.field, M.k, [[w.coeffs for w in row] for row in M.data],
-                               M.cols)
+    z, k = M.field.zero(), M.k
+    blocks = [[[r[b].get(e, z) for e in range(k)] if b in r else () for b in range(M.cols)]
+              for r in (M.entries[a] for a in range(M.rows))]
+    return circulant_expansion(M.field, k, blocks, M.cols)
 
 
 def circulant_rank(w):

@@ -17,7 +17,7 @@ from math import gcd
 
 from .errors import DimensionError, InvalidGeneratorError
 from .simplicial import faces
-from .groupring import GroupRingElem, GroupRingMatrix, sigma
+from .groupring import GroupRingMatrix
 from .ring_snf import snf_over_R
 
 
@@ -27,9 +27,10 @@ def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
 
     Rows run over the (d-1)-simplices and columns over the d-simplices of
     the quotient, in `orders` (lexicographic by default).  For the t-th
-    face omega of psi, entry (omega, psi) is (-1)^t sigma(T*(psi, omega))
-    with each exponent c rewritten as c g^-1 mod k, since
-    alpha^c = beta^(c g^-1); every other entry is zero.
+    face omega of psi, entry (omega, psi) is (-1)^t sigma(T*(psi, omega)):
+    coefficient (-1)^t at each exponent c rewritten as c g^-1 mod k, since
+    alpha^c = beta^(c g^-1); every other entry is zero.  The entries are
+    written straight into sparse rows.
     """
     Y, k = triple.quotient, triple.k
     if not (1 <= d <= Y.dim):
@@ -41,15 +42,16 @@ def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
             or sorted(cols) != list(Y.simplices(d))):
         raise ValueError("orders do not permute the quotient simplices")
     g_inv = pow(generator_exponent, -1, k)
+    sign = (field.one(), field.neg(field.one()))
     row_pos = {s: i for i, s in enumerate(rows)}
-    zero = GroupRingElem.zero(field, k)
-    data = [[zero] * len(cols) for _ in rows]
+    entries = {i: {} for i in range(len(rows))}
     for j, psi in enumerate(cols):
         for t, omega in faces(psi):
-            hits = triple.Tstar.get((psi, omega), ())
-            w = sigma([c * g_inv for c in hits], field, k)
-            data[row_pos[omega]][j] = -w if t % 2 else w
-    return GroupRingMatrix(field, k, len(rows), len(cols), data)
+            hits = triple.Tstar.get((psi, omega))
+            if hits:
+                entries[row_pos[omega]][j] = dict.fromkeys(
+                    [c * g_inv % k for c in hits], sign[t % 2])
+    return GroupRingMatrix.from_sparse(field, k, len(rows), len(cols), entries)
 
 
 def check_generator(exponent, k):
@@ -82,8 +84,8 @@ def compressed_rank(triple, d, field, generator_exponent=1, orders=None):
 def _composes_to_zero(A, B):
     """A B == 0 over F[Z_k], multiplied over sparse rows of
     {exponent: coefficient} entries and reduced mod p only at the end."""
-    k, p, rows_b = A.k, A.field.char, B.sparse_rows()
-    for row in A.sparse_rows().values():
+    k, p, rows_b = A.k, A.field.char, B.entries
+    for row in A.entries.values():
         acc = Counter()     # (column, exponent) -> coefficient in A B
         for t, a in row.items():
             for j, b in rows_b[t].items():

@@ -24,8 +24,8 @@ is kept.  Every call checks that the lifts of S predict rank_F rho(S), the
 (m-p)k x (n-p)k expansion of S~; the mk x nk one of M is left to `verify`.
 """
 
-from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .exact import Poly, field_rank, poly_gcd, snf_over_polys, poly_str
 from .groupring import GroupRingElem, circulant_expansion
@@ -35,13 +35,21 @@ class SnfDiagonal:
     """Diagonal of a Smith normal form over F[Z_k].
 
     `lifts` are the monic invariant factors in F[x], each dividing
-    x^k - 1 and each dividing the next; `diag` is their image in the group
-    ring (an entry is zero exactly when its lift is x^k - 1).
+    x^k - 1 and each dividing the next; `diag`, built when read, is their
+    image in the group ring (an entry is zero exactly when its lift is
+    x^k - 1).
     """
 
     shape: tuple
     lifts: tuple
-    diag: tuple
+    k: int
+
+    @property
+    def diag(self):
+        # x^k = 1 in R: fold each lift's exponents mod k
+        k = self.k
+        return tuple(GroupRingElem(f.field, k, [sum(f.coeffs[e::k], f.field.zero())
+                                                for e in range(k)]) for f in self.lifts)
 
     def entry_ranks(self, k):
         """rank(rho(D_ii)) per entry: k minus the lift degree."""
@@ -54,42 +62,81 @@ class SnfDiagonal:
         return [poly_str(f) for f in self.lifts]
 
 
-def _unit_pivot_reduce(M):
-    """Eliminate monomial pivots, least Markowitz cost first.  Returns the
-    pivot count and the plain lift of the residual.  Entries are held as
-    {exponent: coefficient} dicts while rows change."""
-    field, k, p = M.field, M.k, M.field.char
+def _eliminate_units(field, k, rows):
+    """Eliminate monomial pivots from `rows`, {row: {column: {exponent:
+    coefficient}}}, in place: least Markowitz cost first, then least row,
+    then least column.  Returns the pivots (row, column) in order.
+
+    The rows of each column are kept up to date, and the monomial entries
+    sit in a heap keyed by (cost, row, column): a key is pushed again
+    whenever it may have changed, and a popped key that no longer holds is
+    dropped."""
+    p = field.char
     norm = (lambda v: v % p) if p else (lambda v: v)
-    rows = M.sparse_rows()
-    pivot_cols = set()
-    while True:
-        units = [(i, j) for i, r in rows.items() for j, w in r.items() if len(w) == 1]
-        if not units:
-            break
-        count = Counter(j for r in rows.values() for j in r)
-        _, pi, pj = min(((len(rows[i]) - 1) * (count[j] - 1), i, j) for i, j in units)
+    col_rows = {}
+    for i, r in rows.items():
+        for j in r:
+            col_rows.setdefault(j, set()).add(i)
+    heap = [((len(r) - 1) * (len(col_rows[j]) - 1), i, j)
+            for i, r in rows.items() for j, w in r.items() if len(w) == 1]
+    heapify(heap)
+    pivots = []
+    while heap:
+        key, pi, pj = heappop(heap)
+        r = rows.get(pi)
+        if (r is None or len(r.get(pj, ())) != 1
+                or key != (len(r) - 1) * (len(col_rows[pj]) - 1)):
+            continue
         prow = rows.pop(pi)
         ((e, c),) = prow.pop(pj).items()
         inv = field.inv(c)
-        pivot_cols.add(pj)
-        for r in rows.values():
-            if pj in r:
-                # row -= a u^-1 row_p, with a u^-1 = c^-1 x^-e a
-                f = [((t - e) % k, a * inv) for t, a in r.pop(pj).items()]
-                for j, b in prow.items():
-                    out = dict(r.get(j, {}))
-                    for s, fs in f:
-                        for t, bt in b.items():
-                            u = (s + t) % k
-                            out[u] = norm(out.get(u, 0) - fs * bt)
-                    r[j] = {t: v for t, v in out.items() if v}
-                    if not r[j]:
-                        del r[j]
+        pivots.append((pi, pj))
+        touched = col_rows.pop(pj) - {pi}
+        for j in prow:
+            col_rows[j].discard(pi)
+        for i in touched:
+            r = rows[i]
+            # row -= a u^-1 row_p, with a u^-1 = c^-1 x^-e a
+            f = [((t - e) % k, a * inv) for t, a in r.pop(pj).items()]
+            for j, b in prow.items():
+                out = dict(r.get(j, {}))
+                for s, fs in f:
+                    for t, bt in b.items():
+                        u = (s + t) % k
+                        out[u] = norm(out.get(u, 0) - fs * bt)
+                r[j] = {t: v for t, v in out.items() if v}
+                if r[j]:
+                    col_rows[j].add(i)
+                else:
+                    del r[j]
+                    col_rows[j].discard(i)
+        # the key of every monomial entry in a touched row or in a column
+        # of the pivot row may have changed: push it again
+        for i in touched:
+            r = rows[i]
+            for j, w in r.items():
+                if len(w) == 1:
+                    heappush(heap, ((len(r) - 1) * (len(col_rows[j]) - 1), i, j))
+        for j in prow:
+            n = len(col_rows[j]) - 1
+            for i in col_rows[j] - touched:
+                if len(rows[i][j]) == 1:
+                    heappush(heap, ((len(rows[i]) - 1) * n, i, j))
+    return pivots
+
+
+def _unit_pivot_reduce(M):
+    """Eliminate monomial pivots from a copy of M's sparse rows.  Returns
+    the pivot count and the plain lift of the residual."""
+    field, k, rows = M.field, M.k, M.sparse_rows()
+    pivots = _eliminate_units(field, k, rows)
+    pivot_cols = {j for _, j in pivots}
     zero = Poly.zero(field)
+    keep = [j for j in range(M.cols) if j not in pivot_cols]
     lift = [[Poly(field, [r[j].get(e, 0) for e in range(k)]) if j in r else zero
-             for j in range(M.cols) if j not in pivot_cols]
+             for j in keep]
             for _, r in sorted(rows.items())]
-    return len(pivot_cols), lift
+    return len(pivots), lift
 
 
 def snf_over_R(M):
@@ -106,10 +153,7 @@ def snf_over_R(M):
     for a, b in zip(lifts, lifts[1:]):
         if not a.divides(b):
             raise ArithmeticError("divisibility chain broken in lifted SNF")
-    # x^k = 1 in R: fold each lift's exponents mod k
-    diag = tuple(GroupRingElem(field, k, [sum(f.coeffs[e::k], field.zero())
-                                          for e in range(k)]) for f in lifts)
-    result = SnfDiagonal(shape=(m, n), lifts=lifts, diag=diag)
+    result = SnfDiagonal(shape=(m, n), lifts=lifts, k=k)
     expected = k * pivots + field_rank(circulant_expansion(
         field, k, [[f.coeffs for f in row] for row in residual], n - pivots))
     if result.rank_sum(k) != expected:

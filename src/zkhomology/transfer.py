@@ -72,9 +72,25 @@ class IsotropyTriple:
             H = self.S[q]
             if not isinstance(H, Subgroup) or H.k != k or k % H.order != 0:
                 raise TripleValidationError(f"S({q}) is not a subgroup of Z_{k}", witness=q)
+        # Pairs (psi, omega) are visited in (d, psi, omega) order, omega
+        # running over the faces of psi and the other (d-1)-simplices keyed
+        # with psi by a nonempty T*; every pair left out passes.
+        stray = {}
+        for pair, hits in self.Tstar.items():
+            try:
+                psi, omega = pair
+                if (hits and len(psi) == len(omega) + 1 and not set(omega) <= set(psi)
+                        and psi in Y and omega in Y):
+                    stray.setdefault(psi, []).append(
+                        Y.simplices(len(omega) - 1)[Y.index_of(omega)])
+            except (TypeError, ValueError):
+                pass        # not a pair of simplices: the last loop reports it
         for d in range(1, Y.dim + 1):
             for psi in Y.simplices(d):
-                for omega in Y.simplices(d - 1):
+                omegas = combinations(psi, d)
+                if psi in stray:
+                    omegas = sorted([*omegas, *stray[psi]], key=Y.index_of)
+                for omega in omegas:
                     hits = self.Tstar.get((psi, omega))
                     if not set(omega) <= set(psi):
                         if hits:

@@ -23,7 +23,7 @@ from zkhomology.checks import (
 )
 from zkhomology.errors import DimensionError, InvalidGeneratorError
 from zkhomology.exact import GF, QQ, field_rank
-from zkhomology.groupring import GroupRingMatrix, rho_extend, sigma
+from zkhomology.groupring import GroupRingElem, GroupRingMatrix, rho_extend, sigma
 from zkhomology.pipeline import (
     _composes_to_zero,
     compressed_betti,
@@ -31,10 +31,10 @@ from zkhomology.pipeline import (
     compressed_result,
     g_boundary_matrix,
 )
-from zkhomology.simplicial import betti_direct, boundary_matrix, build_complex
+from zkhomology.simplicial import betti_direct, boundary_matrix, build_complex, faces
 from zkhomology.transfer import build_triple
 
-from test_random_families import FAMILIES
+from test_random_families import FAMILIES, _grid_torus
 
 F2, F3 = GF(2), GF(3)
 LEMMA_FIELDS = (QQ, F2, F3)
@@ -226,14 +226,38 @@ def _two_stage_g_boundary(tri, d, field, orders, g):
     return GroupRingMatrix(field, tri.k, len(rows), len(cols), data)
 
 
+def _dense_g_boundary(tri, d, field, orders, g):
+    # The dense one-pass build: a grid of zeros, then sigma of each face
+    # pair's coset, exponents rewritten in the basis of alpha^g and
+    # negated on odd faces.
+    Y, k = tri.quotient, tri.k
+    rows = tuple(orders.get(d - 1) or Y.simplices(d - 1))
+    cols = tuple(orders.get(d) or Y.simplices(d))
+    g_inv = pow(g, -1, k)
+    row_pos = {s: i for i, s in enumerate(rows)}
+    zero = GroupRingElem.zero(field, k)
+    data = [[zero] * len(cols) for _ in rows]
+    for j, psi in enumerate(cols):
+        for t, omega in faces(psi):
+            w = sigma([c * g_inv for c in tri.Tstar.get((psi, omega), ())], field, k)
+            data[row_pos[omega]][j] = -w if t % 2 else w
+    return GroupRingMatrix(field, k, len(rows), len(cols), data)
+
+
 class TestGBoundaryReference:
     def test_one_pass_equals_two_stage_build(self, corpus_triples, fields):
+        # the sparse build against the two-stage build and, entry by entry,
+        # the dense one; some generators of the tori at k = 5 and 8 are not
+        # their own inverses
         triples = [tri for *_, tri in corpus_triples.values()]
         for seed in (101, 202, 303):
             rng = random.Random(seed)
             for _ in range(8):
                 action, _ = rng.choice(FAMILIES)(rng)
                 triples.append(build_triple(action))
+        for k in (5, 8):
+            tris, perm = _grid_torus(3 * k, 3)
+            triples.append(build_triple(validate_action(build_complex(tris), perm, k)))
         rng = random.Random(41)
         for tri in triples:
             Y = tri.quotient
@@ -250,6 +274,8 @@ class TestGBoundaryReference:
                             want = _two_stage_g_boundary(tri, d, field, orders, g)
                             got = g_boundary_matrix(tri, d, field, orders, g)
                             assert got == want, (tri, field.name, d, g)
+                            dense = _dense_g_boundary(tri, d, field, orders, g)
+                            assert got.data == dense.data, (tri, field.name, d, g)
 
     def test_non_permutation_orders_rejected(self, corpus_triples):
         tri = corpus_triples["cycle9_rot3"][3]
@@ -264,7 +290,8 @@ class TestGBoundaryReference:
 def test_production_path_does_not_import_the_upstairs_model():
     # pipeline and ring_snf compute from a triple alone: they never reach
     # the action, the transfer construction or the lemma checks, and never
-    # expand a matrix to its mk x nk circulant image.
+    # expand a matrix to its mk x nk circulant image; pipeline writes
+    # sparse rows without a group-ring element per entry.
     import zkhomology
     src = Path(zkhomology.__file__).parent
     for module in ("pipeline.py", "ring_snf.py"):
@@ -280,6 +307,8 @@ def test_production_path_does_not_import_the_upstairs_model():
                     imported.update(a.name.split("."))
         assert not imported & {"actions", "transfer", "checks"}, module
         assert not names & {"rho_extend", "rho"}, module
+        if module == "pipeline.py":
+            assert not names & {"sigma", "GroupRingElem"}, module
 
 
 class TestCompositionCheck:
@@ -488,3 +517,36 @@ class TestActionSuite:
         outcomes = checks.run_action_suite(qd, (QQ, F3))
         assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
         assert len(calls) == 1
+
+    def test_builds_each_upstairs_boundary_once(self, corpus_actions, monkeypatch):
+        # one lifted partition per dimension, and one compatible boundary
+        # per field and dimension, ranked once, serve every check
+        partitions, boundaries, ranked = [], [], []
+        ordering, boundary, rank = (checks.compatible_ordering, checks.boundary_matrix,
+                                    checks.field_rank)
+
+        def counting_ordering(qd, lift, d, *args):
+            partitions.append(d)
+            return ordering(qd, lift, d, *args)
+
+        def counting_boundary(X, d, field, **kwargs):
+            B = boundary(X, d, field, **kwargs)
+            if kwargs.get("row_order") is not None:
+                boundaries.append((field.name, d, B))
+            return B
+
+        def counting_rank(M):
+            if any(M is B for *_, B in boundaries):
+                ranked.append(M)
+            return rank(M)
+
+        monkeypatch.setattr(checks, "compatible_ordering", counting_ordering)
+        monkeypatch.setattr(checks, "boundary_matrix", counting_boundary)
+        monkeypatch.setattr(checks, "field_rank", counting_rank)
+        qd = quotient(corpus_actions["torus9x3_rot3"])
+        outcomes = checks.run_action_suite(qd, (QQ, F3))
+        assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+        assert sorted(partitions) == [0, 1, 2]
+        assert [(f, d) for f, d, _ in boundaries] == [("Q", 1), ("Q", 2), ("Fp:3", 1),
+                                                      ("Fp:3", 2)]
+        assert len(ranked) == 4

@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+from functools import cache
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +11,13 @@ from zkhomology.exact import (GF, QQ, Poly, field_rank, poly_gcd, poly_str,
                               snf_over_polys)
 from zkhomology.groupring import (GroupRingElem, GroupRingMatrix, circulant_expansion,
                                   rho_extend, sigma)
-from zkhomology.ring_snf import _unit_pivot_reduce, snf_over_R
+from zkhomology.actions import validate_action
+from zkhomology.pipeline import g_boundary_matrix
+from zkhomology.ring_snf import _eliminate_units, _unit_pivot_reduce, snf_over_R
+from zkhomology.simplicial import build_complex
+from zkhomology.transfer import build_triple
+
+from test_random_families import _grid_torus
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -290,3 +299,83 @@ def test_unit_pivot_count_and_residual(build, pivots, residual):
     assert (len(lift), M.cols - got) == residual
     assert all(len(row) == residual[1] for row in lift)
     assert snf_over_R(M).lifts == _augmented_lifts(M)
+
+
+def _rescanning_eliminate(field, k, rows):
+    """The unit-pivot elimination that rescans every row for the monomial
+    entries and the column counts before each pivot, O(pivots * nnz): the
+    selection used before both were kept up to date, kept as an oracle.
+    Same contract as _eliminate_units."""
+    p = field.char
+    norm = (lambda v: v % p) if p else (lambda v: v)
+    pivots = []
+    while True:
+        units = [(i, j) for i, r in rows.items() for j, w in r.items() if len(w) == 1]
+        if not units:
+            return pivots
+        count = Counter(j for r in rows.values() for j in r)
+        _, pi, pj = min(((len(rows[i]) - 1) * (count[j] - 1), i, j) for i, j in units)
+        prow = rows.pop(pi)
+        ((e, c),) = prow.pop(pj).items()
+        inv = field.inv(c)
+        pivots.append((pi, pj))
+        for r in rows.values():
+            if pj in r:
+                f = [((t - e) % k, a * inv) for t, a in r.pop(pj).items()]
+                for j, b in prow.items():
+                    out = dict(r.get(j, {}))
+                    for s, fs in f:
+                        for t, bt in b.items():
+                            u = (s + t) % k
+                            out[u] = norm(out.get(u, 0) - fs * bt)
+                    r[j] = {t: v for t, v in out.items() if v}
+                    if not r[j]:
+                        del r[j]
+
+
+@cache
+def _torus_triple(k, r):
+    tris, perm = _grid_torus(k * r, r)
+    return build_triple(validate_action(build_complex(tris), perm, k))
+
+
+@st.composite
+def _torus_g_boundaries(draw):
+    """A G-boundary of the grid-torus family: every entry a unit +-x^c."""
+    k, r = draw(st.integers(1, 4)), draw(st.integers(3, 4))
+    field = draw(st.sampled_from([QQ, F2, F3, F5]))
+    g = draw(st.sampled_from([t for t in range(1, k + 1) if gcd(t, k) == 1]))
+    return g_boundary_matrix(_torus_triple(k, r), draw(st.integers(1, 2)), field,
+                             generator_exponent=g)
+
+
+def _assert_same_elimination(M):
+    rows, oracle = M.sparse_rows(), M.sparse_rows()
+    pivots = _eliminate_units(M.field, M.k, rows)
+    assert pivots == _rescanning_eliminate(M.field, M.k, oracle)
+    assert rows == oracle
+    count, lift = _unit_pivot_reduce(M)
+    assert count == len(pivots)
+    assert lift == [[Poly(M.field, [r[j].get(e, 0) for e in range(M.k)]) if j in r
+                     else Poly.zero(M.field)
+                     for j in range(M.cols) if j not in {c for _, c in pivots}]
+                    for _, r in sorted(oracle.items())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_ring_matrices(), _torus_g_boundaries()))
+@example(_no_unit_pivot())
+@example(_all_units())
+@example(_all_units_reducing())
+@example(_residual_without_rows())
+def test_incremental_selection_matches_rescanning(M):
+    _assert_same_elimination(M)
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "F2"])
+@pytest.mark.parametrize("r", [4, 8])
+def test_incremental_selection_matches_rescanning_on_long_tori(field, r):
+    # (3r)x3 tori at k=3: r-1 pivots per column block and a residual that
+    # fills in, so keys go stale and are pushed again many times
+    for d in (1, 2):
+        _assert_same_elimination(g_boundary_matrix(_torus_triple(3, r), d, field))

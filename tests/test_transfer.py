@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from zkhomology.actions import (
+    Subgroup,
     lex_lift,
     lex_max_lift,
     quotient,
@@ -213,3 +216,131 @@ class TestStandaloneTripleValidation:
         Tstar = {((0, 1), (0,)): frozenset({0}), ((0, 1), (1,)): frozenset({0})}
         with pytest.raises(TripleValidationError, match="embed"):
             IsotropyTriple(2, Y, S, Tstar)
+
+
+def _all_pairs_validate(triple):
+    """Validation that tests every (d-simplex, (d-1)-simplex) pair of the
+    quotient, O(|Y_d| |Y_(d-1)|): the route taken before faces were
+    indexed, kept as an oracle for the first error and its witness."""
+    Y, k = triple.quotient, triple.k
+    for q in Y.all_simplices():
+        if q not in triple.S:
+            raise TripleValidationError(f"S undefined on {q}", witness=q)
+        H = triple.S[q]
+        if not isinstance(H, Subgroup) or H.k != k or k % H.order != 0:
+            raise TripleValidationError(f"S({q}) is not a subgroup of Z_{k}", witness=q)
+    for d in range(1, Y.dim + 1):
+        for psi in Y.simplices(d):
+            for omega in Y.simplices(d - 1):
+                hits = triple.Tstar.get((psi, omega))
+                if not set(omega) <= set(psi):
+                    if hits:
+                        raise TripleValidationError(
+                            f"T*({psi},{omega}) nonempty for a non-face pair",
+                            witness=(psi, omega))
+                    continue
+                if not hits:
+                    raise TripleValidationError(
+                        f"T*({psi},{omega}) missing or empty for a face pair",
+                        witness=(psi, omega))
+                H = triple.S[omega]
+                coset = frozenset((min(hits) + e) % k for e in H.exponents())
+                if hits != coset:
+                    raise TripleValidationError(
+                        f"T*({psi},{omega}) = {sorted(hits)} is not a left "
+                        f"coset of S({omega}) (order {H.order})",
+                        witness=(psi, omega))
+                if triple.S[omega].order % triple.S[psi].order != 0:
+                    raise TripleValidationError(
+                        f"S({psi}) does not embed into S({omega})",
+                        witness=(psi, omega))
+    for (psi, omega) in triple.Tstar:
+        if psi not in Y or omega not in Y or len(psi) != len(omega) + 1:
+            raise TripleValidationError(
+                f"T* keyed by a non codimension-1 pair ({psi},{omega})",
+                witness=(psi, omega))
+
+
+def _first_error(validate):
+    try:
+        validate()
+    except TripleValidationError as exc:
+        return str(exc), exc.witness
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _tamper(rng, tri, kind):
+    """One violation of the given kind, written into tri's S and T*."""
+    Y, k = tri.quotient, tri.k
+    d = rng.randint(1, Y.dim)
+    psi = rng.choice(Y.simplices(d))
+    faces_of = [omega for omega in Y.simplices(d - 1) if set(omega) <= set(psi)]
+    omega = rng.choice(faces_of)
+    if kind == "non-face key":
+        others = [w for w in Y.simplices(d - 1) if w not in faces_of]
+        if others:
+            tri.Tstar[(psi, rng.choice(others))] = frozenset({rng.randrange(k)})
+    elif kind == "dropped face pair":
+        if rng.random() < 0.5:
+            del tri.Tstar[(psi, omega)]
+        else:
+            tri.Tstar[(psi, omega)] = frozenset()
+    elif kind == "shifted coset":
+        # a shift keeps a coset; a shift of part of it breaks one
+        shift = rng.randrange(1, k) if k > 1 else 0
+        hits = sorted(tri.Tstar.get((psi, omega), ()))
+        moved = hits if rng.random() < 0.5 else hits[:1]
+        tri.Tstar[(psi, omega)] = frozenset(
+            [(c + shift) % k for c in moved] + hits[len(moved):])
+    elif kind == "broken embedding":
+        orders = [h for h in range(1, k + 1) if k % h == 0]
+        tri.S[rng.choice([psi, omega])] = Subgroup(k, rng.choice(orders))
+    elif kind == "non codimension-1 key":
+        tri.Tstar[(psi, psi[:1])] = frozenset({0})
+    elif kind == "malformed key":
+        # not a pair of simplex tuples: a string, a triple, an integer, or
+        # a pair holding a frozenset
+        key = rng.choice(["ab", (psi, omega, omega), 7, (psi, frozenset(omega[:1]))])
+        tri.Tstar[key] = frozenset({0})
+
+
+TAMPERINGS = ("non-face key", "dropped face pair", "shifted coset", "broken embedding",
+              "non codimension-1 key", "malformed key")
+
+
+PHRASES = ("non-face pair", "missing or empty", "left coset", "does not embed",
+           "non codimension-1", "TypeError")
+
+
+def test_face_indexed_validation_matches_all_pairs(corpus_actions):
+    rng = random.Random(59)
+    base = [build_triple(act) for act in corpus_actions.values()]
+    base = [tri for tri in base if tri.quotient.dim >= 1]
+    errors = set()
+    for _ in range(600):
+        tri = rng.choice(base)
+        tampered = IsotropyTriple(tri.k, tri.quotient, tri.S, tri.Tstar, validate=False)
+        for kind in rng.sample(TAMPERINGS, rng.randint(1, 4)):
+            _tamper(rng, tampered, kind)
+        want = _first_error(lambda: _all_pairs_validate(tampered))
+        assert _first_error(tampered.validate) == want
+        errors.update(p for p in PHRASES if want and p in want[0])
+    # every kind of first error was drawn
+    assert errors == set(PHRASES)
+
+
+def test_stray_pair_ordered_among_faces():
+    # psi = (0, 2): the non-face pair ((0, 2), (1,)) sorts between the faces
+    # (0,) and (2,), so it is the first error although (2,) is missing too
+    Y = build_complex([{0, 1, 2}])
+    S = {q: Subgroup(1, 1) for q in Y.all_simplices()}
+    Tstar = {(psi, omega): frozenset({0}) for d in (1, 2) for psi in Y.simplices(d)
+             for omega in Y.simplices(d - 1) if set(omega) <= set(psi)}
+    Tstar[((0, 2), (1,))] = frozenset({0})
+    del Tstar[((0, 2), (2,))]
+    tri = IsotropyTriple(1, Y, S, Tstar, validate=False)
+    want = ("T*((0, 2),(1,)) nonempty for a non-face pair", ((0, 2), (1,)))
+    assert _first_error(tri.validate) == want == _first_error(
+        lambda: _all_pairs_validate(tri))
