@@ -49,8 +49,8 @@ from .groupring import (
 )
 from .transfer import (
     IsotropyTriple,
-    build_complex_of_groups,
     build_triple,
+    check_axioms,
     coset_map,
     extended_transfer,
 )
@@ -83,7 +83,7 @@ __all__ = [
     "trivial_action", "validate_action",
     "GroupRingElem", "GroupRingMatrix", "circulant_rank", "rho", "rho_extend",
     "sigma",
-    "IsotropyTriple", "build_complex_of_groups", "build_triple", "coset_map",
+    "IsotropyTriple", "build_triple", "check_axioms", "coset_map",
     "extended_transfer",
     "SnfDiagonal", "snf_over_R",
     "CompressedResult", "compressed_betti", "compressed_rank",

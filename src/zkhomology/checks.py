@@ -27,7 +27,7 @@ from .simplicial import betti_direct, boundary_matrix, default_orientation
 from .actions import (Subgroup, coset_ordering, coset_position, lex_lift,
                       lex_max_lift, quotient)
 from .groupring import rho_extend
-from .transfer import build_complex_of_groups, build_triple, extended_transfer
+from .transfer import build_triple, check_axioms, extended_transfer
 from .pipeline import compressed_betti, compressed_rank, g_boundary_matrix
 from .ring_snf import snf_over_R
 
@@ -384,7 +384,7 @@ def check_transfer_cosets(action, qd, lift, triple):
 
 def check_complex_of_groups(triple):
     try:
-        build_complex_of_groups(triple)
+        check_axioms(triple)
     except ZkHomologyError as exc:
         return CheckOutcome("complex-of-groups-axioms", False, str(exc))
     return CheckOutcome("complex-of-groups-axioms", True)
@@ -460,7 +460,7 @@ def check_snf_invariants(triple, fields):
             except (ZkHomologyError, ArithmeticError) as exc:
                 failures.append(f"{field.name} d={d}: {exc}")
                 continue
-            predicted, expected = snf.rank_sum(triple.k), field_rank(rho_extend(M))
+            predicted, expected = snf.rank_sum(), field_rank(rho_extend(M))
             if predicted != expected:
                 failures.append(
                     f"{field.name} d={d}: rank certificate failed: SNF predicts "

@@ -26,7 +26,7 @@ from .exact import field_rank, parse_field
 from .jsonio import dump_json, load_input
 from .pipeline import check_generator, compressed_result
 from .simplicial import betti_direct, boundary_matrix
-from .transfer import build_complex_of_groups, build_triple
+from .transfer import build_triple, check_axioms
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -97,7 +97,7 @@ def cmd_check(args, out=None):
     kind, payload = load_input(args.input)
     if kind == "triple":
         payload.validate()
-        build_complex_of_groups(payload)
+        check_axioms(payload)
         print(f"triple: valid (k={payload.k}, "
               f"quotient {payload.quotient.face_counts()})", file=out)
         return EXIT_OK
@@ -157,7 +157,7 @@ def cmd_homology(args, out=None):
     if kind == "triple":
         triple = payload
         triple.validate()
-        build_complex_of_groups(triple)
+        check_axioms(triple)
         res = compressed_result(triple, field,
                                 generator_exponent=args.generator,
                                 lift_policy="(given triple)")

@@ -21,6 +21,7 @@ so parse -> serialize -> parse is the identity.
 """
 
 import json
+from functools import cache
 
 from .actions import Subgroup, validate_action
 from .errors import InputFormatError, InvalidSimplexError, TripleValidationError
@@ -107,11 +108,13 @@ def _parse_triple(k, body):
         Y = build_complex(body["quotient"])
     except InvalidSimplexError as exc:
         raise InputFormatError(f"bad quotient simplex: {exc}") from None
+    # A coface key recurs once per face: parse each distinct text once.
+    parse_key = cache(parse_simplex_key)
     S = {}
     _require(isinstance(body["S"], dict), '"S" must be an object')
     for key, order in body["S"].items():
         _require(_is_int(order) and order >= 1, f"S[{key!r}] must be a positive integer")
-        q = parse_simplex_key(key)
+        q = parse_key(key)
         _require(q in Y, f"S defined on {q}, which is not a quotient simplex")
         try:
             S[q] = Subgroup(k, order)
@@ -122,7 +125,7 @@ def _parse_triple(k, body):
     for key, exps in body["Tstar"].items():
         _require("|" in key, f'Tstar key {key!r} must look like "<psi>|<omega>"')
         pk, ok_ = key.split("|", 1)
-        pair = (parse_simplex_key(pk), parse_simplex_key(ok_))
+        pair = (parse_key(pk), parse_key(ok_))
         _require(
             isinstance(exps, list) and all(_is_int(c) for c in exps),
             f"Tstar[{key!r}] must be a list of exponents",

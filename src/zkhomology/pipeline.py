@@ -78,7 +78,7 @@ def compressed_rank(triple, d, field, generator_exponent=1, orders=None):
     if d < 1 or d > Y.dim:
         return 0
     snf = compressed_snf(triple, d, field, generator_exponent, orders)
-    return snf.rank_sum(triple.k)
+    return snf.rank_sum()
 
 
 def _composes_to_zero(A, B):
@@ -152,7 +152,7 @@ def compressed_result(triple, field, generator_exponent=1, orders=None,
             raise ArithmeticError(f"composition check failed at d={d}: the G-boundaries "
                                   f"d={d - 1} and d={d} do not compose to zero")
         prev, snf = M, snf_over_R(M)
-        ranks[d] = snf.rank_sum(triple.k)
+        ranks[d] = snf.rank_sum()
         lifts[d] = tuple(snf.lift_strings())
     reports = []
     for d in range(Y.dim + 1):

@@ -51,12 +51,9 @@ class SnfDiagonal:
         return tuple(GroupRingElem(f.field, k, [sum(f.coeffs[e::k], f.field.zero())
                                                 for e in range(k)]) for f in self.lifts)
 
-    def entry_ranks(self, k):
-        """rank(rho(D_ii)) per entry: k minus the lift degree."""
-        return tuple(k - f.degree for f in self.lifts)
-
-    def rank_sum(self, k):
-        return sum(self.entry_ranks(k))
+    def rank_sum(self):
+        """rank_F rho(D): each entry contributes k minus its lift's degree."""
+        return sum(self.k - f.degree for f in self.lifts)
 
     def lift_strings(self):
         return [poly_str(f) for f in self.lifts]
@@ -156,7 +153,7 @@ def snf_over_R(M):
     result = SnfDiagonal(shape=(m, n), lifts=lifts, k=k)
     expected = k * pivots + field_rank(circulant_expansion(
         field, k, [[f.coeffs for f in row] for row in residual], n - pivots))
-    if result.rank_sum(k) != expected:
+    if result.rank_sum() != expected:
         raise ArithmeticError(f"rank certificate failed: SNF predicts "
-                              f"{result.rank_sum(k)}, expanded matrix has rank {expected}")
+                              f"{result.rank_sum()}, expanded matrix has rank {expected}")
     return result

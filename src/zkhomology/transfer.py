@@ -1,6 +1,5 @@
-"""The isotropy transfer triple and its derived structures: the extended
-transfer, the coset map, and the associated complex of groups with its
-axiom validation.
+"""The isotropy transfer triple and what is derived from it: the extended
+transfer, the coset map, and the check of the complex-of-groups axioms.
 
 The triple (quotient, S, T*) is all the compressed pipeline consumes: S
 sends each quotient simplex to the isotropy subgroup of its lift, and T*
@@ -10,7 +9,6 @@ coset of S(omega').  Triples can also be constructed standalone (parsed
 from JSON) and validated without ever materializing the acted-on complex.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
@@ -160,88 +158,38 @@ def coset_map(triple, omega, exponent):
     return coset_position(triple.subgroup(omega), exponent)
 
 
-@dataclass
-class ComplexOfGroups:
-    """The complex of groups associated to a triple, plus the constant
-    morphism data; construction validates every axiom.
+def check_axioms(triple):
+    """Check the complex-of-groups axioms of a validated triple.
 
-    For Z_k all face maps are (trivial) conjugations, so what is stored is
-    the single-valued transfer choice on codimension-1 pairs, its extension
-    along the fixed descent to codimension-2 pairs, and the 2-morphism
-    elements of the codimension-2 squares.
-    """
+    Raises AxiomError with the offending square on the first violation.
+    The triple must have passed `IsotropyTriple.validate`, which already
+    checks that each coface group embeds into its face groups.
 
-    triple: IsotropyTriple
-    groups: dict
-    transfer_choice: dict      # codim-1 pair -> exponent picked from T*
-    transfer_ext: dict         # codim-1 or codim-2 pair (psi1, psi2) -> exponent
-    two_morphisms: dict        # codim-2 square (psi1, psi2, psi3) -> exponent
-
-
-def build_complex_of_groups(triple, transfer_choice=None):
-    """Build and validate the associated complex of groups.
-
-    `transfer_choice` may pick one exponent from each codimension-1 T*
-    coset (default: the least exponent).  Longer face chains use the fixed
-    descent that repeatedly drops the largest vertex not in the target.
-    Raises AxiomError with the offending simplices on any violation.
-
-    Face maps are the identity on exponents (Z_k is abelian) and the
-    2-morphism of psi1 >= psi2 >= psi3 is g = e23 + e12 - e13 (e: the
-    extended transfer), so the cocycle condition, the constant-morphism
-    constraint and the triviality of degenerate 2-morphisms hold by
-    definition.  The axiom left, g in S(psi3), is checked on the
-    codimension-2 squares psi1 > psi1 - a > psi1 - {a, b} only: two
+    Face maps are the identity on exponents (Z_k is abelian), so with
+    e = min T* on codimension-1 pairs, extended along the fixed descent
+    through mid = psi1 less its largest vertex not in psi3, the 2-morphism
+    of psi1 > psi2 > psi3 is
+    g = e(psi2,psi3) + e(psi1,psi2) - e(psi1,mid) - e(mid,psi3).
+    The cocycle condition, the constant-morphism constraint and the
+    triviality of degenerate 2-morphisms hold by definition.  The axiom
+    left, g in S(psi3), is checked on codimension-2 squares only: two
     descents from psi1 to psi3 differ by swaps of adjacent drops, each
     swap changes the sum by a square's g, and the group of that square's
-    bottom face embeds into S(psi3).  Embeddings are checked on the
-    codimension-1 pairs only: divisibility of orders is transitive.
+    bottom face embeds into S(psi3).
     """
-    Y, k = triple.quotient, triple.k
-    choice = {}
-    for (psi, omega), hits in triple.Tstar.items():
-        if not hits:
-            continue
-        picked = transfer_choice(psi, omega, hits) if transfer_choice else min(hits)
-        if picked not in hits:
-            raise TripleValidationError(
-                f"transfer choice for ({psi},{omega}) not in T*", witness=(psi, omega)
-            )
-        choice[(psi, omega)] = picked
-
-    # f_{psi1 psi2} must inject the coface group into the face group.
-    ext = {}
-    for d in range(1, Y.dim + 1):
-        for psi1 in Y.simplices(d):
-            for psi2 in combinations(psi1, d):
-                if triple.S[psi2].order % triple.S[psi1].order != 0:
-                    raise AxiomError(
-                        f"group of {psi1} does not embed into group of {psi2}",
-                        witness=(psi1, psi2),
-                    )
-                ext[(psi1, psi2)] = choice[(psi1, psi2)]
-
-    two = {}
+    Y, k, S = triple.quotient, triple.k, triple.S
+    e = {pair: min(hits) for pair, hits in triple.Tstar.items() if hits}
     for d in range(2, Y.dim + 1):
         for psi1 in Y.simplices(d):
             for psi2 in combinations(psi1, d):
                 for psi3 in combinations(psi2, d - 1):
-                    # The fixed descent drops the larger missing vertex first.
                     drop = max(v for v in psi1 if v not in psi3)
                     mid = tuple(v for v in psi1 if v != drop)
-                    ext[(psi1, psi3)] = (choice[(psi1, mid)] + choice[(mid, psi3)]) % k
-                    g = (ext[(psi2, psi3)] + ext[(psi1, psi2)] - ext[(psi1, psi3)]) % k
-                    two[(psi1, psi2, psi3)] = g
-                    if g not in triple.S[psi3]:
+                    g = (e[(psi2, psi3)] + e[(psi1, psi2)]
+                         - e[(psi1, mid)] - e[(mid, psi3)]) % k
+                    if g not in S[psi3]:
                         raise AxiomError(
                             f"2-morphism of ({psi1},{psi2},{psi3}) has exponent "
                             f"{g} outside the group of {psi3}",
                             witness=(psi1, psi2, psi3),
                         )
-    return ComplexOfGroups(
-        triple=triple,
-        groups={q: triple.S[q] for q in Y.all_simplices()},
-        transfer_choice=choice,
-        transfer_ext=ext,
-        two_morphisms=two,
-    )

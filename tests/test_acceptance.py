@@ -38,7 +38,7 @@ from zkhomology.pipeline import (
 )
 from zkhomology.ring_snf import snf_over_R
 from zkhomology.simplicial import betti_direct, boundary_matrix
-from zkhomology.transfer import build_complex_of_groups, build_triple
+from zkhomology.transfer import build_triple, check_axioms
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
 
@@ -120,19 +120,19 @@ def test_criterion_5_hand_derived_fixed_points(prepared):
     assert [[str(v) for v in row] for row in G.data] == [["-1"], ["1 + a^1"]]
     snf = snf_over_R(G)
     assert snf.lift_strings() == ["1"]
-    assert snf.rank_sum(2) == 2
+    assert snf.rank_sum() == 2
     assert compressed_betti(path_triple, QQ) == (1, 0) == betti_direct(
         path_action.complex, QQ)
 
     _, two_action, _, _, two_triple = prepared["two_triangles_swap"]
     snf2 = compressed_snf(two_triple, 1, QQ)
     assert snf2.lift_strings() == ["1", "1", "x^2-1"]
-    assert snf2.rank_sum(2) == 4
+    assert snf2.rank_sum() == 4
     assert compressed_betti(two_triple, QQ) == (2, 2) == betti_direct(
         two_action.complex, QQ)
 
     _, oct_action, _, _, oct_triple = prepared["cycle8_rot4"]
-    assert compressed_snf(oct_triple, 1, QQ).rank_sum(2) == 7
+    assert compressed_snf(oct_triple, 1, QQ).rank_sum() == 7
     assert compressed_betti(oct_triple, QQ) == (1, 1) == betti_direct(
         oct_action.complex, QQ)
     print("\nACCEPTANCE 5 PASS: path (-1, 1+a), SNF [1], rank 2, betti (1,0); "
@@ -195,7 +195,7 @@ def test_criterion_7_structural_invariants(prepared):
             assert len(hits) == H.order
             base = min(hits)
             assert hits == {(base + g) % triple.k for g in H.exponents()}
-        build_complex_of_groups(triple)  # validates the complex-of-groups axioms
+        check_axioms(triple)  # validates the complex-of-groups axioms
         for d in range(qd.quotient.dim + 1):
             lp = compatible_ordering(qd, lift, d)
             J = index_reducing(lp, action.k)

@@ -242,7 +242,7 @@ class TestAxiomGate:
         assert "outside the group of" in err[0]
 
     def test_composition_check_without_the_axiom_gate(self, shifted_torus_file):
-        # compressed_result alone, past build_complex_of_groups: the shifted
+        # compressed_result alone, past check_axioms: the shifted
         # cosets break d_G1 . d_G2 = 0, which the production path checks
         tri = load_input(shifted_torus_file)[1]
         for field in (QQ, GF(2), GF(3)):

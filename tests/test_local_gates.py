@@ -1,8 +1,8 @@
 """Differential tests of the two input gates against exhaustive oracles.
 
 `check_regularity` decides regularity on vertices and edges, and
-`build_complex_of_groups` checks the 2-morphism axiom on codimension-2
-squares only.  The oracles below are the definitions they shortcut: every
+`check_axioms` checks the 2-morphism axiom on codimension-2 squares
+only.  The oracles below are the definitions they shortcut: every
 assignment of a nonempty subset of each subgroup to each vertex of each
 simplex, and every 3-chain and 4-chain of faces of each quotient simplex.
 They are exponential and serve only as references on small inputs.
@@ -27,7 +27,7 @@ from zkhomology.actions import (
 from zkhomology.corpus import build_action, entry, names, regular_entries
 from zkhomology.errors import AxiomError
 from zkhomology.simplicial import build_complex
-from zkhomology.transfer import IsotropyTriple, build_complex_of_groups, build_triple
+from zkhomology.transfer import IsotropyTriple, build_triple, check_axioms
 
 BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -289,7 +289,7 @@ def test_axioms_match_exhaustive_chains(name, lower, shifts, rng):
         triple = _lower_groups(triple, rng)
     triple = _shift_cosets(triple, rng, shifts)
     triple.validate()
-    fast = _verdict(build_complex_of_groups, triple)
+    fast = _verdict(check_axioms, triple)
     oracle = _verdict(exhaustive_axioms, triple)
     assert (fast is None) == (oracle is None)
     if triple.quotient.dim <= 2:

@@ -70,13 +70,13 @@ class TestSnfOverR:
         snf = snf_over_R(M)
         assert snf.lift_strings() == ["1", "1", "x^2-1"]
         assert [d.is_zero() for d in snf.diag] == [False, False, True]
-        assert snf.rank_sum(2) == 4
+        assert snf.rank_sum() == 4
 
     def test_zero_matrix(self):
         snf = snf_over_R(GroupRingMatrix.zeros(QQ, 2, 2, 2))
         assert snf.lift_strings() == ["x^2-1", "x^2-1"]
         assert all(d.is_zero() for d in snf.diag)
-        assert snf.rank_sum(2) == 0
+        assert snf.rank_sum() == 0
 
     def test_empty_shapes(self):
         for m, n in [(0, 3), (3, 0), (0, 0)]:
@@ -111,7 +111,7 @@ class TestSnfOverR:
                         [[_random_elem(rng, field, k) for _ in range(n)]
                          for _ in range(m)])
                     snf = snf_over_R(M)
-                    assert snf.rank_sum(k) == field_rank(rho_extend(M))
+                    assert snf.rank_sum() == field_rank(rho_extend(M))
 
     def test_idempotence_on_normal_forms(self):
         # diag(1, x-1, x^2-1) over Q[Z_2]: images of monic divisors in chain
@@ -284,7 +284,7 @@ def test_residual_expansion_keeps_the_upstairs_rank(M):
                                    M.cols - pivots)
     full = field_rank(rho_extend(M))
     assert M.k * pivots + field_rank(residual) == full
-    assert snf_over_R(M).rank_sum(M.k) == full
+    assert snf_over_R(M).rank_sum() == full
 
 
 @pytest.mark.parametrize("build, pivots, residual", [

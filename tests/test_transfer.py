@@ -21,8 +21,8 @@ from zkhomology.pipeline import g_boundary_matrix
 from zkhomology.simplicial import build_complex
 from zkhomology.transfer import (
     IsotropyTriple,
-    build_complex_of_groups,
     build_triple,
+    check_axioms,
     coset_map,
     extended_transfer,
 )
@@ -159,31 +159,15 @@ class TestCosetMap:
 class TestComplexOfGroups:
     def test_corpus_axioms(self, corpus_actions):
         for act in corpus_actions.values():
-            cog = build_complex_of_groups(build_triple(act))
-            # cocycle checked during construction; degenerate 2-morphisms e
-            for (p1, p2, p3), g in cog.two_morphisms.items():
-                if p1 == p2 or p2 == p3:
-                    assert g == 0
-                assert g in cog.groups[p3]
+            assert check_axioms(build_triple(act)) is None
 
     def test_trivial_action_constant(self):
         act = trivial_action(build_complex([{0, 1, 2}]), 3)
-        cog = build_complex_of_groups(build_triple(act))
-        assert all(H.order == 3 for H in cog.groups.values())
-        assert all(g == 0 for g in cog.two_morphisms.values())
-
-    def test_transfer_choice_hook(self, path_setup):
-        act, qd, lift = path_setup
-        tri = build_triple(act, lift=lift, qd=qd)
-        cog = build_complex_of_groups(tri, transfer_choice=lambda p, o, hits: max(hits))
-        assert cog.transfer_choice[((0, 1), (1,))] == 1
-
-    def test_bad_transfer_choice_rejected(self, path_setup):
-        act, qd, lift = path_setup
-        tri = build_triple(act, lift=lift, qd=qd)
-        with pytest.raises(TripleValidationError):
-            build_complex_of_groups(tri, transfer_choice=lambda p, o, hits: min(hits) + 1
-                                    if len(hits) == 1 else min(hits))
+        tri = build_triple(act)
+        assert all(H.order == 3 for H in tri.S.values())
+        # every transfer set is all of Z_3, so e = min T* = 0 throughout
+        assert all(min(hits) == 0 for hits in tri.Tstar.values())
+        assert check_axioms(tri) is None
 
 
 class TestStandaloneTripleValidation:
