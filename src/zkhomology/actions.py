@@ -2,9 +2,10 @@
 
 Group elements are exponents c in {0, ..., k-1} of the generating vertex
 permutation alpha, matching the fixed ordering (e, alpha, ..., alpha^(k-1)).
-Subgroups of Z_k are stored by their order (a divisor of k).  All derived
-tables (orbits, isotropy) are computed eagerly; everything is read-only
-after construction.
+Subgroups of Z_k are stored by their order (a divisor of k).  An action
+walks each simplex orbit once, when it is built; orbits, isotropy, the
+regularity verdict, the quotient's fibers and the transfer cosets are all
+read off that walk.  Everything is read-only after construction.
 """
 
 from dataclasses import dataclass
@@ -61,50 +62,67 @@ def coset_position(H, exponent):
 
 
 class CyclicAction:
-    """A Z_k action on a complex, given by one generating vertex permutation."""
+    """A Z_k action on a complex, given by one generating vertex permutation.
 
-    def __init__(self, complex_, perm, k):
+    Each simplex orbit is walked once, following s -> alpha.s through
+    `image`, the image of every simplex under alpha (which validate_action
+    computes while checking that alpha is simplicial).  The walk records,
+    per simplex s, its orbit in walk order and the exponent e with
+    s = alpha^e . representative, the representative being the orbit's
+    first simplex in complex order.  Group elements act by moving along the
+    walk, and the isotropy of s has order k / |orbit|.
+    """
+
+    def __init__(self, complex_, perm, k, image):
         self.complex = complex_
         self.k = k
         self.perm = dict(perm)
-        # perm powers, exponent -> vertex map
-        powers = [{v: v for v in self.perm}]
-        for _ in range(1, k):
-            prev = powers[-1]
-            powers.append({v: self.perm[prev[v]] for v in self.perm})
-        self._powers = powers
-        self._isotropy = {}
+        walks = {}
         for s in complex_.all_simplices():
-            fixing = sum(1 for c in range(k) if self.apply_simplex(c, s) == s)
-            self._isotropy[s] = Subgroup(k, fixing)
+            if s in walks:
+                continue
+            walk, t = [s], image[s]
+            while t != s:
+                walk.append(t)
+                t = image[t]
+            walk = tuple(walk)
+            for e, t in enumerate(walk):
+                walks[t] = (walk, e)
+        self._walk = walks
+
+    def _located(self, s):
+        located = self._walk.get(tuple(s))
+        if located is None:
+            raise UnknownSimplexError(f"{tuple(s)} is not a simplex of the complex")
+        return located
 
     def apply_vertex(self, exponent, v):
-        return self._powers[exponent % self.k][v]
+        walk, e = self._walk[(v,)]
+        return walk[(e + exponent) % len(walk)][0]
 
     def apply_simplex(self, exponent, s):
-        p = self._powers[exponent % self.k]
-        return tuple(sorted(p[v] for v in s))
+        walk, e = self._located(s)
+        return walk[(e + exponent) % len(walk)]
+
+    def orbit_exponent(self, s):
+        """The e in {0, ..., |orbit| - 1} with s = alpha^e . (the orbit's
+        representative)."""
+        return self._located(s)[1]
+
+    def orbit_representatives(self, d):
+        """One d-simplex per orbit, in complex order."""
+        return tuple(s for s in self.complex.simplices(d) if self._walk[s][1] == 0)
 
     def isotropy(self, s):
         """The stabilizer subgroup of a simplex of the complex."""
-        s = tuple(s)
-        if s not in self._isotropy:
-            raise UnknownSimplexError(f"{s} is not a simplex of the complex")
-        return self._isotropy[s]
+        return Subgroup(self.k, self.k // len(self._located(s)[0]))
 
     def simplex_orbit(self, s):
-        return tuple(sorted({self.apply_simplex(c, s) for c in range(self.k)}))
+        return tuple(sorted(self._located(s)[0]))
 
     def vertex_orbits(self):
-        seen = set()
-        orbits = []
-        for v in sorted(self.perm):
-            if v in seen:
-                continue
-            orbit = tuple(sorted({self.apply_vertex(c, v) for c in range(self.k)}))
-            seen.update(orbit)
-            orbits.append(orbit)
-        return tuple(orbits)
+        return tuple(tuple(sorted(w for (w,) in self._walk[u][0]))
+                     for u in self.orbit_representatives(0))
 
     def __repr__(self):
         return f"CyclicAction(k={self.k}, {self.complex!r})"
@@ -158,14 +176,16 @@ def validate_action(X, perm, k):
             f"permutation order {order} does not divide k={k}"
         )
 
+    image = {}
     for s in X.all_simplices():
-        image = tuple(sorted(perm[v] for v in s))
-        if image not in X:
+        t = tuple(sorted(perm[v] for v in s))
+        if t not in X:
             raise InvalidActionError(
-                f"not simplicial: {s} maps to {image} which is not a simplex",
+                f"not simplicial: {s} maps to {t} which is not a simplex",
                 witness=s,
             )
-    return CyclicAction(X, perm, k)
+        image[s] = t
+    return CyclicAction(X, perm, k, image)
 
 
 def trivial_action(X, k=1):
@@ -204,14 +224,48 @@ def check_regularity(action):
     Regular means: for every subgroup H, simplex, and assignment of a
     nonempty subset of H to each vertex, if the moved vertex set is a
     simplex, some single h in H realizes the whole assignment.  For cyclic
-    H this is decided on vertices and edges (cost sum_{d|k} d^2 |E|):
-    (i) no h1 < h2 in H move a vertex onto the two ends of an edge; then
-    each vertex has one target, and h v_i = h_i v_i is a system of
-    congruences on h, solvable iff pairwise solvable (Ore, 1952), so
-    (ii) on each edge (u, v), every (h1, h2) with {h1 u, h2 v} a simplex
-    is realized by one h.  Subgroups in increasing order and simplices in
-    complex order give the witness the exhaustive search would meet first.
+    H this is decided on vertices and edges: (i) no h1 < h2 in H move a
+    vertex onto the two ends of an edge; then each vertex has one target,
+    and h v_i = h_i v_i is a system of congruences on h, solvable iff
+    pairwise solvable (Ore, 1952), so (ii) on each edge (u, v), every
+    (h1, h2) with {h1 u, h2 v} a simplex is realized by one h.
+
+    Both tests move along orbits, because X is invariant and Z_k is
+    abelian.  {h1 u, h2 u} is h1 applied to {u, h u} with h = h2 - h1, so
+    (i) holds iff no h != e in H makes {u, h u} an edge, and g u passes
+    iff u does.  Given (i), (h1, h2) on (u, v) is h1 applied to (e, delta)
+    with delta = h2 - h1, realized iff delta v lies in Stab_H(u) v; the
+    edge (g u, g v) has the same stabilizers, and its image edges are
+    those of (u, v) moved by g.  So the verdict is read on one vertex per vertex orbit and one edge
+    per edge orbit, at cost sum_{d|k} d * (#vertex orbits + #edge orbits).
+    Only a non-regular action is scanned vertex by vertex and edge by edge
+    (cost sum_{d|k} d^2 (|V| + |E|)), subgroups in increasing order and
+    simplices in complex order, for the witness the exhaustive search
+    would meet first.
     """
+    if _regular_on_representatives(action):
+        return None
+    return _first_witness(action)
+
+
+def _regular_on_representatives(action):
+    X, move = action.complex, action.apply_vertex
+    vertices, edges = action.orbit_representatives(0), action.orbit_representatives(1)
+    for order in _divisors(action.k)[1:]:
+        hs = Subgroup(action.k, order).exponents()
+        for (u,) in vertices:
+            if any(tuple(sorted((u, move(h, u)))) in X for h in hs[1:]):
+                return False
+        for u, v in edges:
+            reachable = {move(h, v) for h in hs if move(h, u) == u}
+            for h in hs:
+                w = move(h, v)
+                if w not in reachable and tuple(sorted((u, w))) in X:
+                    return False
+    return True
+
+
+def _first_witness(action):
     X, k = action.complex, action.k
     move = action.apply_vertex
     for d_order in _divisors(k):
@@ -259,7 +313,8 @@ class QuotientData:
     """Quotient complex of a regular action, with projection and fibers.
 
     Quotient vertex ids are orbit labels: orbits sorted by their least
-    member, numbered from 0.
+    member, numbered from 0.  Only orbit representatives are projected;
+    each fiber is the orbit of its representative.
     """
 
     def __init__(self, action):
@@ -273,22 +328,24 @@ class QuotientData:
         orbits = action.vertex_orbits()
         self.vertex_orbits = orbits
         self.label = {v: i for i, orbit in enumerate(orbits) for v in orbit}
-        fibers = {}
-        for s in action.complex.all_simplices():
-            q = self.project_simplex(s)
-            if len(q) != len(s):
+        over = {}   # quotient simplex -> representatives projecting onto it
+        for d in range(action.complex.dim + 1):
+            for s in action.orbit_representatives(d):
+                q = self.project_simplex(s)
+                if len(q) != len(s):
+                    raise RegularityError(
+                        f"projection collapses {s}; action cannot be regular"
+                    )
+                over.setdefault(q, []).append(s)
+        for q, reps in over.items():
+            if len(reps) > 1:
+                fiber = tuple(sorted(t for s in reps for t in action.simplex_orbit(s)))
                 raise RegularityError(
-                    f"projection collapses {s}; action cannot be regular"
+                    f"fiber over {q} is not a single orbit: {fiber} vs "
+                    f"{action.simplex_orbit(fiber[0])}"
                 )
-            fibers.setdefault(q, set()).add(s)
-        self.quotient = Complex(fibers.keys())
-        self._fibers = {q: tuple(sorted(ss)) for q, ss in fibers.items()}
-        for q, fiber in self._fibers.items():
-            orbit = action.simplex_orbit(fiber[0])
-            if orbit != fiber:
-                raise RegularityError(
-                    f"fiber over {q} is not a single orbit: {fiber} vs {orbit}"
-                )
+        self.quotient = Complex(over)
+        self._fibers = {q: action.simplex_orbit(reps[0]) for q, reps in over.items()}
 
     def project_simplex(self, s):
         return tuple(sorted(self.label[v] for v in s))

@@ -305,13 +305,21 @@ def check_boundary_squared(X, fields):
 
 
 def check_orbit_stabilizer(action):
+    """|orbit| * |stabilizer| = k, both counted by applying alpha^0, ...,
+    alpha^(k-1) through the permutation, and the stabilizer has the order
+    of the action's isotropy (which the action reads off the orbit length)."""
     failures = []
+    perm, k = action.perm, action.k
     for s in action.complex.all_simplices():
-        orbit = action.simplex_orbit(s)
-        if len(orbit) * action.isotropy(s).order != action.k:
+        images, t = [], s
+        for _ in range(k):
+            images.append(t)
+            t = tuple(sorted(perm[v] for v in t))
+        orbit, fixing = len(set(images)), images.count(s)
+        if orbit * fixing != k or fixing != action.isotropy(s).order:
             failures.append(
-                f"simplex {s}: |orbit|={len(orbit)}, "
-                f"|stabilizer|={action.isotropy(s).order}, k={action.k}"
+                f"simplex {s}: |orbit|={orbit}, |stabilizer|={fixing}, "
+                f"isotropy order {action.isotropy(s).order}, k={k}"
             )
             break
     return _outcome("orbit-stabilizer", failures)

@@ -358,32 +358,6 @@ def poly_str(p):
     return "".join(parts)
 
 
-def parse_poly(field, text):
-    """Inverse of poly_str for the formats this package emits."""
-    text = text.replace(" ", "")
-    if text == "0":
-        return Poly.zero(field)
-    text = text.replace("-", "+-")
-    coeffs = {}
-    for term in text.split("+"):
-        if not term:
-            continue
-        if "x" in term:
-            head, _, tail = term.partition("x")
-            e = int(tail[1:]) if tail.startswith("^") else 1
-            if head in ("", "-"):
-                c = head + "1"
-            else:
-                c = head
-        else:
-            e, c = 0, term
-        coeffs[e] = Fraction(c) if field.char == 0 else int(c)
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return Poly(field, out)
-
-
 def poly_gcd(a, b):
     """Monic gcd in F[x]; gcd(0, 0) = 0."""
     _same_field(a, b)

@@ -10,7 +10,7 @@ e.g. "1 + a^1".
 """
 
 from .errors import DomainMismatchError
-from .exact import FieldMatrix, Poly, field_rank, poly_gcd
+from .exact import FieldMatrix, Poly, poly_gcd
 
 
 class GroupRingElem:
@@ -265,8 +265,3 @@ def circulant_rank(w):
     """
     g = poly_gcd(w.lift(), Poly.x_pow_minus_one(w.field, w.k))
     return w.k - g.degree
-
-
-def explicit_circulant_rank(w):
-    """Independent route: build rho(w) and row-reduce it."""
-    return field_rank(rho(w))

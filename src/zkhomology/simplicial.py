@@ -82,9 +82,6 @@ class Complex:
         for level in self._by_dim:
             yield from level
 
-    def euler_characteristic(self):
-        return sum((-1) ** d * self.n_simplices(d) for d in range(self.dim + 1))
-
     def face_counts(self):
         return tuple(self.n_simplices(d) for d in range(self.dim + 1))
 

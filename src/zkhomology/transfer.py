@@ -103,9 +103,7 @@ class IsotropyTriple:
                             witness=(psi, omega),
                         )
                     H = self.S[omega]
-                    base = min(hits)
-                    coset = frozenset((base + e) % k for e in H.exponents())
-                    if hits != coset:
+                    if hits != frozenset(range(min(hits) % H.index, k, H.index)):
                         raise TripleValidationError(
                             f"T*({psi},{omega}) = {sorted(hits)} is not a left "
                             f"coset of S({omega}) (order {H.order})",
@@ -138,19 +136,29 @@ class IsotropyTriple:
 
 
 def build_triple(action, lift=None, qd=None):
-    """Assemble (quotient, S, T*) from a regular action and a lift."""
+    """Assemble (quotient, S, T*) from a regular action and a lift.
+
+    T* is read off the action's orbit walk; `extended_transfer` is the
+    reference route it is checked against."""
     if qd is None:
         qd = quotient(action)
     if lift is None:
         lift = lex_lift(qd)
-    Y = qd.quotient
+    Y, k, label = qd.quotient, action.k, qd.label
     S = {q: action.isotropy(lift[q]) for q in Y.all_simplices()}
     Tstar = {}
     for d in range(1, Y.dim + 1):
         for psi in Y.simplices(d):
-            for omega in combinations(psi, d):
-                Tstar[(psi, omega)] = extended_transfer(action, lift, psi, omega)
-    return IsotropyTriple(action.k, Y, S, Tstar)
+            lp = lift[psi]
+            for t in range(d, -1, -1):     # combinations(psi, d) order
+                omega = psi[:t] + psi[t + 1:]
+                # alpha^c lift(omega) lies in lift(psi) iff it is the one face
+                # f of lift(psi) over omega: c = e_f - e_lift(omega) mod |orbit|.
+                face = tuple(v for v in lp if label[v] != psi[t])
+                shift = action.orbit_exponent(face) - action.orbit_exponent(lift[omega])
+                step = S[omega].index
+                Tstar[(psi, omega)] = frozenset(range(shift % step, k, step))
+    return IsotropyTriple(k, Y, S, Tstar)
 
 
 def coset_map(triple, omega, exponent):

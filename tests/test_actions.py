@@ -13,7 +13,7 @@ from zkhomology.actions import (
     trivial_action,
     validate_action,
 )
-from zkhomology.checks import compatible_ordering, index_reducing
+from zkhomology.checks import check_orbit_stabilizer, compatible_ordering, index_reducing
 from zkhomology.errors import (
     InvalidActionError,
     RegularityError,
@@ -79,6 +79,25 @@ class TestIsotropyAndOrbits:
         for act in corpus_actions.values():
             for s in act.complex.all_simplices():
                 assert len(act.simplex_orbit(s)) * act.isotropy(s).order == act.k
+            assert check_orbit_stabilizer(act).ok
+
+    def test_orbit_stabilizer_check_counts_from_the_permutation(self, path_action):
+        # A walk that splits the orbit {0, 2} into two fixed points: its
+        # orbits and isotropy still agree with each other, but not with
+        # the permutation.
+        for v in (0, 2):
+            path_action._walk[(v,)] = (((v,),), 0)
+        for s in path_action.complex.all_simplices():
+            assert len(path_action.simplex_orbit(s)) * path_action.isotropy(s).order == 2
+        outcome = check_orbit_stabilizer(path_action)
+        assert not outcome.ok
+        assert outcome.detail == ("simplex (0,): |orbit|=2, |stabilizer|=1, "
+                                  "isotropy order 2, k=2")
+
+    def test_walk_exponents(self, path_action):
+        assert path_action.orbit_exponent((1, 2)) == 1
+        assert path_action.orbit_exponent((1,)) == 0
+        assert path_action.orbit_representatives(0) == ((0,), (1,))
 
 
 class TestRegularity:

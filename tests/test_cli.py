@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from zkhomology import actions, checks, cli, corpus, ring_snf
+from zkhomology import actions, checks, cli, corpus, ring_snf, transfer
 from zkhomology.corpus import entry, names, to_input_dict
 from zkhomology.exact import GF, QQ
 from zkhomology.groupring import GroupRingMatrix
@@ -303,7 +303,60 @@ class TestRegularityCheckedOnce:
         assert calls[0] is not calls[1]
 
 
+class TestProductionPath:
+    """On a regular action, the regularity verdict and T* come from the
+    orbit walk: the vertex-and-edge scan and extended_transfer are the
+    references, reached only by a non-regular input and by verify."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"scan": 0, "extended_transfer": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(actions, "_first_witness",
+                            counting("scan", actions._first_witness))
+        spy = counting("extended_transfer", transfer.extended_transfer)
+        for module in (transfer, checks):
+            monkeypatch.setattr(module, "extended_transfer", spy)
+        return seen
+
+    def test_compressed_homology_skips_both_references(self, path_file, calls, capsys):
+        assert cli.run(["homology", path_file, "--mode", "compressed"]) == 0
+        assert calls == {"scan": 0, "extended_transfer": 0}
+
+    def test_verify_compares_with_extended_transfer(self, path_file, calls, capsys):
+        assert cli.run(["verify", path_file]) == 0
+        assert calls["scan"] == 0 and calls["extended_transfer"] > 0
+
+    def test_non_regular_check_reaches_the_scan(self, antipodal_file, calls, capsys):
+        assert cli.run(["check", antipodal_file]) == 3
+        assert calls["scan"] == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "witness: subgroup order 2: simplex (0, 1), vertices (0, 1) moved by "
+            "exponents (0, 1) give simplex (0, 3), but no single element matches")
+
+
 class TestVerify:
+    def test_doctored_isotropy_fails_orbit_stabilizer(self, path_file, monkeypatch,
+                                                      capsys):
+        # The path's middle vertex is fixed by the flip; report it as free.
+        true_isotropy = actions.CyclicAction.isotropy
+
+        def doctored(action, s):
+            return actions.Subgroup(action.k, 1) if tuple(s) == (1,) \
+                else true_isotropy(action, s)
+
+        monkeypatch.setattr(actions.CyclicAction, "isotropy", doctored)
+        assert cli.run(["verify", path_file]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL orbit-stabilizer: simplex (1,): |orbit|=1, |stabilizer|=2, " \
+               "isotropy order 1, k=2" in lines
+
     def test_corpus_entry_passes(self, path_file, capsys):
         assert cli.run(["verify", path_file]) == 0
         out = capsys.readouterr().out

@@ -14,7 +14,6 @@ from zkhomology.exact import (
     Poly,
     field_rank,
     parse_field,
-    parse_poly,
     poly_gcd,
     poly_str,
     snf_over_polys,
@@ -23,6 +22,32 @@ from zkhomology.exact import (
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
+
+
+def parse_poly(field, text):
+    """Inverse of poly_str for the formats this package emits."""
+    text = text.replace(" ", "")
+    if text == "0":
+        return Poly.zero(field)
+    text = text.replace("-", "+-")
+    coeffs = {}
+    for term in text.split("+"):
+        if not term:
+            continue
+        if "x" in term:
+            head, _, tail = term.partition("x")
+            e = int(tail[1:]) if tail.startswith("^") else 1
+            if head in ("", "-"):
+                c = head + "1"
+            else:
+                c = head
+        else:
+            e, c = 0, term
+        coeffs[e] = Fraction(c) if field.char == 0 else int(c)
+    out = [0] * (max(coeffs) + 1)
+    for e, c in coeffs.items():
+        out[e] = c
+    return Poly(field, out)
 
 
 def P(field, *coeffs):

@@ -2,7 +2,7 @@
 from the API stay deleted."""
 
 import zkhomology
-from zkhomology import transfer
+from zkhomology import exact, groupring, simplicial, transfer
 
 
 def test_every_export_resolves():
@@ -16,3 +16,9 @@ def test_complex_of_groups_object_is_gone():
         assert not hasattr(transfer, name)
         assert not hasattr(zkhomology, name)
     assert zkhomology.check_axioms is transfer.check_axioms
+
+
+def test_test_only_helpers_are_gone():
+    assert not hasattr(exact, "parse_poly")
+    assert not hasattr(groupring, "explicit_circulant_rank")
+    assert not hasattr(simplicial.Complex, "euler_characteristic")

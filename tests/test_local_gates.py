@@ -6,6 +6,10 @@ only.  The oracles below are the definitions they shortcut: every
 assignment of a nonempty subset of each subgroup to each vertex of each
 simplex, and every 3-chain and 4-chain of faces of each quotient simplex.
 They are exponential and serve only as references on small inputs.
+
+The regularity verdict itself is read on orbit representatives; the scan
+over every vertex and edge stays as its reference, and the orbit walk's
+isotropy and transfer cosets are checked against brute-force counts.
 """
 
 import importlib.util
@@ -20,14 +24,20 @@ from hypothesis import strategies as st
 from zkhomology.actions import (
     RegularityWitness,
     Subgroup,
+    _first_witness,
+    _regular_on_representatives,
     check_regularity,
+    lex_lift,
+    lex_max_lift,
+    quotient,
     trivial_action,
     validate_action,
 )
 from zkhomology.corpus import build_action, entry, names, regular_entries
 from zkhomology.errors import AxiomError
 from zkhomology.simplicial import build_complex
-from zkhomology.transfer import IsotropyTriple, build_triple, check_axioms
+from zkhomology.transfer import (IsotropyTriple, build_triple, check_axioms,
+                                 extended_transfer)
 
 BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -203,6 +213,87 @@ def test_regularity_matches_exhaustive_search(action):
 def test_regularity_matches_exhaustive_search_on_corpus(name):
     action = build_action(entry(name))
     assert check_regularity(action) == exhaustive_regularity(action)
+
+
+# ------------------------------------------- the orbit walk and its readers
+
+def _orbit_decision_matches_scan(action):
+    regular = _regular_on_representatives(action)
+    assert regular == (_first_witness(action) is None)
+    return regular
+
+
+def _fixing_count(action, s):
+    """The number of c in {0, ..., k-1} with alpha^c s = s, applying the
+    permutation c times."""
+    count, t = 0, s
+    for _ in range(action.k):
+        count += t == s
+        t = tuple(sorted(action.perm[v] for v in t))
+    return count
+
+
+def _isotropy_matches_fixing_count(action):
+    for s in action.complex.all_simplices():
+        assert action.isotropy(s).order == _fixing_count(action, s)
+
+
+def _tstar_matches_extended_transfer(action):
+    qd = quotient(action)
+    for lift in (lex_lift(qd), lex_max_lift(qd)):
+        triple = build_triple(action, lift=lift, qd=qd)
+        Y = qd.quotient
+        pairs = [(psi, omega) for d in range(1, Y.dim + 1) for psi in Y.simplices(d)
+                 for omega in combinations(psi, d)]
+        assert sorted(triple.Tstar) == sorted(pairs)
+        for psi, omega in pairs:
+            assert triple.Tstar[(psi, omega)] == extended_transfer(action, lift, psi, omega)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_actions())
+def test_orbit_walk_matches_references(action):
+    _isotropy_matches_fixing_count(action)
+    if _orbit_decision_matches_scan(action):
+        _tstar_matches_extended_transfer(action)
+
+
+@pytest.mark.parametrize("name", names())
+def test_orbit_walk_matches_references_on_corpus(name):
+    action = build_action(entry(name))
+    _isotropy_matches_fixing_count(action)
+    assert _orbit_decision_matches_scan(action) == entry(name).regular
+    if entry(name).regular:
+        _tstar_matches_extended_transfer(action)
+
+
+def _torus_with_edge_orbit(k, j):
+    """The (3k) x 3 torus with Z_k shifting by 3 rows, plus the orbit of
+    the edge {0, alpha j} when j is given."""
+    src = _load_bench_workloads().torus(k, 3)
+    simplices = list(src.simplices)
+    if j is not None:
+        u, w = 0, src.perm[j]
+        for _ in range(k):
+            simplices.append([u, w])
+            u, w = src.perm[u], src.perm[w]
+    return validate_action(build_complex(simplices), src.perm, k)
+
+
+@pytest.mark.parametrize("k", [8, 16, 32])
+@pytest.mark.parametrize("j, regular", [
+    pytest.param(None, True, id="regular"),
+    # {0, alpha 0}: a vertex meets its own image (the vertex test)
+    pytest.param(0, False, id="vertex-meets-image"),
+    # {0, alpha 1}, 1 a neighbour of 0 (the edge test)
+    pytest.param(1, False, id="edge-meets-image"),
+])
+def test_orbit_decision_matches_scan_on_tori(k, j, regular):
+    action = _torus_with_edge_orbit(k, j)
+    assert _orbit_decision_matches_scan(action) == regular
+    if regular:
+        _isotropy_matches_fixing_count(action)
+        _tstar_matches_extended_transfer(action)
 
 
 # ----------------------------------------------------------------- axioms

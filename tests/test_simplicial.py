@@ -91,7 +91,7 @@ class TestBettiDirect:
         for action in corpus_actions.values():
             X = action.complex
             chi = sum((-1) ** d * b for d, b in enumerate(betti_direct(X, QQ)))
-            assert chi == X.euler_characteristic()
+            assert chi == sum((-1) ** d * X.n_simplices(d) for d in range(X.dim + 1))
 
 
 class TestBarycentricSubdivision:
