@@ -31,7 +31,6 @@ from .actions import (
     Subgroup,
     check_regularity,
     coset_ordering,
-    is_regular,
     lex_lift,
     lex_max_lift,
     quotient,
@@ -42,7 +41,6 @@ from .actions import (
 from .groupring import (
     GroupRingElem,
     GroupRingMatrix,
-    circulant_rank,
     rho,
     rho_extend,
     sigma,
@@ -51,14 +49,12 @@ from .transfer import (
     IsotropyTriple,
     build_triple,
     check_axioms,
-    coset_map,
     extended_transfer,
 )
 from .ring_snf import SnfDiagonal, snf_over_R
 from .pipeline import (
     CompressedResult,
     compressed_betti,
-    compressed_rank,
     compressed_result,
     g_boundary_matrix,
 )
@@ -79,15 +75,13 @@ __all__ = [
     "Complex", "barycentric_subdivision", "betti_direct", "boundary_matrix",
     "build_complex",
     "CyclicAction", "Subgroup", "check_regularity", "coset_ordering",
-    "is_regular", "lex_lift", "lex_max_lift", "quotient", "regularize",
-    "trivial_action", "validate_action",
-    "GroupRingElem", "GroupRingMatrix", "circulant_rank", "rho", "rho_extend",
-    "sigma",
-    "IsotropyTriple", "build_triple", "check_axioms", "coset_map",
-    "extended_transfer",
+    "lex_lift", "lex_max_lift", "quotient", "regularize", "trivial_action",
+    "validate_action",
+    "GroupRingElem", "GroupRingMatrix", "rho", "rho_extend", "sigma",
+    "IsotropyTriple", "build_triple", "check_axioms", "extended_transfer",
     "SnfDiagonal", "snf_over_R",
-    "CompressedResult", "compressed_betti", "compressed_rank",
-    "compressed_result", "g_boundary_matrix",
+    "CompressedResult", "compressed_betti", "compressed_result",
+    "g_boundary_matrix",
     "compatible_boundary", "compatible_ordering", "compatible_orientations",
     "index_reducing", "isotropy_expansion", "verify_expansion_lemma",
 ]

@@ -288,11 +288,6 @@ def _first_witness(action):
     return None
 
 
-def is_regular(action):
-    """True iff the action is regular (quotient-safe)."""
-    return check_regularity(action) is None
-
-
 def induced_subdivision_action(action, subdivided=None, vmap=None):
     """Transport the action to the barycentric subdivision via
     g . (barycenter of s) = barycenter of (g s)."""
@@ -349,13 +344,6 @@ class QuotientData:
 
     def project_simplex(self, s):
         return tuple(sorted(self.label[v] for v in s))
-
-    def projection_table(self, d):
-        """Quotient index of each d-simplex upstairs, in lex position order."""
-        return tuple(
-            self.quotient.index_of(self.project_simplex(s))
-            for s in self.action.complex.simplices(d)
-        )
 
     def fiber(self, q):
         q = tuple(q)

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .actions import check_regularity, lex_lift, lex_max_lift, quotient, regularize
-from .checks import run_action_suite, run_triple_suite
+from .checks import CheckOutcome, run_action_suite, run_triple_suite
 from .corpus import entry as corpus_entry, names as corpus_names, to_input_dict
 from .errors import (
     AxiomError,
@@ -74,18 +74,19 @@ def _lift_for(qd, policy):
     return lex_lift(qd) if policy == "lex-min" else lex_max_lift(qd)
 
 
-def _regular_quotient(action, auto_regularize, out):
+def _regular_quotient(action, auto_regularize):
     """Quotient data of the action, or of its double subdivision when
-    `auto_regularize` is set; None, after printing the witness to `out`, when
-    the action is non-regular and may not be subdivided."""
+    `auto_regularize` is set; None, after printing the witness to stderr,
+    when the action is non-regular and may not be subdivided."""
     try:
         return quotient(action)
     except RegularityError as exc:
         if exc.witness is None:
             raise
         if not auto_regularize:
-            print("non-regular action; witness: " + exc.witness.describe(), file=out)
-            print("re-run with --regularize to double-subdivide first", file=out)
+            print("non-regular action; witness: " + exc.witness.describe(),
+                  file=sys.stderr)
+            print("re-run with --regularize to double-subdivide first", file=sys.stderr)
             return None
     print("input action is non-regular; regularizing by double subdivision",
           file=sys.stderr)
@@ -176,7 +177,7 @@ def cmd_homology(args, out=None):
 
     compressed = None
     if args.mode in ("compressed", "both"):
-        qd = _regular_quotient(action, args.regularize, sys.stderr)
+        qd = _regular_quotient(action, args.regularize)
         if qd is None:
             return EXIT_REGULARITY
         triple = build_triple(qd.action, lift=_lift_for(qd, args.lift_policy), qd=qd)
@@ -224,16 +225,16 @@ def cmd_verify(args, out=None):
     try:
         kind, payload = load_input(args.input)
     except TripleValidationError as exc:
-        print(f"FAIL triple-structure: {exc}", file=out)
-        return EXIT_VERIFY
-
-    if kind == "triple":
-        outcomes = run_triple_suite(payload, fields)
+        # an S order that does not divide k fails at parse
+        outcomes = [CheckOutcome("triple-structure", False, str(exc))]
     else:
-        qd = _regular_quotient(payload, args.regularize, out)
-        if qd is None:
-            return EXIT_REGULARITY
-        outcomes = run_action_suite(qd, fields)
+        if kind == "triple":
+            outcomes = run_triple_suite(payload, fields)
+        else:
+            qd = _regular_quotient(payload, args.regularize)
+            if qd is None:
+                return EXIT_REGULARITY
+            outcomes = run_action_suite(qd, fields)
 
     ok = all(o.ok for o in outcomes)
     if args.output_format == "json":

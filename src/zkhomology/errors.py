@@ -5,6 +5,14 @@ class ZkHomologyError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class _WitnessedError(ZkHomologyError):
+    """An error that may carry a `witness`: the offending data."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class DomainMismatchError(ZkHomologyError):
     """Operands live over different fields (or different group rings)."""
 
@@ -17,23 +25,15 @@ class DimensionError(ZkHomologyError):
     """A dimension argument is outside the valid range."""
 
 
-class InvalidActionError(ZkHomologyError):
+class InvalidActionError(_WitnessedError):
     """A claimed cyclic action is not one (not bijective, not simplicial,
     or of order not dividing k).  ``witness`` names an offending vertex or
     simplex when there is one."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class RegularityError(ZkHomologyError):
+class RegularityError(_WitnessedError):
     """An operation that requires a regular action was given a non-regular
     one.  ``witness`` is the failing (subgroup, simplex, tuple) data."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class UnknownSimplexError(ZkHomologyError):
@@ -44,22 +44,14 @@ class InvalidGeneratorError(ZkHomologyError):
     """An exponent not coprime to k was used as a generator of Z_k."""
 
 
-class TripleValidationError(ZkHomologyError):
+class TripleValidationError(_WitnessedError):
     """An isotropy transfer triple violates one of its structural
     invariants.  ``witness`` identifies the offending simplex or pair."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class AxiomError(ZkHomologyError):
+class AxiomError(_WitnessedError):
     """A complex-of-groups axiom fails; ``witness`` is the offending
     simplex pair or triple."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class InputFormatError(ZkHomologyError):

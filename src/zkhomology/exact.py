@@ -48,34 +48,11 @@ def _is_prime(n):
 
 
 class Field:
-    """Arithmetic interface shared by Q and F_p."""
+    """What Q and F_p share: `char`, `name`, and printing by name.  Each
+    supplies zero, one, coerce, add, sub, mul, neg and inv."""
 
     char = None
     name = None
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def coerce(self, v):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def __repr__(self):
         return self.name
@@ -224,10 +201,6 @@ class Poly:
     @classmethod
     def one(cls, field):
         return cls(field, (1,))
-
-    @classmethod
-    def x(cls, field):
-        return cls(field, (0, 1))
 
     @classmethod
     def x_pow_minus_one(cls, field, k):
@@ -399,12 +372,6 @@ class FieldMatrix:
     def zeros(cls, field, rows, cols):
         z = field.zero()
         return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
-
-    def transpose(self):
-        return FieldMatrix(
-            self.field, self.cols, self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
 
     def __mul__(self, other):
         if self.field != other.field:

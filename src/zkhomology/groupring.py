@@ -1,5 +1,5 @@
-"""The group ring F[Z_k]: elements, matrices, the subset-summing map, the
-circulant representation, and circulant rank.
+"""The group ring F[Z_k]: elements, matrices, the subset-summing map and
+the circulant representation.
 
 An element sum_i a_i alpha^i is a length-k coefficient tuple (a_0, ...,
 a_{k-1}); multiplication is cyclic convolution.  The representation rho
@@ -10,7 +10,7 @@ e.g. "1 + a^1".
 """
 
 from .errors import DomainMismatchError
-from .exact import FieldMatrix, Poly, poly_gcd
+from .exact import FieldMatrix, Poly
 
 
 class GroupRingElem:
@@ -33,12 +33,6 @@ class GroupRingElem:
     @classmethod
     def one(cls, field, k):
         return cls(field, k, (1,) + (0,) * (k - 1))
-
-    @classmethod
-    def generator_power(cls, field, k, exponent):
-        coeffs = [0] * k
-        coeffs[exponent % k] = 1
-        return cls(field, k, coeffs)
 
     def _check(self, other):
         if self.field != other.field or self.k != other.k:
@@ -83,14 +77,6 @@ class GroupRingElem:
     def lift(self):
         """The coefficient-wise lift into F[x], degree < k."""
         return Poly(self.field, self.coeffs)
-
-    def reindex(self, t):
-        """Re-express in the basis of the generator alpha^t (t coprime to k):
-        the coefficient of the new generator's m-th power is the coefficient
-        of alpha^(t m)."""
-        return GroupRingElem(
-            self.field, self.k, [self.coeffs[(t * m) % self.k] for m in range(self.k)]
-        )
 
     def __eq__(self, other):
         return (
@@ -255,13 +241,3 @@ def rho_extend(M):
     blocks = [[[r[b].get(e, z) for e in range(k)] if b in r else () for b in range(M.cols)]
               for r in (M.entries[a] for a in range(M.rows))]
     return circulant_expansion(M.field, k, blocks, M.cols)
-
-
-def circulant_rank(w):
-    """rank(rho(w)) computed as k - deg gcd(lift(w), x^k - 1).
-
-    Multiplication by w on F[x]/(x^k-1) has image of dimension
-    k - deg gcd; tests cross-check this against the explicit k x k rank.
-    """
-    g = poly_gcd(w.lift(), Poly.x_pow_minus_one(w.field, w.k))
-    return w.k - g.degree

@@ -133,7 +133,7 @@ def _parse_triple(k, body):
         Tstar[pair] = frozenset(c % k for c in exps)
     # Semantic validation is the caller's business: the verify command must
     # be able to report a tampered triple instead of dying on parse.
-    return IsotropyTriple(k, Y, S, Tstar, validate=False)
+    return IsotropyTriple(k, Y, S, Tstar)
 
 
 def action_to_dict(action):

@@ -63,24 +63,6 @@ def check_generator(exponent, k):
         )
 
 
-def compressed_snf(triple, d, field, generator_exponent=1, orders=None):
-    """SNF diagonal of the d-th G-boundary matrix, expressed in the basis
-    of the chosen generator."""
-    check_generator(generator_exponent, triple.k)
-    return snf_over_R(
-        g_boundary_matrix(triple, d, field, orders, generator_exponent))
-
-
-def compressed_rank(triple, d, field, generator_exponent=1, orders=None):
-    """rank(boundary_d) of the acted-on complex, reconstructed from the
-    quotient only: the sum of circulant ranks of the SNF diagonal."""
-    Y = triple.quotient
-    if d < 1 or d > Y.dim:
-        return 0
-    snf = compressed_snf(triple, d, field, generator_exponent, orders)
-    return snf.rank_sum()
-
-
 def _composes_to_zero(A, B):
     """A B == 0 over F[Z_k], multiplied over sparse rows of
     {exponent: coefficient} entries and reduced mod p only at the end."""

@@ -28,28 +28,20 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .exact import Poly, field_rank, poly_gcd, snf_over_polys, poly_str
-from .groupring import GroupRingElem, circulant_expansion
+from .groupring import circulant_expansion
 
 @dataclass(frozen=True)
 class SnfDiagonal:
     """Diagonal of a Smith normal form over F[Z_k].
 
     `lifts` are the monic invariant factors in F[x], each dividing
-    x^k - 1 and each dividing the next; `diag`, built when read, is their
-    image in the group ring (an entry is zero exactly when its lift is
-    x^k - 1).
+    x^k - 1 and each dividing the next; an entry of the diagonal over
+    F[Z_k] is zero exactly when its lift is x^k - 1.
     """
 
     shape: tuple
     lifts: tuple
     k: int
-
-    @property
-    def diag(self):
-        # x^k = 1 in R: fold each lift's exponents mod k
-        k = self.k
-        return tuple(GroupRingElem(f.field, k, [sum(f.coeffs[e::k], f.field.zero())
-                                                for e in range(k)]) for f in self.lifts)
 
     def rank_sum(self):
         """rank_F rho(D): each entry contributes k minus its lift's degree."""

@@ -1,12 +1,13 @@
 """The isotropy transfer triple and what is derived from it: the extended
-transfer, the coset map, and the check of the complex-of-groups axioms.
+transfer and the check of the complex-of-groups axioms.
 
 The triple (quotient, S, T*) is all the compressed pipeline consumes: S
 sends each quotient simplex to the isotropy subgroup of its lift, and T*
 sends each codimension-1 face pair (psi', omega') to the set of exponents
 c with alpha^c . lift(omega') contained in lift(psi') -- always a left
-coset of S(omega').  Triples can also be constructed standalone (parsed
-from JSON) and validated without ever materializing the acted-on complex.
+coset of S(omega').  A triple only stores its data; `validate` checks it
+where a triple enters the program (a triple file, or `verify`), without
+ever materializing the acted-on complex.
 """
 
 from itertools import combinations
@@ -17,7 +18,7 @@ from .errors import (
     TripleValidationError,
     UnknownSimplexError,
 )
-from .actions import Subgroup, coset_position, lex_lift, quotient
+from .actions import Subgroup, lex_lift, quotient
 
 
 def extended_transfer(action, lift, psi, omega):
@@ -42,19 +43,11 @@ def extended_transfer(action, lift, psi, omega):
 class IsotropyTriple:
     """The compressed data (quotient complex, S, T*) for one action+lift."""
 
-    def __init__(self, k, quotient_complex, S, Tstar, validate=True):
+    def __init__(self, k, quotient_complex, S, Tstar):
         self.k = k
         self.quotient = quotient_complex
         self.S = dict(S)
         self.Tstar = {pair: frozenset(v) for pair, v in Tstar.items()}
-        if validate:
-            self.validate()
-
-    def subgroup(self, q):
-        q = tuple(q)
-        if q not in self.S:
-            raise UnknownSimplexError(f"{q} is not a quotient simplex")
-        return self.S[q]
 
     def chain_dim(self, d):
         """dim C_d of the acted-on complex via orbit-stabilizer: each
@@ -71,32 +64,33 @@ class IsotropyTriple:
             if not isinstance(H, Subgroup) or H.k != k or k % H.order != 0:
                 raise TripleValidationError(f"S({q}) is not a subgroup of Z_{k}", witness=q)
         # Pairs (psi, omega) are visited in (d, psi, omega) order, omega
-        # running over the faces of psi and the other (d-1)-simplices keyed
-        # with psi by a nonempty T*; every pair left out passes.
+        # running over the faces of psi and the strays: the other
+        # (d-1)-simplices keyed with psi by a nonempty T*, each an error.
+        # Every pair left out passes; a key that is no pair of simplex
+        # tuples is never looked up here.
         stray = {}
         for pair, hits in self.Tstar.items():
             try:
                 psi, omega = pair
-                if (hits and len(psi) == len(omega) + 1 and not set(omega) <= set(psi)
-                        and psi in Y and omega in Y):
-                    stray.setdefault(psi, []).append(
-                        Y.simplices(len(omega) - 1)[Y.index_of(omega)])
+                if (hits and isinstance(omega, tuple) and len(psi) == len(omega) + 1
+                        and not set(omega) <= set(psi) and psi in Y and omega in Y):
+                    stray.setdefault(psi, []).append(omega)
             except (TypeError, ValueError):
                 pass        # not a pair of simplices: the last loop reports it
         for d in range(1, Y.dim + 1):
             for psi in Y.simplices(d):
+                strays = stray.get(psi, ())
                 omegas = combinations(psi, d)
-                if psi in stray:
-                    omegas = sorted([*omegas, *stray[psi]], key=Y.index_of)
+                if strays:
+                    omegas = sorted([*omegas, *strays], key=Y.index_of)
+                psi_order = self.S[psi].order
                 for omega in omegas:
+                    if omega in strays:
+                        raise TripleValidationError(
+                            f"T*({psi},{omega}) nonempty for a non-face pair",
+                            witness=(psi, omega),
+                        )
                     hits = self.Tstar.get((psi, omega))
-                    if not set(omega) <= set(psi):
-                        if hits:
-                            raise TripleValidationError(
-                                f"T*({psi},{omega}) nonempty for a non-face pair",
-                                witness=(psi, omega),
-                            )
-                        continue
                     if not hits:
                         raise TripleValidationError(
                             f"T*({psi},{omega}) missing or empty for a face pair",
@@ -110,7 +104,7 @@ class IsotropyTriple:
                             witness=(psi, omega),
                         )
                     # coface isotropy embeds into face isotropy
-                    if self.S[omega].order % self.S[psi].order != 0:
+                    if H.order % psi_order != 0:
                         raise TripleValidationError(
                             f"S({psi}) does not embed into S({omega})",
                             witness=(psi, omega),
@@ -159,11 +153,6 @@ def build_triple(action, lift=None, qd=None):
                 step = S[omega].index
                 Tstar[(psi, omega)] = frozenset(range(shift % step, k, step))
     return IsotropyTriple(k, Y, S, Tstar)
-
-
-def coset_map(triple, omega, exponent):
-    """1-based index of alpha^exponent . S(omega) in the coset ordering."""
-    return coset_position(triple.subgroup(omega), exponent)
 
 
 def check_axioms(triple):

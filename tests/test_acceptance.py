@@ -27,13 +27,12 @@ from zkhomology.corpus import build_action, entry, regular_entries
 from zkhomology.exact import GF, QQ, Poly, field_rank
 from zkhomology.groupring import (
     GroupRingElem,
-    circulant_rank,
+    GroupRingMatrix,
     rho,
     rho_extend,
 )
 from zkhomology.pipeline import (
     compressed_betti,
-    compressed_snf,
     g_boundary_matrix,
 )
 from zkhomology.ring_snf import snf_over_R
@@ -125,14 +124,14 @@ def test_criterion_5_hand_derived_fixed_points(prepared):
         path_action.complex, QQ)
 
     _, two_action, _, _, two_triple = prepared["two_triangles_swap"]
-    snf2 = compressed_snf(two_triple, 1, QQ)
+    snf2 = snf_over_R(g_boundary_matrix(two_triple, 1, QQ))
     assert snf2.lift_strings() == ["1", "1", "x^2-1"]
     assert snf2.rank_sum() == 4
     assert compressed_betti(two_triple, QQ) == (2, 2) == betti_direct(
         two_action.complex, QQ)
 
     _, oct_action, _, _, oct_triple = prepared["cycle8_rot4"]
-    assert compressed_snf(oct_triple, 1, QQ).rank_sum() == 7
+    assert snf_over_R(g_boundary_matrix(oct_triple, 1, QQ)).rank_sum() == 7
     assert compressed_betti(oct_triple, QQ) == (1, 1) == betti_direct(
         oct_action.complex, QQ)
     print("\nACCEPTANCE 5 PASS: path (-1, 1+a), SNF [1], rank 2, betti (1,0); "
@@ -195,6 +194,7 @@ def test_criterion_7_structural_invariants(prepared):
             assert len(hits) == H.order
             base = min(hits)
             assert hits == {(base + g) % triple.k for g in H.exponents()}
+        triple.validate()
         check_axioms(triple)  # validates the complex-of-groups axioms
         for d in range(qd.quotient.dim + 1):
             lp = compatible_ordering(qd, lift, d)
@@ -204,7 +204,7 @@ def test_criterion_7_structural_invariants(prepared):
         q_poly = {f: Poly.x_pow_minus_one(f, triple.k) for f in FIELDS}
         for field in FIELDS:
             for d in range(1, triple.quotient.dim + 1):
-                snf = compressed_snf(triple, d, field)
+                snf = snf_over_R(g_boundary_matrix(triple, d, field))
                 for a, b in zip(snf.lifts, snf.lifts[1:]):
                     assert a.divides(b)
                 for f in snf.lifts:
@@ -219,7 +219,8 @@ def test_criterion_7_structural_invariants(prepared):
             else:
                 coeffs = [rng.randint(0, field.char - 1) for _ in range(k)]
             w = GroupRingElem(field, k, coeffs)
-            assert circulant_rank(w) == field_rank(rho(w))
+            M = GroupRingMatrix.from_rows(field, k, [[w]])
+            assert snf_over_R(M).rank_sum() == field_rank(rho(w))
     print("\nACCEPTANCE 7 PASS: boundary^2 = 0, orbit-stabilizer, transfer "
           "cosets, cocycle, index-reducing blocks, SNF chains, and 500 "
           "circulant ranks per field")

@@ -5,7 +5,6 @@ from zkhomology.actions import (
     check_regularity,
     coset_ordering,
     coset_position,
-    is_regular,
     lex_lift,
     lex_max_lift,
     quotient,
@@ -109,11 +108,12 @@ class TestRegularity:
         assert w.image == (0, 3)
 
     def test_octagon_regular(self):
-        assert is_regular(validate_action(_cycle(8), [(i + 4) % 8 for i in range(8)], 2))
+        octagon = validate_action(_cycle(8), [(i + 4) % 8 for i in range(8)], 2)
+        assert check_regularity(octagon) is None
 
     def test_trivial_always_regular(self):
         for k in (1, 2, 3):
-            assert is_regular(trivial_action(build_complex([{0, 1, 2}]), k))
+            assert check_regularity(trivial_action(build_complex([{0, 1, 2}]), k)) is None
 
     def test_corpus_regular(self, corpus_actions):
         for act in corpus_actions.values():
@@ -144,11 +144,11 @@ class TestRegularity:
 class TestRegularize:
     def test_antipodal_becomes_regular(self, antipodal_action):
         reg = regularize(antipodal_action)
-        assert is_regular(reg)
+        assert check_regularity(reg) is None
         assert reg.complex.face_counts() == (16, 16)
 
     def test_already_regular_stays_regular(self, path_action):
-        assert is_regular(regularize(path_action))
+        assert check_regularity(regularize(path_action)) is None
 
     def test_betti_preserved(self, antipodal_action):
         reg = regularize(antipodal_action)
@@ -194,8 +194,9 @@ class TestQuotient:
     def test_projection_table(self, path_action):
         qd = quotient(path_action)
         # vertices (0,),(1,),(2,) project to labels 0,1,0; edges both to (0,1)
-        assert qd.projection_table(0) == (0, 1, 0)
-        assert qd.projection_table(1) == (0, 0)
+        X, Y = path_action.complex, qd.quotient
+        assert [Y.index_of(qd.project_simplex(s)) for s in X.simplices(0)] == [0, 1, 0]
+        assert [Y.index_of(qd.project_simplex(s)) for s in X.simplices(1)] == [0, 0]
 
     def test_fibers_are_orbits(self, corpus_actions):
         for act in corpus_actions.values():

@@ -333,12 +333,48 @@ class TestProductionPath:
         assert cli.run(["verify", path_file]) == 0
         assert calls["scan"] == 0 and calls["extended_transfer"] > 0
 
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        seen = []
+        original = transfer.IsotropyTriple.validate
+
+        def counting(triple):
+            seen.append(triple)
+            return original(triple)
+
+        monkeypatch.setattr(transfer.IsotropyTriple, "validate", counting)
+        return seen
+
+    def test_compressed_homology_on_an_action_never_validates(self, path_file,
+                                                                validations, capsys):
+        # build_triple writes T* as cosets by construction
+        assert cli.run(["homology", path_file, "--mode", "compressed"]) == 0
+        assert len(validations) == 0
+
+    def test_homology_on_a_triple_validates_once(self, triple_file, validations,
+                                                 capsys):
+        assert cli.run(["homology", triple_file]) == 0
+        assert len(validations) == 1
+
+    def test_verify_on_an_action_validates_the_built_triple(self, path_file,
+                                                            validations, capsys):
+        # the lex-min triple in complex-of-groups-axioms, the lex-max one in
+        # lift-independence
+        assert cli.run(["verify", path_file]) == 0
+        assert len(validations) == 2
+
     def test_non_regular_check_reaches_the_scan(self, antipodal_file, calls, capsys):
         assert cli.run(["check", antipodal_file]) == 3
         assert calls["scan"] == 1
         assert capsys.readouterr().out.splitlines()[-1] == (
             "witness: subgroup order 2: simplex (0, 1), vertices (0, 1) moved by "
             "exponents (0, 1) give simplex (0, 3), but no single element matches")
+
+
+def _one_json_document_or_empty(out):
+    if out:
+        return json.loads(out)      # raises on stray text around the document
+    return None
 
 
 class TestVerify:
@@ -369,6 +405,35 @@ class TestVerify:
 
     def test_non_regular_without_flag(self, antipodal_file):
         assert cli.run(["verify", antipodal_file]) == 3
+
+    def test_non_regular_without_flag_json_keeps_stdout_clean(self, antipodal_file,
+                                                              capsys):
+        assert cli.run(["verify", antipodal_file, "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert _one_json_document_or_empty(captured.out) is None
+        assert "non-regular action; witness: " in captured.err
+        assert "re-run with --regularize" in captured.err
+
+    @pytest.fixture
+    def bad_order_triple_file(self, tmp_path, corpus_actions):
+        body = triple_to_dict(build_triple(corpus_actions["path_flip"]))
+        body["triple"]["S"]["0"] = 3       # k = 2
+        return _write(tmp_path, "bad_order.json", body)
+
+    def test_s_order_not_dividing_k_fails_triple_structure(self, bad_order_triple_file,
+                                                            capsys):
+        assert cli.run(["verify", bad_order_triple_file]) == 4
+        assert capsys.readouterr().out == (
+            "FAIL triple-structure: order 3 does not divide k=2\n"
+            "VERIFICATION FAILED\n")
+
+    def test_s_order_not_dividing_k_json(self, bad_order_triple_file, capsys):
+        argv = ["verify", bad_order_triple_file, "--format", "json", "--field", "Fp:3"]
+        assert cli.run(argv) == 4
+        assert _one_json_document_or_empty(capsys.readouterr().out) == {
+            "field": "Fp:3", "ok": False,
+            "checks": [{"name": "triple-structure", "ok": False,
+                        "detail": "order 3 does not divide k=2"}]}
 
     def test_non_regular_with_flag(self, antipodal_file, capsys):
         assert cli.run(["verify", antipodal_file, "--regularize"]) == 0

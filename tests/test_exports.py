@@ -1,8 +1,11 @@
 """The package's public names: every export resolves, and names deleted
 from the API stay deleted."""
 
+import inspect
+
 import zkhomology
-from zkhomology import exact, groupring, simplicial, transfer
+from zkhomology import (actions, cli, errors, exact, groupring, pipeline, ring_snf,
+                        simplicial, transfer)
 
 
 def test_every_export_resolves():
@@ -22,3 +25,34 @@ def test_test_only_helpers_are_gone():
     assert not hasattr(exact, "parse_poly")
     assert not hasattr(groupring, "explicit_circulant_rank")
     assert not hasattr(simplicial.Complex, "euler_characteristic")
+    # helpers that restated a step of the production path
+    for module, name in ((pipeline, "compressed_snf"), (pipeline, "compressed_rank"),
+                         (groupring, "circulant_rank"), (transfer, "coset_map"),
+                         (actions, "is_regular")):
+        assert not hasattr(module, name)
+        assert not hasattr(zkhomology, name)
+    for cls, name in ((groupring.GroupRingElem, "generator_power"),
+                      (groupring.GroupRingElem, "reindex"),
+                      (transfer.IsotropyTriple, "subgroup"),
+                      (actions.QuotientData, "projection_table"),
+                      (ring_snf.SnfDiagonal, "diag"),
+                      (exact.FieldMatrix, "transpose"),
+                      (exact.Poly, "x")):
+        assert not hasattr(cls, name)
+    # exact.Field keeps only what Q and F_p share
+    assert {n for n in vars(exact.Field) if not n.startswith("__")} == {"char", "name"}
+    assert "__repr__" in vars(exact.Field)
+    # parameters: a triple only stores its data; the non-regular witness
+    # always goes to stderr
+    assert "validate" not in inspect.signature(transfer.IsotropyTriple).parameters
+    assert "out" not in inspect.signature(cli._regular_quotient).parameters
+
+
+def test_witness_errors_share_one_init():
+    witnessed = (errors.InvalidActionError, errors.RegularityError,
+                 errors.TripleValidationError, errors.AxiomError)
+    assert {cls.__init__ for cls in witnessed} == {errors._WitnessedError.__init__}
+    for cls in witnessed:
+        exc = cls("message", witness=(0, 1))
+        assert str(exc) == "message" and exc.witness == (0, 1)
+        assert cls("message").witness is None

@@ -242,6 +242,7 @@ def _tstar_matches_extended_transfer(action):
     qd = quotient(action)
     for lift in (lex_lift(qd), lex_max_lift(qd)):
         triple = build_triple(action, lift=lift, qd=qd)
+        triple.validate()   # build_triple writes a valid triple by construction
         Y = qd.quotient
         pairs = [(psi, omega) for d in range(1, Y.dim + 1) for psi in Y.simplices(d)
                  for omega in combinations(psi, d)]

@@ -27,7 +27,7 @@ def _e(field, k):
 
 
 def _a(field, k, c=1):
-    return GroupRingElem.generator_power(field, k, c)
+    return sigma([c], field, k)
 
 
 def _random_elem(rng, field, k):
@@ -58,7 +58,7 @@ class TestSnfOverR:
         M = GroupRingMatrix.from_rows(QQ, 2, [[-e], [e + a]])
         snf = snf_over_R(M)
         assert snf.lift_strings() == ["1"]
-        assert snf.diag == (_e(QQ, 2),)
+        assert snf.lifts == (Poly.one(QQ),)     # the unit e of the group ring
 
     def test_triangle_boundary_entries(self):
         # quotient boundary of the swapped triangles: the lift has rank 2
@@ -69,19 +69,20 @@ class TestSnfOverR:
             [-e, -e, z], [e, z, -e], [z, e, e]])
         snf = snf_over_R(M)
         assert snf.lift_strings() == ["1", "1", "x^2-1"]
-        assert [d.is_zero() for d in snf.diag] == [False, False, True]
+        q = Poly.x_pow_minus_one(QQ, 2)
+        assert [f == q for f in snf.lifts] == [False, False, True]
         assert snf.rank_sum() == 4
 
     def test_zero_matrix(self):
         snf = snf_over_R(GroupRingMatrix.zeros(QQ, 2, 2, 2))
         assert snf.lift_strings() == ["x^2-1", "x^2-1"]
-        assert all(d.is_zero() for d in snf.diag)
+        assert snf.lifts == (Poly.x_pow_minus_one(QQ, 2),) * 2
         assert snf.rank_sum() == 0
 
     def test_empty_shapes(self):
         for m, n in [(0, 3), (3, 0), (0, 0)]:
             snf = snf_over_R(GroupRingMatrix.zeros(QQ, 2, m, n))
-            assert snf.lifts == () and snf.diag == ()
+            assert snf.lifts == ()
 
     def test_lifts_divide_modulus(self):
         rng = random.Random(31)

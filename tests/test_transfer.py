@@ -4,6 +4,7 @@ import pytest
 
 from zkhomology.actions import (
     Subgroup,
+    coset_position,
     lex_lift,
     lex_max_lift,
     quotient,
@@ -23,7 +24,6 @@ from zkhomology.transfer import (
     IsotropyTriple,
     build_triple,
     check_axioms,
-    coset_map,
     extended_transfer,
 )
 
@@ -139,21 +139,23 @@ class TestTransferMatrix:
 
 
 class TestCosetMap:
+    """The coset map: the position of alpha^c S(omega) among the cosets."""
+
     def test_full_isotropy_single_coset(self, path_setup):
         act, qd, lift = path_setup
         tri = build_triple(act, lift=lift, qd=qd)
-        assert coset_map(tri, (1,), 1) == 1
+        assert coset_position(tri.S[(1,)], 1) == 1
 
     def test_free_vertex(self, path_setup):
         act, qd, lift = path_setup
         tri = build_triple(act, lift=lift, qd=qd)
-        assert coset_map(tri, (0,), 1) == 2
+        assert coset_position(tri.S[(0,)], 1) == 2
 
     def test_identity_always_first(self, corpus_actions):
         for act in corpus_actions.values():
             tri = build_triple(act)
             for q in tri.quotient.all_simplices():
-                assert coset_map(tri, q, 0) == 1
+                assert coset_position(tri.S[q], 0) == 1
 
 
 class TestComplexOfGroups:
@@ -179,19 +181,19 @@ class TestStandaloneTripleValidation:
 
     def test_valid(self):
         Y, S, Tstar = self._path_triple_dict()
-        IsotropyTriple(2, Y, S, Tstar)  # validates in the constructor
+        IsotropyTriple(2, Y, S, Tstar).validate()
 
     def test_tampered_transfer_not_a_coset(self):
         Y, S, Tstar = self._path_triple_dict()
         Tstar[((0, 1), (1,))] = frozenset({1})
         with pytest.raises(TripleValidationError, match="coset"):
-            IsotropyTriple(2, Y, S, Tstar)
+            IsotropyTriple(2, Y, S, Tstar).validate()
 
     def test_missing_transfer(self):
         Y, S, Tstar = self._path_triple_dict()
         del Tstar[((0, 1), (0,))]
         with pytest.raises(TripleValidationError, match="missing"):
-            IsotropyTriple(2, Y, S, Tstar)
+            IsotropyTriple(2, Y, S, Tstar).validate()
 
     def test_isotropy_monotonicity_enforced(self):
         from zkhomology.actions import Subgroup
@@ -199,7 +201,7 @@ class TestStandaloneTripleValidation:
         S = {(0,): Subgroup(2, 1), (1,): Subgroup(2, 1), (0, 1): Subgroup(2, 2)}
         Tstar = {((0, 1), (0,)): frozenset({0}), ((0, 1), (1,)): frozenset({0})}
         with pytest.raises(TripleValidationError, match="embed"):
-            IsotropyTriple(2, Y, S, Tstar)
+            IsotropyTriple(2, Y, S, Tstar).validate()
 
 
 def _all_pairs_validate(triple):
@@ -305,7 +307,7 @@ def test_face_indexed_validation_matches_all_pairs(corpus_actions):
     errors = set()
     for _ in range(600):
         tri = rng.choice(base)
-        tampered = IsotropyTriple(tri.k, tri.quotient, tri.S, tri.Tstar, validate=False)
+        tampered = IsotropyTriple(tri.k, tri.quotient, tri.S, tri.Tstar)
         for kind in rng.sample(TAMPERINGS, rng.randint(1, 4)):
             _tamper(rng, tampered, kind)
         want = _first_error(lambda: _all_pairs_validate(tampered))
@@ -324,7 +326,7 @@ def test_stray_pair_ordered_among_faces():
              for omega in Y.simplices(d - 1) if set(omega) <= set(psi)}
     Tstar[((0, 2), (1,))] = frozenset({0})
     del Tstar[((0, 2), (2,))]
-    tri = IsotropyTriple(1, Y, S, Tstar, validate=False)
+    tri = IsotropyTriple(1, Y, S, Tstar)
     want = ("T*((0, 2),(1,)) nonempty for a non-face pair", ((0, 2), (1,)))
     assert _first_error(tri.validate) == want == _first_error(
         lambda: _all_pairs_validate(tri))
