@@ -288,11 +288,10 @@ def _first_witness(action):
     return None
 
 
-def induced_subdivision_action(action, subdivided=None, vmap=None):
+def induced_subdivision_action(action):
     """Transport the action to the barycentric subdivision via
     g . (barycenter of s) = barycenter of (g s)."""
-    if subdivided is None:
-        subdivided, vmap = barycentric_subdivision(action.complex)
+    subdivided, vmap = barycentric_subdivision(action.complex)
     perm = {vmap[s]: vmap[action.apply_simplex(1, s)] for s in vmap}
     return validate_action(subdivided, perm, action.k)
 

@@ -31,42 +31,40 @@ from .transfer import build_triple, check_axioms, extended_transfer
 from .pipeline import compressed_betti, g_boundary_matrix
 from .ring_snf import snf_over_R
 
+# check_ordering_independence shuffles each dimension's quotient simplices
+# this many times, from this seed.
+ORDERING_TRIALS = 3
+ORDERING_SEED = 20240601
+
 
 @dataclass(frozen=True)
 class LiftedPartition:
     """Compatible ordering of the d-simplices upstairs, block by block.
 
     `ordering` lists the d-simplices of the acted-on complex: fibers are
-    concatenated in quotient order, and within the fiber over psi'_a the
-    j-th simplex is (coset j of the isotropy of the lift) applied to the
-    lift.  `starts[a]` is n_a and `blocks[a]` the 1-based index range I_a;
-    the lift of psi'_a sits at position starts[a].
+    concatenated in the quotient's sorted order, and within the fiber over
+    psi'_a the j-th simplex is (coset j of the isotropy of the lift) applied
+    to the lift.  `starts[a]` is n_a and `blocks[a]` the 1-based index
+    range I_a; the lift of psi'_a sits at position starts[a].
     """
 
     d: int
-    quotient_order: tuple
     ordering: tuple
     starts: tuple
     blocks: tuple
     subgroup_orders: tuple
 
 
-def compatible_ordering(qd, lift, d, quotient_order=None):
+def compatible_ordering(qd, lift, d):
     """Order Sigma_d of the acted-on complex compatibly with the quotient
     ordering, the lift, and the group ordering (e, alpha, ...)."""
-    if quotient_order is None:
-        quotient_order = qd.quotient.simplices(d)
-    else:
-        quotient_order = tuple(tuple(s) for s in quotient_order)
-        if sorted(quotient_order) != list(qd.quotient.simplices(d)):
-            raise ValueError("quotient_order is not a permutation of the d-simplices")
     action = qd.action
     ordering = []
     starts = []
     blocks = []
     horders = []
     n_next = 1
-    for q in quotient_order:
+    for q in qd.quotient.simplices(d):
         ell = lift[q]
         H = action.isotropy(ell)
         block = [action.apply_simplex(cs[0], ell) for cs in coset_ordering(H)]
@@ -79,7 +77,6 @@ def compatible_ordering(qd, lift, d, quotient_order=None):
         n_next += len(block)
     return LiftedPartition(
         d=d,
-        quotient_order=tuple(quotient_order),
         ordering=tuple(ordering),
         starts=tuple(starts),
         blocks=tuple(blocks),
@@ -187,9 +184,9 @@ def oriented_tuple(orient, simplex):
     return s[:-2] + (s[-1], s[-2])
 
 
-def _compatible_parts(action, lift, d, field, qd, orient_x, partition=None):
-    # The compatible boundary with its row and column lifted partitions,
-    # taken from partition(d) when that is given.
+def _compatible_parts(action, lift, d, field, qd, orient_x=None, partition=None):
+    # The compatible boundary with its row and column lifted partitions;
+    # the orientations and partition(d) are built here unless given.
     if qd is None:
         qd = quotient(action)
     X = action.complex
@@ -205,17 +202,17 @@ def _compatible_parts(action, lift, d, field, qd, orient_x, partition=None):
     return B, row_lp, col_lp
 
 
-def compatible_boundary(action, lift, d, field, qd=None, orient_x=None):
+def compatible_boundary(action, lift, d, field, qd=None):
     """Boundary matrix of the acted-on complex in the compatible ordered
     basis: rows and columns follow the lifted-partition orderings, signs
     follow the compatible orientations."""
-    return _compatible_parts(action, lift, d, field, qd, orient_x)[0]
+    return _compatible_parts(action, lift, d, field, qd)[0]
 
 
-def isotropy_expansion(action, lift, d, field, qd=None, orient_x=None):
+def isotropy_expansion(action, lift, d, field, qd=None):
     """The (m k x n k) coset-duplicated enlargement of the compatible
     boundary matrix; same rank as the boundary itself."""
-    return _expand(*_compatible_parts(action, lift, d, field, qd, orient_x), action.k)
+    return _expand(*_compatible_parts(action, lift, d, field, qd), action.k)
 
 
 def _expand(B, row_lp, col_lp, k):
@@ -225,7 +222,7 @@ def _expand(B, row_lp, col_lp, k):
     return FieldMatrix(B.field, len(J_rows), len(J_cols), data)
 
 
-def verify_expansion_lemma(action, lift, d, field, qd=None, triple=None, orient_x=None):
+def verify_expansion_lemma(action, lift, d, field, qd=None, triple=None):
     """Check that the isotropy expansion equals the entry-wise circulant
     image of the G-boundary matrix of `triple` (built from `lift` when not
     given), and that each expansion entry matches the direct containment
@@ -235,7 +232,7 @@ def verify_expansion_lemma(action, lift, d, field, qd=None, triple=None, orient_
         qd = quotient(action)
     if triple is None:
         triple = build_triple(action, lift=lift, qd=qd)
-    E = isotropy_expansion(action, lift, d, field, qd=qd, orient_x=orient_x)
+    E = isotropy_expansion(action, lift, d, field, qd=qd)
     return _expansion_report(E, action, lift, d, field, qd, triple)
 
 
@@ -294,13 +291,12 @@ def _outcome(name, failures):
     return CheckOutcome(name, True)
 
 
-def check_boundary_squared(X, fields):
+def check_boundary_squared(X, field):
     failures = []
-    for field in fields:
-        for d in range(2, X.dim + 1):
-            prod = boundary_matrix(X, d - 1, field) * boundary_matrix(X, d, field)
-            if not prod.is_zero():
-                failures.append(f"d{d-1} o d{d} != 0 over {field.name}")
+    for d in range(2, X.dim + 1):
+        prod = boundary_matrix(X, d - 1, field) * boundary_matrix(X, d, field)
+        if not prod.is_zero():
+            failures.append(f"d{d-1} o d{d} != 0 over {field.name}")
     return _outcome("boundary-squared-zero", failures)
 
 
@@ -416,108 +412,99 @@ def check_index_reducing(qd, partition):
     return _outcome("index-reducing-range", failures)
 
 
-def check_expansion_lemma(action, qd, lift, fields, triple, expansion):
+def check_expansion_lemma(action, qd, lift, field, triple, expansion):
     failures = []
-    for field in fields:
-        for d in range(1, action.complex.dim + 1):
-            ok, report = _expansion_report(expansion(field, d), action, lift, d, field,
-                                           qd, triple)
-            if not ok:
-                failures.append(f"{field.name}: {report}")
+    for d in range(1, action.complex.dim + 1):
+        ok, report = _expansion_report(expansion(d), action, lift, d, field, qd, triple)
+        if not ok:
+            failures.append(f"{field.name}: {report}")
     return _outcome("expansion-equals-circulant-image", failures)
 
 
-def check_rank_preservation(action, fields, rank, expansion):
+def check_rank_preservation(action, field, rank, expansion):
     failures = []
-    for field in fields:
-        for d in range(1, action.complex.dim + 1):
-            rb, re = rank(field, d), field_rank(expansion(field, d))
-            if rb != re:
-                failures.append(
-                    f"{field.name} d={d}: boundary rank {rb} vs expansion rank {re}"
-                )
+    for d in range(1, action.complex.dim + 1):
+        rb, re = rank(d), field_rank(expansion(d))
+        if rb != re:
+            failures.append(
+                f"{field.name} d={d}: boundary rank {rb} vs expansion rank {re}"
+            )
     return _outcome("expansion-preserves-rank", failures)
 
 
-def check_rank_reconstruction(action, triple, fields, rank):
+def check_rank_reconstruction(action, triple, field, rank):
     """The main rank identity, for every generator of Z_k."""
     failures = []
     generators = [t for t in range(1, triple.k + 1) if gcd(t, triple.k) == 1]
-    for field in fields:
-        for d in range(1, action.complex.dim + 1):
-            upstairs = rank(field, d)
-            for t in generators:
-                got = snf_over_R(
-                    g_boundary_matrix(triple, d, field, generator_exponent=t)).rank_sum()
-                if got != upstairs:
-                    failures.append(
-                        f"{field.name} d={d} generator alpha^{t}: "
-                        f"compressed {got} vs boundary {upstairs}"
-                    )
+    for d in range(1, action.complex.dim + 1):
+        upstairs = rank(d)
+        for t in generators:
+            got = snf_over_R(
+                g_boundary_matrix(triple, d, field, generator_exponent=t)).rank_sum()
+            if got != upstairs:
+                failures.append(
+                    f"{field.name} d={d} generator alpha^{t}: "
+                    f"compressed {got} vs boundary {upstairs}"
+                )
     return _outcome("rank-reconstruction", failures)
 
 
-def check_snf_invariants(triple, fields):
+def check_snf_invariants(triple, field):
     """The SNF of each G-boundary M (its lifts divide each the next, or
     snf_over_R raises), certified on the whole mk x nk expansion rho(M)."""
     failures = []
-    for field in fields:
-        for d in range(1, triple.quotient.dim + 1):
-            try:
-                M = g_boundary_matrix(triple, d, field)
-                snf = snf_over_R(M)
-            except (ZkHomologyError, ArithmeticError) as exc:
-                failures.append(f"{field.name} d={d}: {exc}")
-                continue
-            predicted, expected = snf.rank_sum(), field_rank(rho_extend(M))
-            if predicted != expected:
-                failures.append(
-                    f"{field.name} d={d}: rank certificate failed: SNF predicts "
-                    f"{predicted}, expanded matrix has rank {expected}")
+    for d in range(1, triple.quotient.dim + 1):
+        try:
+            M = g_boundary_matrix(triple, d, field)
+            snf = snf_over_R(M)
+        except (ZkHomologyError, ArithmeticError) as exc:
+            failures.append(f"{field.name} d={d}: {exc}")
+            continue
+        predicted, expected = snf.rank_sum(), field_rank(rho_extend(M))
+        if predicted != expected:
+            failures.append(
+                f"{field.name} d={d}: rank certificate failed: SNF predicts "
+                f"{predicted}, expanded matrix has rank {expected}")
     return _outcome("snf-divisibility-and-certificate", failures)
 
 
-def check_lift_independence(action, qd, fields, tri_min):
-    failures = []
+def check_lift_independence(action, qd, field, betti):
+    """`betti()` gives the Betti numbers of the lex-min triple."""
     tri_max = build_triple(action, lift=lex_max_lift(qd), qd=qd)
     tri_max.validate()
-    for field in fields:
-        a = compressed_betti(tri_min, field)
-        b = compressed_betti(tri_max, field)
-        if a != b:
-            failures.append(f"{field.name}: lex-min {a} vs lex-max {b}")
+    failures = []
+    a = betti()
+    b = compressed_betti(tri_max, field)
+    if a != b:
+        failures.append(f"{field.name}: lex-min {a} vs lex-max {b}")
     return _outcome("lift-independence", failures)
 
 
-def check_ordering_independence(triple, fields, trials=3, seed=20240601):
-    rng = random.Random(seed)
+def check_ordering_independence(triple, field, betti):
+    """`betti()` gives the Betti numbers of `triple` in its own order."""
+    rng = random.Random(ORDERING_SEED)
     failures = []
-    base = {f.name: compressed_betti(triple, f) for f in fields}
+    base = betti()
     Y = triple.quotient
-    for _ in range(trials):
+    for _ in range(ORDERING_TRIALS):
         orders = {}
         for d in range(Y.dim + 1):
             perm = list(Y.simplices(d))
             rng.shuffle(perm)
             orders[d] = tuple(perm)
-        for f in fields:
-            got = compressed_betti(triple, f, orders=orders)
-            if got != base[f.name]:
-                failures.append(
-                    f"{f.name}: reordered quotient gives {got}, expected {base[f.name]}"
-                )
+        got = compressed_betti(triple, field, orders=orders)
+        if got != base:
+            failures.append(f"{field.name}: reordered quotient gives {got}, expected {base}")
     return _outcome("ordering-independence", failures)
 
 
-def check_oracle_equality(action, triple, fields):
+def check_oracle_equality(action, field, betti):
+    """`betti()` gives the compressed Betti numbers of the action."""
     failures = []
-    for field in fields:
-        direct = betti_direct(action.complex, field)
-        compressed = compressed_betti(triple, field)
-        if direct != compressed:
-            failures.append(
-                f"{field.name}: direct {direct} vs compressed {compressed}"
-            )
+    direct = betti_direct(action.complex, field)
+    compressed = betti()
+    if direct != compressed:
+        failures.append(f"{field.name}: direct {direct} vs compressed {compressed}")
     return _outcome("compressed-matches-direct-oracle", failures)
 
 
@@ -528,25 +515,25 @@ def _guarded(name, thunk):
         return CheckOutcome(name, False, str(exc))
 
 
-def run_action_suite(qd, fields):
+def run_action_suite(qd, field):
     """Full invariant suite for the action of `qd`, a QuotientData: regular
     by construction, so the leading regularity outcome always passes."""
     action = qd.action
     lift = lex_lift(qd)
     triple = build_triple(action, lift=lift, qd=qd)
-    # The upstairs model, each piece built once, inside the first guarded
-    # check that needs it: the orientations, the lifted partition of each
-    # dimension, and per (field, d) the compatible boundary, its rank and
-    # its isotropy expansion.
+    # Each piece built once, inside the first guarded check that needs it:
+    # the orientations, the lifted partition of each dimension, per d the
+    # compatible boundary, its rank and its isotropy expansion, and the
+    # Betti numbers of the lex-min triple.
     orient = cache(lambda: compatible_orientations(action, lift, qd=qd)[0])
     partition = cache(lambda d: compatible_ordering(qd, lift, d))
-    parts = cache(lambda field, d: _compatible_parts(action, lift, d, field, qd, orient(),
-                                                     partition))
-    rank = cache(lambda field, d: field_rank(parts(field, d)[0]))
-    expansion = cache(lambda field, d: _expand(*parts(field, d), action.k))
+    parts = cache(lambda d: _compatible_parts(action, lift, d, field, qd, orient(), partition))
+    rank = cache(lambda d: field_rank(parts(d)[0]))
+    expansion = cache(lambda d: _expand(*parts(d), action.k))
+    betti = cache(lambda: compressed_betti(triple, field))
     items = [
-        ("boundary-squared-zero", lambda: check_boundary_squared(action.complex, fields)),
-        ("boundary-squared-zero", lambda: check_boundary_squared(qd.quotient, fields)),
+        ("boundary-squared-zero", lambda: check_boundary_squared(action.complex, field)),
+        ("boundary-squared-zero", lambda: check_boundary_squared(qd.quotient, field)),
         ("orbit-stabilizer", lambda: check_orbit_stabilizer(action)),
         ("regular-pointwise-fixing", lambda: check_pointwise_fixing(action)),
         ("orbit-not-another-face", lambda: check_orbit_not_another_face(action)),
@@ -555,13 +542,13 @@ def run_action_suite(qd, fields):
         # homology trusts build_triple to write cosets; verify checks it here
         ("complex-of-groups-axioms", lambda: triple.validate() or check_complex_of_groups(triple)),
         ("index-reducing-range", lambda: check_index_reducing(qd, partition)),
-        ("expansion-equals-circulant-image", lambda: check_expansion_lemma(action, qd, lift, fields, triple, expansion)),
-        ("expansion-preserves-rank", lambda: check_rank_preservation(action, fields, rank, expansion)),
-        ("rank-reconstruction", lambda: check_rank_reconstruction(action, triple, fields, rank)),
-        ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, fields)),
-        ("lift-independence", lambda: check_lift_independence(action, qd, fields, triple)),
-        ("ordering-independence", lambda: check_ordering_independence(triple, fields)),
-        ("compressed-matches-direct-oracle", lambda: check_oracle_equality(action, triple, fields)),
+        ("expansion-equals-circulant-image", lambda: check_expansion_lemma(action, qd, lift, field, triple, expansion)),
+        ("expansion-preserves-rank", lambda: check_rank_preservation(action, field, rank, expansion)),
+        ("rank-reconstruction", lambda: check_rank_reconstruction(action, triple, field, rank)),
+        ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, field)),
+        ("lift-independence", lambda: check_lift_independence(action, qd, field, betti)),
+        ("ordering-independence", lambda: check_ordering_independence(triple, field, betti)),
+        ("compressed-matches-direct-oracle", lambda: check_oracle_equality(action, field, betti)),
     ]
     outcomes = [CheckOutcome("regularity", True)]
     outcomes.extend(_guarded(name, thunk) for name, thunk in items)
@@ -576,24 +563,25 @@ def check_triple_structure(triple):
     return CheckOutcome("triple-structure", True)
 
 
-def run_triple_suite(triple, fields):
+def run_triple_suite(triple, field):
     """Invariant suite for a standalone triple (no acted-on complex)."""
     outcomes = [
         check_triple_structure(triple),
-        check_boundary_squared(triple.quotient, fields),
+        check_boundary_squared(triple.quotient, field),
     ]
     if outcomes[0].ok:
+        betti = cache(lambda: compressed_betti(triple, field))
         items = [
             ("complex-of-groups-axioms", lambda: check_complex_of_groups(triple)),
-            ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, fields)),
-            ("ordering-independence", lambda: check_ordering_independence(triple, fields)),
+            ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, field)),
+            ("ordering-independence", lambda: check_ordering_independence(triple, field, betti)),
         ]
         outcomes.extend(_guarded(name, thunk) for name, thunk in items)
-        failures = []
-        for field in fields:
-            try:
-                compressed_betti(triple, field)
-            except (ZkHomologyError, ArithmeticError) as exc:
-                failures.append(f"{field.name}: {exc}")
-        outcomes.append(_outcome("compressed-betti-computable", failures))
+        try:
+            betti()
+        except (ZkHomologyError, ArithmeticError) as exc:
+            outcomes.append(CheckOutcome("compressed-betti-computable", False,
+                                         f"{field.name}: {exc}"))
+        else:
+            outcomes.append(CheckOutcome("compressed-betti-computable", True))
     return outcomes

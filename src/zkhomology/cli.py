@@ -221,7 +221,6 @@ def cmd_homology(args, out=None):
 def cmd_verify(args, out=None):
     out = out or sys.stdout
     field = parse_field(args.field)
-    fields = [field]
     try:
         kind, payload = load_input(args.input)
     except TripleValidationError as exc:
@@ -229,12 +228,12 @@ def cmd_verify(args, out=None):
         outcomes = [CheckOutcome("triple-structure", False, str(exc))]
     else:
         if kind == "triple":
-            outcomes = run_triple_suite(payload, fields)
+            outcomes = run_triple_suite(payload, field)
         else:
             qd = _regular_quotient(payload, args.regularize)
             if qd is None:
                 return EXIT_REGULARITY
-            outcomes = run_action_suite(qd, fields)
+            outcomes = run_action_suite(qd, field)
 
     ok = all(o.ok for o in outcomes)
     if args.output_format == "json":

@@ -368,11 +368,6 @@ class FieldMatrix:
         cols = len(data[0]) if rows else 0
         return cls(field, rows, cols, data)
 
-    @classmethod
-    def zeros(cls, field, rows, cols):
-        z = field.zero()
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
-
     def __mul__(self, other):
         if self.field != other.field:
             raise DomainMismatchError("matrix product over mixed fields")

@@ -10,7 +10,7 @@ e.g. "1 + a^1".
 """
 
 from .errors import DomainMismatchError
-from .exact import FieldMatrix, Poly
+from .exact import FieldMatrix
 
 
 class GroupRingElem:
@@ -74,10 +74,6 @@ class GroupRingElem:
         c = F.coerce(c)
         return GroupRingElem(F, self.k, [F.mul(c, a) for a in self.coeffs])
 
-    def lift(self):
-        """The coefficient-wise lift into F[x], degree < k."""
-        return Poly(self.field, self.coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, GroupRingElem)
@@ -125,8 +121,7 @@ class GroupRingMatrix:
     """Sparse matrix over F[Z_k]: `entries` maps every row index to
     {column: {exponent: coefficient}} over its nonzero entries, with
     coefficients canonical in the field.  `data`, the dense rows of
-    GroupRingElem, is built when read (for products, printing and the
-    tests)."""
+    GroupRingElem, is built when read (for products and printing)."""
 
     __slots__ = ("field", "k", "rows", "cols", "entries")
 
@@ -160,14 +155,6 @@ class GroupRingMatrix:
         rows = len(data)
         cols = len(data[0]) if rows else 0
         return cls(field, k, rows, cols, data)
-
-    @classmethod
-    def zeros(cls, field, k, rows, cols):
-        return cls.from_sparse(field, k, rows, cols, {i: {} for i in range(rows)})
-
-    @classmethod
-    def identity(cls, field, k, n):
-        return cls.from_sparse(field, k, n, n, {i: {i: {0: field.one()}} for i in range(n)})
 
     @property
     def data(self):

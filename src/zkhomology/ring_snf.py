@@ -39,7 +39,6 @@ class SnfDiagonal:
     F[Z_k] is zero exactly when its lift is x^k - 1.
     """
 
-    shape: tuple
     lifts: tuple
     k: int
 
@@ -142,7 +141,7 @@ def snf_over_R(M):
     for a, b in zip(lifts, lifts[1:]):
         if not a.divides(b):
             raise ArithmeticError("divisibility chain broken in lifted SNF")
-    result = SnfDiagonal(shape=(m, n), lifts=lifts, k=k)
+    result = SnfDiagonal(lifts=lifts, k=k)
     expected = k * pivots + field_rank(circulant_expansion(
         field, k, [[f.coeffs for f in row] for row in residual], n - pivots))
     if result.rank_sum() != expected:

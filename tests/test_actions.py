@@ -298,18 +298,8 @@ class TestCompatibleOrdering:
                 assert covered == list(range(1, len(lp.ordering) + 1))
                 assert sorted(lp.ordering) == list(act.complex.simplices(d))
                 # first element of each block is the lift
-                for start, q in zip(lp.starts, lp.quotient_order):
+                for start, q in zip(lp.starts, qd.quotient.simplices(d)):
                     assert lp.ordering[start - 1] == lift[q]
-
-    def test_custom_quotient_order(self, path_action):
-        qd = quotient(path_action)
-        lp = compatible_ordering(qd, lex_lift(qd), 0, quotient_order=((1,), (0,)))
-        assert lp.ordering == ((1,), (0,), (2,))
-
-    def test_rejects_non_permutation(self, path_action):
-        qd = quotient(path_action)
-        with pytest.raises(ValueError):
-            compatible_ordering(qd, lex_lift(qd), 0, quotient_order=((0,), (0,)))
 
 
 class TestIndexReducing:

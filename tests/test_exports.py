@@ -2,10 +2,11 @@
 from the API stay deleted."""
 
 import inspect
+from dataclasses import fields
 
 import zkhomology
-from zkhomology import (actions, cli, errors, exact, groupring, pipeline, ring_snf,
-                        simplicial, transfer)
+from zkhomology import (actions, checks, cli, errors, exact, groupring, pipeline,
+                        ring_snf, simplicial, transfer)
 
 
 def test_every_export_resolves():
@@ -37,8 +38,16 @@ def test_test_only_helpers_are_gone():
                       (actions.QuotientData, "projection_table"),
                       (ring_snf.SnfDiagonal, "diag"),
                       (exact.FieldMatrix, "transpose"),
-                      (exact.Poly, "x")):
+                      (exact.Poly, "x"),
+                      # conveniences only the tests called
+                      (groupring.GroupRingElem, "lift"),
+                      (groupring.GroupRingMatrix, "zeros"),
+                      (groupring.GroupRingMatrix, "identity"),
+                      (exact.FieldMatrix, "zeros")):
         assert not hasattr(cls, name)
+    # fields that nothing read
+    assert "shape" not in {f.name for f in fields(ring_snf.SnfDiagonal)}
+    assert "quotient_order" not in {f.name for f in fields(checks.LiftedPartition)}
     # exact.Field keeps only what Q and F_p share
     assert {n for n in vars(exact.Field) if not n.startswith("__")} == {"char", "name"}
     assert "__repr__" in vars(exact.Field)
@@ -46,6 +55,21 @@ def test_test_only_helpers_are_gone():
     # always goes to stderr
     assert "validate" not in inspect.signature(transfer.IsotropyTriple).parameters
     assert "out" not in inspect.signature(cli._regular_quotient).parameters
+    # upstairs-model knobs no caller set; verify checks the one field it is given
+    for fn, names in ((checks.compatible_boundary, {"orient_x"}),
+                      (checks.isotropy_expansion, {"orient_x"}),
+                      (checks.verify_expansion_lemma, {"orient_x"}),
+                      (checks.compatible_ordering, {"quotient_order"}),
+                      (checks.check_ordering_independence, {"trials", "seed"}),
+                      (actions.induced_subdivision_action, {"subdivided", "vmap"})):
+        assert not names & set(inspect.signature(fn).parameters), fn.__name__
+    for fn in (checks.check_boundary_squared, checks.check_expansion_lemma,
+               checks.check_rank_preservation, checks.check_rank_reconstruction,
+               checks.check_snf_invariants, checks.check_lift_independence,
+               checks.check_ordering_independence, checks.check_oracle_equality,
+               checks.run_action_suite, checks.run_triple_suite):
+        params = inspect.signature(fn).parameters
+        assert "fields" not in params and "field" in params, fn.__name__
 
 
 def test_witness_errors_share_one_init():

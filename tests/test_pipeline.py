@@ -490,6 +490,8 @@ class TestOracleAgreement:
 
 
 class TestActionSuite:
+    # verify checks one field per run, so each test runs the suite once per
+    # field and counts per run.
     def test_builds_each_triple_once(self, corpus_actions, monkeypatch):
         # the suite's lex-min triple serves every check; only lift
         # independence builds one more, from the lex-max lift
@@ -502,13 +504,15 @@ class TestActionSuite:
 
         monkeypatch.setattr(checks, "build_triple", counting)
         qd = quotient(corpus_actions["torus9x3_rot3"])
-        outcomes = checks.run_action_suite(qd, (QQ, F3))
-        assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
-        assert built == [lex_lift(qd), lex_max_lift(qd)]
+        for field in (QQ, F3):
+            built.clear()
+            outcomes = checks.run_action_suite(qd, field)
+            assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+            assert built == [lex_lift(qd), lex_max_lift(qd)]
 
     def test_computes_orientations_once(self, corpus_actions, monkeypatch):
         # one pass over the complex serves every upstairs boundary the
-        # suite builds, for every field and dimension
+        # suite builds, in every dimension
         calls = []
         original = checks.compatible_orientations
 
@@ -518,20 +522,22 @@ class TestActionSuite:
 
         monkeypatch.setattr(checks, "compatible_orientations", counting)
         qd = quotient(corpus_actions["torus9x3_rot3"])
-        outcomes = checks.run_action_suite(qd, (QQ, F3))
-        assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
-        assert len(calls) == 1
+        for field in (QQ, F3):
+            calls.clear()
+            outcomes = checks.run_action_suite(qd, field)
+            assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+            assert len(calls) == 1
 
     def test_builds_each_upstairs_boundary_once(self, corpus_actions, monkeypatch):
-        # one lifted partition per dimension, and one compatible boundary
-        # per field and dimension, ranked once, serve every check
+        # one lifted partition and one compatible boundary per dimension,
+        # each boundary ranked once, serve every check
         partitions, boundaries, ranked = [], [], []
         ordering, boundary, rank = (checks.compatible_ordering, checks.boundary_matrix,
                                     checks.field_rank)
 
-        def counting_ordering(qd, lift, d, *args):
+        def counting_ordering(qd, lift, d):
             partitions.append(d)
-            return ordering(qd, lift, d, *args)
+            return ordering(qd, lift, d)
 
         def counting_boundary(X, d, field, **kwargs):
             B = boundary(X, d, field, **kwargs)
@@ -548,9 +554,41 @@ class TestActionSuite:
         monkeypatch.setattr(checks, "boundary_matrix", counting_boundary)
         monkeypatch.setattr(checks, "field_rank", counting_rank)
         qd = quotient(corpus_actions["torus9x3_rot3"])
-        outcomes = checks.run_action_suite(qd, (QQ, F3))
+        for field in (QQ, F3):
+            for seen in (partitions, boundaries, ranked):
+                seen.clear()
+            outcomes = checks.run_action_suite(qd, field)
+            assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+            assert sorted(partitions) == [0, 1, 2]
+            assert [(f, d) for f, d, _ in boundaries] == [(field.name, 1), (field.name, 2)]
+            assert len(ranked) == 2
+
+
+def test_each_suite_computes_the_lex_min_betti_numbers_once(corpus_actions,
+                                                             monkeypatch):
+    # lift independence, ordering independence and the oracle comparison
+    # share one compressed run of the action suite's lex-min triple; the
+    # triple suite shares one between ordering independence and
+    # compressed-betti-computable
+    unordered = []   # the triples run in their own order
+    original = checks.compressed_betti
+
+    def counting(triple, field, **kwargs):
+        if "orders" not in kwargs:
+            unordered.append(triple)
+        return original(triple, field, **kwargs)
+
+    monkeypatch.setattr(checks, "compressed_betti", counting)
+    act = corpus_actions["torus9x3_rot3"]
+    qd = quotient(act)
+    tri_min = build_triple(act, qd=qd)
+    for field in (QQ, F3):
+        unordered.clear()
+        outcomes = checks.run_action_suite(qd, field)
         assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
-        assert sorted(partitions) == [0, 1, 2]
-        assert [(f, d) for f, d, _ in boundaries] == [("Q", 1), ("Q", 2), ("Fp:3", 1),
-                                                      ("Fp:3", 2)]
-        assert len(ranked) == 4
+        # the lex-min and the lex-max triple, once each
+        assert len(unordered) == len({id(t) for t in unordered}) == 2
+        unordered.clear()
+        outcomes = checks.run_triple_suite(tri_min, field)
+        assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+        assert len(unordered) == 1 and unordered[0] is tri_min
