@@ -432,15 +432,17 @@ def check_rank_preservation(action, field, rank, expansion):
     return _outcome("expansion-preserves-rank", failures)
 
 
-def check_rank_reconstruction(action, triple, field, rank):
-    """The main rank identity, for every generator of Z_k."""
+def check_rank_reconstruction(action, triple, field, rank, reduced):
+    """The main rank identity, for every generator of Z_k; `reduced(d)`
+    gives the G-boundary at generator alpha and its Smith form."""
     failures = []
     generators = [t for t in range(1, triple.k + 1) if gcd(t, triple.k) == 1]
     for d in range(1, action.complex.dim + 1):
         upstairs = rank(d)
         for t in generators:
-            got = snf_over_R(
-                g_boundary_matrix(triple, d, field, generator_exponent=t)).rank_sum()
+            snf = reduced(d)[1] if t == 1 else snf_over_R(
+                g_boundary_matrix(triple, d, field, generator_exponent=t))
+            got = snf.rank_sum()
             if got != upstairs:
                 failures.append(
                     f"{field.name} d={d} generator alpha^{t}: "
@@ -449,14 +451,20 @@ def check_rank_reconstruction(action, triple, field, rank):
     return _outcome("rank-reconstruction", failures)
 
 
-def check_snf_invariants(triple, field):
+def _g_boundary_snf(triple, d, field):
+    """The d-th G-boundary of `triple` and its Smith form over F[Z_k]."""
+    M = g_boundary_matrix(triple, d, field)
+    return M, snf_over_R(M)
+
+
+def check_snf_invariants(triple, field, reduced):
     """The SNF of each G-boundary M (its lifts divide each the next, or
-    snf_over_R raises), certified on the whole mk x nk expansion rho(M)."""
+    snf_over_R raises), certified on the whole mk x nk expansion rho(M);
+    `reduced(d)` gives M and its SNF."""
     failures = []
     for d in range(1, triple.quotient.dim + 1):
         try:
-            M = g_boundary_matrix(triple, d, field)
-            snf = snf_over_R(M)
+            M, snf = reduced(d)
         except (ZkHomologyError, ArithmeticError) as exc:
             failures.append(f"{field.name} d={d}: {exc}")
             continue
@@ -523,14 +531,16 @@ def run_action_suite(qd, field):
     triple = build_triple(action, lift=lift, qd=qd)
     # Each piece built once, inside the first guarded check that needs it:
     # the orientations, the lifted partition of each dimension, per d the
-    # compatible boundary, its rank and its isotropy expansion, and the
-    # Betti numbers of the lex-min triple.
+    # compatible boundary, its rank and its isotropy expansion, and of the
+    # lex-min triple per d the G-boundary and its Smith form, and the Betti
+    # numbers.
     orient = cache(lambda: compatible_orientations(action, lift, qd=qd)[0])
     partition = cache(lambda d: compatible_ordering(qd, lift, d))
     parts = cache(lambda d: _compatible_parts(action, lift, d, field, qd, orient(), partition))
     rank = cache(lambda d: field_rank(parts(d)[0]))
     expansion = cache(lambda d: _expand(*parts(d), action.k))
     betti = cache(lambda: compressed_betti(triple, field))
+    reduced = cache(lambda d: _g_boundary_snf(triple, d, field))
     items = [
         ("boundary-squared-zero", lambda: check_boundary_squared(action.complex, field)),
         ("boundary-squared-zero", lambda: check_boundary_squared(qd.quotient, field)),
@@ -544,8 +554,8 @@ def run_action_suite(qd, field):
         ("index-reducing-range", lambda: check_index_reducing(qd, partition)),
         ("expansion-equals-circulant-image", lambda: check_expansion_lemma(action, qd, lift, field, triple, expansion)),
         ("expansion-preserves-rank", lambda: check_rank_preservation(action, field, rank, expansion)),
-        ("rank-reconstruction", lambda: check_rank_reconstruction(action, triple, field, rank)),
-        ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, field)),
+        ("rank-reconstruction", lambda: check_rank_reconstruction(action, triple, field, rank, reduced)),
+        ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, field, reduced)),
         ("lift-independence", lambda: check_lift_independence(action, qd, field, betti)),
         ("ordering-independence", lambda: check_ordering_independence(triple, field, betti)),
         ("compressed-matches-direct-oracle", lambda: check_oracle_equality(action, field, betti)),
@@ -571,9 +581,10 @@ def run_triple_suite(triple, field):
     ]
     if outcomes[0].ok:
         betti = cache(lambda: compressed_betti(triple, field))
+        reduced = cache(lambda d: _g_boundary_snf(triple, d, field))
         items = [
             ("complex-of-groups-axioms", lambda: check_complex_of_groups(triple)),
-            ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, field)),
+            ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, field, reduced)),
             ("ordering-independence", lambda: check_ordering_independence(triple, field, betti)),
         ]
         outcomes.extend(_guarded(name, thunk) for name, thunk in items)

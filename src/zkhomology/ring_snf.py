@@ -9,19 +9,26 @@ complement).  Repeating while a monomial entry is left, least Markowitz
 cost (r-1)(c-1) first to limit fill-in, gives M ~ diag(1^p, S) for a
 residual S of shape (m-p) x (n-p); a matrix without one is its own residual.
 
-The residual is read off the Euclidean Smith form D = U S~ V of its plain
-lift S~ over F[x].  coker S over R is presented over F[x] by [S~ | q I],
-and [S~ | q I] = U^-1 [D V^-1 | q U]: row operations by U and column
-operations within each block (by V, by U^-1) give [D | q I], whose row i
-is the summand F[x]/(gcd(d_i, q)), with gcd(0, q) = q.  These gcds divide
-q and each the next, so they are the invariant factors of [S~ | q I].
+The residual is compacted to its core C, its nonzero rows and columns:
+permuting lines puts S in the form [[C, 0], [0, 0]], so the Smith form of
+S is that of C followed by zeros.  C is read off the Euclidean Smith form
+D = U C~ V of its plain lift C~ over F[x].  coker C over R is presented
+over F[x] by [C~ | q I], and [C~ | q I] = U^-1 [D V^-1 | q U]: row
+operations by U and column operations within each block (by V, by U^-1)
+give [D | q I], whose row i is the summand F[x]/(gcd(d_i, q)), with
+gcd(0, q) = q.  These gcds divide q and each the next, so they are the
+invariant factors of [C~ | q I].
 
 Together: coker M = coker S over R, and an m-generator presentation of it
 has the invariant factors 1^p followed by the m-p of S.  So the first
 min(m, n) = p + min(m-p, n-p) lifts are 1 per pivot, then gcd(d_i, q) for
-i < min(m-p, n-p), and rank_F rho(M) = k p + rank_F rho(S).  No transform
-is kept.  Every call checks that the lifts of S predict rank_F rho(S), the
-(m-p)k x (n-p)k expansion of S~; the mk x nk one of M is left to `verify`.
+i < min(a, b) on the a x b core, then q once per zero line until there are
+min(m, n): a zero entry of R lifts to q.  No transform is kept.  A zero
+line of S expands to k zero lines of rho(S), so rank_F rho(M) =
+k p + rank_F rho(S) = k p + rank_F rho(C): every call checks that the lifts
+predict this, on the ak x bk expansion of C~ (0 x 0 when C is empty), and
+the chain check runs on the lifts after the 1s, since 1 divides anything.
+The mk x nk expansion of M is left to `verify`.
 """
 
 from dataclasses import dataclass
@@ -53,97 +60,138 @@ class SnfDiagonal:
 def _eliminate_units(field, k, rows):
     """Eliminate monomial pivots from `rows`, {row: {column: {exponent:
     coefficient}}}, in place: least Markowitz cost first, then least row,
-    then least column.  Returns the pivots (row, column) in order.
+    then least column.  Returns the pivots (row, column) in order.  Over Q,
+    integral coefficients are held as ints: a pivot +-1 is its own inverse,
+    so a Fraction appears only once a pivot needs one.
 
-    The rows of each column are kept up to date, and the monomial entries
-    sit in a heap keyed by (cost, row, column): a key is pushed again
-    whenever it may have changed, and a popped key that no longer holds is
-    dropped."""
+    The rows of each column are kept up to date.  For every monomial entry
+    the heap holds a key (cost, row, column) no larger than its current one,
+    and `live` names one such cost still on the heap.  A key is pushed only
+    when an entry's cost falls below its live one or it has none, and a
+    popped key whose cost has risen since is pushed again at the new cost.
+    So the first popped key that still holds is the least one, as a rescan
+    would find."""
     p = field.char
-    norm = (lambda v: v % p) if p else (lambda v: v)
+    if not p:
+        for r in rows.values():
+            for w in r.values():
+                for e, c in w.items():
+                    if c.denominator == 1:
+                        w[e] = int(c)
     col_rows = {}
     for i, r in rows.items():
         for j in r:
             col_rows.setdefault(j, set()).add(i)
-    heap = [((len(r) - 1) * (len(col_rows[j]) - 1), i, j)
-            for i, r in rows.items() for j, w in r.items() if len(w) == 1]
+    live = {(i, j): (len(r) - 1) * (len(col_rows[j]) - 1)
+            for i, r in rows.items() for j, w in r.items() if len(w) == 1}
+    heap = [(key, i, j) for (i, j), key in live.items()]
     heapify(heap)
     pivots = []
     while heap:
         key, pi, pj = heappop(heap)
+        cell = (pi, pj)
+        if live.get(cell) == key:
+            del live[cell]
         r = rows.get(pi)
-        if (r is None or len(r.get(pj, ())) != 1
-                or key != (len(r) - 1) * (len(col_rows[pj]) - 1)):
+        if r is None or len(r.get(pj, ())) != 1:
+            continue
+        cost = (len(r) - 1) * (len(col_rows[pj]) - 1)
+        if cost != key:
+            # the key went up since it was pushed: push the new one
+            if live.get(cell, cost + 1) > cost:
+                live[cell] = cost
+                heappush(heap, (cost, pi, pj))
             continue
         prow = rows.pop(pi)
         ((e, c),) = prow.pop(pj).items()
-        inv = field.inv(c)
+        inv = c if c == 1 or c == -1 else field.inv(c)
         pivots.append((pi, pj))
-        touched = col_rows.pop(pj) - {pi}
+        touched = col_rows.pop(pj)
+        touched.discard(pi)
         for j in prow:
             col_rows[j].discard(pi)
+        shrunk = []
         for i in touched:
             r = rows[i]
+            before = len(r)
             # row -= a u^-1 row_p, with a u^-1 = c^-1 x^-e a
             f = [((t - e) % k, a * inv) for t, a in r.pop(pj).items()]
             for j, b in prow.items():
-                out = dict(r.get(j, {}))
+                out = r.get(j)
+                if out is None:
+                    out = r[j] = {}
+                    col_rows[j].add(i)
                 for s, fs in f:
                     for t, bt in b.items():
                         u = (s + t) % k
-                        out[u] = norm(out.get(u, 0) - fs * bt)
-                r[j] = {t: v for t, v in out.items() if v}
-                if r[j]:
-                    col_rows[j].add(i)
-                else:
+                        v = out.get(u, 0) - fs * bt
+                        if p:
+                            v %= p
+                        if v:
+                            out[u] = v
+                        else:
+                            del out[u]
+                if not out:
                     del r[j]
                     col_rows[j].discard(i)
-        # the key of every monomial entry in a touched row or in a column
-        # of the pivot row may have changed: push it again
-        for i in touched:
+            if len(r) < before:
+                shrunk.append(i)
+        # a key (r-1)(c-1) falls only in a row that got shorter or in a
+        # column of the pivot row; push the keys that fell
+        for i in shrunk:
             r = rows[i]
+            ri = len(r) - 1
             for j, w in r.items():
                 if len(w) == 1:
-                    heappush(heap, ((len(r) - 1) * (len(col_rows[j]) - 1), i, j))
+                    key = ri * (len(col_rows[j]) - 1)
+                    if live.get((i, j), key + 1) > key:
+                        live[i, j] = key
+                        heappush(heap, (key, i, j))
         for j in prow:
             n = len(col_rows[j]) - 1
-            for i in col_rows[j] - touched:
+            for i in col_rows[j]:
                 if len(rows[i][j]) == 1:
-                    heappush(heap, ((len(rows[i]) - 1) * n, i, j))
+                    key = (len(rows[i]) - 1) * n
+                    if live.get((i, j), key + 1) > key:
+                        live[i, j] = key
+                        heappush(heap, (key, i, j))
     return pivots
 
 
 def _unit_pivot_reduce(M):
     """Eliminate monomial pivots from a copy of M's sparse rows.  Returns
-    the pivot count and the plain lift of the residual."""
+    the pivot count p, the plain lift of the residual's core (its nonzero
+    rows and columns, each in order) and the residual's shape (m-p, n-p)."""
     field, k, rows = M.field, M.k, M.sparse_rows()
-    pivots = _eliminate_units(field, k, rows)
-    pivot_cols = {j for _, j in pivots}
+    p = len(_eliminate_units(field, k, rows))
+    core_rows = [r for _, r in sorted(rows.items()) if r]
+    core_cols = sorted({j for r in core_rows for j in r})
     zero = Poly.zero(field)
-    keep = [j for j in range(M.cols) if j not in pivot_cols]
-    lift = [[Poly(field, [r[j].get(e, 0) for e in range(k)]) if j in r else zero
-             for j in keep]
-            for _, r in sorted(rows.items())]
-    return len(pivots), lift
+    core = [[Poly(field, [r[j].get(e, 0) for e in range(k)]) if j in r else zero
+             for j in core_cols]
+            for r in core_rows]
+    return p, core, (M.rows - p, M.cols - p)
 
 
 def snf_over_R(M):
     """Smith normal form diagonal of a GroupRingMatrix, certified by
-    sum_i (k - deg f_i) == k p + rank_F rho(S) after p unit pivots."""
-    field, k, m, n = M.field, M.k, M.rows, M.cols
+    sum_i (k - deg f_i) == k p + rank_F rho(C) for the core C of the
+    residual left by p unit pivots."""
+    field, k = M.field, M.k
     q = Poly.x_pow_minus_one(field, k)
-    pivots, residual = _unit_pivot_reduce(M)
-    D, ok = snf_over_polys(residual)
+    pivots, core, (m, n) = _unit_pivot_reduce(M)
+    width = len(core[0]) if core else 0
+    D, ok = snf_over_polys(core)
     if not ok:
         raise ArithmeticError("polynomial SNF self-check failed")
-    lifts = (Poly.one(field),) * pivots + tuple(
-        poly_gcd(D[i][i], q) for i in range(min(m, n) - pivots))
-    for a, b in zip(lifts, lifts[1:]):
+    chain = [poly_gcd(D[i][i], q) for i in range(min(len(core), width))]
+    chain += [q] * (min(m, n) - len(chain))
+    for a, b in zip(chain, chain[1:]):
         if not a.divides(b):
             raise ArithmeticError("divisibility chain broken in lifted SNF")
-    result = SnfDiagonal(lifts=lifts, k=k)
+    result = SnfDiagonal(lifts=(Poly.one(field),) * pivots + tuple(chain), k=k)
     expected = k * pivots + field_rank(circulant_expansion(
-        field, k, [[f.coeffs for f in row] for row in residual], n - pivots))
+        field, k, [[f.coeffs for f in row] for row in core], width))
     if result.rank_sum() != expected:
         raise ArithmeticError(f"rank certificate failed: SNF predicts "
                               f"{result.rank_sum()}, expanded matrix has rank {expected}")

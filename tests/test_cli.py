@@ -202,6 +202,25 @@ class TestHomology:
             "error: rank certificate failed: SNF predicts 2, "
             "expanded matrix has rank 3"]
 
+    def test_broken_chain_after_the_unit_lifts_exit_four(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # The trivial k=3 action has no unit pivot; its d=1 core gives the
+        # lifts sigma, sigma, sigma, sigma, x^3-1, x^3-1 over Q.  A gcd that
+        # returns x^3-1 first puts the chain out of order.
+        f = _write(tmp_path, "circles.json", to_input_dict(entry("trivial_k3_two_circles")))
+        calls = []
+        original = ring_snf.poly_gcd
+
+        def out_of_order(a, b):
+            calls.append(a)
+            return b if len(calls) == 1 else original(a, b)
+
+        monkeypatch.setattr(ring_snf, "poly_gcd", out_of_order)
+        assert cli.run(["homology", f, "--field", "Q"]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == ["error: divisibility chain broken in lifted SNF"]
+
 
 class TestAxiomGate:
     """Triples that pass validate() but break the complex-of-groups axioms

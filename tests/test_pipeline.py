@@ -563,6 +563,32 @@ class TestActionSuite:
             assert [(f, d) for f, d, _ in boundaries] == [(field.name, 1), (field.name, 2)]
             assert len(ranked) == 2
 
+    def test_reduces_each_lex_min_g_boundary_once(self, corpus_actions, monkeypatch):
+        # rank reconstruction at generator alpha and the SNF certificate
+        # share one Smith form per dimension; the other generator, alpha^2,
+        # takes one more per dimension
+        reduced = []
+        original = checks.snf_over_R
+
+        def counting(M):
+            reduced.append(M)
+            return original(M)
+
+        monkeypatch.setattr(checks, "snf_over_R", counting)
+        qd = quotient(corpus_actions["torus9x3_rot3"])
+        triple = build_triple(qd.action, lift=lex_lift(qd), qd=qd)
+        for field in (QQ, F3):
+            reduced.clear()
+            outcomes = checks.run_action_suite(qd, field)
+            assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+            lex_min = [g_boundary_matrix(triple, d, field) for d in (1, 2)]
+            assert [sum(M == G for M in reduced) for G in lex_min] == [1, 1]
+            assert len(reduced) == 4
+            reduced.clear()
+            outcomes = checks.run_triple_suite(triple, field)
+            assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+            assert reduced == lex_min
+
 
 def test_each_suite_computes_the_lex_min_betti_numbers_once(corpus_actions,
                                                              monkeypatch):

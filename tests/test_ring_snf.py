@@ -273,19 +273,34 @@ def test_plain_lift_matches_augmented_lift(M):
     assert lifts == _plain_lifts(M)
 
 
+def _core_expansion(M, core):
+    return circulant_expansion(M.field, M.k, [[f.coeffs for f in row] for row in core],
+                               len(core[0]) if core else 0)
+
+
+def _fixed_apex_cone_boundary(k=3, spacing=3):
+    """The d=1 G-boundary of the cone over a rotated cycle with its apex
+    fixed: three unit pivots leave a 1 x 3 residual that is all zero."""
+    n = k * spacing
+    tris = [{i, (i + 1) % n, n} for i in range(n)]
+    perm = {**{i: (i + spacing) % n for i in range(n)}, n: n}
+    action = validate_action(build_complex(tris), perm, k)
+    return g_boundary_matrix(build_triple(action), 1, QQ)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_ring_matrices())
 @example(_no_unit_pivot())
 @example(_all_units())
 @example(_residual_without_rows())
+@example(_fixed_apex_cone_boundary())
 def test_residual_expansion_keeps_the_upstairs_rank(M):
-    # rank_F rho(M) = k p + rank_F rho(S): the downstairs certificate
-    # checks what the full mk x nk one would
-    pivots, lift = _unit_pivot_reduce(M)
-    residual = circulant_expansion(M.field, M.k, [[f.coeffs for f in row] for row in lift],
-                                   M.cols - pivots)
+    # rank_F rho(M) = k p + rank_F rho(C) for the core C of the residual:
+    # the downstairs certificate checks what the full mk x nk one would
+    pivots, core, shape = _unit_pivot_reduce(M)
+    assert shape == (M.rows - pivots, M.cols - pivots)
     full = field_rank(rho_extend(M))
-    assert M.k * pivots + field_rank(residual) == full
+    assert M.k * pivots + field_rank(_core_expansion(M, core)) == full
     assert snf_over_R(M).rank_sum() == full
 
 
@@ -293,14 +308,59 @@ def test_residual_expansion_keeps_the_upstairs_rank(M):
     (_no_unit_pivot, 0, (2, 3)),
     (_all_units_reducing, 2, (0, 0)),
     (_residual_without_rows, 2, (0, 2)),
+    (_fixed_apex_cone_boundary, 3, (1, 3)),
 ])
 def test_unit_pivot_count_and_residual(build, pivots, residual):
     M = build()
-    got, lift = _unit_pivot_reduce(M)
+    got, core, shape = _unit_pivot_reduce(M)
     assert got == pivots
-    assert (len(lift), M.cols - got) == residual
-    assert all(len(row) == residual[1] for row in lift)
+    assert shape == residual
     assert snf_over_R(M).lifts == _augmented_lifts(M)
+
+
+@pytest.mark.parametrize("build, core_shape", [
+    (_no_unit_pivot, (2, 3)),
+    (_all_units_reducing, (0, 0)),
+    (_residual_without_rows, (0, 0)),
+    (_fixed_apex_cone_boundary, (0, 0)),
+])
+def test_core_shape(build, core_shape):
+    _, core, _ = _unit_pivot_reduce(build())
+    assert (len(core), len(core[0]) if core else 0) == core_shape
+    assert all(len(row) == core_shape[1] for row in core)
+
+
+@st.composite
+def _padded_ring_matrices(draw):
+    """A drawn matrix with zero rows and columns inserted at drawn places."""
+    M = draw(_ring_matrices())
+    m = M.rows + draw(st.integers(0, 3))
+    n = M.cols + draw(st.integers(0, 3))
+    row_at = sorted(draw(st.permutations(range(m)))[:M.rows])
+    col_at = sorted(draw(st.permutations(range(n)))[:M.cols])
+    entries = {i: {} for i in range(m)}
+    for a, r in M.entries.items():
+        entries[row_at[a]] = {col_at[b]: dict(w) for b, w in r.items()}
+    return M, GroupRingMatrix.from_sparse(M.field, M.k, m, n, entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_padded_ring_matrices())
+def test_zero_lines_only_pad_the_chain(pair):
+    M, padded = pair
+    lifts = snf_over_R(padded).lifts
+    assert lifts == _augmented_lifts(padded)
+    assert lifts == _plain_lifts(padded)
+    pivots, core, shape = _unit_pivot_reduce(padded)
+    assert shape == (padded.rows - pivots, padded.cols - pivots)
+    assert (M.k * pivots + field_rank(_core_expansion(padded, core))
+            == field_rank(rho_extend(padded)) == field_rank(rho_extend(M)))
+    # the core carries no zero line, and zero lines only add x^k - 1
+    assert all(any(not f.is_zero() for f in row) for row in core)
+    assert all(any(not f.is_zero() for f in col) for col in zip(*core))
+    q = Poly.x_pow_minus_one(M.field, M.k)
+    short = snf_over_R(M).lifts
+    assert lifts == short + (q,) * (min(padded.rows, padded.cols) - len(short))
 
 
 def _rescanning_eliminate(field, k, rows):
@@ -356,12 +416,18 @@ def _assert_same_elimination(M):
     pivots = _eliminate_units(M.field, M.k, rows)
     assert pivots == _rescanning_eliminate(M.field, M.k, oracle)
     assert rows == oracle
-    count, lift = _unit_pivot_reduce(M)
+    count, core, shape = _unit_pivot_reduce(M)
     assert count == len(pivots)
-    assert lift == [[Poly(M.field, [r[j].get(e, 0) for e in range(M.k)]) if j in r
-                     else Poly.zero(M.field)
-                     for j in range(M.cols) if j not in {c for _, c in pivots}]
-                    for _, r in sorted(oracle.items())]
+    assert shape == (M.rows - count, M.cols - count)
+    residual = [[Poly(M.field, [r[j].get(e, 0) for e in range(M.k)]) if j in r
+                 else Poly.zero(M.field)
+                 for j in range(M.cols) if j not in {c for _, c in pivots}]
+                for _, r in sorted(oracle.items())]
+    assert len(residual) == shape[0] and all(len(row) == shape[1] for row in residual)
+    # the core is the residual less its zero rows and zero columns
+    nonzero = [row for row in residual if any(not f.is_zero() for f in row)]
+    cols = [j for j in range(shape[1]) if any(not row[j].is_zero() for row in nonzero)]
+    assert core == [[row[j] for j in cols] for row in nonzero]
 
 
 @settings(max_examples=150, deadline=None)
@@ -370,6 +436,7 @@ def _assert_same_elimination(M):
 @example(_all_units())
 @example(_all_units_reducing())
 @example(_residual_without_rows())
+@example(_fixed_apex_cone_boundary())
 def test_incremental_selection_matches_rescanning(M):
     _assert_same_elimination(M)
 
