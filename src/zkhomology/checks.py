@@ -291,13 +291,13 @@ def _outcome(name, failures):
     return CheckOutcome(name, True)
 
 
-def check_boundary_squared(X, field):
+def check_boundary_squared(X, field, name="boundary-squared-zero"):
     failures = []
     for d in range(2, X.dim + 1):
         prod = boundary_matrix(X, d - 1, field) * boundary_matrix(X, d, field)
         if not prod.is_zero():
             failures.append(f"d{d-1} o d{d} != 0 over {field.name}")
-    return _outcome("boundary-squared-zero", failures)
+    return _outcome(name, failures)
 
 
 def check_orbit_stabilizer(action):
@@ -543,7 +543,8 @@ def run_action_suite(qd, field):
     reduced = cache(lambda d: _g_boundary_snf(triple, d, field))
     items = [
         ("boundary-squared-zero", lambda: check_boundary_squared(action.complex, field)),
-        ("boundary-squared-zero", lambda: check_boundary_squared(qd.quotient, field)),
+        ("quotient-boundary-squared-zero",
+         lambda: check_boundary_squared(qd.quotient, field, "quotient-boundary-squared-zero")),
         ("orbit-stabilizer", lambda: check_orbit_stabilizer(action)),
         ("regular-pointwise-fixing", lambda: check_pointwise_fixing(action)),
         ("orbit-not-another-face", lambda: check_orbit_not_another_face(action)),
@@ -577,7 +578,7 @@ def run_triple_suite(triple, field):
     """Invariant suite for a standalone triple (no acted-on complex)."""
     outcomes = [
         check_triple_structure(triple),
-        check_boundary_squared(triple.quotient, field),
+        check_boundary_squared(triple.quotient, field, "quotient-boundary-squared-zero"),
     ]
     if outcomes[0].ok:
         betti = cache(lambda: compressed_betti(triple, field))

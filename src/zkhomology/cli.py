@@ -9,6 +9,7 @@ failed check, a `both`-mode mismatch or a failed internal self-check).
 
 import argparse
 import sys
+from functools import cache
 
 from .actions import check_regularity, lex_lift, lex_max_lift, quotient, regularize
 from .checks import CheckOutcome, run_action_suite, run_triple_suite
@@ -34,7 +35,10 @@ EXIT_REGULARITY = 3
 EXIT_VERIFY = 4
 
 
+@cache
 def _build_parser():
+    """The argument parser, built on first use and kept: parsing fills a
+    fresh namespace on every call, so one parser serves every `run`."""
     parser = argparse.ArgumentParser(
         prog="zkhomology",
         description=(

@@ -17,7 +17,10 @@ over F[x] by [C~ | q I], and [C~ | q I] = U^-1 [D V^-1 | q U]: row
 operations by U and column operations within each block (by V, by U^-1)
 give [D | q I], whose row i is the summand F[x]/(gcd(d_i, q)), with
 gcd(0, q) = q.  These gcds divide q and each the next, so they are the
-invariant factors of [C~ | q I].
+invariant factors of [C~ | q I].  A core of at most one line skips the
+Euclidean form: a 1 x b or a x 1 core has no zero entry and d_0 is the gcd
+of its entries, so its one lift is gcd(f_1, ..., f_b, q); an empty core has
+none.
 
 Together: coker M = coker S over R, and an m-generator presentation of it
 has the invariant factors 1^p followed by the m-p of S.  So the first
@@ -32,6 +35,7 @@ The mk x nk expansion of M is left to `verify`.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heapify, heappop, heappush
 
 from .exact import Poly, field_rank, poly_gcd, snf_over_polys, poly_str
@@ -181,10 +185,14 @@ def snf_over_R(M):
     q = Poly.x_pow_minus_one(field, k)
     pivots, core, (m, n) = _unit_pivot_reduce(M)
     width = len(core[0]) if core else 0
-    D, ok = snf_over_polys(core)
-    if not ok:
-        raise ArithmeticError("polynomial SNF self-check failed")
-    chain = [poly_gcd(D[i][i], q) for i in range(min(len(core), width))]
+    if min(len(core), width) <= 1:
+        # at most one line, none of its entries zero: d_0 is their gcd
+        chain = [reduce(poly_gcd, (f for row in core for f in row), q)] if core else []
+    else:
+        D, ok = snf_over_polys(core)
+        if not ok:
+            raise ArithmeticError("polynomial SNF self-check failed")
+        chain = [poly_gcd(D[i][i], q) for i in range(min(len(core), width))]
     chain += [q] * (min(m, n) - len(chain))
     for a, b in zip(chain, chain[1:]):
         if not a.divides(b):

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -585,3 +588,83 @@ class TestRoundTrip:
             path2 = _write(tmp_path, f"{name}2.json", action_to_dict(action))
             kind2, action2 = load_input(path2)
             assert action_to_dict(action2) == action_to_dict(action)
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _fresh_interpreter(argv, script=None):
+    """Exit code, stdout and stderr of `python -m zkhomology argv` (or of
+    `script`) in a new interpreter on this source tree, 80 columns wide."""
+    env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"}
+    command = ["-c", script] if script else ["-m", "zkhomology", *argv]
+    proc = subprocess.run([sys.executable, *command], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestReentrantRun:
+    """`run` builds its parser on first use and keeps it: consecutive calls
+    in one process answer as runs in fresh interpreters do."""
+
+    def test_consecutive_calls_match_fresh_interpreters(self, antipodal_file,
+                                                        path_file, capsys):
+        runs = [
+            ["homology", antipodal_file, "--mode", "both", "--regularize"],
+            ["homology", path_file],
+            ["verify", path_file, "--format", "json"],
+            ["verify", path_file],
+            ["corpus", "--list"],
+        ]
+        fresh = [_fresh_interpreter(argv) for argv in runs]
+        for _ in range(2):
+            for argv, want in zip(runs, fresh):
+                code = cli.run(argv)
+                captured = capsys.readouterr()
+                assert (code, captured.out, captured.err) == want
+
+    def test_bad_flag_exits_two_on_every_call(self, path_file, capsys):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.run(["homology", path_file, "--bogus"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+            assert cli.run(["homology", path_file]) == 0
+            assert "compressed betti: [1, 0]" in capsys.readouterr().out
+        assert errors[0] == errors[1]
+        assert errors[0].endswith("error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["homology", "--help"]])
+    def test_help_text_unchanged(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.run(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert (0, texts[0], "") == _fresh_interpreter(argv)
+
+    def test_import_builds_no_parser(self):
+        # the parser is built by the first run, not at import (which the
+        # start-up time of every command pays), and only once
+        script = "\n".join([
+            "import argparse, contextlib, io",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counting(self, *args, **kwargs):",
+            "    built.append(1)",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counting",
+            "from zkhomology import cli",
+            "print(len(built))",
+            "for _ in range(2):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        cli.run(['corpus', '--list'])",
+            "    print(len(built))",
+        ])
+        code, out, err = _fresh_interpreter(None, script)
+        assert (code, err) == (0, "")
+        assert out.split() == ["0", "5", "5"]

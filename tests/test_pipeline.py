@@ -22,7 +22,7 @@ from zkhomology.checks import (
     verify_expansion_lemma,
 )
 from zkhomology.errors import DimensionError, InvalidGeneratorError
-from zkhomology.exact import GF, QQ, field_rank
+from zkhomology.exact import GF, QQ, FieldMatrix, field_rank
 from zkhomology.groupring import GroupRingElem, GroupRingMatrix, rho_extend, sigma
 from zkhomology.ring_snf import snf_over_R
 from zkhomology.pipeline import (
@@ -618,3 +618,31 @@ def test_each_suite_computes_the_lex_min_betti_numbers_once(corpus_actions,
         outcomes = checks.run_triple_suite(tri_min, field)
         assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
         assert len(unordered) == 1 and unordered[0] is tri_min
+
+
+def test_each_suite_names_its_checks_apart(corpus_actions, monkeypatch):
+    # X and X/G each get a boundary-squared check, under its own name, so a
+    # failure on the quotient is told apart from one upstairs
+    act = corpus_actions["torus9x3_rot3"]
+    qd = quotient(act)
+    original = checks.boundary_matrix
+
+    def ones_on_the_quotient(X, d, field, **kwargs):
+        B = original(X, d, field, **kwargs)
+        if X is qd.quotient and d == 1 and not kwargs:
+            return FieldMatrix.from_rows(field, [[1] * B.cols] * B.rows)
+        return B
+
+    for suite, arg in ((checks.run_action_suite, qd),
+                       (checks.run_triple_suite, build_triple(act, qd=qd))):
+        outcomes = suite(arg, F3)
+        assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+        names = [o.name for o in outcomes]
+        assert len(set(names)) == len(names)
+        with monkeypatch.context() as m:
+            m.setattr(checks, "boundary_matrix", ones_on_the_quotient)
+            outcomes = {o.name: o for o in suite(arg, F3)}
+        assert outcomes["quotient-boundary-squared-zero"].line() == (
+            "FAIL quotient-boundary-squared-zero: d1 o d2 != 0 over Fp:3")
+        if suite is checks.run_action_suite:
+            assert outcomes["boundary-squared-zero"].ok

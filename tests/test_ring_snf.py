@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from functools import cache
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,10 @@ from zkhomology.exact import (GF, QQ, Poly, field_rank, poly_gcd, poly_str,
                               snf_over_polys)
 from zkhomology.groupring import (GroupRingElem, GroupRingMatrix, circulant_expansion,
                                   rho_extend, sigma)
+from zkhomology import cli, ring_snf
 from zkhomology.actions import validate_action
+from zkhomology.corpus import entry, to_input_dict
+from zkhomology.jsonio import dump_json, triple_to_dict
 from zkhomology.pipeline import g_boundary_matrix
 from zkhomology.ring_snf import _eliminate_units, _unit_pivot_reduce, snf_over_R
 from zkhomology.simplicial import build_complex
@@ -330,10 +334,9 @@ def test_core_shape(build, core_shape):
     assert all(len(row) == core_shape[1] for row in core)
 
 
-@st.composite
-def _padded_ring_matrices(draw):
-    """A drawn matrix with zero rows and columns inserted at drawn places."""
-    M = draw(_ring_matrices())
+def _insert_zero_lines(draw, M):
+    """M with up to three zero rows and three zero columns inserted at
+    drawn places."""
     m = M.rows + draw(st.integers(0, 3))
     n = M.cols + draw(st.integers(0, 3))
     row_at = sorted(draw(st.permutations(range(m)))[:M.rows])
@@ -341,7 +344,14 @@ def _padded_ring_matrices(draw):
     entries = {i: {} for i in range(m)}
     for a, r in M.entries.items():
         entries[row_at[a]] = {col_at[b]: dict(w) for b, w in r.items()}
-    return M, GroupRingMatrix.from_sparse(M.field, M.k, m, n, entries)
+    return GroupRingMatrix.from_sparse(M.field, M.k, m, n, entries)
+
+
+@st.composite
+def _padded_ring_matrices(draw):
+    """A drawn matrix with zero rows and columns inserted at drawn places."""
+    M = draw(_ring_matrices())
+    return M, _insert_zero_lines(draw, M)
 
 
 @settings(max_examples=100, deadline=None)
@@ -448,3 +458,111 @@ def test_incremental_selection_matches_rescanning_on_long_tori(field, r):
     # fills in, so keys go stale and are pushed again many times
     for d in (1, 2):
         _assert_same_elimination(g_boundary_matrix(_torus_triple(3, r), d, field))
+
+
+def _non_monomial(draw, field, k):
+    """An entry of F[Z_k], k >= 2, that is no unit pivot: +-x^c sigma(H)
+    with |H| > 1 (the fill-in +-N = +-sigma(Z_k) among them) or
+    +-x^s (1 - x^c)."""
+    kind = draw(st.sampled_from(["coset", "N", "difference"]))
+    sign, shift = draw(st.sampled_from([1, -1])), draw(st.integers(0, k - 1))
+    if kind == "coset":
+        order = draw(st.sampled_from([h for h in range(2, k + 1) if k % h == 0]))
+        return _sigma_coset(field, k, order, shift, sign)
+    if kind == "N":
+        return _sigma_coset(field, k, k, 0, sign)
+    c = draw(st.integers(1, k - 1))
+    return ((_e(field, k) - _a(field, k, c)) * _a(field, k, shift)).scale(sign)
+
+
+@st.composite
+def _small_core_matrices(draw):
+    """A line of 0 to 4 non-monomial entries, a row or a column, beside p
+    monomial pivots; multiples of the pivot lines are added to the line's
+    rows and columns, and zero rows and columns are inserted.  The unit
+    pivots leave a core of at most one line."""
+    field = draw(st.sampled_from([QQ, F2, F3, F5]))
+    k = draw(st.integers(2, 9))
+    b, tall, p = draw(st.integers(0, 4)), draw(st.booleans()), draw(st.integers(0, 3))
+    m, n = (p + b, p + min(b, 1)) if tall else (p + min(b, 1), p + b)
+    z = GroupRingElem.zero(field, k)
+    rows = [[z] * n for _ in range(m)]
+    unit = st.sampled_from([1, 2]) if field.char == 0 else st.integers(1, field.char - 1)
+    for i in range(p):
+        rows[i][i] = _monomial(field, k, draw(unit), draw(st.integers(0, k - 1)))
+    for t in range(b):
+        i, j = (p + t, p) if tall else (p, p + t)
+        rows[i][j] = _non_monomial(draw, field, k)
+    coeff = st.integers(-2, 2) if field.char == 0 else st.integers(0, field.char - 1)
+    for _ in range(draw(st.integers(0, 4)) if p else 0):
+        j = draw(st.integers(0, p - 1))
+        c = GroupRingElem(field, k, draw(st.lists(coeff, min_size=k, max_size=k)))
+        if draw(st.booleans()) and m > p:
+            t = draw(st.integers(p, m - 1))
+            rows[t] = [a + c * u for a, u in zip(rows[t], rows[j])]
+        elif n > p:
+            t = draw(st.integers(p, n - 1))
+            for r in rows:
+                r[t] = r[t] + r[j] * c
+    M = GroupRingMatrix.from_rows(field, k, rows) if m else \
+        GroupRingMatrix.from_sparse(field, k, 0, 0, {})
+    return _insert_zero_lines(draw, M)
+
+
+def _refuse_polynomial_snf(core):
+    raise AssertionError(f"snf_over_polys on a {len(core)}-row core")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_core_matrices())
+@example(GroupRingMatrix.from_rows(F2, 4, [[_sigma_coset(F2, 4, 4, 0),
+                                             _sigma_coset(F2, 4, 2, 1)]]))
+@example(GroupRingMatrix.from_rows(F3, 3, [[_sigma_coset(F3, 3, 3, 0)],
+                                             [_e(F3, 3) - _a(F3, 3)]]))
+@example(_fixed_apex_cone_boundary())
+def test_core_of_at_most_one_line_lifts_from_a_gcd(M):
+    _, core, _ = _unit_pivot_reduce(M)
+    assert min(len(core), len(core[0]) if core else 0) <= 1
+    with mock.patch.object(ring_snf, "snf_over_polys", _refuse_polynomial_snf):
+        lifts = snf_over_R(M).lifts
+    assert lifts == _augmented_lifts(M)
+
+
+def test_one_line_cores_never_reach_the_polynomial_snf(tmp_path, monkeypatch, capsys):
+    # every core of the 12x3 torus at k=3 (a triple of the triple ladder)
+    # and of the rotated 9x3 torus has at most one line
+    triple = tmp_path / "torus12x3_triple.json"
+    triple.write_text(dump_json(triple_to_dict(_torus_triple(3, 4))))
+    action = tmp_path / "torus9x3.json"
+    action.write_text(dump_json(to_input_dict(entry("torus9x3_rot3"))))
+    runs = [["homology", str(f), "--field", field, "--format", "json"]
+            for f in (triple, action) for field in ("Q", "Fp:2", "Fp:3", "Fp:5")]
+    before = []
+    for argv in runs:
+        assert cli.run(argv) == 0
+        before.append(capsys.readouterr().out)
+    monkeypatch.setattr(ring_snf, "snf_over_polys", _refuse_polynomial_snf)
+    for argv, want in zip(runs, before):
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("name, shapes", [
+    ("trivial_k2_triangle", [(3, 3)]),
+    ("trivial_k3_two_circles", [(6, 6)]),
+])
+def test_cores_of_several_lines_reach_the_polynomial_snf(name, shapes, tmp_path,
+                                                         monkeypatch, capsys):
+    # a trivial action has no unit pivot: every d=1 entry is +-sigma(Z_k),
+    # and its core is the whole matrix
+    seen, original = [], ring_snf.snf_over_polys
+
+    def spy(core):
+        seen.append((len(core), len(core[0])))
+        return original(core)
+
+    monkeypatch.setattr(ring_snf, "snf_over_polys", spy)
+    f = tmp_path / f"{name}.json"
+    f.write_text(dump_json(to_input_dict(entry(name))))
+    assert cli.run(["homology", str(f), "--field", "Q"]) == 0
+    assert seen == shapes
