@@ -9,79 +9,40 @@ Smith normal form yields the boundary ranks of X one circulant block at a
 time.  A brute-force direct oracle is included for verification.
 """
 
-from .exact import (
-    GF,
-    QQ,
-    FieldMatrix,
-    Poly,
-    field_rank,
-    parse_field,
-    poly_gcd,
-    snf_over_polys,
-)
-from .simplicial import (
-    Complex,
-    barycentric_subdivision,
-    betti_direct,
-    boundary_matrix,
-    build_complex,
-)
-from .actions import (
-    CyclicAction,
-    Subgroup,
-    check_regularity,
-    coset_ordering,
-    lex_lift,
-    lex_max_lift,
-    quotient,
-    regularize,
-    trivial_action,
-    validate_action,
-)
-from .groupring import (
-    GroupRingElem,
-    GroupRingMatrix,
-    rho,
-    rho_extend,
-    sigma,
-)
-from .transfer import (
-    IsotropyTriple,
-    build_triple,
-    check_axioms,
-    extended_transfer,
-)
-from .ring_snf import SnfDiagonal, snf_over_R
-from .pipeline import (
-    CompressedResult,
-    compressed_betti,
-    compressed_result,
-    g_boundary_matrix,
-)
-from .checks import (
-    compatible_boundary,
-    compatible_ordering,
-    compatible_orientations,
-    index_reducing,
-    isotropy_expansion,
-    verify_expansion_lemma,
-)
+# Each public name and the module that defines it.  Names resolve on first
+# access (PEP 562), so importing the package, or `zkhomology.cli`, runs only
+# the modules a command needs: the `checks` suite loads when one of its
+# names, or `verify`, is first used.
+_EXPORTS = {
+    "exact": ("GF", "QQ", "FieldMatrix", "Poly", "field_rank", "parse_field",
+              "poly_gcd", "snf_over_polys"),
+    "simplicial": ("Complex", "barycentric_subdivision", "betti_direct",
+                   "boundary_matrix", "build_complex"),
+    "actions": ("CyclicAction", "Subgroup", "check_regularity", "coset_ordering",
+                "lex_lift", "lex_max_lift", "quotient", "regularize",
+                "trivial_action", "validate_action"),
+    "groupring": ("GroupRingElem", "GroupRingMatrix", "rho", "rho_extend", "sigma"),
+    "transfer": ("IsotropyTriple", "build_triple", "check_axioms", "extended_transfer"),
+    "ring_snf": ("SnfDiagonal", "snf_over_R"),
+    "pipeline": ("CompressedResult", "compressed_betti", "compressed_result",
+                 "g_boundary_matrix"),
+    "checks": ("compatible_boundary", "compatible_ordering", "compatible_orientations",
+               "index_reducing", "isotropy_expansion", "verify_expansion_lemma"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GF", "QQ", "FieldMatrix", "Poly", "field_rank", "parse_field",
-    "poly_gcd", "snf_over_polys",
-    "Complex", "barycentric_subdivision", "betti_direct", "boundary_matrix",
-    "build_complex",
-    "CyclicAction", "Subgroup", "check_regularity", "coset_ordering",
-    "lex_lift", "lex_max_lift", "quotient", "regularize", "trivial_action",
-    "validate_action",
-    "GroupRingElem", "GroupRingMatrix", "rho", "rho_extend", "sigma",
-    "IsotropyTriple", "build_triple", "check_axioms", "extended_transfer",
-    "SnfDiagonal", "snf_over_R",
-    "CompressedResult", "compressed_betti", "compressed_result",
-    "g_boundary_matrix",
-    "compatible_boundary", "compatible_ordering", "compatible_orientations",
-    "index_reducing", "isotropy_expansion", "verify_expansion_lemma",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,7 +8,7 @@ regularity verdict, the quotient's fibers and the transfer cosets are all
 read off that walk.  Everything is read-only after construction.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 from math import gcd
 
@@ -20,16 +20,15 @@ from .errors import (
 from .simplicial import Complex, barycentric_subdivision
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(namedtuple("Subgroup", "k order")):
     """The unique subgroup of Z_k of the given order: <alpha^(k/order)>."""
 
-    k: int
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order <= 0 or self.k % self.order != 0:
-            raise ValueError(f"order {self.order} does not divide k={self.k}")
+    def __new__(cls, k, order):
+        if order <= 0 or k % order != 0:
+            raise ValueError(f"order {order} does not divide k={k}")
+        return super().__new__(cls, k, order)
 
     @property
     def index(self):
@@ -193,18 +192,14 @@ def trivial_action(X, k=1):
     return validate_action(X, {v: v for v in X.vertex_ids}, k)
 
 
-@dataclass(frozen=True)
-class RegularityWitness:
+class RegularityWitness(namedtuple("RegularityWitness",
+                                   "subgroup simplex vertices exponents image")):
     """A failure of the regularity condition: applying `exponents` (members
     of the subgroup) to `vertices` (listed from `simplex`, repetition
     allowed) yields the simplex `image`, yet no single subgroup element
     agrees with the assignment on every vertex."""
 
-    subgroup: Subgroup
-    simplex: tuple
-    vertices: tuple
-    exponents: tuple
-    image: tuple
+    __slots__ = ()
 
     def describe(self):
         return (

@@ -5,6 +5,9 @@ Subcommands: `check` (action validity and regularity, or triple validity),
 and `corpus` (bundled example inputs).  Exit codes are a stable contract:
 0 ok, 2 input error, 3 valid-but-non-regular, 4 verification failure (a
 failed check, a `both`-mode mismatch or a failed internal self-check).
+
+`check` and `homology` import only the production path; `verify` loads the
+invariant suite (`checks`) and `corpus` the bundled inputs on first use.
 """
 
 import argparse
@@ -12,8 +15,6 @@ import sys
 from functools import cache
 
 from .actions import check_regularity, lex_lift, lex_max_lift, quotient, regularize
-from .checks import CheckOutcome, run_action_suite, run_triple_suite
-from .corpus import entry as corpus_entry, names as corpus_names, to_input_dict
 from .errors import (
     AxiomError,
     InputFormatError,
@@ -223,6 +224,8 @@ def cmd_homology(args, out=None):
 
 
 def cmd_verify(args, out=None):
+    from .checks import CheckOutcome, run_action_suite, run_triple_suite
+
     out = out or sys.stdout
     field = parse_field(args.field)
     try:
@@ -256,6 +259,8 @@ def cmd_verify(args, out=None):
 
 
 def cmd_corpus(args, out=None):
+    from .corpus import entry as corpus_entry, names as corpus_names, to_input_dict
+
     out = out or sys.stdout
     if args.list_names or not args.name:
         for name in corpus_names():

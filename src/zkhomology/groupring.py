@@ -174,13 +174,14 @@ class GroupRingMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
         z = GroupRingElem.zero(self.field, self.k)
+        A, B = self.data, other.data
         out = []
         for i in range(self.rows):
             row = []
             for j in range(other.cols):
                 acc = z
                 for t in range(self.cols):
-                    acc = acc + self.data[i][t] * other.data[t][j]
+                    acc = acc + A[i][t] * B[t][j]
                 row.append(acc)
             out.append(row)
         return GroupRingMatrix(self.field, self.k, self.rows, other.cols, out)

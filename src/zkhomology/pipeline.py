@@ -10,8 +10,7 @@ model that ties this matrix to the acted-on complex (compatible
 boundaries, the isotropy expansion) lives in `checks`.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import product
 from math import gcd
 
@@ -78,26 +77,14 @@ def _composes_to_zero(A, B):
     return True
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    d: int
-    chain_dim: int
-    rank: int
-    snf_lifts: tuple
-    betti: int
+DimensionReport = namedtuple("DimensionReport", "d chain_dim rank snf_lifts betti")
 
 
-@dataclass(frozen=True)
-class CompressedResult:
+class CompressedResult(namedtuple("CompressedResult", "field_name k generator_exponent "
+                                  "lift_policy orderings betti per_dim")):
     """Per-dimension output of the compressed pipeline plus provenance."""
 
-    field_name: str
-    k: int
-    generator_exponent: int
-    lift_policy: str
-    orderings: str
-    betti: tuple
-    per_dim: tuple
+    __slots__ = ()
 
     def as_dict(self):
         return {

@@ -34,15 +34,14 @@ the chain check runs on the lifts after the 1s, since 1 divides anything.
 The mk x nk expansion of M is left to `verify`.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from heapq import heapify, heappop, heappush
 
 from .exact import Poly, field_rank, poly_gcd, snf_over_polys, poly_str
 from .groupring import circulant_expansion
 
-@dataclass(frozen=True)
-class SnfDiagonal:
+class SnfDiagonal(namedtuple("SnfDiagonal", "lifts k")):
     """Diagonal of a Smith normal form over F[Z_k].
 
     `lifts` are the monic invariant factors in F[x], each dividing
@@ -50,8 +49,7 @@ class SnfDiagonal:
     F[Z_k] is zero exactly when its lift is x^k - 1.
     """
 
-    lifts: tuple
-    k: int
+    __slots__ = ()
 
     def rank_sum(self):
         """rank_F rho(D): each entry contributes k minus its lift's degree."""

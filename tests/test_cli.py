@@ -668,3 +668,46 @@ class TestReentrantRun:
         code, out, err = _fresh_interpreter(None, script)
         assert (code, err) == (0, "")
         assert out.split() == ["0", "5", "5"]
+
+
+class TestStartupImports:
+    """`homology` and `check` load only the production path: the verify
+    suite, the corpus and the dataclass machinery are not imported."""
+
+    def test_homology_and_check_leave_suite_unimported(self, tmp_path, triple_file):
+        torus = _write(tmp_path, "torus.json", to_input_dict(entry("torus9x3_rot3")))
+        runs = [["homology", torus, "--mode", "both"], ["check", torus],
+                ["homology", triple_file], ["check", triple_file]]
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "before = set(sys.modules)",
+            "from zkhomology import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    codes = [cli.run(argv) for argv in {runs!r}]",
+            "print(codes)",
+            "print(' '.join(sorted(set(sys.modules) - before)))",
+        ])
+        code, out, err = _fresh_interpreter(None, script)
+        assert (code, err) == (0, "")
+        codes, added = out.splitlines()
+        added = set(added.split())
+        assert codes == "[0, 0, 0, 0]"
+        assert "zkhomology.ring_snf" in added     # the compressed route ran
+        assert not added & {"zkhomology.checks", "zkhomology.corpus",
+                            "dataclasses", "inspect"}
+
+    def test_verify_and_corpus_load_their_modules_on_first_use(self, path_file):
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from zkhomology import cli",
+            "seen = []",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    for argv in (['verify', {path_file!r}], ['corpus', '--list']):",
+            "        seen.append([m in sys.modules for m in "
+            "('zkhomology.checks', 'zkhomology.corpus')])",
+            "        seen.append(cli.run(argv))",
+            "print(seen)",
+        ])
+        code, out, err = _fresh_interpreter(None, script)
+        assert (code, err) == (0, "")
+        assert out.strip() == "[[False, False], 0, [True, False], 0]"

@@ -2,7 +2,10 @@
 from the API stay deleted."""
 
 import inspect
+import sys
 from dataclasses import fields
+
+import pytest
 
 import zkhomology
 from zkhomology import (actions, checks, cli, errors, exact, groupring, pipeline,
@@ -13,6 +16,23 @@ def test_every_export_resolves():
     missing = [name for name in zkhomology.__all__ if not hasattr(zkhomology, name)]
     assert missing == []
     assert len(set(zkhomology.__all__)) == len(zkhomology.__all__)
+
+
+def test_package_names_resolve_to_their_defining_objects():
+    # names resolve on first access, each to the object of the module that
+    # defines it, not to a copy taken at import
+    assert zkhomology.compatible_boundary is checks.compatible_boundary
+    assert zkhomology.snf_over_R is ring_snf.snf_over_R
+    for name in zkhomology.__all__:
+        obj = getattr(zkhomology, name)
+        assert obj.__module__.startswith("zkhomology."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(zkhomology.__all__) <= set(dir(zkhomology))
+    assert {"__version__", "checks"} <= set(dir(zkhomology))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        zkhomology.no_such_name
+    with pytest.raises(ImportError):
+        from zkhomology import no_such_name  # noqa: F401
 
 
 def test_complex_of_groups_object_is_gone():
@@ -46,7 +66,7 @@ def test_test_only_helpers_are_gone():
                       (exact.FieldMatrix, "zeros")):
         assert not hasattr(cls, name)
     # fields that nothing read
-    assert "shape" not in {f.name for f in fields(ring_snf.SnfDiagonal)}
+    assert "shape" not in ring_snf.SnfDiagonal._fields
     assert "quotient_order" not in {f.name for f in fields(checks.LiftedPartition)}
     # exact.Field keeps only what Q and F_p share
     assert {n for n in vars(exact.Field) if not n.startswith("__")} == {"char", "name"}
@@ -80,3 +100,70 @@ def test_witness_errors_share_one_init():
         exc = cls("message", witness=(0, 1))
         assert str(exc) == "message" and exc.witness == (0, 1)
         assert cls("message").witness is None
+
+
+class TestRecords:
+    """The immutable value types of the production path: same fields, repr,
+    equality, hash and validation as frozen dataclasses, without the
+    dataclass machinery at import."""
+
+    def _makers(self):
+        H = actions.Subgroup(4, 2)
+        lifts = (exact.Poly(exact.GF(3), [1, 1]),)
+        report = pipeline.DimensionReport(1, 3, 2, ("x + 1",), 0)
+        return [
+            (lambda: actions.Subgroup(4, 2)),
+            (lambda: actions.RegularityWitness(H, (0, 1), (0, 1), (0, 2), (1, 3))),
+            (lambda: ring_snf.SnfDiagonal(lifts, 4)),
+            (lambda: pipeline.DimensionReport(1, 3, 2, ("x + 1",), 0)),
+            (lambda: pipeline.CompressedResult("Fp:3", 4, 1, "lex-min", "lex",
+                                               (1, 0), (report,))),
+        ]
+
+    def test_subgroup_validates_its_order(self):
+        for args in ((4, 3), (4, 0), (4, -2)):
+            with pytest.raises(ValueError) as exc:
+                actions.Subgroup(*args)
+            assert str(exc.value) == f"order {args[1]} does not divide k=4"
+        with pytest.raises(ValueError, match="order 3 does not divide k=4"):
+            actions.Subgroup(k=4, order=3)
+
+    def test_subgroup_index_is_the_coset_index(self):
+        assert actions.Subgroup(6, 2).index == 3
+        assert actions.Subgroup(k=6, order=6).index == 1
+        assert 3 in actions.Subgroup(6, 2) and 4 not in actions.Subgroup(6, 2)
+
+    def test_equal_fields_equal_objects_and_hashes(self):
+        for make in self._makers():
+            a, b = make(), make()
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert not a != b
+        assert actions.Subgroup(4, 2) != actions.Subgroup(4, 4)
+        assert len({actions.Subgroup(4, 2), actions.Subgroup(4, 2)}) == 1
+
+    def test_repr_names_every_field(self):
+        H = actions.Subgroup(4, 2)
+        assert repr(H) == "Subgroup(k=4, order=2)"
+        assert repr(actions.RegularityWitness(H, (0, 1), (0,), (2,), (1, 2))) == (
+            "RegularityWitness(subgroup=Subgroup(k=4, order=2), simplex=(0, 1), "
+            "vertices=(0,), exponents=(2,), image=(1, 2))")
+        assert repr(pipeline.DimensionReport(1, 3, 2, (), 0)) == (
+            "DimensionReport(d=1, chain_dim=3, rank=2, snf_lifts=(), betti=0)")
+        assert repr(ring_snf.SnfDiagonal((), 4)) == "SnfDiagonal(lifts=(), k=4)"
+
+    def test_fields_cannot_be_assigned_or_added(self):
+        for make in self._makers():
+            record = make()
+            for name in (record._fields[0], "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)
+
+    def test_as_dict_key_order(self):
+        report = pipeline.DimensionReport(1, 3, 2, ("x + 1",), 0)
+        res = pipeline.CompressedResult("Fp:3", 4, 1, "lex-min", "lex", (1, 0), (report,))
+        body = res.as_dict()
+        assert list(body) == ["field", "k", "generator", "lift", "orderings",
+                              "betti", "per_dim"]
+        assert body["per_dim"] == [{"d": 1, "dimC": 3, "rank": 2,
+                                    "snf_lifts": ["x + 1"]}]
+        assert list(body["per_dim"][0]) == ["d", "dimC", "rank", "snf_lifts"]

@@ -154,6 +154,26 @@ class TestRhoExtend:
                 assert field_rank(rho_extend(A)) == 3 * k
 
 
+class TestProduct:
+    def test_reads_each_grid_once(self, monkeypatch):
+        # an 8x8 product over F3[Z_4] builds each operand's dense grid once,
+        # not once per entry it multiplies
+        rng = random.Random(8)
+        A, B = (GroupRingMatrix.from_rows(F3, 4, [[_random_elem(rng, F3, 4)
+                                                   for _ in range(8)] for _ in range(8)])
+                for _ in range(2))
+        a, b = A.data, B.data
+        want = [[sum((a[i][t] * b[t][j] for t in range(8)), GroupRingElem.zero(F3, 4))
+                 for j in range(8)] for i in range(8)]
+        reads, grid = [], GroupRingMatrix.data.fget
+        monkeypatch.setattr(GroupRingMatrix, "data",
+                            property(lambda M: reads.append(id(M)) or grid(M)))
+        product = A * B
+        monkeypatch.undo()
+        assert reads == [id(A), id(B)]
+        assert product == GroupRingMatrix.from_rows(F3, 4, want)
+
+
 def _random_unimodular(rng, field, k, n):
     """Product of elementary matrices with unit pivots over F[Z_k]."""
     M = GroupRingMatrix.from_sparse(field, k, n, n,

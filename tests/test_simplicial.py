@@ -1,8 +1,14 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zkhomology.errors import DimensionError, InvalidSimplexError
 from zkhomology.exact import GF, QQ
 from zkhomology.simplicial import (
+    Complex,
+    as_simplex,
     barycentric_subdivision,
     betti_direct,
     boundary_matrix,
@@ -39,6 +45,47 @@ class TestBuildComplex:
     def test_rejects_negative_vertex(self):
         with pytest.raises(InvalidSimplexError):
             build_complex([{-1, 0}])
+
+
+def _closure_by_subsets(simplices):
+    """Every nonempty subset of every given simplex, per dimension, sorted:
+    the closure as the complex built it before it closed level by level."""
+    closed = set()
+    for s in simplices:
+        s = as_simplex(s)
+        for r in range(1, len(s) + 1):
+            closed.update(combinations(s, r))
+    top = max((len(s) for s in closed), default=0)
+    return tuple(tuple(sorted(s for s in closed if len(s) == d + 1)) for d in range(top))
+
+
+@st.composite
+def _listed_simplices(draw):
+    """Simplices as a file or a caller may give them: some faces listed and
+    some not, in any order, as unsorted lists, tuples or sets."""
+    tops = draw(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=5,
+                                  unique=True), max_size=6))
+    listed = [list(face) for top in tops for r in range(1, len(top) + 1)
+              for face in combinations(top, r) if draw(st.booleans())] + tops
+    return [draw(st.sampled_from([list, tuple, set, frozenset]))(draw(st.permutations(s)))
+            for s in draw(st.permutations(listed))]
+
+
+class TestClosure:
+    @settings(max_examples=150, deadline=None)
+    @given(_listed_simplices())
+    def test_matches_the_subset_closure(self, simplices):
+        X = Complex(simplices)
+        assert X._by_dim == _closure_by_subsets(simplices)
+        assert [X.index_of(s) for s in X.all_simplices()] == [
+            i for level in X._by_dim for i in range(len(level))]
+
+    def test_first_bad_simplex_in_input_order_is_reported(self):
+        bad = [[0, 1, 2], [3, 3], [0, 1, 2, 3], [-1]]
+        with pytest.raises(InvalidSimplexError, match=r"repeated vertices in \(3, 3\)"):
+            Complex(bad)
+        with pytest.raises(InvalidSimplexError, match="bad vertex identifier -1"):
+            Complex(bad[::-1])
 
 
 class TestBoundaryMatrix:
