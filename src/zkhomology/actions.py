@@ -8,7 +8,6 @@ regularity verdict, the quotient's fibers and the transfer cosets are all
 read off that walk.  Everything is read-only after construction.
 """
 
-from collections import namedtuple
 from itertools import combinations, product
 from math import gcd
 
@@ -17,10 +16,11 @@ from .errors import (
     RegularityError,
     UnknownSimplexError,
 )
+from .records import record
 from .simplicial import Complex, barycentric_subdivision
 
 
-class Subgroup(namedtuple("Subgroup", "k order")):
+class Subgroup(record("Subgroup", "k order")):
     """The unique subgroup of Z_k of the given order: <alpha^(k/order)>."""
 
     __slots__ = ()
@@ -29,6 +29,11 @@ class Subgroup(namedtuple("Subgroup", "k order")):
         if order <= 0 or k % order != 0:
             raise ValueError(f"order {order} does not divide k={k}")
         return super().__new__(cls, k, order)
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`: validate there too
+        return cls(*iterable)
 
     @property
     def index(self):
@@ -192,8 +197,8 @@ def trivial_action(X, k=1):
     return validate_action(X, {v: v for v in X.vertex_ids}, k)
 
 
-class RegularityWitness(namedtuple("RegularityWitness",
-                                   "subgroup simplex vertices exponents image")):
+class RegularityWitness(record("RegularityWitness",
+                               "subgroup simplex vertices exponents image")):
     """A failure of the regularity condition: applying `exponents` (members
     of the subgroup) to `vertices` (listed from `simplex`, repetition
     allowed) yields the simplex `image`, yet no single subgroup element

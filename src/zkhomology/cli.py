@@ -6,11 +6,12 @@ and `corpus` (bundled example inputs).  Exit codes are a stable contract:
 0 ok, 2 input error, 3 valid-but-non-regular, 4 verification failure (a
 failed check, a `both`-mode mismatch or a failed internal self-check).
 
-`check` and `homology` import only the production path; `verify` loads the
-invariant suite (`checks`) and `corpus` the bundled inputs on first use.
+`check` and `homology` run only the production path; the invariant suite
+(`checks`, bound lazily) and the corpus load on first use.
 """
 
 import argparse
+import importlib.util
 import sys
 from functools import cache
 
@@ -29,6 +30,21 @@ from .jsonio import dump_json, load_input
 from .pipeline import check_generator, compressed_result
 from .simplicial import betti_direct, boundary_matrix
 from .transfer import build_triple, check_axioms
+
+
+def _bind_lazily(name):
+    """Put submodule `name` in sys.modules and on the package, as an import
+    would, but run its body only on first attribute access (LazyLoader)."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+
+
+_bind_lazily("checks")
 
 EXIT_OK = 0
 EXIT_INPUT = 2

@@ -10,13 +10,14 @@ model that ties this matrix to the acted-on complex (compatible
 boundaries, the isotropy expansion) lives in `checks`.
 """
 
-from collections import Counter, namedtuple
+from collections import Counter
 from itertools import product
 from math import gcd
 
 from .errors import DimensionError, InvalidGeneratorError
 from .simplicial import faces
 from .groupring import GroupRingMatrix
+from .records import record
 from .ring_snf import snf_over_R
 
 
@@ -77,11 +78,12 @@ def _composes_to_zero(A, B):
     return True
 
 
-DimensionReport = namedtuple("DimensionReport", "d chain_dim rank snf_lifts betti")
+class DimensionReport(record("DimensionReport", "d chain_dim rank snf_lifts betti")):
+    __slots__ = ()
 
 
-class CompressedResult(namedtuple("CompressedResult", "field_name k generator_exponent "
-                                  "lift_policy orderings betti per_dim")):
+class CompressedResult(record("CompressedResult", "field_name k generator_exponent "
+                              "lift_policy orderings betti per_dim")):
     """Per-dimension output of the compressed pipeline plus provenance."""
 
     __slots__ = ()

@@ -34,14 +34,14 @@ the chain check runs on the lifts after the 1s, since 1 divides anything.
 The mk x nk expansion of M is left to `verify`.
 """
 
-from collections import namedtuple
 from functools import reduce
 from heapq import heapify, heappop, heappush
 
 from .exact import Poly, field_rank, poly_gcd, snf_over_polys, poly_str
 from .groupring import circulant_expansion
+from .records import record
 
-class SnfDiagonal(namedtuple("SnfDiagonal", "lifts k")):
+class SnfDiagonal(record("SnfDiagonal", "lifts k")):
     """Diagonal of a Smith normal form over F[Z_k].
 
     `lifts` are the monic invariant factors in F[x], each dividing

@@ -671,43 +671,77 @@ class TestReentrantRun:
 
 
 class TestStartupImports:
-    """`homology` and `check` load only the production path: the verify
-    suite, the corpus and the dataclass machinery are not imported."""
+    """`homology` and `check` run only the production path: the verify
+    suite is bound but never executed, and the corpus and the dataclass
+    machinery are not imported."""
 
-    def test_homology_and_check_leave_suite_unimported(self, tmp_path, triple_file):
+    # True once module `name` has run: executing a module body adds
+    # `__builtins__` to its namespace.  Reading the namespace through
+    # `object.__getattribute__` does not trigger a lazily bound module.
+    RAN = ("def ran(name):\n"
+           "    m = sys.modules.get(name)\n"
+           "    return m is not None and '__builtins__' in "
+           "object.__getattribute__(m, '__dict__')")
+
+    def test_homology_and_check_leave_suite_unrun(self, tmp_path, triple_file):
         torus = _write(tmp_path, "torus.json", to_input_dict(entry("torus9x3_rot3")))
         runs = [["homology", torus, "--mode", "both"], ["check", torus],
                 ["homology", triple_file], ["check", triple_file]]
         script = "\n".join([
             "import contextlib, io, sys",
+            self.RAN,
             "before = set(sys.modules)",
             "from zkhomology import cli",
             "with contextlib.redirect_stdout(io.StringIO()):",
             f"    codes = [cli.run(argv) for argv in {runs!r}]",
             "print(codes)",
             "print(' '.join(sorted(set(sys.modules) - before)))",
+            "print(ran('zkhomology.checks'))",
         ])
         code, out, err = _fresh_interpreter(None, script)
         assert (code, err) == (0, "")
-        codes, added = out.splitlines()
+        codes, added, checks_ran = out.splitlines()
         added = set(added.split())
         assert codes == "[0, 0, 0, 0]"
         assert "zkhomology.ring_snf" in added     # the compressed route ran
-        assert not added & {"zkhomology.checks", "zkhomology.corpus",
-                            "dataclasses", "inspect"}
+        assert "zkhomology.checks" in added       # bound, like every layer
+        assert checks_ran == "False"
+        assert not added & {"zkhomology.corpus", "dataclasses", "inspect"}
 
     def test_verify_and_corpus_load_their_modules_on_first_use(self, path_file):
         script = "\n".join([
             "import contextlib, io, sys",
+            self.RAN,
             "from zkhomology import cli",
             "seen = []",
             "with contextlib.redirect_stdout(io.StringIO()):",
             f"    for argv in (['verify', {path_file!r}], ['corpus', '--list']):",
-            "        seen.append([m in sys.modules for m in "
+            "        seen.append([ran(m) for m in "
             "('zkhomology.checks', 'zkhomology.corpus')])",
             "        seen.append(cli.run(argv))",
             "print(seen)",
+            "print(ran('zkhomology.corpus'), 'dataclasses' in sys.modules)",
         ])
         code, out, err = _fresh_interpreter(None, script)
         assert (code, err) == (0, "")
-        assert out.strip() == "[[False, False], 0, [True, False], 0]"
+        assert out.splitlines() == ["[[False, False], 0, [True, False], 0]", "True True"]
+
+    def test_import_binds_the_suite_module_unrun(self):
+        # Code that looks the layers up in sys.modules, or on the package,
+        # finds `checks` there after importing the CLI alone; reading from
+        # it runs it, and it is then the module a normal import gives.
+        script = "\n".join([
+            "import sys, types",
+            self.RAN,
+            "import zkhomology.cli",
+            "import zkhomology",
+            "m = sys.modules['zkhomology.checks']",
+            "print(zkhomology.checks is m, ran('zkhomology.checks'))",
+            "names = vars(m)",
+            "import zkhomology.checks as again",
+            "print(ran('zkhomology.checks'), again is m, type(m) is types.ModuleType,",
+            "      'run_action_suite' in names, 'dataclasses' in sys.modules)",
+        ])
+        code, out, err = _fresh_interpreter(None, script)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["True False", "True True True True True"]

@@ -2,6 +2,7 @@
 from the API stay deleted."""
 
 import inspect
+import pickle
 import sys
 from dataclasses import fields
 
@@ -9,7 +10,7 @@ import pytest
 
 import zkhomology
 from zkhomology import (actions, checks, cli, errors, exact, groupring, pipeline,
-                        ring_snf, simplicial, transfer)
+                        records, ring_snf, simplicial, transfer)
 
 
 def test_every_export_resolves():
@@ -102,6 +103,10 @@ def test_witness_errors_share_one_init():
         assert cls("message").witness is None
 
 
+class _Pair(records.record("Pair", "lifts k")):
+    __slots__ = ()
+
+
 class TestRecords:
     """The immutable value types of the production path: same fields, repr,
     equality, hash and validation as frozen dataclasses, without the
@@ -140,6 +145,28 @@ class TestRecords:
             assert not a != b
         assert actions.Subgroup(4, 2) != actions.Subgroup(4, 4)
         assert len({actions.Subgroup(4, 2), actions.Subgroup(4, 2)}) == 1
+
+    def test_equal_only_to_the_same_class(self):
+        # a record is a tuple underneath, but compares by class as a frozen
+        # dataclass does: never equal to a plain tuple or another record
+        H = actions.Subgroup(4, 2)
+        assert H != (4, 2) and (4, 2) != H and not H == (4, 2)
+        assert ring_snf.SnfDiagonal((1,), 4) != _Pair((1,), 4)
+        assert len({H, (4, 2)}) == 2
+        for make in self._makers():
+            assert make() != tuple(make())
+
+    def test_replace_validates_and_pickle_round_trips(self):
+        H = actions.Subgroup(4, 2)
+        assert H._replace(order=4) == actions.Subgroup(4, 4)
+        with pytest.raises(ValueError, match="order 3 does not divide k=4"):
+            H._replace(order=3)
+        with pytest.raises(ValueError, match="order 3 does not divide k=4"):
+            actions.Subgroup._make((4, 3))
+        for make in self._makers():
+            record = make()
+            again = pickle.loads(pickle.dumps(record))
+            assert type(again) is type(record) and again == record
 
     def test_repr_names_every_field(self):
         H = actions.Subgroup(4, 2)
