@@ -21,7 +21,7 @@ _EXPORTS = {
     "actions": ("CyclicAction", "Subgroup", "check_regularity", "coset_ordering",
                 "lex_lift", "lex_max_lift", "quotient", "regularize",
                 "trivial_action", "validate_action"),
-    "groupring": ("GroupRingElem", "GroupRingMatrix", "rho", "rho_extend", "sigma"),
+    "groupring": ("GroupRingMatrix", "rho_extend"),
     "transfer": ("IsotropyTriple", "build_triple", "check_axioms", "extended_transfer"),
     "ring_snf": ("SnfDiagonal", "snf_over_R"),
     "pipeline": ("CompressedResult", "compressed_betti", "compressed_result",

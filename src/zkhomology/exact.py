@@ -361,34 +361,6 @@ class FieldMatrix:
             raise ValueError(f"shape mismatch: want {rows}x{cols}")
         self.field, self.rows, self.cols, self.data = field, rows, cols, data
 
-    @classmethod
-    def from_rows(cls, field, data):
-        data = [list(r) for r in data]
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(field, rows, cols, data)
-
-    def __mul__(self, other):
-        if self.field != other.field:
-            raise DomainMismatchError("matrix product over mixed fields")
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions differ")
-        F = self.field
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = F.zero()
-                for t in range(self.cols):
-                    acc = F.add(acc, F.mul(self.data[i][t], other.data[t][j]))
-                row.append(acc)
-            out.append(row)
-        return FieldMatrix(F, self.rows, other.cols, out)
-
-    def is_zero(self):
-        z = self.field.zero()
-        return all(v == z for row in self.data for v in row)
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldMatrix)

@@ -51,7 +51,7 @@ def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
             if hits:
                 entries[row_pos[omega]][j] = dict.fromkeys(
                     [c * g_inv % k for c in hits], sign[t % 2])
-    return GroupRingMatrix.from_sparse(field, k, len(rows), len(cols), entries)
+    return GroupRingMatrix(field, k, len(rows), len(cols), entries)
 
 
 def check_generator(exponent, k):

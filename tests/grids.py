@@ -1,0 +1,65 @@
+"""Matrices over F[Z_k] written as grids of coefficient tuples (exponent 0
+first), and the products the tests compute for themselves."""
+
+from functools import reduce
+
+from zkhomology.exact import FieldMatrix
+from zkhomology.groupring import GroupRingMatrix
+
+
+def ring_matrix(field, k, grid, cols=0):
+    """The GroupRingMatrix of a grid of coefficient tuples; missing
+    exponents are zero, and `cols` gives the width of a grid with no rows."""
+    entries = {i: {} for i in range(len(grid))}
+    for i, row in enumerate(grid):
+        for j, w in enumerate(row):
+            w = {e: c for e, c in enumerate(map(field.coerce, w)) if c}
+            if w:
+                entries[i][j] = w
+    return GroupRingMatrix(field, k, len(grid), len(grid[0]) if grid else cols, entries)
+
+
+def tuples(M):
+    """The grid of coefficient tuples of a GroupRingMatrix."""
+    z = M.field.zero()
+    return [[tuple(M.entries[i].get(j, {}).get(e, z) for e in range(M.k))
+             for j in range(M.cols)] for i in range(M.rows)]
+
+
+def add(field, a, b):
+    """a + b in F[Z_k] for coefficient tuples of length k."""
+    return tuple(map(field.add, a, b))
+
+
+def convolve(field, a, b):
+    """a b in F[Z_k] for coefficient tuples of length k: cyclic convolution."""
+    out = [field.zero()] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            m = (i + j) % len(a)
+            out[m] = field.add(out[m], field.mul(x, y))
+    return tuple(out)
+
+
+def ring_product(A, B):
+    """A B over F[Z_k], as a grid of coefficient tuples."""
+    F, a, b = A.field, tuples(A), tuples(B)
+    zero = (F.zero(),) * A.k
+    return [[reduce(lambda x, y: add(F, x, y),
+                    (convolve(F, a[i][t], b[t][j]) for t in range(A.cols)), zero)
+             for j in range(B.cols)] for i in range(A.rows)]
+
+
+def circulant(field, w):
+    """rho(w) written out: the k x k matrix with entry w[(i - j) mod k] at
+    (i, j), for a coefficient tuple w of length k."""
+    k = len(w)
+    return FieldMatrix(field, k, k, [[w[(i - j) % k] for j in range(k)] for i in range(k)])
+
+
+def field_product(A, B):
+    """A B of two FieldMatrix."""
+    F = A.field
+    return FieldMatrix(F, A.rows, B.cols, [
+        [reduce(F.add, (F.mul(a, B.data[t][j]) for t, a in enumerate(row)), F.zero())
+         for j in range(B.cols)] for row in A.data])

@@ -25,12 +25,7 @@ from zkhomology.checks import (
 )
 from zkhomology.corpus import build_action, entry, regular_entries
 from zkhomology.exact import GF, QQ, Poly, field_rank
-from zkhomology.groupring import (
-    GroupRingElem,
-    GroupRingMatrix,
-    rho,
-    rho_extend,
-)
+from zkhomology.groupring import rho_extend
 from zkhomology.pipeline import (
     compressed_betti,
     g_boundary_matrix,
@@ -38,6 +33,8 @@ from zkhomology.pipeline import (
 from zkhomology.ring_snf import snf_over_R
 from zkhomology.simplicial import betti_direct, boundary_matrix
 from zkhomology.transfer import build_triple, check_axioms
+
+from grids import circulant, field_product, ring_matrix, tuples
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
 
@@ -116,7 +113,7 @@ def test_criterion_4_rank_preservation(prepared):
 def test_criterion_5_hand_derived_fixed_points(prepared):
     _, path_action, _, _, path_triple = prepared["path_flip"]
     G = g_boundary_matrix(path_triple, 1, QQ)
-    assert [[str(v) for v in row] for row in G.data] == [["-1"], ["1 + a^1"]]
+    assert tuples(G) == [[(-1, 0)], [(1, 1)]]
     snf = snf_over_R(G)
     assert snf.lift_strings() == ["1"]
     assert snf.rank_sum() == 2
@@ -185,8 +182,9 @@ def test_criterion_7_structural_invariants(prepared):
         X = action.complex
         for field in FIELDS[:2]:
             for d in range(2, X.dim + 1):
-                assert (boundary_matrix(X, d - 1, field)
-                        * boundary_matrix(X, d, field)).is_zero()
+                prod = field_product(boundary_matrix(X, d - 1, field),
+                                     boundary_matrix(X, d, field))
+                assert not any(any(row) for row in prod.data)
         for s in X.all_simplices():
             assert len(action.simplex_orbit(s)) * action.isotropy(s).order == action.k
         for (psi, omega), hits in triple.Tstar.items():
@@ -218,9 +216,8 @@ def test_criterion_7_structural_invariants(prepared):
                 coeffs = [rng.randint(-4, 4) for _ in range(k)]
             else:
                 coeffs = [rng.randint(0, field.char - 1) for _ in range(k)]
-            w = GroupRingElem(field, k, coeffs)
-            M = GroupRingMatrix.from_rows(field, k, [[w]])
-            assert snf_over_R(M).rank_sum() == field_rank(rho(w))
+            M = ring_matrix(field, k, [[coeffs]])
+            assert snf_over_R(M).rank_sum() == field_rank(circulant(field, coeffs))
     print("\nACCEPTANCE 7 PASS: boundary^2 = 0, orbit-stabilizer, transfer "
           "cosets, cocycle, index-reducing blocks, SNF chains, and 500 "
           "circulant ranks per field")

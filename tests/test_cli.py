@@ -9,7 +9,6 @@ import pytest
 from zkhomology import actions, checks, cli, corpus, ring_snf, transfer
 from zkhomology.corpus import entry, names, to_input_dict
 from zkhomology.exact import GF, QQ
-from zkhomology.groupring import GroupRingMatrix
 from zkhomology.jsonio import (
     action_to_dict,
     dump_json,
@@ -502,30 +501,6 @@ class TestVerify:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "zkhomology" and hasattr(module, "rho_extend"):
                 monkeypatch.setattr(module, "rho_extend", refuse)
-        for argv, want in zip(runs, before):
-            assert cli.run(argv) == 0
-            assert capsys.readouterr().out == want
-        assert "compressed betti: [1, 2, 1]" in before[0]
-
-    def test_homology_never_reads_dense_entries(self, tmp_path, corpus_actions,
-                                                monkeypatch, capsys):
-        # the production path builds, checks and reduces G-boundaries on
-        # their sparse rows: the dense grid of group-ring elements is never
-        # made
-        torus = _write(tmp_path, "torus.json", to_input_dict(entry("torus9x3_rot3")))
-        triple = _write(tmp_path, "torus_triple.json", triple_to_dict(
-            build_triple(corpus_actions["torus9x3_rot3"])))
-        runs = [["homology", f, "--mode", "compressed", "--field", field]
-                for f in (torus, triple) for field in ("Q", "Fp:2", "Fp:3")]
-        before = []
-        for argv in runs:
-            assert cli.run(argv) == 0
-            before.append(capsys.readouterr().out)
-
-        def refuse(M):
-            raise AssertionError("dense GroupRingMatrix on the homology path")
-
-        monkeypatch.setattr(GroupRingMatrix, "data", property(refuse))
         for argv, want in zip(runs, before):
             assert cli.run(argv) == 0
             assert capsys.readouterr().out == want

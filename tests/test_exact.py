@@ -142,11 +142,11 @@ class TestFieldMatrix:
 
 class TestFieldRank:
     def test_proportional_rows(self):
-        assert field_rank(FieldMatrix.from_rows(QQ, [[1, 1], [1, 1]])) == 1
+        assert field_rank(FieldMatrix(QQ, 2, 2, [[1, 1], [1, 1]])) == 1
 
     def test_dependent_rows(self):
         # row 3 = -(row 1) - (row 2), row 4 = row 3
-        M = FieldMatrix.from_rows(QQ, [[-1, 0], [0, -1], [1, 1], [1, 1]])
+        M = FieldMatrix(QQ, 4, 2, [[-1, 0], [0, -1], [1, 1], [1, 1]])
         assert field_rank(M) == 2
 
     def test_empty(self):
@@ -160,15 +160,15 @@ class TestFieldRank:
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             data = [[field.coerce(rng.randint(-2, 2)) for _ in range(n)]
                     for _ in range(m)]
-            M = FieldMatrix.from_rows(field, data)
+            M = FieldMatrix(field, m, n, data)
             r = field_rank(M)
             rows = list(data)
             rng.shuffle(rows)
             cols = list(range(n))
             rng.shuffle(cols)
             shuffled = [[row[j] for j in cols] for row in rows]
-            assert field_rank(FieldMatrix.from_rows(field, shuffled)) == r
-            assert field_rank(FieldMatrix.from_rows(field, zip(*data))) == r
+            assert field_rank(FieldMatrix(field, m, n, shuffled)) == r
+            assert field_rank(FieldMatrix(field, n, m, zip(*data))) == r
 
 
 def _det(rows):

@@ -53,18 +53,16 @@ def test_test_only_helpers_are_gone():
                          (actions, "is_regular")):
         assert not hasattr(module, name)
         assert not hasattr(zkhomology, name)
-    for cls, name in ((groupring.GroupRingElem, "generator_power"),
-                      (groupring.GroupRingElem, "reindex"),
-                      (transfer.IsotropyTriple, "subgroup"),
+    for cls, name in ((transfer.IsotropyTriple, "subgroup"),
                       (actions.QuotientData, "projection_table"),
                       (ring_snf.SnfDiagonal, "diag"),
                       (exact.FieldMatrix, "transpose"),
                       (exact.Poly, "x"),
                       # conveniences only the tests called
-                      (groupring.GroupRingElem, "lift"),
                       (groupring.GroupRingMatrix, "zeros"),
                       (groupring.GroupRingMatrix, "identity"),
-                      (exact.FieldMatrix, "zeros")):
+                      (exact.FieldMatrix, "zeros"),
+                      (exact.FieldMatrix, "from_rows")):
         assert not hasattr(cls, name)
     # fields that nothing read
     assert "shape" not in ring_snf.SnfDiagonal._fields
@@ -91,6 +89,26 @@ def test_test_only_helpers_are_gone():
                checks.run_action_suite, checks.run_triple_suite):
         params = inspect.signature(fn).parameters
         assert "fields" not in params and "field" in params, fn.__name__
+
+
+def test_dense_group_ring_model_is_gone(monkeypatch):
+    # group-ring entries are {exponent: coefficient} rows only: no element
+    # type, no dense grid, and one product, the sparse composition check,
+    # which verify's boundary-squared checks run too
+    for name in ("GroupRingElem", "sigma", "rho"):
+        assert not hasattr(groupring, name)
+        assert not hasattr(zkhomology, name)
+        assert name not in zkhomology.__all__
+    for name in ("data", "from_rows", "from_sparse", "_fill", "__mul__"):
+        assert not hasattr(groupring.GroupRingMatrix, name)
+    for name in ("__mul__", "is_zero"):
+        assert not hasattr(exact.FieldMatrix, name)
+    calls = []
+    monkeypatch.setattr(checks, "_composes_to_zero",
+                        lambda A, B: calls.append((A.k, B.k)) or pipeline._composes_to_zero(A, B))
+    X = simplicial.build_complex([{0, 1, 2, 3}])
+    assert checks.check_boundary_squared(X, exact.QQ).ok
+    assert calls == [(1, 1)] * 2
 
 
 def test_witness_errors_share_one_init():

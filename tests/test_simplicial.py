@@ -16,6 +16,8 @@ from zkhomology.simplicial import (
     default_orientation,
 )
 
+from grids import field_product
+
 
 def _cycle(n):
     return [{i, (i + 1) % n} for i in range(n)]
@@ -120,8 +122,9 @@ class TestBoundaryMatrix:
             X = action.complex
             for field in fields:
                 for d in range(2, X.dim + 1):
-                    prod = boundary_matrix(X, d - 1, field) * boundary_matrix(X, d, field)
-                    assert prod.is_zero()
+                    prod = field_product(boundary_matrix(X, d - 1, field),
+                                         boundary_matrix(X, d, field))
+                    assert not any(any(row) for row in prod.data)
 
 
 class TestBettiDirect:
