@@ -3,6 +3,9 @@ ties the G-boundary matrix to the acted-on complex: lifted partitions,
 compatible orientations and boundaries, the index-reducing map and the
 isotropy expansion, which equals the circulant image of the G-boundary
 entry by entry (the expansion lemma).  Production code never reads it.
+Expansions and circulant images are sparse rows over F[Z_1], and every rank
+here is `ring_snf.sparse_rank`: the dense matrices serve the direct oracle,
+and are read here only to write sparse rows.
 
 Index conventions: lifted partitions and the index-reducing function keep
 the 1-based positions used by their definitions (block I_a starts at n_a,
@@ -22,14 +25,13 @@ from math import gcd
 
 from .errors import (DimensionError, RegularityError, TripleValidationError,
                      UnknownSimplexError, ZkHomologyError)
-from .exact import FieldMatrix, field_rank
 from .simplicial import betti_direct, boundary_matrix, default_orientation
 from .actions import (Subgroup, coset_ordering, coset_position, lex_lift,
                       lex_max_lift, quotient)
 from .groupring import GroupRingMatrix, rho_extend
 from .transfer import build_triple, check_axioms, extended_transfer
 from .pipeline import _composes_to_zero, compressed_betti, g_boundary_matrix
-from .ring_snf import snf_over_R
+from .ring_snf import snf_over_R, sparse_rank
 
 # check_ordering_independence shuffles each dimension's quotient simplices
 # this many times, from this seed.
@@ -211,15 +213,17 @@ def compatible_boundary(action, lift, d, field, qd=None):
 
 def isotropy_expansion(action, lift, d, field, qd=None):
     """The (m k x n k) coset-duplicated enlargement of the compatible
-    boundary matrix; same rank as the boundary itself."""
+    boundary matrix, as sparse rows over F[Z_1]; same rank as the boundary
+    itself."""
     return _expand(*_compatible_parts(action, lift, d, field, qd), action.k)
 
 
 def _expand(B, row_lp, col_lp, k):
     J_rows = index_reducing(row_lp, k)
     J_cols = index_reducing(col_lp, k)
-    data = [[B.data[r - 1][c - 1] for c in J_cols] for r in J_rows]
-    return FieldMatrix(B.field, len(J_rows), len(J_cols), data)
+    entries = {i: {j: {0: v} for j, c in enumerate(J_cols) if (v := B.data[r - 1][c - 1])}
+               for i, r in enumerate(J_rows)}
+    return GroupRingMatrix(B.field, 1, len(J_rows), len(J_cols), entries)
 
 
 def verify_expansion_lemma(action, lift, d, field, qd=None, triple=None):
@@ -238,17 +242,18 @@ def verify_expansion_lemma(action, lift, d, field, qd=None, triple=None):
 
 def _expansion_report(E, action, lift, d, field, qd, triple):
     # verify_expansion_lemma on the isotropy expansion E
-    k = action.k
+    k, z = action.k, field.zero()
     G = rho_extend(g_boundary_matrix(triple, d, field))
     if E.rows != G.rows or E.cols != G.cols:
         return False, f"shape mismatch {E.rows}x{E.cols} vs {G.rows}x{G.cols}"
     for i in range(E.rows):
-        for j in range(E.cols):
-            if E.data[i][j] != G.data[i][j]:
-                return False, (
-                    f"d={d}: entry ({i + 1},{j + 1}) differs: expansion has "
-                    f"{E.data[i][j]}, circulant image has {G.data[i][j]}"
-                )
+        e, g = E.entries[i], G.entries[i]
+        if e != g:
+            j = min(j for j in e.keys() | g.keys() if e.get(j) != g.get(j))
+            return False, (
+                f"d={d}: entry ({i + 1},{j + 1}) differs: expansion has "
+                f"{e.get(j, {0: z})[0]}, circulant image has {g.get(j, {0: z})[0]}"
+            )
     # Entry cases by direct containment: block (a, b), offsets (c, c').
     Y = qd.quotient
     Bq = boundary_matrix(Y, d, field)
@@ -263,7 +268,7 @@ def _expansion_report(E, action, lift, d, field, qd, triple):
                     want = (
                         Bq.data[a][b] if moved_o <= moved_p else field.zero()
                     )
-                    got = E.data[k * a + c - 1][k * b + cp - 1]
+                    got = E.entries[k * a + c - 1].get(k * b + cp - 1, {0: z})[0]
                     if got != want:
                         return False, (
                             f"d={d}: containment case fails at block ({a + 1},"
@@ -432,7 +437,7 @@ def check_expansion_lemma(action, qd, lift, field, triple, expansion):
 def check_rank_preservation(action, field, rank, expansion):
     failures = []
     for d in range(1, action.complex.dim + 1):
-        rb, re = rank(d), field_rank(expansion(d))
+        rb, re = rank(d), sparse_rank(expansion(d))
         if rb != re:
             failures.append(
                 f"{field.name} d={d}: boundary rank {rb} vs expansion rank {re}"
@@ -476,7 +481,7 @@ def check_snf_invariants(triple, field, reduced):
         except (ZkHomologyError, ArithmeticError) as exc:
             failures.append(f"{field.name} d={d}: {exc}")
             continue
-        predicted, expected = snf.rank_sum(), field_rank(rho_extend(M))
+        predicted, expected = snf.rank_sum(), sparse_rank(rho_extend(M))
         if predicted != expected:
             failures.append(
                 f"{field.name} d={d}: rank certificate failed: SNF predicts "
@@ -545,7 +550,7 @@ def run_action_suite(qd, field):
     orient = cache(lambda: compatible_orientations(action, lift, qd=qd)[0])
     partition = cache(lambda d: compatible_ordering(qd, lift, d))
     parts = cache(lambda d: _compatible_parts(action, lift, d, field, qd, orient(), partition))
-    rank = cache(lambda d: field_rank(parts(d)[0]))
+    rank = cache(lambda d: sparse_rank(_over_trivial_group(parts(d)[0])))
     expansion = cache(lambda d: _expand(*parts(d), action.k))
     betti = cache(lambda: compressed_betti(triple, field))
     reduced = cache(lambda d: _g_boundary_snf(triple, d, field))

@@ -1,5 +1,6 @@
 """Exact arithmetic: the fields Q and F_p, univariate polynomials over them,
-dense matrices with exact rank, and Smith normal form over F[x].
+dense matrices with exact rank, and Smith normal form over F[x].  The dense
+matrices serve the direct oracle only: the group-ring side ranks sparse rows.
 
 Scalars are plain Python values -- `fractions.Fraction` for rationals and
 canonical integers in [0, p) for prime fields -- with a `Field` object
@@ -340,23 +341,12 @@ def poly_gcd(a, b):
 
 
 class FieldMatrix:
-    """Dense matrix over a Field; immutable after construction."""
+    """Dense matrix over a Field, for the direct oracle; immutable after construction."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field, rows, cols, data):
-        self._fill(field, rows, cols,
-                   tuple(tuple(field.coerce(v) for v in row) for row in data))
-
-    @classmethod
-    def _from_canonical(cls, field, rows, cols, data):
-        """Rows whose values are canonical in `field` already: the shape is
-        checked, the per-cell coercion skipped."""
-        self = object.__new__(cls)
-        self._fill(field, rows, cols, tuple(map(tuple, data)))
-        return self
-
-    def _fill(self, field, rows, cols, data):
+        data = tuple(tuple(field.coerce(v) for v in row) for row in data)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError(f"shape mismatch: want {rows}x{cols}")
         self.field, self.rows, self.cols, self.data = field, rows, cols, data

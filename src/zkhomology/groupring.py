@@ -4,10 +4,10 @@ An element sum_i a_i alpha^i is stored sparsely as {exponent: coefficient}
 over its nonzero coefficients; multiplication is cyclic convolution.  The
 representation rho sends alpha^c to the k x k matrix of the regular
 representation (the transpose of the circulant matrix of the coefficient
-vector), so rho(w)[i][j] = a_{(i-j) mod k}.
+vector), so rho(w)[i][j] = a_{(i-j) mod k}.  Its images are matrices over
+F[Z_1], sparse rows like any other, which `ring_snf.sparse_rank` ranks; the
+dense matrices of `exact` serve the direct oracle only.
 """
-
-from .exact import FieldMatrix
 
 
 class GroupRingMatrix:
@@ -38,24 +38,19 @@ class GroupRingMatrix:
         return f"GroupRingMatrix({self.field}, k={self.k}, {self.rows}x{self.cols}: {self.entries})"
 
 
-def circulant_expansion(field, k, blocks, cols):
-    """The (rows k) x (cols k) field matrix whose block (a, b) is rho of the
-    coefficients blocks[a][b]: canonical in `field`, at most k of them
-    (missing ones are zero).  Only nonzero blocks are written."""
-    z = field.zero()
-    out = [[z] * (cols * k) for _ in range(len(blocks) * k)]
-    for a, row in enumerate(blocks):
-        for b, c in enumerate(row):
-            if any(c):
-                c = tuple(c) + (z,) * (k - len(c))
+def circulant_expansion(field, k, entries, rows, cols):
+    """rho applied entry-wise to the sparse rows `entries`, {a: {b: {e: c}}},
+    of a rows x cols matrix over F[Z_k]: the (rows k) x (cols k) matrix over
+    F[Z_1] whose row a k + i holds c at column b k + (i - e) mod k."""
+    out = {i: {} for i in range(rows * k)}
+    for a, r in entries.items():
+        for b, w in r.items():
+            for e, c in w.items():
                 for i in range(k):
-                    out[a * k + i][b * k:(b + 1) * k] = [c[(i - j) % k] for j in range(k)]
-    return FieldMatrix._from_canonical(field, len(out), cols * k, out)
+                    out[a * k + i][b * k + (i - e) % k] = {0: c}
+    return GroupRingMatrix(field, 1, rows * k, cols * k, out)
 
 
 def rho_extend(M):
     """Entry-wise matrix extension of rho: blocks (a, b) hold rho(M[a][b])."""
-    z, k = M.field.zero(), M.k
-    blocks = [[[r[b].get(e, z) for e in range(k)] if b in r else () for b in range(M.cols)]
-              for r in (M.entries[a] for a in range(M.rows))]
-    return circulant_expansion(M.field, k, blocks, M.cols)
+    return circulant_expansion(M.field, M.k, M.entries, M.rows, M.cols)

@@ -29,16 +29,17 @@ i < min(a, b) on the a x b core, then q once per zero line until there are
 min(m, n): a zero entry of R lifts to q.  No transform is kept.  A zero
 line of S expands to k zero lines of rho(S), so rank_F rho(M) =
 k p + rank_F rho(S) = k p + rank_F rho(C): every call checks that the lifts
-predict this, on the ak x bk expansion of C~ (0 x 0 when C is empty), and
-the chain check runs on the lifts after the 1s, since 1 divides anything.
-The mk x nk expansion of M is left to `verify`.
+predict this on the sparse ak x bk expansion of C (0 x 0 when C is empty),
+ranked by the same unit elimination with k = 1 (`sparse_rank`: over a field
+every nonzero entry is a unit); the chain check runs on the lifts after the
+1s, since 1 divides anything.  The mk x nk expansion of M is left to `verify`.
 """
 
 from functools import reduce
 from heapq import heapify, heappop, heappush
 
-from .exact import Poly, field_rank, poly_gcd, snf_over_polys, poly_str
-from .groupring import circulant_expansion
+from .exact import Poly, poly_gcd, snf_over_polys, poly_str
+from .groupring import GroupRingMatrix, circulant_expansion
 from .records import record
 
 class SnfDiagonal(record("SnfDiagonal", "lifts k")):
@@ -89,7 +90,9 @@ def _eliminate_units(field, k, rows):
     heap = [(key, i, j) for (i, j), key in live.items()]
     heapify(heap)
     pivots = []
-    while heap:
+    # rows with an entry: once there are none, every key left is stale
+    left = sum(1 for r in rows.values() if r)
+    while heap and left:
         key, pi, pj = heappop(heap)
         cell = (pi, pj)
         if live.get(cell) == key:
@@ -105,6 +108,7 @@ def _eliminate_units(field, k, rows):
                 heappush(heap, (cost, pi, pj))
             continue
         prow = rows.pop(pi)
+        left -= 1
         ((e, c),) = prow.pop(pj).items()
         inv = c if c == 1 or c == -1 else field.inv(c)
         pivots.append((pi, pj))
@@ -138,6 +142,7 @@ def _eliminate_units(field, k, rows):
                     col_rows[j].discard(i)
             if len(r) < before:
                 shrunk.append(i)
+                left -= not r
         # a key (r-1)(c-1) falls only in a row that got shorter or in a
         # column of the pivot row; push the keys that fell
         for i in shrunk:
@@ -160,19 +165,22 @@ def _eliminate_units(field, k, rows):
     return pivots
 
 
+def sparse_rank(M):
+    """Rank of a matrix over F[Z_1], a field: every nonzero entry is a unit,
+    so the unit pivots are the rank."""
+    return len(_eliminate_units(M.field, 1, M.sparse_rows()))
+
+
 def _unit_pivot_reduce(M):
-    """Eliminate monomial pivots from a copy of M's sparse rows.  Returns
-    the pivot count p, the plain lift of the residual's core (its nonzero
-    rows and columns, each in order) and the residual's shape (m-p, n-p)."""
+    """Eliminate monomial pivots from a copy of M's sparse rows.  Returns the
+    pivot count p, the residual's core (its nonzero rows and columns in order,
+    renumbered from 0; over Q, ints where integral) and shape (m-p, n-p)."""
     field, k, rows = M.field, M.k, M.sparse_rows()
     p = len(_eliminate_units(field, k, rows))
     core_rows = [r for _, r in sorted(rows.items()) if r]
-    core_cols = sorted({j for r in core_rows for j in r})
-    zero = Poly.zero(field)
-    core = [[Poly(field, [r[j].get(e, 0) for e in range(k)]) if j in r else zero
-             for j in core_cols]
-            for r in core_rows]
-    return p, core, (M.rows - p, M.cols - p)
+    col_at = {j: b for b, j in enumerate(sorted({j for r in core_rows for j in r}))}
+    core = {a: {col_at[j]: w for j, w in r.items()} for a, r in enumerate(core_rows)}
+    return p, GroupRingMatrix(field, k, len(core), len(col_at), core), (M.rows - p, M.cols - p)
 
 
 def snf_over_R(M):
@@ -181,23 +189,24 @@ def snf_over_R(M):
     residual left by p unit pivots."""
     field, k = M.field, M.k
     q = Poly.x_pow_minus_one(field, k)
-    pivots, core, (m, n) = _unit_pivot_reduce(M)
-    width = len(core[0]) if core else 0
-    if min(len(core), width) <= 1:
+    pivots, C, (m, n) = _unit_pivot_reduce(M)
+    zero = Poly.zero(field)
+    core = [[Poly(field, [r[j].get(e, 0) for e in range(k)]) if j in r else zero
+             for j in range(C.cols)] for r in (C.entries[a] for a in range(C.rows))]
+    if min(C.rows, C.cols) <= 1:
         # at most one line, none of its entries zero: d_0 is their gcd
         chain = [reduce(poly_gcd, (f for row in core for f in row), q)] if core else []
     else:
         D, ok = snf_over_polys(core)
         if not ok:
             raise ArithmeticError("polynomial SNF self-check failed")
-        chain = [poly_gcd(D[i][i], q) for i in range(min(len(core), width))]
+        chain = [poly_gcd(D[i][i], q) for i in range(min(C.rows, C.cols))]
     chain += [q] * (min(m, n) - len(chain))
     for a, b in zip(chain, chain[1:]):
         if not a.divides(b):
             raise ArithmeticError("divisibility chain broken in lifted SNF")
     result = SnfDiagonal(lifts=(Poly.one(field),) * pivots + tuple(chain), k=k)
-    expected = k * pivots + field_rank(circulant_expansion(
-        field, k, [[f.coeffs for f in row] for row in core], width))
+    expected = k * pivots + sparse_rank(circulant_expansion(field, k, C.entries, C.rows, C.cols))
     if result.rank_sum() != expected:
         raise ArithmeticError(f"rank certificate failed: SNF predicts "
                               f"{result.rank_sum()}, expanded matrix has rank {expected}")

@@ -26,6 +26,17 @@ def tuples(M):
              for j in range(M.cols)] for i in range(M.rows)]
 
 
+def dense(M):
+    """The FieldMatrix of a matrix over F[Z_1] (a rho image or an isotropy
+    expansion), built through the coercing constructor so that the dense
+    field_rank can rank it.  Every row is present and every entry is
+    {0: c} at a column in range, with c nonzero."""
+    assert M.k == 1 and set(M.entries) == set(range(M.rows))
+    assert all(0 <= j < M.cols and set(w) == {0} and w[0]
+               for r in M.entries.values() for j, w in r.items())
+    return FieldMatrix(M.field, M.rows, M.cols, [[w[0] for w in row] for row in tuples(M)])
+
+
 def add(field, a, b):
     """a + b in F[Z_k] for coefficient tuples of length k."""
     return tuple(map(field.add, a, b))

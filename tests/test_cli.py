@@ -8,7 +8,7 @@ import pytest
 
 from zkhomology import actions, checks, cli, corpus, ring_snf, transfer
 from zkhomology.corpus import entry, names, to_input_dict
-from zkhomology.exact import GF, QQ
+from zkhomology.exact import GF, QQ, FieldMatrix
 from zkhomology.jsonio import (
     action_to_dict,
     dump_json,
@@ -16,7 +16,10 @@ from zkhomology.jsonio import (
     parse_input,
     triple_to_dict,
 )
-from zkhomology.pipeline import compressed_result
+from zkhomology.actions import lex_lift, quotient
+from zkhomology.checks import isotropy_expansion
+from zkhomology.groupring import GroupRingMatrix, circulant_expansion, rho_extend
+from zkhomology.pipeline import compressed_result, g_boundary_matrix
 from zkhomology.transfer import build_triple
 
 
@@ -195,8 +198,8 @@ class TestHomology:
     def test_internal_self_check_failure_exit_four(self, path_file, monkeypatch,
                                                    capsys):
         # A rank certificate that cannot hold: the expanded rank is off by one.
-        original = ring_snf.field_rank
-        monkeypatch.setattr(ring_snf, "field_rank", lambda M: original(M) + 1)
+        original = ring_snf.sparse_rank
+        monkeypatch.setattr(ring_snf, "sparse_rank", lambda M: original(M) + 1)
         assert cli.run(["homology", path_file, "--field", "Q"]) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -472,8 +475,8 @@ class TestVerify:
                                                  monkeypatch, capsys):
         # An expanded rank off by one fails the full certificate, which
         # verify runs itself rather than inside the production SNF.
-        original = checks.field_rank
-        monkeypatch.setattr(checks, "field_rank", lambda M: original(M) + 1)
+        original = checks.sparse_rank
+        monkeypatch.setattr(checks, "sparse_rank", lambda M: original(M) + 1)
         assert cli.run(["verify", triple_file]) == 4
         failed = [l for l in capsys.readouterr().out.splitlines()
                   if l.startswith("FAIL")]
@@ -483,8 +486,10 @@ class TestVerify:
         assert cli.run(["verify", path_file]) == 4
         assert "FAIL snf-divisibility-and-certificate: " in capsys.readouterr().out
 
-    def test_homology_never_expands_upstairs(self, tmp_path, corpus_actions,
-                                             monkeypatch, capsys):
+    @staticmethod
+    def _compressed_runs(tmp_path, corpus_actions, capsys):
+        """`homology --mode compressed` on the 9x3 torus and on its triple,
+        over Q, F2 and F3, with the stdout of each unpatched run."""
         torus = _write(tmp_path, "torus.json", to_input_dict(entry("torus9x3_rot3")))
         triple = _write(tmp_path, "torus_triple.json", triple_to_dict(
             build_triple(corpus_actions["torus9x3_rot3"])))
@@ -494,6 +499,11 @@ class TestVerify:
         for argv in runs:
             assert cli.run(argv) == 0
             before.append(capsys.readouterr().out)
+        return runs, before
+
+    def test_homology_never_expands_upstairs(self, tmp_path, corpus_actions,
+                                             monkeypatch, capsys):
+        runs, before = self._compressed_runs(tmp_path, corpus_actions, capsys)
 
         def refuse(M):
             raise AssertionError("rho_extend on the homology path")
@@ -505,6 +515,34 @@ class TestVerify:
             assert cli.run(argv) == 0
             assert capsys.readouterr().out == want
         assert "compressed betti: [1, 2, 1]" in before[0]
+
+    def test_compressed_route_builds_no_dense_matrix(self, tmp_path, corpus_actions,
+                                                     monkeypatch, capsys):
+        # the certificate ranks the core's expansion as sparse rows: no
+        # FieldMatrix is built and the dense field_rank is never called
+        runs, before = self._compressed_runs(tmp_path, corpus_actions, capsys)
+        act = corpus_actions["torus9x3_rot3"]
+        qd = quotient(act)
+        tri = build_triple(act, qd=qd)
+        E = isotropy_expansion(act, lex_lift(qd), 1, QQ, qd=qd)
+        assert isinstance(E, GroupRingMatrix) and E.k == 1
+
+        def refuse(*args):
+            raise AssertionError("a dense matrix on the compressed route")
+
+        monkeypatch.setattr(FieldMatrix, "__init__", refuse)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "zkhomology" and hasattr(module, "field_rank"):
+                monkeypatch.setattr(module, "field_rank", refuse)
+        for argv, want in zip(runs, before):
+            assert cli.run(argv) == 0
+            assert capsys.readouterr().out == want
+        for field in (QQ, GF(2), GF(3)):
+            M = g_boundary_matrix(tri, 2, field)
+            for R in (rho_extend(M),
+                      circulant_expansion(field, M.k, M.entries, M.rows, M.cols)):
+                assert isinstance(R, GroupRingMatrix)
+                assert (R.k, R.rows, R.cols) == (1, M.rows * M.k, M.cols * M.k)
 
     def test_triple_verify_json(self, triple_file, capsys):
         assert cli.run(["verify", triple_file, "--format", "json"]) == 0

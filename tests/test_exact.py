@@ -126,18 +126,14 @@ class TestPolyGcd:
 
 
 class TestFieldMatrix:
-    def test_shape_checked_with_and_without_coercion(self):
-        for build in (FieldMatrix, FieldMatrix._from_canonical):
-            with pytest.raises(ValueError, match="shape mismatch"):
-                build(F3, 2, 2, [[1, 2], [0]])
-            with pytest.raises(ValueError, match="shape mismatch"):
-                build(F3, 1, 2, [[1, 2], [0, 1]])
-
-    def test_canonical_rows_match_coerced(self):
-        data = [[F3.coerce(v) for v in row] for row in ([1, 5], [-1, 0], [2, 3])]
-        M = FieldMatrix._from_canonical(F3, 3, 2, data)
-        assert M == FieldMatrix(F3, 3, 2, [[1, 5], [-1, 0], [2, 3]])
-        assert M.data == tuple(map(tuple, data))
+    def test_shape_checked_and_values_coerced(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            FieldMatrix(F3, 2, 2, [[1, 2], [0]])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            FieldMatrix(F3, 1, 2, [[1, 2], [0, 1]])
+        M = FieldMatrix(F3, 3, 2, [[1, 5], [-1, 0], [2, 3]])
+        assert M.data == ((1, 2), (2, 0), (2, 0))
+        assert M == FieldMatrix(F3, 3, 2, M.data)
 
 
 class TestFieldRank:

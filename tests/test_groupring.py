@@ -10,7 +10,7 @@ from zkhomology.ring_snf import snf_over_R
 from zkhomology.simplicial import faces
 from zkhomology.transfer import build_triple
 
-from grids import add, circulant, convolve, field_product, ring_matrix, ring_product
+from grids import add, circulant, convolve, dense, field_product, ring_matrix, ring_product
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -26,8 +26,9 @@ def _one(k):
 
 
 def _rho(field, w):
-    """rho(w) for a coefficient tuple w, through the 1x1 matrix [w]."""
-    return rho_extend(ring_matrix(field, len(w), [[w]]))
+    """rho(w) for a coefficient tuple w, through the 1x1 matrix [w], as a
+    dense FieldMatrix."""
+    return dense(rho_extend(ring_matrix(field, len(w), [[w]])))
 
 
 def _is_zero(M):
@@ -134,16 +135,26 @@ class TestRho:
 class TestRhoExtend:
     def test_single_identity(self):
         M = GroupRingMatrix(QQ, 3, 1, 1, {0: {0: {0: QQ.one()}}})
-        assert rho_extend(M) == FieldMatrix(QQ, 3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert dense(rho_extend(M)) == FieldMatrix(QQ, 3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_path_g_boundary_blocks(self):
-        R = rho_extend(ring_matrix(QQ, 2, [[(-1, 0)], [(1, 1)]]))
+        R = dense(rho_extend(ring_matrix(QQ, 2, [[(-1, 0)], [(1, 1)]])))
         assert [[int(v) for v in row] for row in R.data] == [
             [-1, 0], [0, -1], [1, 1], [1, 1]]
 
+    def test_sparse_rows_over_the_trivial_group(self):
+        # row a k + i holds c at column b k + (i - e) mod k for each term
+        # c x^e of entry (a, b), and nothing else; a zero row of M gives k
+        # empty rows
+        R = rho_extend(ring_matrix(F3, 3, [[(0, 2), ()], [(), (1, 0, 1)], [(), ()]]))
+        assert (R.field, R.k, R.rows, R.cols) == (F3, 1, 9, 6)
+        assert R.entries == {0: {2: {0: 2}}, 1: {0: {0: 2}}, 2: {1: {0: 2}},
+                             3: {3: {0: 1}, 4: {0: 1}}, 4: {4: {0: 1}, 5: {0: 1}},
+                             5: {5: {0: 1}, 3: {0: 1}}, 6: {}, 7: {}, 8: {}}
+
     def test_zero(self):
         M = GroupRingMatrix(QQ, 2, 3, 2, {0: {}, 1: {}, 2: {}})
-        assert _is_zero(rho_extend(M))
+        assert _is_zero(dense(rho_extend(M)))
 
     def test_equals_block_assembly_of_rho(self):
         # the sparse build against the blocks rho(M[a][b]), zero blocks
@@ -157,7 +168,7 @@ class TestRhoExtend:
                 data = [[grid[a][b][(i - j) % k] for b in range(cols) for j in range(k)]
                         for a in range(rows) for i in range(k)]
                 want = FieldMatrix(field, rows * k, cols * k, data)
-                got = rho_extend(ring_matrix(field, k, grid, cols))
+                got = dense(rho_extend(ring_matrix(field, k, grid, cols)))
                 assert got == want
                 assert (got.rows, got.cols) == (want.rows, want.cols)
 
@@ -168,9 +179,10 @@ class TestRhoExtend:
                 A = _random_unimodular(rng, field, k, 3)
                 B = _random_unimodular(rng, field, k, 3)
                 AB = ring_matrix(field, k, ring_product(A, B))
-                assert rho_extend(AB) == field_product(rho_extend(A), rho_extend(B))
+                assert dense(rho_extend(AB)) == field_product(dense(rho_extend(A)),
+                                                              dense(rho_extend(B)))
                 # invertible over the group ring maps to full field rank
-                assert field_rank(rho_extend(A)) == 3 * k
+                assert field_rank(dense(rho_extend(A))) == 3 * k
 
 
 def _random_unimodular(rng, field, k, n):

@@ -36,7 +36,7 @@ from zkhomology.pipeline import (
 from zkhomology.simplicial import betti_direct, boundary_matrix, build_complex, faces
 from zkhomology.transfer import build_triple
 
-from grids import add, convolve, ring_matrix, ring_product, tuples
+from grids import add, convolve, dense, ring_matrix, ring_product, tuples
 from test_random_families import FAMILIES, _grid_torus
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -162,7 +162,7 @@ class TestCompatibleBoundary:
 class TestIsotropyExpansion:
     def test_path_matrix_and_rank(self, path_setup):
         act, qd, lift = path_setup
-        E = isotropy_expansion(act, lift, 1, QQ, qd=qd)
+        E = dense(isotropy_expansion(act, lift, 1, QQ, qd=qd))
         assert [[int(v) for v in row] for row in E.data] == [
             [-1, 0], [0, -1], [1, 1], [1, 1]]
         assert field_rank(E) == 2
@@ -171,12 +171,12 @@ class TestIsotropyExpansion:
         act = trivial_action(build_complex([{0, 1, 2}]), 1)
         qd = quotient(act)
         lift = lex_lift(qd)
-        E = isotropy_expansion(act, lift, 1, QQ, qd=qd)
+        E = dense(isotropy_expansion(act, lift, 1, QQ, qd=qd))
         assert E == compatible_boundary(act, lift, 1, QQ, qd=qd)
 
     def test_octagon_free_action_is_permutation_of_boundary(self, octagon_setup):
         act, qd, lift = octagon_setup
-        E = isotropy_expansion(act, lift, 1, QQ, qd=qd)
+        E = dense(isotropy_expansion(act, lift, 1, QQ, qd=qd))
         assert (E.rows, E.cols) == (8, 8)
         assert field_rank(E) == 7
 
@@ -185,7 +185,7 @@ class TestIsotropyExpansion:
             for field in LEMMA_FIELDS:
                 for d in range(1, act.complex.dim + 1):
                     rb = field_rank(compatible_boundary(act, lift, d, field, qd=qd))
-                    re = field_rank(isotropy_expansion(act, lift, d, field, qd=qd))
+                    re = field_rank(dense(isotropy_expansion(act, lift, d, field, qd=qd)))
                     assert rb == re
 
 
@@ -293,25 +293,49 @@ class TestGBoundaryReference:
                 g_boundary_matrix(tri, 1, QQ, orders)
 
 
+def _imports(module):
+    """The modules and the names that a source module of the package
+    imports."""
+    import zkhomology
+    imported, names = set(), set()
+    tree = ast.parse((Path(zkhomology.__file__).parent / module).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            names.update(a.name for a in node.names)
+            if not node.module:
+                imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                imported.update(a.name.split("."))
+    return imported, names
+
+
 def test_production_path_does_not_import_the_upstairs_model():
     # pipeline and ring_snf compute from a triple alone: they never reach
     # the action, the transfer construction or the lemma checks, and never
-    # expand a matrix to its mk x nk circulant image.
-    import zkhomology
-    src = Path(zkhomology.__file__).parent
+    # expand a matrix to its mk x nk circulant image.  Neither they nor
+    # groupring build a dense matrix, and the checks rank sparse rows too:
+    # the dense matrices and their rank serve the direct oracle only.
     for module in ("pipeline.py", "ring_snf.py"):
-        imported, names = set(), set()
-        for node in ast.walk(ast.parse((src / module).read_text())):
-            if isinstance(node, ast.ImportFrom):
-                imported.update((node.module or "").split("."))
-                names.update(a.name for a in node.names)
-                if not node.module:
-                    imported.update(a.name for a in node.names)
-            elif isinstance(node, ast.Import):
-                for a in node.names:
-                    imported.update(a.name.split("."))
+        imported, names = _imports(module)
         assert not imported & {"actions", "transfer", "checks"}, module
         assert "rho_extend" not in names, module
+    for module in ("pipeline.py", "ring_snf.py", "groupring.py"):
+        assert not _imports(module)[1] & {"FieldMatrix", "field_rank"}, module
+    assert "field_rank" not in _imports("checks.py")[1]
+
+
+def test_only_the_direct_oracle_calls_field_rank():
+    # every function of the package that names exact.field_rank
+    import zkhomology
+    callers = set()
+    for path in Path(zkhomology.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(n, ast.Name) and n.id == "field_rank" for n in ast.walk(node)):
+                callers.add((path.stem, node.name))
+    assert callers == {("simplicial", "betti_direct"), ("cli", "_direct_report")}
 
 
 class TestCompositionCheck:
@@ -492,6 +516,22 @@ class TestExpansionLemma:
                 given = verify_expansion_lemma(act, lift, d, F3, qd=qd, triple=tri)
                 assert given == verify_expansion_lemma(act, lift, d, F3, qd=qd)
 
+    def test_report_names_the_first_differing_cell(self, corpus_triples):
+        # one transfer coset shifted: the report names the first cell, in
+        # row-major order, where the expansion and the circulant image differ
+        act, qd, lift, _ = corpus_triples["torus9x3_rot3"]
+        tampered = build_triple(act, lift=lift, qd=qd)
+        key = sorted(tampered.Tstar)[0]
+        tampered.Tstar[key] = frozenset((c + 1) % act.k for c in tampered.Tstar[key])
+        d = len(key[1])
+        E = dense(isotropy_expansion(act, lift, d, F3, qd=qd)).data
+        G = dense(rho_extend(g_boundary_matrix(tampered, d, F3))).data
+        i, j = next((i, j) for i, row in enumerate(E) for j, v in enumerate(row)
+                    if v != G[i][j])
+        assert verify_expansion_lemma(act, lift, d, F3, qd=qd, triple=tampered) == (
+            False, f"d={d}: entry ({i + 1},{j + 1}) differs: expansion has {E[i][j]}, "
+                   f"circulant image has {G[i][j]}")
+
     def test_both_sides_equal_explicitly(self, corpus_triples):
         act, qd, lift, tri = corpus_triples["cycle9_rot3"]
         E = isotropy_expansion(act, lift, 1, F3, qd=qd)
@@ -582,9 +622,9 @@ class TestActionSuite:
     def test_builds_each_upstairs_boundary_once(self, corpus_actions, monkeypatch):
         # one lifted partition and one compatible boundary per dimension,
         # each boundary ranked once, serve every check
-        partitions, boundaries, ranked = [], [], []
-        ordering, boundary, rank = (checks.compatible_ordering, checks.boundary_matrix,
-                                    checks.field_rank)
+        partitions, boundaries, lifted, ranked = [], [], [], []
+        ordering, boundary, trivial, rank = (checks.compatible_ordering, checks.boundary_matrix,
+                                             checks._over_trivial_group, checks.sparse_rank)
 
         def counting_ordering(qd, lift, d):
             partitions.append(d)
@@ -596,17 +636,25 @@ class TestActionSuite:
                 boundaries.append((field.name, d, B))
             return B
 
+        def lifting(B):
+            # a compatible boundary as sparse rows, which sparse_rank ranks
+            M = trivial(B)
+            if any(B is b for *_, b in boundaries):
+                lifted.append(M)
+            return M
+
         def counting_rank(M):
-            if any(M is B for *_, B in boundaries):
+            if any(M is L for L in lifted):
                 ranked.append(M)
             return rank(M)
 
         monkeypatch.setattr(checks, "compatible_ordering", counting_ordering)
         monkeypatch.setattr(checks, "boundary_matrix", counting_boundary)
-        monkeypatch.setattr(checks, "field_rank", counting_rank)
+        monkeypatch.setattr(checks, "_over_trivial_group", lifting)
+        monkeypatch.setattr(checks, "sparse_rank", counting_rank)
         qd = quotient(corpus_actions["torus9x3_rot3"])
         for field in (QQ, F3):
-            for seen in (partitions, boundaries, ranked):
+            for seen in (partitions, boundaries, lifted, ranked):
                 seen.clear()
             outcomes = checks.run_action_suite(qd, field)
             assert all(o.ok for o in outcomes), [o.line() for o in outcomes]

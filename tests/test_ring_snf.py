@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zkhomology.exact import (GF, QQ, Poly, field_rank, poly_gcd, poly_str,
+from zkhomology.exact import (GF, QQ, FieldMatrix, Poly, field_rank, poly_gcd, poly_str,
                               snf_over_polys)
 from zkhomology.groupring import GroupRingMatrix, circulant_expansion, rho_extend
 from zkhomology import cli, ring_snf
@@ -16,11 +16,11 @@ from zkhomology.actions import validate_action
 from zkhomology.corpus import entry, to_input_dict
 from zkhomology.jsonio import dump_json, triple_to_dict
 from zkhomology.pipeline import g_boundary_matrix
-from zkhomology.ring_snf import _eliminate_units, _unit_pivot_reduce, snf_over_R
+from zkhomology.ring_snf import _eliminate_units, _unit_pivot_reduce, snf_over_R, sparse_rank
 from zkhomology.simplicial import build_complex
 from zkhomology.transfer import build_triple
 
-from grids import add, convolve, ring_matrix, tuples
+from grids import add, convolve, dense, ring_matrix, tuples
 from test_random_families import _grid_torus
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -106,7 +106,7 @@ class TestSnfOverR:
                     m, n = rng.randint(1, 4), rng.randint(1, 4)
                     M = ring_matrix(field, k, _random_grid(rng, field, k, m, n))
                     snf = snf_over_R(M)
-                    assert snf.rank_sum() == field_rank(rho_extend(M))
+                    assert snf.rank_sum() == field_rank(dense(rho_extend(M)))
 
     def test_idempotence_on_normal_forms(self):
         # diag(1, x-1, x^2-1) over Q[Z_2]: images of monic divisors in
@@ -250,9 +250,14 @@ def test_plain_lift_matches_augmented_lift(M):
     assert lifts == _plain_lifts(M)
 
 
-def _core_expansion(M, core):
-    return circulant_expansion(M.field, M.k, [[f.coeffs for f in row] for row in core],
-                               len(core[0]) if core else 0)
+def _core_expansion(core):
+    """The circulant expansion of a core, dense, for field_rank."""
+    return dense(circulant_expansion(core.field, core.k, core.entries, core.rows, core.cols))
+
+
+def _core_lift(core):
+    """The plain lift of a core to F[x], as a grid of Poly."""
+    return [[Poly(core.field, w) for w in row] for row in tuples(core)]
 
 
 def _fixed_apex_cone_boundary(k=3, spacing=3):
@@ -276,8 +281,8 @@ def test_residual_expansion_keeps_the_upstairs_rank(M):
     # the downstairs certificate checks what the full mk x nk one would
     pivots, core, shape = _unit_pivot_reduce(M)
     assert shape == (M.rows - pivots, M.cols - pivots)
-    full = field_rank(rho_extend(M))
-    assert M.k * pivots + field_rank(_core_expansion(M, core)) == full
+    full = field_rank(dense(rho_extend(M)))
+    assert M.k * pivots + field_rank(_core_expansion(core)) == full
     assert snf_over_R(M).rank_sum() == full
 
 
@@ -303,8 +308,9 @@ def test_unit_pivot_count_and_residual(build, pivots, residual):
 ])
 def test_core_shape(build, core_shape):
     _, core, _ = _unit_pivot_reduce(build())
-    assert (len(core), len(core[0]) if core else 0) == core_shape
-    assert all(len(row) == core_shape[1] for row in core)
+    assert (core.rows, core.cols) == core_shape
+    assert set(core.entries) == set(range(core.rows))
+    assert all(0 <= j < core.cols for r in core.entries.values() for j in r)
 
 
 def _insert_zero_lines(draw, M):
@@ -336,11 +342,12 @@ def test_zero_lines_only_pad_the_chain(pair):
     assert lifts == _plain_lifts(padded)
     pivots, core, shape = _unit_pivot_reduce(padded)
     assert shape == (padded.rows - pivots, padded.cols - pivots)
-    assert (M.k * pivots + field_rank(_core_expansion(padded, core))
-            == field_rank(rho_extend(padded)) == field_rank(rho_extend(M)))
+    assert (M.k * pivots + field_rank(_core_expansion(core))
+            == field_rank(dense(rho_extend(padded))) == field_rank(dense(rho_extend(M))))
     # the core carries no zero line, and zero lines only add x^k - 1
-    assert all(any(not f.is_zero() for f in row) for row in core)
-    assert all(any(not f.is_zero() for f in col) for col in zip(*core))
+    lift = _core_lift(core)
+    assert all(any(not f.is_zero() for f in row) for row in lift)
+    assert all(any(not f.is_zero() for f in col) for col in zip(*lift))
     q = Poly.x_pow_minus_one(M.field, M.k)
     short = snf_over_R(M).lifts
     assert lifts == short + (q,) * (min(padded.rows, padded.cols) - len(short))
@@ -410,7 +417,8 @@ def _assert_same_elimination(M):
     # the core is the residual less its zero rows and zero columns
     nonzero = [row for row in residual if any(not f.is_zero() for f in row)]
     cols = [j for j in range(shape[1]) if any(not row[j].is_zero() for row in nonzero)]
-    assert core == [[row[j] for j in cols] for row in nonzero]
+    assert (core.field, core.k) == (M.field, M.k)
+    assert _core_lift(core) == [[row[j] for j in cols] for row in nonzero]
 
 
 @settings(max_examples=150, deadline=None)
@@ -490,7 +498,7 @@ def _refuse_polynomial_snf(core):
 @example(_fixed_apex_cone_boundary())
 def test_core_of_at_most_one_line_lifts_from_a_gcd(M):
     _, core, _ = _unit_pivot_reduce(M)
-    assert min(len(core), len(core[0]) if core else 0) <= 1
+    assert min(core.rows, core.cols) <= 1
     with mock.patch.object(ring_snf, "snf_over_polys", _refuse_polynomial_snf):
         lifts = snf_over_R(M).lifts
     assert lifts == _augmented_lifts(M)
@@ -534,3 +542,51 @@ def test_cores_of_several_lines_reach_the_polynomial_snf(name, shapes, tmp_path,
     f.write_text(dump_json(to_input_dict(entry(name))))
     assert cli.run(["homology", str(f), "--field", "Q"]) == 0
     assert seen == shapes
+
+
+@st.composite
+def _integer_rows(draw):
+    """A field and an m x n matrix of small integers, 0 <= m, n <= 6, with
+    zero rows and columns, repeated rows, sums of multiples of rows, and
+    rows that differ from another by a multiple of 2, 3 or 5: equal mod
+    that prime only."""
+    field = draw(st.sampled_from([QQ, F2, F3, F5]))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    small = st.integers(-3, 3)
+    rows = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["zero", "repeat", "sum", "mod"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "repeat":
+            rows.append(list(a))
+        elif kind == "sum":
+            c = draw(small)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            q = draw(st.sampled_from([2, 3, 5]))
+            rows.append([x + q * draw(small) for x in a])
+    if rows and draw(st.booleans()):
+        at = draw(st.integers(0, n))
+        rows, n = [r[:at] + [0] + r[at:] for r in rows], n + 1
+    return field, draw(st.permutations(rows)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_rows())
+@example((QQ, [], 0))
+@example((F2, [], 3))
+@example((F3, [[], [], []], 0))
+@example((F5, [[0, 0], [0, 0]], 2))
+@example((F2, [[1, 1], [1, -1]], 2))
+@example((QQ, [[1, 1], [1, -1]], 2))
+@example((F5, [[1, 2], [3, 1]], 2))
+@example((F3, [[1, 2, 0], [1, 2, 0], [4, -1, 3]], 3))
+def test_sparse_rank_equals_the_dense_rank(case):
+    # the unit elimination at k = 1 against the dense Gaussian elimination
+    field, rows, n = case
+    M = ring_matrix(field, 1, [[(v,) for v in r] for r in rows], n)
+    before = M.sparse_rows()
+    assert sparse_rank(M) == field_rank(FieldMatrix(field, len(rows), n, rows))
+    assert M.entries == before
