@@ -3,13 +3,13 @@
 Group elements are exponents c in {0, ..., k-1} of the generating vertex
 permutation alpha, matching the fixed ordering (e, alpha, ..., alpha^(k-1)).
 Subgroups of Z_k are stored by their order (a divisor of k).  An action
-walks each simplex orbit once, when it is built; orbits, isotropy, the
-regularity verdict, the quotient's fibers and the transfer cosets are all
-read off that walk.  Everything is read-only after construction.
+walks each simplex orbit once, when it is built; the permutation's order,
+orbits, isotropy, the regularity verdict, the quotient's fibers and the
+transfer cosets are all read off that walk.  Everything is read-only
+after construction.
 """
 
-from itertools import combinations, product
-from math import gcd
+from math import lcm
 
 from .errors import (
     InvalidActionError,
@@ -136,8 +136,8 @@ def validate_action(X, perm, k):
     """Check that perm generates a Z_k action on X and wrap it.
 
     Raises InvalidActionError (with a witness vertex or simplex) when perm
-    is not a bijection of the vertices, is not simplicial, or has order not
-    dividing k.
+    is not a bijection of the vertices, is not simplicial, or, read off the
+    orbit walk last, has order not dividing k.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidActionError(f"k must be a positive integer, got {k!r}")
@@ -153,31 +153,18 @@ def validate_action(X, perm, k):
             witness=tuple(missing[:3]),
         )
     if set(perm.values()) != vertices:
+        stray = next((w for w in perm.values() if w not in vertices), None)
+        if stray is not None:
+            raise InvalidActionError(
+                "permutation is not a bijection of the vertices "
+                f"(image {stray} is not a vertex)",
+                witness=stray,
+            )
         seen = set()
-        dup = next((w for w in perm.values() if w in seen or seen.add(w)), None)
+        dup = next(w for w in perm.values() if w in seen or seen.add(w))
         raise InvalidActionError(
             f"permutation is not a bijection of the vertices (image {dup} repeats)",
             witness=dup,
-        )
-
-    # order = lcm of cycle lengths; must divide k
-    seen = set()
-    order = 1
-    for v in perm:
-        if v in seen:
-            continue
-        length = 0
-        w = v
-        while True:
-            w = perm[w]
-            length += 1
-            seen.add(w)
-            if w == v:
-                break
-        order = order * length // gcd(order, length)
-    if k % order != 0:
-        raise InvalidActionError(
-            f"permutation order {order} does not divide k={k}"
         )
 
     image = {}
@@ -189,7 +176,14 @@ def validate_action(X, perm, k):
                 witness=s,
             )
         image[s] = t
-    return CyclicAction(X, perm, k, image)
+    action = CyclicAction(X, perm, k, image)
+    # the order of perm is the lcm of its cycle lengths, read off the walk
+    order = lcm(*map(len, action.vertex_orbits()))
+    if k % order != 0:
+        raise InvalidActionError(
+            f"permutation order {order} does not divide k={k}"
+        )
+    return action
 
 
 def trivial_action(X, k=1):
@@ -219,7 +213,7 @@ def _divisors(k):
 
 
 def check_regularity(action):
-    """Regularity check; None if regular, else a witness.
+    """Regularity check; None if regular, else the first witness.
 
     Regular means: for every subgroup H, simplex, and assignment of a
     nonempty subset of H to each vertex, if the moved vertex set is a
@@ -236,55 +230,37 @@ def check_regularity(action):
     iff u does.  Given (i), (h1, h2) on (u, v) is h1 applied to (e, delta)
     with delta = h2 - h1, realized iff delta v lies in Stab_H(u) v; the
     edge (g u, g v) has the same stabilizers, and its image edges are
-    those of (u, v) moved by g.  So the verdict is read on one vertex per vertex orbit and one edge
-    per edge orbit, at cost sum_{d|k} d * (#vertex orbits + #edge orbits).
-    Only a non-regular action is scanned vertex by vertex and edge by edge
-    (cost sum_{d|k} d^2 (|V| + |E|)), subgroups in increasing order and
-    simplices in complex order, for the witness the exhaustive search
-    would meet first.
+    those of (u, v) moved by g.  So one vertex per vertex orbit and one
+    edge per edge orbit are scanned, subgroups in increasing order, at cost
+    sum_{d|k} d * (#vertex orbits + #edge orbits).
+
+    The witness is the one a scan of every vertex, then every edge, and
+    every pair (h1, h2) in combinations/product order would meet first:
+    a vertex or edge fails exactly when every member of its orbit fails,
+    and the representative is its orbit's first member in complex order,
+    so the first failing vertex or edge is a representative; and a
+    failing pair (h1, h2) translated by -h1 is the failing pair
+    (e, h2 - h1), so the first failing pair is (e, h) for the least
+    failing h.
     """
-    if _regular_on_representatives(action):
-        return None
-    return _first_witness(action)
-
-
-def _regular_on_representatives(action):
     X, move = action.complex, action.apply_vertex
     vertices, edges = action.orbit_representatives(0), action.orbit_representatives(1)
     for order in _divisors(action.k)[1:]:
-        hs = Subgroup(action.k, order).exponents()
+        H = Subgroup(action.k, order)
+        hs = H.exponents()
         for (u,) in vertices:
-            if any(tuple(sorted((u, move(h, u)))) in X for h in hs[1:]):
-                return False
+            for h in hs[1:]:
+                image = tuple(sorted((u, move(h, u))))
+                if image in X:
+                    return RegularityWitness(H, (u,), (u, u), (0, h), image)
         for u, v in edges:
             reachable = {move(h, v) for h in hs if move(h, u) == u}
             for h in hs:
                 w = move(h, v)
-                if w not in reachable and tuple(sorted((u, w))) in X:
-                    return False
-    return True
-
-
-def _first_witness(action):
-    X, k = action.complex, action.k
-    move = action.apply_vertex
-    for d_order in _divisors(k):
-        if d_order == 1:
-            continue  # h = e always realizes the trivial subgroup
-        H = Subgroup(k, d_order)
-        hs = H.exponents()
-        for (u,) in X.simplices(0):
-            for h1, h2 in combinations(hs, 2):
-                image = tuple(sorted({move(h1, u), move(h2, u)}))
-                if len(image) == 2 and image in X:
-                    return RegularityWitness(H, (u,), (u, u), (h1, h2), image)
-        for u, v in X.simplices(1):
-            realized = {(move(h, u), move(h, v)) for h in hs}
-            for h1, h2 in product(hs, repeat=2):
-                moved = (move(h1, u), move(h2, v))
-                image = tuple(sorted(set(moved)))
-                if moved not in realized and image in X:
-                    return RegularityWitness(H, (u, v), (u, v), (h1, h2), image)
+                if w not in reachable:
+                    image = tuple(sorted((u, w)))
+                    if image in X:
+                        return RegularityWitness(H, (u, v), (u, v), (0, h), image)
     return None
 
 

@@ -288,7 +288,7 @@ def cmd_corpus(args, out=None):
     try:
         e = corpus_entry(args.name)
     except KeyError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)
         return EXIT_INPUT
     text = dump_json(to_input_dict(e))
     if args.output:

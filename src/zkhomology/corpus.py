@@ -13,6 +13,7 @@ the action is regular without any subdivision.
 from dataclasses import dataclass
 
 from .actions import regularize, validate_action
+from .jsonio import action_to_dict
 from .simplicial import build_complex
 
 
@@ -192,9 +193,4 @@ def regular_entries():
 
 def to_input_dict(e):
     """The CLI's JSON input form of a corpus entry."""
-    X = build_complex(e.generators)
-    return {
-        "k": e.k,
-        "simplices": [list(s) for s in X.all_simplices()],
-        "generator": list(e.perm),
-    }
+    return action_to_dict(build_action(e))

@@ -44,16 +44,32 @@ class TestValidateAction:
     def test_order_must_divide_k(self):
         with pytest.raises(InvalidActionError, match="does not divide"):
             validate_action(build_complex([{0, 1, 2}]), [1, 0, 2], 3)
+        # the order is the lcm of the cycle lengths 2 and 3
+        X = build_complex([{v} for v in range(5)])
+        with pytest.raises(InvalidActionError) as err:
+            validate_action(X, [1, 0, 3, 4, 2], 4)
+        assert str(err.value) == "permutation order 6 does not divide k=4"
+        assert validate_action(X, [1, 0, 3, 4, 2], 6).k == 6
 
     def test_non_bijection(self):
         with pytest.raises(InvalidActionError) as err:
             validate_action(build_complex([{0, 1}]), [0, 0], 2)
         assert err.value.witness == 0
+        assert str(err.value) == (
+            "permutation is not a bijection of the vertices (image 0 repeats)")
+        with pytest.raises(InvalidActionError) as err:
+            validate_action(build_complex([{0, 1}]), [1, 5], 2)
+        assert err.value.witness == 5
+        assert str(err.value) == (
+            "permutation is not a bijection of the vertices (image 5 is not a vertex)")
 
     def test_non_simplicial(self):
         X = build_complex([{0, 1}, {2}])
-        with pytest.raises(InvalidActionError, match="not simplicial"):
-            validate_action(X, [0, 2, 1], 2)
+        # at k = 3 the swap's order 2 does not divide k either: the failed
+        # simplicial check is reported first
+        for k in (2, 3):
+            with pytest.raises(InvalidActionError, match="not simplicial"):
+                validate_action(X, [0, 2, 1], k)
 
     def test_bad_k(self):
         with pytest.raises(InvalidActionError):

@@ -328,34 +328,29 @@ class TestRegularityCheckedOnce:
 
 
 class TestProductionPath:
-    """On a regular action, the regularity verdict and T* come from the
-    orbit walk: the vertex-and-edge scan and extended_transfer are the
-    references, reached only by a non-regular input and by verify."""
+    """On a regular action, T* comes from the orbit walk: extended_transfer
+    is the reference, reached only by verify."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"scan": 0, "extended_transfer": 0}
+        seen = {"extended_transfer": 0}
+        original = transfer.extended_transfer
 
-        def counting(name, original):
-            def wrapper(*args, **kwargs):
-                seen[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
+        def spy(*args, **kwargs):
+            seen["extended_transfer"] += 1
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(actions, "_first_witness",
-                            counting("scan", actions._first_witness))
-        spy = counting("extended_transfer", transfer.extended_transfer)
         for module in (transfer, checks):
             monkeypatch.setattr(module, "extended_transfer", spy)
         return seen
 
-    def test_compressed_homology_skips_both_references(self, path_file, calls, capsys):
+    def test_compressed_homology_skips_extended_transfer(self, path_file, calls, capsys):
         assert cli.run(["homology", path_file, "--mode", "compressed"]) == 0
-        assert calls == {"scan": 0, "extended_transfer": 0}
+        assert calls == {"extended_transfer": 0}
 
     def test_verify_compares_with_extended_transfer(self, path_file, calls, capsys):
         assert cli.run(["verify", path_file]) == 0
-        assert calls["scan"] == 0 and calls["extended_transfer"] > 0
+        assert calls["extended_transfer"] > 0
 
     @pytest.fixture
     def validations(self, monkeypatch):
@@ -387,9 +382,8 @@ class TestProductionPath:
         assert cli.run(["verify", path_file]) == 0
         assert len(validations) == 2
 
-    def test_non_regular_check_reaches_the_scan(self, antipodal_file, calls, capsys):
+    def test_non_regular_check_prints_the_first_witness(self, antipodal_file, capsys):
         assert cli.run(["check", antipodal_file]) == 3
-        assert calls["scan"] == 1
         assert capsys.readouterr().out.splitlines()[-1] == (
             "witness: subgroup order 2: simplex (0, 1), vertices (0, 1) moved by "
             "exponents (0, 1) give simplex (0, 3), but no single element matches")
@@ -565,8 +559,11 @@ class TestCorpusCommand:
         assert cli.run(["homology", str(target), "--mode", "both"]) == 0
         assert "MATCH" in capsys.readouterr().out
 
-    def test_unknown_name(self):
+    def test_unknown_name(self, capsys):
         assert cli.run(["corpus", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"unknown corpus entry 'nope'; know {', '.join(names())}\n"
 
     def test_unwritable_output_exit_two(self, tmp_path, capsys):
         target = tmp_path / "missing_dir" / "out.json"

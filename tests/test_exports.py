@@ -50,7 +50,10 @@ def test_test_only_helpers_are_gone():
     # helpers that restated a step of the production path
     for module, name in ((pipeline, "compressed_snf"), (pipeline, "compressed_rank"),
                          (groupring, "circulant_rank"), (transfer, "coset_map"),
-                         (actions, "is_regular")):
+                         (actions, "is_regular"),
+                         # the second scan that named a non-regular witness
+                         (actions, "_first_witness"),
+                         (actions, "_regular_on_representatives")):
         assert not hasattr(module, name)
         assert not hasattr(zkhomology, name)
     for cls, name in ((transfer.IsotropyTriple, "subgroup"),

@@ -7,9 +7,10 @@ assignment of a nonempty subset of each subgroup to each vertex of each
 simplex, and every 3-chain and 4-chain of faces of each quotient simplex.
 They are exponential and serve only as references on small inputs.
 
-The regularity verdict itself is read on orbit representatives; the scan
-over every vertex and edge stays as its reference, and the orbit walk's
-isotropy and transfer cosets are checked against brute-force counts.
+`check_regularity` scans orbit representatives only; the scan over every
+vertex and edge stays here as its reference for the whole witness, and
+the orbit walk's isotropy and transfer cosets are checked against
+brute-force counts.
 """
 
 import importlib.util
@@ -24,8 +25,6 @@ from hypothesis import strategies as st
 from zkhomology.actions import (
     RegularityWitness,
     Subgroup,
-    _first_witness,
-    _regular_on_representatives,
     check_regularity,
     lex_lift,
     lex_max_lift,
@@ -182,9 +181,16 @@ def _oracle_cost(action):
 def small_actions(draw):
     """A random Z_k action, k in {2, 3, 4, 6}, of dimension at most 3: the
     closure of a few random simplices under a permutation whose cycle
-    lengths divide k.  Regular and non-regular actions both occur."""
+    lengths divide k.  Random simplices seldom make an edge the first
+    failure, so half the draws add two cycles of one length L > 1 and the
+    orbits of the edges {u, v} and {u, alpha v} between them (u, v their
+    first vertices), which fail the edge test at the full group.  Regular
+    actions and vertex and edge witnesses all occur."""
     k = draw(st.sampled_from([2, 3, 4, 6]))
     lengths = draw(st.lists(st.sampled_from(_divisors(k)), min_size=1, max_size=5))
+    planted = draw(st.booleans())
+    if planted:
+        lengths += [draw(st.sampled_from(_divisors(k)[1:]))] * 2
     perm, n = {}, 0
     for length in lengths:
         perm.update({n + i: n + (i + 1) % length for i in range(length)})
@@ -192,6 +198,10 @@ def small_actions(draw):
     seeds = draw(st.lists(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
         max_size=6))
+    if planted:
+        v = n - lengths[-1]
+        u = v - lengths[-1]
+        seeds += [[u, v], [u, perm[v]]]
     simplices = [{v} for v in range(n)]
     for seed in seeds:
         for _ in range(k):
@@ -203,10 +213,23 @@ def small_actions(draw):
     return action
 
 
-@settings(max_examples=300, deadline=None)
-@given(small_actions())
-def test_regularity_matches_exhaustive_search(action):
-    assert check_regularity(action) == exhaustive_regularity(action)
+def _kind(witness):
+    return "regular" if witness is None else ("vertex", "edge")[len(witness.simplex) - 1]
+
+
+def test_regularity_matches_exhaustive_search():
+    kinds = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_actions())
+    def matches(action):
+        witness = check_regularity(action)
+        assert witness == exhaustive_regularity(action)
+        kinds.add(_kind(witness))
+
+    matches()
+    # the draws reach every outcome of the scan
+    assert kinds == {"regular", "vertex", "edge"}
 
 
 @pytest.mark.parametrize("name", names())
@@ -217,10 +240,33 @@ def test_regularity_matches_exhaustive_search_on_corpus(name):
 
 # ------------------------------------------- the orbit walk and its readers
 
+def scan_regularity(action):
+    """The witness of a scan over every vertex and every edge, subgroups in
+    increasing order, simplices in complex order, pairs (h1, h2) in
+    combinations order on a vertex and product order on an edge."""
+    X, move = action.complex, action.apply_vertex
+    for order in _divisors(action.k)[1:]:
+        H = Subgroup(action.k, order)
+        hs = H.exponents()
+        for (u,) in X.simplices(0):
+            for h1, h2 in combinations(hs, 2):
+                image = tuple(sorted({move(h1, u), move(h2, u)}))
+                if len(image) == 2 and image in X:
+                    return RegularityWitness(H, (u,), (u, u), (h1, h2), image)
+        for u, v in X.simplices(1):
+            realized = {(move(h, u), move(h, v)) for h in hs}
+            for h1, h2 in product(hs, repeat=2):
+                moved = (move(h1, u), move(h2, v))
+                image = tuple(sorted(set(moved)))
+                if moved not in realized and image in X:
+                    return RegularityWitness(H, (u, v), (u, v), (h1, h2), image)
+    return None
+
+
 def _orbit_decision_matches_scan(action):
-    regular = _regular_on_representatives(action)
-    assert regular == (_first_witness(action) is None)
-    return regular
+    witness = check_regularity(action)
+    assert witness == scan_regularity(action)
+    return witness is None
 
 
 def _fixing_count(action, s):
