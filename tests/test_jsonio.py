@@ -1,7 +1,14 @@
 import pytest
 
-from zkhomology.errors import InputFormatError, TripleValidationError
+from zkhomology.errors import (
+    AxiomError,
+    InputFormatError,
+    InvalidActionError,
+    TripleValidationError,
+    ZkHomologyError,
+)
 from zkhomology.jsonio import parse_input, parse_simplex_key, simplex_key
+from zkhomology.transfer import check_axioms
 
 
 GOOD_TRIPLE = {
@@ -106,3 +113,179 @@ class TestTripleSchema:
         kind, triple = parse_input(body)
         triple.validate()
         assert triple.Tstar[(0, 1), (1,)] == {0, 1}
+
+
+def _action(simplices, generator=(1, 0), k=2):
+    return {"k": k, "simplices": simplices, "generator": list(generator)}
+
+
+def _triple(quotient=None, S=None, Tstar=None, k=2):
+    return {"k": k, "triple": {
+        "quotient": [[0, 1]] if quotient is None else quotient,
+        "S": {"0": 1, "1": 2, "0,1": 1} if S is None else S,
+        "Tstar": {"0,1|0": [0], "0,1|1": [0, 1]} if Tstar is None else Tstar}}
+
+
+# S and T* of the triangle (0, 1, 2) with trivial groups over k = 2
+_TRIANGLE_S = {"0": 1, "1": 1, "2": 1, "0,1": 1, "0,2": 1, "1,2": 1, "0,1,2": 1}
+_TRIANGLE_T = {"0,1|0": [0], "0,1|1": [0], "0,2|0": [0], "0,2|2": [0], "1,2|1": [0],
+               "1,2|2": [0], "0,1,2|0,1": [0], "0,1,2|0,2": [0], "0,1,2|1,2": [0]}
+
+# The input-error contract of the front end (parse, then for a triple
+# validate and the axiom check): each malformed body with the exact error
+# type, message and witness it gets, so that the first of several errors
+# is pinned too.
+INPUT_ERRORS = [
+    ('not an object', [1],
+     InputFormatError, 'input must be a JSON object', None),
+    ('k missing', {"simplices": [[0]], "generator": [0]},
+     InputFormatError, 'input needs a top-level "k"', None),
+    ('k bool', {"k": True, "simplices": [[0]], "generator": [0]},
+     InputFormatError, '"k" must be a positive integer', None),
+    ('k zero', {"k": 0, "simplices": [[0]], "generator": [0]},
+     InputFormatError, '"k" must be a positive integer', None),
+    ('neither form', {"k": 1},
+     InputFormatError, 'input needs "simplices" (or "triple")', None),
+    ('generator missing', {"k": 1, "simplices": [[0]]},
+     InputFormatError, 'action input needs "generator"', None),
+    ('simplices not a list', _action({"0": [0, 1]}),
+     InputFormatError, '"simplices" must be a list of integer lists', None),
+    ('simplex not a list', _action([[0, 1], 1]),
+     InputFormatError, '"simplices" must be a list of integer lists', None),
+    ('str vertex', _action([[0, "1"]]),
+     InputFormatError, '"simplices" must be a list of integer lists', None),
+    ('float vertex', _action([[0, 1.0]]),
+     InputFormatError, '"simplices" must be a list of integer lists', None),
+    ('bool vertex', _action([[True, 0]]),
+     InputFormatError, 'bad simplex in input: bad vertex identifier True', None),
+    ('negative vertex', _action([[0, 1], [-1, 0]]),
+     InputFormatError, 'bad simplex in input: bad vertex identifier -1', None),
+    ('repeated vertex', _action([[0, 1], [1, 1]]),
+     InputFormatError, 'bad simplex in input: repeated vertices in (1, 1)', None),
+    ('empty simplex', _action([[0, 1], []]),
+     InputFormatError, 'bad simplex in input: a simplex needs at least one vertex', None),
+    ('str vertex after a bool one', _action([[True, 0], [0, "1"]]),
+     InputFormatError, '"simplices" must be a list of integer lists', None),
+    ('repeat before a negative', _action([[0, 0], [-1]]),
+     InputFormatError, 'bad simplex in input: repeated vertices in (0, 0)', None),
+    ('generator not a list', _action([[0, 1]], {"0": 1}),
+     InputFormatError, '"generator" must be a list of integers', None),
+    ('bool generator image', _action([[0, 1]], [True, 0]),
+     InputFormatError, '"generator" must be a list of integers', None),
+    ('generator image not a vertex', _action([[0, 1]], [0, 5]),
+     InvalidActionError,
+     'permutation is not a bijection of the vertices (image 5 is not a vertex)',
+     5),
+    ('generator image repeats', _action([[0, 1]], [1, 1]),
+     InvalidActionError, 'permutation is not a bijection of the vertices (image 1 repeats)', 1),
+    ('generator too short', _action([[0, 1]], [1]),
+     InputFormatError, '"generator" must list an image for each of the 2 vertices', None),
+    ('vertex ids not contiguous', _action([[0, 2]], [1, 0]),
+     InputFormatError, 'action inputs need contiguous vertex ids 0..n-1', None),
+    ('not simplicial', _action([[0, 1], [1, 2]], [1, 0, 2]),
+     InvalidActionError, 'not simplicial: (1, 2) maps to (0, 2) which is not a simplex', (1, 2)),
+    ('order not dividing k', _action([[0, 1, 2]], [1, 2, 0]),
+     InvalidActionError, 'permutation order 3 does not divide k=2', None),
+    ('triple not an object', {"k": 2, "triple": [1]},
+     InputFormatError, '"triple" must be an object', None),
+    ('quotient missing', {"k": 2, "triple": {"S": {}, "Tstar": {}}},
+     InputFormatError, '"triple" needs "quotient"', None),
+    ('Tstar missing', {"k": 2, "triple": {"quotient": [], "S": {}}},
+     InputFormatError, '"triple" needs "Tstar"', None),
+    ('quotient not a list', _triple(quotient={"0": 1}),
+     InputFormatError, '"quotient" must be a list of simplices', None),
+    ('quotient simplex not a list', _triple(quotient=[[0, 1], 0]),
+     InputFormatError, '"quotient" must be a list of simplices', None),
+    ('str vertex in the quotient', _triple(quotient=[[0, "a"]]),
+     InputFormatError, "bad quotient simplex: bad vertex identifier 'a'", None),
+    ('bool vertex in the quotient', _triple(quotient=[[0, False]]),
+     InputFormatError, 'bad quotient simplex: bad vertex identifier False', None),
+    ('negative vertex in the quotient', _triple(quotient=[[0, 1], [-2]]),
+     InputFormatError, 'bad quotient simplex: bad vertex identifier -2', None),
+    ('repeated vertex in the quotient', _triple(quotient=[[1, 1]]),
+     InputFormatError, 'bad quotient simplex: repeated vertices in (1, 1)', None),
+    ('empty quotient simplex', _triple(quotient=[[0, 1], []]),
+     InputFormatError, 'bad quotient simplex: a simplex needs at least one vertex', None),
+    ('S not an object', _triple(S=[1]),
+     InputFormatError, '"S" must be an object', None),
+    ('S order zero', _triple(S={"0": 1, "1": 0, "0,1": 1}),
+     InputFormatError, "S['1'] must be a positive integer", None),
+    ('S order bool', _triple(S={"0": True, "1": 2, "0,1": 1}),
+     InputFormatError, "S['0'] must be a positive integer", None),
+    ('S order str', _triple(S={"0": "1", "1": 2, "0,1": 1}),
+     InputFormatError, "S['0'] must be a positive integer", None),
+    ('S order not dividing k', _triple(S={"0": 1, "1": 3, "0,1": 1}),
+     TripleValidationError, 'order 3 does not divide k=2', (1,)),
+    ('S bad key', _triple(S={"0": 1, "0,x": 2, "0,1": 1}),
+     InputFormatError, "bad simplex key '0,x'", None),
+    ('S key off the quotient', _triple(S={"0": 1, "1": 2, "0,5": 1}),
+     InputFormatError, 'S defined on (0, 5), which is not a quotient simplex', None),
+    ('S bad key before a bad order', _triple(S={"x": 1, "1": 0}),
+     InputFormatError, "bad simplex key 'x'", None),
+    ('S bad order before a bad key', _triple(S={"0": 0, "x": 1}),
+     InputFormatError, "S['0'] must be a positive integer", None),
+    ('S bad order on a bad key', _triple(S={"x": 0}),
+     InputFormatError, "S['x'] must be a positive integer", None),
+    ('S order not dividing k before a key off the quotient', _triple(S={"1": 3, "5": 1}),
+     TripleValidationError, 'order 3 does not divide k=2', (1,)),
+    ('S undefined on a simplex', _triple(S={"0": 1, "0,1": 1}),
+     TripleValidationError, 'S undefined on (1,)', (1,)),
+    ('Tstar not an object', _triple(Tstar=[]),
+     InputFormatError, '"Tstar" must be an object', None),
+    ('Tstar key without bar', _triple(Tstar={"0,1|0": [0], "0,1": [0]}),
+     InputFormatError, 'Tstar key \'0,1\' must look like "<psi>|<omega>"', None),
+    ('Tstar bad coface key', _triple(Tstar={"0,x|0": [0]}),
+     InputFormatError, "bad simplex key '0,x'", None),
+    ('Tstar bad face key', _triple(Tstar={"0,1|0|1": [0]}),
+     InputFormatError, "bad simplex key '0|1'", None),
+    ('exponents not a list', _triple(Tstar={"0,1|0": [0], "0,1|1": 0}),
+     InputFormatError, "Tstar['0,1|1'] must be a list of exponents", None),
+    ('bool exponents', _triple(Tstar={"0,1|0": [True], "0,1|1": [0, 1]}),
+     InputFormatError, "Tstar['0,1|0'] must be a list of exponents", None),
+    ('bad exponents before a bad key', _triple(Tstar={"0,1|0": "x", "0,1": [0]}),
+     InputFormatError, "Tstar['0,1|0'] must be a list of exponents", None),
+    ('bad key with bad exponents', _triple(Tstar={"0,x|0": "x"}),
+     InputFormatError, "bad simplex key '0,x'", None),
+    ('face pair missing', _triple(Tstar={"0,1|1": [0, 1]}),
+     TripleValidationError, 'T*((0, 1),(0,)) missing or empty for a face pair', ((0, 1), (0,))),
+    ('not a coset', _triple(Tstar={"0,1|0": [0], "0,1|1": [1]}),
+     TripleValidationError,
+     'T*((0, 1),(1,)) = [1] is not a left coset of S((1,)) (order 2)', ((0, 1),
+     (1,))),
+    ('group does not embed', _triple(S={"0": 1, "1": 2, "0,1": 2}),
+     TripleValidationError, 'S((0, 1)) does not embed into S((0,))', ((0, 1), (0,))),
+    ('non-face pair', _triple(quotient=[[0, 1], [2]], S={"0": 1, "1": 2, "2": 1, "0,1": 1},
+                              Tstar={"0,1|0": [0], "0,1|1": [0, 1], "0,1|2": [0]}),
+     TripleValidationError, 'T*((0, 1),(2,)) nonempty for a non-face pair', ((0, 1), (2,))),
+    ('non codimension-1 key', _triple(Tstar={"0,1|0": [0], "0,1|1": [0, 1], "0,1|0,1": [0]}),
+     TripleValidationError,
+     'T* keyed by a non codimension-1 pair ((0, 1),(0, 1))', ((0, 1), (0,
+     1))),
+    ('key off the quotient', _triple(Tstar={"0,1|0": [0], "0,1|1": [0, 1], "0,5|0": [0]}),
+     TripleValidationError, 'T* keyed by a non codimension-1 pair ((0, 5),(0,))', ((0, 5), (0,))),
+    ('missing face before a non codimension-1 key',
+     _triple(Tstar={"0,1|1": [0, 1], "0,1|0,1": [0]}),
+     TripleValidationError, 'T*((0, 1),(0,)) missing or empty for a face pair', ((0, 1), (0,))),
+    ('2-morphism outside the group', _triple(quotient=[[0, 1, 2]], S=_TRIANGLE_S, k=2,
+                                             Tstar={**_TRIANGLE_T, "0,2|0": [1]}),
+     AxiomError,
+     '2-morphism of ((0, 1, 2),(0, 2),(0,)) has exponent 1 outside the group of (0,)',
+     ((0, 1, 2), (0, 2), (0,))),
+]
+
+
+def _front_end(body):
+    kind, payload = parse_input(body)
+    if kind == "triple":
+        payload.validate()
+        check_axioms(payload)
+
+
+@pytest.mark.parametrize("body, error, message, witness",
+                         [pytest.param(*row[1:], id=row[0]) for row in INPUT_ERRORS])
+def test_input_error_contract(body, error, message, witness):
+    with pytest.raises(ZkHomologyError) as info:
+        _front_end(body)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert getattr(info.value, "witness", None) == witness
