@@ -82,19 +82,21 @@ class CyclicAction:
         self.k = k
         self.perm = dict(perm)
         walks = {}
-        for s in complex_.all_simplices():
+        for s in image:             # the complex's simplices, in order
             if s in walks:
                 continue
             walk, t = [s], image[s]
             while t != s:
                 walk.append(t)
                 t = image[t]
+            n = len(walk)
             walk = tuple(walk)
-            for e, t in enumerate(walk):
-                walks[t] = (walk, e)
+            walks.update(zip(walk, zip([walk] * n, range(n))))
         self._walk = walks
 
-    def _located(self, s):
+    def locate(self, s):
+        """(the orbit of s in walk order, the e with s = alpha^e . the
+        orbit's representative): the orbit's length is k / |isotropy|."""
         located = self._walk.get(tuple(s))
         if located is None:
             raise UnknownSimplexError(f"{tuple(s)} is not a simplex of the complex")
@@ -105,13 +107,8 @@ class CyclicAction:
         return walk[(e + exponent) % len(walk)][0]
 
     def apply_simplex(self, exponent, s):
-        walk, e = self._located(s)
+        walk, e = self.locate(s)
         return walk[(e + exponent) % len(walk)]
-
-    def orbit_exponent(self, s):
-        """The e in {0, ..., |orbit| - 1} with s = alpha^e . (the orbit's
-        representative)."""
-        return self._located(s)[1]
 
     def orbit_representatives(self, d):
         """One d-simplex per orbit, in complex order."""
@@ -119,10 +116,10 @@ class CyclicAction:
 
     def isotropy(self, s):
         """The stabilizer subgroup of a simplex of the complex."""
-        return Subgroup(self.k, self.k // len(self._located(s)[0]))
+        return Subgroup(self.k, self.k // len(self.locate(s)[0]))
 
     def simplex_orbit(self, s):
-        return tuple(sorted(self._located(s)[0]))
+        return tuple(sorted(self.locate(s)[0]))
 
     def vertex_orbits(self):
         return tuple(tuple(sorted(w for (w,) in self._walk[u][0]))
@@ -144,7 +141,7 @@ def validate_action(X, perm, k):
     if hasattr(perm, "keys"):
         perm = {int(v): int(w) for v, w in perm.items()}
     else:
-        perm = {v: w for v, w in enumerate(perm)}
+        perm = dict(enumerate(perm))
     vertices = set(X.vertex_ids)
     if set(perm) != vertices:
         missing = sorted(vertices - set(perm)) + sorted(set(perm) - vertices)
@@ -167,15 +164,13 @@ def validate_action(X, perm, k):
             witness=dup,
         )
 
-    image = {}
-    for s in X.all_simplices():
-        t = tuple(sorted(perm[v] for v in s))
-        if t not in X:
-            raise InvalidActionError(
-                f"not simplicial: {s} maps to {t} which is not a simplex",
-                witness=s,
-            )
-        image[s] = t
+    image = {s: tuple(sorted(map(perm.__getitem__, s))) for s in X.all_simplices()}
+    if not all(map(image.__contains__, image.values())):
+        s, t = next((s, t) for s, t in image.items() if t not in image)
+        raise InvalidActionError(
+            f"not simplicial: {s} maps to {t} which is not a simplex",
+            witness=s,
+        )
     action = CyclicAction(X, perm, k, image)
     # the order of perm is the lcm of its cycle lengths, read off the walk
     order = lcm(*map(len, action.vertex_orbits()))
@@ -318,7 +313,7 @@ class QuotientData:
         self._fibers = {q: action.simplex_orbit(reps[0]) for q, reps in over.items()}
 
     def project_simplex(self, s):
-        return tuple(sorted(self.label[v] for v in s))
+        return tuple(sorted(map(self.label.__getitem__, s)))
 
     def fiber(self, q):
         q = tuple(q)

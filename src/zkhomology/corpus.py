@@ -188,7 +188,7 @@ def build_action(e):
 def regular_entries():
     """The acceptance corpus: every entry whose action is regular as given
     (the raw antipodal 4-cycle is exercised separately through regularize)."""
-    return tuple(entry(n) for n in names() if entry(n).regular)
+    return tuple(e for e in map(entry, names()) if e.regular)
 
 
 def to_input_dict(e):

@@ -18,6 +18,15 @@ One input schema covers both forms:
 
 Serialization is canonical (every simplex listed, (dimension, lex) order)
 so parse -> serialize -> parse is the identity.
+
+Parsing reads each item once and raises the first error in this order:
+the top level ("k" a positive integer, JSON's true is none); an action's
+"simplices" (lists; a non-integer vertex anywhere, then the first simplex
+in file order with a negative or boolean vertex, none or a repeat), its
+"generator" (integers, one per vertex of ids 0..n-1), `validate_action`;
+a triple's "quotient" (likewise), S entries in file order (positive order,
+quotient simplex key, order dividing k), T* entries ("<psi>|<omega>" keys,
+integer exponents).  Callers validate a triple, so `verify` reports tampering.
 """
 
 import json
@@ -35,7 +44,7 @@ def simplex_key(s):
 
 def parse_simplex_key(text):
     try:
-        return tuple(sorted(int(v) for v in text.split(",")))
+        return tuple(sorted(map(int, text.split(","))))
     except ValueError:
         raise InputFormatError(f"bad simplex key {text!r}") from None
 
@@ -45,22 +54,14 @@ def _require(cond, message):
         raise InputFormatError(message)
 
 
-def _is_int(v):
-    """A JSON integer: Python's bool is an int, JSON's true is not."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def parse_input(data):
-    """Parse a decoded JSON object into an action or a triple.
-
-    Returns ("action", CyclicAction) or ("triple", IsotropyTriple).
-    Raises InputFormatError on schema problems; action/triple validation
-    errors propagate as their own types.
-    """
+    """("action", CyclicAction) or ("triple", IsotropyTriple) from a decoded
+    JSON object; InputFormatError on schema problems, action and triple
+    validation errors as their own types."""
     _require(isinstance(data, dict), "input must be a JSON object")
     _require("k" in data, 'input needs a top-level "k"')
     k = data["k"]
-    _require(_is_int(k) and k >= 1, '"k" must be a positive integer')
+    _require(type(k) is int and k >= 1, '"k" must be a positive integer')
 
     if "triple" in data:
         return "triple", _parse_triple(k, data["triple"])
@@ -68,19 +69,17 @@ def parse_input(data):
     _require("simplices" in data, 'input needs "simplices" (or "triple")')
     _require("generator" in data, 'action input needs "generator"')
     simplices = data["simplices"]
-    _require(
-        isinstance(simplices, list)
-        and all(isinstance(s, list) and all(isinstance(v, int) for v in s)
-                for s in simplices),
-        '"simplices" must be a list of integer lists',
-    )
+    int_lists = '"simplices" must be a list of integer lists'
+    _require(type(simplices) is list and set(map(type, simplices)) <= {list}, int_lists)
     try:
         X = build_complex(simplices)
     except InvalidSimplexError as exc:
+        # a vertex that is no integer anywhere outranks the first bad simplex
+        _require(all(isinstance(v, int) for s in simplices for v in s), int_lists)
         raise InputFormatError(f"bad simplex in input: {exc}") from None
     gen = data["generator"]
     _require(
-        isinstance(gen, list) and all(_is_int(v) for v in gen),
+        type(gen) is list and set(map(type, gen)) <= {int},
         '"generator" must be a list of integers',
     )
     n = X.n_simplices(0)
@@ -99,40 +98,39 @@ def _parse_triple(k, body):
     _require(isinstance(body, dict), '"triple" must be an object')
     for key in ("quotient", "S", "Tstar"):
         _require(key in body, f'"triple" needs "{key}"')
+    quotient, S_body, T_body = body["quotient"], body["S"], body["Tstar"]
     _require(
-        isinstance(body["quotient"], list)
-        and all(isinstance(s, list) for s in body["quotient"]),
+        type(quotient) is list and set(map(type, quotient)) <= {list},
         '"quotient" must be a list of simplices',
     )
     try:
-        Y = build_complex(body["quotient"])
+        Y = build_complex(quotient)
     except InvalidSimplexError as exc:
         raise InputFormatError(f"bad quotient simplex: {exc}") from None
     # A coface key recurs once per face: parse each distinct text once.
     parse_key = cache(parse_simplex_key)
-    S = {}
-    _require(isinstance(body["S"], dict), '"S" must be an object')
-    for key, order in body["S"].items():
-        _require(_is_int(order) and order >= 1, f"S[{key!r}] must be a positive integer")
+    _require(isinstance(S_body, dict), '"S" must be an object')
+    S, subgroup = {}, cache(Subgroup)       # one Subgroup per order
+    for key, order in S_body.items():
+        if type(order) is not int or order < 1:
+            raise InputFormatError(f"S[{key!r}] must be a positive integer")
         q = parse_key(key)
-        _require(q in Y, f"S defined on {q}, which is not a quotient simplex")
+        if q not in Y:
+            raise InputFormatError(f"S defined on {q}, which is not a quotient simplex")
         try:
-            S[q] = Subgroup(k, order)
+            S[q] = subgroup(k, order)
         except ValueError as exc:
             raise TripleValidationError(str(exc), witness=q) from None
+    _require(isinstance(T_body, dict), '"Tstar" must be an object')
     Tstar = {}
-    _require(isinstance(body["Tstar"], dict), '"Tstar" must be an object')
-    for key, exps in body["Tstar"].items():
-        _require("|" in key, f'Tstar key {key!r} must look like "<psi>|<omega>"')
-        pk, ok_ = key.split("|", 1)
-        pair = (parse_key(pk), parse_key(ok_))
-        _require(
-            isinstance(exps, list) and all(_is_int(c) for c in exps),
-            f"Tstar[{key!r}] must be a list of exponents",
-        )
-        Tstar[pair] = frozenset(c % k for c in exps)
-    # Semantic validation is the caller's business: the verify command must
-    # be able to report a tampered triple instead of dying on parse.
+    for key, exps in T_body.items():
+        psi, bar, omega = key.partition("|")
+        if not bar:
+            raise InputFormatError(f'Tstar key {key!r} must look like "<psi>|<omega>"')
+        pair = (parse_key(psi), parse_key(omega))
+        if type(exps) is not list or not set(map(type, exps)) <= {int}:
+            raise InputFormatError(f"Tstar[{key!r}] must be a list of exponents")
+        Tstar[pair] = frozenset(map(k.__rmod__, exps))      # each c % k
     return IsotropyTriple(k, Y, S, Tstar)
 
 

@@ -8,7 +8,7 @@ always downward closed.  Orientations are sign tables relative to the
 increasing-vertex ordering; the default orientation is +1 everywhere.
 """
 
-from itertools import combinations
+from itertools import chain, combinations, groupby, repeat
 
 from .errors import DimensionError, InvalidSimplexError, UnknownSimplexError
 from .exact import FieldMatrix, field_rank
@@ -39,19 +39,26 @@ class Complex:
     __slots__ = ("_by_dim", "_index")
 
     def __init__(self, simplices):
-        # The given simplices are validated in input order, so the first bad
-        # one is reported.  The closure then runs from the top dimension
-        # down, each level adding its facets to the level below: a listed
-        # face, as in every file `jsonio` writes, costs one set insertion.
-        given = {}
-        for s in simplices:
-            s = as_simplex(s)
-            given.setdefault(len(s), set()).add(s)
+        # The given simplices are sorted and checked at once; `as_simplex` runs
+        # only if that check fails, to raise the first error in input order.
+        # The closure runs from the top dimension down, each level adding its
+        # facets to the level below: a listed face costs one set insertion.
+        listed = list(map(tuple, simplices))
+        try:
+            canon = list(map(tuple, map(sorted, map(set, listed))))
+            vertices = list(chain.from_iterable(canon))
+            valid = (list(map(len, canon)) == list(map(len, listed)) and () not in canon
+                     and set(map(type, vertices)) <= {int} and min(vertices, default=0) >= 0)
+        except TypeError:           # unhashable or mutually unordered vertices
+            valid = False
+        if not valid:
+            canon = list(map(as_simplex, listed))
+        given = {n: set(level) for n, level in groupby(sorted(canon, key=len), len)}
         by_dim = [()] * max(given, default=0)
         above = ()
         for n in range(len(by_dim), 0, -1):
             level = given.get(n, set())
-            level.update(s[:t] + s[t + 1:] for s in above for t in range(n + 1))
+            level.update(chain.from_iterable(map(combinations, above, repeat(n))))
             by_dim[n - 1] = above = tuple(sorted(level))
         self._by_dim = by_dim = tuple(by_dim)
         self._index = {s: i for level in by_dim for i, s in enumerate(level)}

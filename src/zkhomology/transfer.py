@@ -47,7 +47,7 @@ class IsotropyTriple:
         self.k = k
         self.quotient = quotient_complex
         self.S = dict(S)
-        self.Tstar = {pair: frozenset(v) for pair, v in Tstar.items()}
+        self.Tstar = dict(zip(Tstar, map(frozenset, Tstar.values())))
 
     def chain_dim(self, d):
         """dim C_d of the acted-on complex via orbit-stabilizer: each
@@ -56,65 +56,59 @@ class IsotropyTriple:
 
     def validate(self):
         """Structural invariants of a triple (raises TripleValidationError)."""
-        Y, k = self.quotient, self.k
+        Y, k, S, Tstar = self.quotient, self.k, self.S, self.Tstar
+        step = {}           # q -> k / |S(q)|, the step between exponents of S(q)
         for q in Y.all_simplices():
-            if q not in self.S:
+            if q not in S:
                 raise TripleValidationError(f"S undefined on {q}", witness=q)
-            H = self.S[q]
+            H = S[q]
             if not isinstance(H, Subgroup) or H.k != k or k % H.order != 0:
                 raise TripleValidationError(f"S({q}) is not a subgroup of Z_{k}", witness=q)
-        # Pairs (psi, omega) are visited in (d, psi, omega) order, omega
-        # running over the faces of psi and the strays: the other
-        # (d-1)-simplices keyed with psi by a nonempty T*, each an error.
-        # Every pair left out passes; a key that is no pair of simplex
-        # tuples is never looked up here.
-        stray = {}
-        for pair, hits in self.Tstar.items():
+            step[q] = k // H.order
+        cosets = {s: {frozenset(range(r, k, s)) for r in range(s)} for s in set(step.values())}
+        # One scan of the keys finds the strays (non-faces omega keyed with psi by
+        # a nonempty T*) and the first key that is no codimension-1 pair, reported
+        # last; pairs are visited in (d, psi, omega) order, faces and strays.
+        stray, late = {}, None
+        for pair, hits in Tstar.items():
             try:
                 psi, omega = pair
-                if (hits and isinstance(omega, tuple) and len(psi) == len(omega) + 1
-                        and not set(omega) <= set(psi) and psi in Y and omega in Y):
-                    stray.setdefault(psi, []).append(omega)
-            except (TypeError, ValueError):
-                pass        # not a pair of simplices: the last loop reports it
+                codim1 = psi in Y and omega in Y and len(psi) == len(omega) + 1
+            except (TypeError, ValueError) as exc:    # not a pair of simplices
+                late = late or exc
+                continue
+            if not codim1:
+                late = late or TripleValidationError(
+                    f"T* keyed by a non codimension-1 pair ({psi},{omega})", witness=(psi, omega))
+            elif hits and isinstance(omega, tuple) and not set(psi).issuperset(omega):
+                stray.setdefault(psi, []).append(omega)
         for d in range(1, Y.dim + 1):
             for psi in Y.simplices(d):
                 strays = stray.get(psi, ())
                 omegas = combinations(psi, d)
                 if strays:
                     omegas = sorted([*omegas, *strays], key=Y.index_of)
-                psi_order = self.S[psi].order
+                psi_step = step[psi]
                 for omega in omegas:
+                    pair = (psi, omega)
                     if omega in strays:
                         raise TripleValidationError(
-                            f"T*({psi},{omega}) nonempty for a non-face pair",
-                            witness=(psi, omega),
-                        )
-                    hits = self.Tstar.get((psi, omega))
+                            f"T*({psi},{omega}) nonempty for a non-face pair", witness=pair)
+                    hits = Tstar.get(pair)
                     if not hits:
                         raise TripleValidationError(
-                            f"T*({psi},{omega}) missing or empty for a face pair",
-                            witness=(psi, omega),
-                        )
-                    H = self.S[omega]
-                    if hits != frozenset(range(min(hits) % H.index, k, H.index)):
+                            f"T*({psi},{omega}) missing or empty for a face pair", witness=pair)
+                    omega_step = step[omega]
+                    if hits not in cosets[omega_step]:
                         raise TripleValidationError(
                             f"T*({psi},{omega}) = {sorted(hits)} is not a left "
-                            f"coset of S({omega}) (order {H.order})",
-                            witness=(psi, omega),
-                        )
-                    # coface isotropy embeds into face isotropy
-                    if H.order % psi_order != 0:
+                            f"coset of S({omega}) (order {S[omega].order})", witness=pair)
+                    # S(psi) embeds into S(omega): omega's step divides psi's
+                    if psi_step % omega_step != 0:
                         raise TripleValidationError(
-                            f"S({psi}) does not embed into S({omega})",
-                            witness=(psi, omega),
-                        )
-        for (psi, omega) in self.Tstar:
-            if psi not in Y or omega not in Y or len(psi) != len(omega) + 1:
-                raise TripleValidationError(
-                    f"T* keyed by a non codimension-1 pair ({psi},{omega})",
-                    witness=(psi, omega),
-                )
+                            f"S({psi}) does not embed into S({omega})", witness=pair)
+        if late:
+            raise late
 
     def __eq__(self, other):
         return (
@@ -138,20 +132,23 @@ def build_triple(action, lift=None, qd=None):
         qd = quotient(action)
     if lift is None:
         lift = lex_lift(qd)
-    Y, k, label = qd.quotient, action.k, qd.label
-    S = {q: action.isotropy(lift[q]) for q in Y.all_simplices()}
+    Y, k, label, locate = qd.quotient, action.k, qd.label, action.locate
+    walked = {q: locate(lift[q]) for q in Y.all_simplices()}
+    groups = {n: Subgroup(k, k // n) for n in {len(walk) for walk, _ in walked.values()}}
+    S = {q: groups[len(walk)] for q, (walk, _) in walked.items()}
     Tstar = {}
     for d in range(1, Y.dim + 1):
         for psi in Y.simplices(d):
             lp = lift[psi]
+            labels = list(map(label.__getitem__, lp))
             for t in range(d, -1, -1):     # combinations(psi, d) order
                 omega = psi[:t] + psi[t + 1:]
-                # alpha^c lift(omega) lies in lift(psi) iff it is the one face
-                # f of lift(psi) over omega: c = e_f - e_lift(omega) mod |orbit|.
-                face = tuple(v for v in lp if label[v] != psi[t])
-                shift = action.orbit_exponent(face) - action.orbit_exponent(lift[omega])
-                step = S[omega].index
-                Tstar[(psi, omega)] = frozenset(range(shift % step, k, step))
+                # alpha^c lift(omega) lies in lift(psi) iff it is the one face f
+                # of lift(psi) over omega: c = e_f - e_lift(omega) mod |orbit|.
+                p = labels.index(psi[t])
+                walk, e = walked[omega]
+                shift = (locate(lp[:p] + lp[p + 1:])[1] - e) % len(walk)
+                Tstar[(psi, omega)] = frozenset(range(shift, k, len(walk)))
     return IsotropyTriple(k, Y, S, Tstar)
 
 
@@ -178,15 +175,17 @@ def check_axioms(triple):
     e = {pair: min(hits) for pair, hits in triple.Tstar.items() if hits}
     for d in range(2, Y.dim + 1):
         for psi1 in Y.simplices(d):
-            for psi2 in combinations(psi1, d):
-                for psi3 in combinations(psi2, d - 1):
-                    drop = max(v for v in psi1 if v not in psi3)
-                    mid = tuple(v for v in psi1 if v != drop)
-                    g = (e[(psi2, psi3)] + e[(psi1, psi2)]
-                         - e[(psi1, mid)] - e[(mid, psi3)]) % k
-                    if g not in S[psi3]:
-                        raise AxiomError(
-                            f"2-morphism of ({psi1},{psi2},{psi3}) has exponent "
-                            f"{g} outside the group of {psi3}",
-                            witness=(psi1, psi2, psi3),
-                        )
+            # psi2 drops position a of psi1, psi3 position b of psi2 (combinations
+            # order); mid = drops[j] drops the larger of the two, at position j.
+            drops = [psi1[:j] + psi1[j + 1:] for j in range(d + 1)]
+            e1 = [e[(psi1, mid)] for mid in drops]
+            for a in range(d, -1, -1):
+                psi2 = drops[a]
+                for b in range(d - 1, -1, -1):
+                    psi3 = psi2[:b] + psi2[b + 1:]
+                    j = a if b < a else b + 1
+                    g = (e[(psi2, psi3)] + e1[a] - e1[j] - e[(drops[j], psi3)]) % k
+                    if g % (k // S[psi3].order) != 0:
+                        raise AxiomError(f"2-morphism of ({psi1},{psi2},{psi3}) has exponent "
+                                         f"{g} outside the group of {psi3}",
+                                         witness=(psi1, psi2, psi3))

@@ -110,8 +110,8 @@ class TestIsotropyAndOrbits:
                                   "isotropy order 2, k=2")
 
     def test_walk_exponents(self, path_action):
-        assert path_action.orbit_exponent((1, 2)) == 1
-        assert path_action.orbit_exponent((1,)) == 0
+        assert path_action.locate((1, 2))[1] == 1
+        assert path_action.locate((1,))[1] == 0
         assert path_action.orbit_representatives(0) == ((0,), (1,))
 
 

@@ -16,7 +16,7 @@ from zkhomology.jsonio import (
     parse_input,
     triple_to_dict,
 )
-from zkhomology.actions import lex_lift, quotient
+from zkhomology.actions import lex_lift, quotient, regularize
 from zkhomology.checks import isotropy_expansion
 from zkhomology.groupring import GroupRingMatrix, circulant_expansion, rho_extend
 from zkhomology.pipeline import compressed_result, g_boundary_matrix
@@ -564,6 +564,17 @@ class TestCorpusCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"unknown corpus entry 'nope'; know {', '.join(names())}\n"
+
+    def test_regular_entries_subdivide_once(self, monkeypatch):
+        calls = []
+
+        def counted(action):
+            calls.append(action)
+            return regularize(action)
+
+        monkeypatch.setattr(corpus, "regularize", counted)
+        assert "cycle4_antipodal_subdivided" in [e.name for e in corpus.regular_entries()]
+        assert len(calls) == 1
 
     def test_unwritable_output_exit_two(self, tmp_path, capsys):
         target = tmp_path / "missing_dir" / "out.json"

@@ -81,6 +81,13 @@ class TestClosure:
         assert X._by_dim == _closure_by_subsets(simplices)
         assert [X.index_of(s) for s in X.all_simplices()] == [
             i for level in X._by_dim for i in range(len(level))]
+        # the canonical listing (as jsonio writes it), the facets alone, and
+        # a reversed listing with some simplices repeated build X again
+        canonical = [list(s) for s in X.all_simplices()]
+        covered = {f for s in X.all_simplices() for f in combinations(s, len(s) - 1)}
+        facets = [s for s in canonical if tuple(s) not in covered]
+        reversed_ = [s[::-1] for s in canonical[::-1] + canonical[::2]]
+        assert Complex(canonical) == Complex(facets) == Complex(reversed_) == X
 
     def test_first_bad_simplex_in_input_order_is_reported(self):
         bad = [[0, 1, 2], [3, 3], [0, 1, 2, 3], [-1]]
@@ -88,6 +95,35 @@ class TestClosure:
             Complex(bad)
         with pytest.raises(InvalidSimplexError, match="bad vertex identifier -1"):
             Complex(bad[::-1])
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (InvalidSimplexError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# vertex collections as a caller may give them: vertices 0..9, repeats
+# allowed, and sometimes a vertex of another kind inserted
+_ODD_VERTEX = st.one_of(st.integers(-3, -1), st.booleans(),
+                        st.sampled_from(["a", "0", 1.0, 2.5, None]))
+_COLLECTIONS = st.builds(
+    lambda kind, vs, odd, at: kind(vs[:at] + odd + vs[at:]),
+    st.sampled_from([list, tuple, set]), st.lists(st.integers(0, 9), max_size=5),
+    st.just([]) | st.just([]) | st.lists(_ODD_VERTEX, min_size=1, max_size=2),
+    st.integers(0, 5))
+
+
+class TestCanonicalization:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_COLLECTIONS, max_size=4))
+    def test_matches_as_simplex(self, collections):
+        # the complex of the simplices as_simplex returns, or the error it
+        # raises first in input order
+        assert _outcome(lambda: Complex(collections)._by_dim) == _outcome(
+            _closure_by_subsets, collections)
 
 
 class TestBoundaryMatrix:
