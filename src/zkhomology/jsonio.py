@@ -12,8 +12,9 @@ One input schema covers both forms:
     {"k": 2, "triple": {"quotient": [[0, 1]],
                         "S": {"0": 1, "1": 2, "0,1": 1},
                         "Tstar": {"0,1|0": [0], "0,1|1": [0, 1]}}}
-  with simplex keys written as comma-joined vertex ids, T* keys as
-  "<psi>|<omega>" over codimension-1 face pairs, and S values the orders
+  with simplex keys written as increasing vertex ids joined by commas (the
+  one form `simplex_key` writes, so no two keys name one simplex), T* keys
+  as "<psi>|<omega>" over codimension-1 face pairs, and S values the orders
   of the isotropy subgroups.
 
 Serialization is canonical (every simplex listed, (dimension, lex) order)
@@ -39,14 +40,17 @@ from .transfer import IsotropyTriple
 
 
 def simplex_key(s):
-    return ",".join(str(v) for v in s)
+    return ",".join(map(str, s))
 
 
 def parse_simplex_key(text):
     try:
-        return tuple(sorted(map(int, text.split(","))))
+        s = tuple(sorted(map(int, text.split(","))))
     except ValueError:
-        raise InputFormatError(f"bad simplex key {text!r}") from None
+        s = None
+    if s is None or simplex_key(s) != text:
+        raise InputFormatError(f"bad simplex key {text!r}")
+    return s
 
 
 def _require(cond, message):

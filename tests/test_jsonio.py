@@ -218,6 +218,16 @@ INPUT_ERRORS = [
      TripleValidationError, 'order 3 does not divide k=2', (1,)),
     ('S bad key', _triple(S={"0": 1, "0,x": 2, "0,1": 1}),
      InputFormatError, "bad simplex key '0,x'", None),
+    ('S key with a blank', _triple(S={"0": 1, " 1": 2, "0,1": 1}),
+     InputFormatError, "bad simplex key ' 1'", None),
+    ('S key with a sign', _triple(S={"0": 1, "+1": 2, "0,1": 1}),
+     InputFormatError, "bad simplex key '+1'", None),
+    ('S key with an underscore', _triple(S={"0": 1, "1": 2, "0,1": 1, "1_0": 1}),
+     InputFormatError, "bad simplex key '1_0'", None),
+    ('S key with a leading zero', _triple(S={"0": 1, "01": 2, "0,1": 1}),
+     InputFormatError, "bad simplex key '01'", None),
+    ('S key out of order', _triple(S={"0": 1, "1": 2, "0,1": 1, "1,0": 2}),
+     InputFormatError, "bad simplex key '1,0'", None),
     ('S key off the quotient', _triple(S={"0": 1, "1": 2, "0,5": 1}),
      InputFormatError, 'S defined on (0, 5), which is not a quotient simplex', None),
     ('S bad key before a bad order', _triple(S={"x": 1, "1": 0}),
