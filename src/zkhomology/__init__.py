@@ -18,16 +18,17 @@ _EXPORTS = {
               "poly_gcd", "snf_over_polys"),
     "simplicial": ("Complex", "barycentric_subdivision", "betti_direct",
                    "boundary_matrix", "build_complex"),
-    "actions": ("CyclicAction", "Subgroup", "check_regularity", "coset_ordering",
-                "lex_lift", "lex_max_lift", "quotient", "regularize",
-                "trivial_action", "validate_action"),
+    "actions": ("CyclicAction", "Subgroup", "check_regularity", "lex_lift",
+                "lex_max_lift", "quotient", "regularize", "trivial_action",
+                "validate_action"),
     "groupring": ("GroupRingMatrix", "rho_extend"),
-    "transfer": ("IsotropyTriple", "build_triple", "check_axioms", "extended_transfer"),
+    "transfer": ("IsotropyTriple", "build_triple", "check_axioms"),
     "ring_snf": ("SnfDiagonal", "snf_over_R"),
     "pipeline": ("CompressedResult", "compressed_betti", "compressed_result",
                  "g_boundary_matrix"),
     "checks": ("compatible_boundary", "compatible_ordering", "compatible_orientations",
-               "index_reducing", "isotropy_expansion", "verify_expansion_lemma"),
+               "coset_ordering", "extended_transfer", "index_reducing",
+               "isotropy_expansion", "verify_expansion_lemma"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

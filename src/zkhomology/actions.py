@@ -1,11 +1,11 @@
 """Z_k actions on simplicial complexes.
 
 Group elements are exponents c in {0, ..., k-1} of the generating vertex
-permutation alpha, matching the fixed ordering (e, alpha, ..., alpha^(k-1)).
-Subgroups of Z_k are stored by their order (a divisor of k).  An action
-walks each simplex orbit once, when it is built; the permutation's order,
-orbits, isotropy, the regularity verdict, the quotient's fibers and the
-transfer cosets are all read off that walk.  Everything is read-only
+permutation alpha.  Subgroups of Z_k are stored by their order (a divisor
+of k); their coset orderings belong to the upstairs model in `checks`.  An
+action walks each simplex orbit once, when it is built; the permutation's
+order, orbits, isotropy, the regularity verdict, the quotient's fibers and
+the transfer cosets are all read off that walk.  Everything is read-only
 after construction.
 """
 
@@ -45,24 +45,6 @@ class Subgroup(record("Subgroup", "k order")):
 
     def __contains__(self, exponent):
         return exponent % (self.k // self.order) == 0
-
-
-def coset_ordering(H):
-    """Left cosets of H in Z_k in first-appearance order under
-    (e, alpha, ..., alpha^(k-1)); the first coset is H itself.
-
-    Each coset is the sorted tuple of its exponents.
-    """
-    step = H.index  # exponents of H are the multiples of step
-    return tuple(
-        tuple(sorted((g + j * step) % H.k for j in range(H.order)))
-        for g in range(step)
-    )
-
-
-def coset_position(H, exponent):
-    """1-based position of alpha^exponent's coset in coset_ordering(H)."""
-    return (exponent % H.k) % H.index + 1
 
 
 class CyclicAction:

@@ -1,11 +1,16 @@
 """Invariant suites for actions and triples, and the upstairs model that
-ties the G-boundary matrix to the acted-on complex: lifted partitions,
-compatible orientations and boundaries, the index-reducing map and the
-isotropy expansion, which equals the circulant image of the G-boundary
-entry by entry (the expansion lemma).  Production code never reads it.
-Expansions and circulant images are sparse rows over F[Z_1], and every rank
-here is `ring_snf.sparse_rank`: the dense matrices serve the direct oracle,
-and are read here only to write sparse rows.
+ties the G-boundary matrix to the acted-on complex: coset orderings, lifted
+partitions, compatible orientations and boundaries, the index-reducing map
+and the isotropy expansion, which equals the circulant image of the
+G-boundary entry by entry (the expansion lemma), and the extended transfer
+by containment with its second route through the unique face.  No other
+module knows this model, and production code never reads it.
+
+Every matrix here is sparse rows over F[Z_1]: `_boundary_rows` writes the
+boundaries of the acted-on complex and of the quotient, in lexicographic
+or compatible order, and every rank is `ring_snf.sparse_rank`.  The dense
+boundaries of the direct oracle are read only by `betti_direct`, in
+`compressed-matches-direct-oracle`.
 
 Index conventions: lifted partitions and the index-reducing function keep
 the 1-based positions used by their definitions (block I_a starts at n_a,
@@ -25,11 +30,10 @@ from math import gcd
 
 from .errors import (DimensionError, RegularityError, TripleValidationError,
                      UnknownSimplexError, ZkHomologyError)
-from .simplicial import betti_direct, boundary_matrix, default_orientation
-from .actions import (Subgroup, coset_ordering, coset_position, lex_lift,
-                      lex_max_lift, quotient)
+from .simplicial import betti_direct, faces
+from .actions import Subgroup, lex_lift, lex_max_lift
 from .groupring import GroupRingMatrix, rho_extend
-from .transfer import build_triple, check_axioms, extended_transfer
+from .transfer import build_triple, check_axioms
 from .pipeline import _composes_to_zero, compressed_betti, g_boundary_matrix
 from .ring_snf import snf_over_R, sparse_rank
 
@@ -37,6 +41,24 @@ from .ring_snf import snf_over_R, sparse_rank
 # this many times, from this seed.
 ORDERING_TRIALS = 3
 ORDERING_SEED = 20240601
+
+
+def coset_ordering(H):
+    """Left cosets of H in Z_k in first-appearance order under
+    (e, alpha, ..., alpha^(k-1)); the first coset is H itself.
+
+    Each coset is the sorted tuple of its exponents.
+    """
+    step = H.index  # exponents of H are the multiples of step
+    return tuple(
+        tuple(sorted((g + j * step) % H.k for j in range(H.order)))
+        for g in range(step)
+    )
+
+
+def coset_position(H, exponent):
+    """1-based position of alpha^exponent's coset in coset_ordering(H)."""
+    return (exponent % H.k) % H.index + 1
 
 
 @dataclass(frozen=True)
@@ -104,6 +126,23 @@ def index_reducing(lp, k):
     return tuple(values)
 
 
+def extended_transfer(action, lift, psi, omega):
+    """All exponents c with alpha^c . lift(omega) a face of lift(psi), by
+    direct containment (the reference route for T*, which `build_triple`
+    reads off the orbit walk).
+
+    Empty exactly when omega is not a face of psi; otherwise a left coset
+    of the isotropy subgroup of lift(omega).
+    """
+    psi, omega = tuple(psi), tuple(omega)
+    if psi not in lift or omega not in lift:
+        raise UnknownSimplexError(f"{psi} or {omega} is not a quotient simplex")
+    if len(psi) != len(omega) + 1:
+        raise DimensionError("extended transfer needs a codimension-1 pair")
+    lp, lo = set(lift[psi]), lift[omega]
+    return frozenset(c for c in range(action.k) if lp.issuperset(action.apply_simplex(c, lo)))
+
+
 def extended_transfer_via_face(qd, lift, psi, omega):
     """Second, independent route: locate the unique face of lift(psi) over
     omega and collect the exponents carrying lift(omega) onto it."""
@@ -130,6 +169,26 @@ def extended_transfer_via_face(qd, lift, psi, omega):
     )
 
 
+def _boundary_rows(field, rows, cols, orient=None):
+    # The boundary from the span of the d-simplices `cols` to that of their
+    # faces `rows`, in those orders, as sparse rows over F[Z_1]: the t-th
+    # face of a column gets the int (-1)^t in canonical form, negated where
+    # the sign table `orient` gives the column and the face different signs.
+    sign = (1, field.neg(1))
+    row_pos = {s: i for i, s in enumerate(rows)}
+    entries = {i: {} for i in range(len(rows))}
+    for j, s in enumerate(cols):
+        for t, f in faces(s):
+            flip = orient is not None and orient[s] != orient[f]
+            entries[row_pos[f]][j] = {0: sign[(t + flip) % 2]}
+    return GroupRingMatrix(field, 1, len(rows), len(cols), entries)
+
+
+def _lex_boundary(X, d, field):
+    # the d-th boundary of X in lexicographic order and orientation
+    return _boundary_rows(field, X.simplices(d - 1), X.simplices(d))
+
+
 def _orbit_sorted_tuple(qd, simplex):
     # Vertices ordered by their orbit label; pulls the quotient orientation
     # back along the projection.
@@ -146,35 +205,32 @@ def _parity(tuple_order):
     return sign
 
 
-def compatible_orientations(action, lift, qd=None):
+def compatible_orientations(qd, lift):
     """Orientations making the projection and the action chain-friendly.
 
-    Quotient simplices are oriented by increasing orbit labels (sign +1).
+    Quotient simplices keep their increasing-label orientation (sign +1).
     Each lift is oriented so its elementary chain projects onto the
     quotient chain; the rest of the orbit carries the image orientation
     (well-defined because regular stabilizers fix simplices vertex-wise).
     The result satisfies g[psi] = [g psi] for every g and
     pi[psi] = [pi psi] for every psi.
 
-    Returns (orientation of the acted-on complex, orientation of the
-    quotient).
+    Returns the sign table of the acted-on complex.
     """
-    if qd is None:
-        qd = quotient(action)
-    orient_q = default_orientation(qd.quotient)
-    orient_x = {}
+    action = qd.action
+    orient = {}
     for q in qd.quotient.all_simplices():
         base = _orbit_sorted_tuple(qd, lift[q])
         for c in range(action.k):
             moved = tuple(action.apply_vertex(c, v) for v in base)
             s = tuple(sorted(moved))
             sign = _parity(moved)
-            if s in orient_x and orient_x[s] != sign:
+            if s in orient and orient[s] != sign:
                 raise ArithmeticError(
                     f"orientation transport inconsistent at {s}"
                 )
-            orient_x[s] = sign
-    return orient_x, orient_q
+            orient[s] = sign
+    return orient
 
 
 def oriented_tuple(orient, simplex):
@@ -186,63 +242,54 @@ def oriented_tuple(orient, simplex):
     return s[:-2] + (s[-1], s[-2])
 
 
-def _compatible_parts(action, lift, d, field, qd, orient_x=None, partition=None):
+def _compatible_parts(qd, lift, d, field, orient=None, partition=None):
     # The compatible boundary with its row and column lifted partitions;
     # the orientations and partition(d) are built here unless given.
-    if qd is None:
-        qd = quotient(action)
-    X = action.complex
+    X = qd.action.complex
     if not (1 <= d <= X.dim):
         raise DimensionError(f"d={d} out of range 1..{X.dim}")
-    orient_x = orient_x or compatible_orientations(action, lift, qd=qd)[0]
+    orient = orient or compatible_orientations(qd, lift)
     partition = partition or (lambda e: compatible_ordering(qd, lift, e))
     row_lp, col_lp = partition(d - 1), partition(d)
-    B = boundary_matrix(
-        X, d, field, orient=orient_x,
-        row_order=row_lp.ordering, col_order=col_lp.ordering,
-    )
-    return B, row_lp, col_lp
+    return _boundary_rows(field, row_lp.ordering, col_lp.ordering, orient), row_lp, col_lp
 
 
-def compatible_boundary(action, lift, d, field, qd=None):
+def compatible_boundary(qd, lift, d, field):
     """Boundary matrix of the acted-on complex in the compatible ordered
-    basis: rows and columns follow the lifted-partition orderings, signs
-    follow the compatible orientations."""
-    return _compatible_parts(action, lift, d, field, qd)[0]
+    basis, as sparse rows over F[Z_1]: rows and columns follow the
+    lifted-partition orderings, signs follow the compatible orientations."""
+    return _compatible_parts(qd, lift, d, field)[0]
 
 
-def isotropy_expansion(action, lift, d, field, qd=None):
+def isotropy_expansion(qd, lift, d, field):
     """The (m k x n k) coset-duplicated enlargement of the compatible
     boundary matrix, as sparse rows over F[Z_1]; same rank as the boundary
     itself."""
-    return _expand(*_compatible_parts(action, lift, d, field, qd), action.k)
+    return _expand(*_compatible_parts(qd, lift, d, field), qd.action.k)
 
 
 def _expand(B, row_lp, col_lp, k):
-    J_rows = index_reducing(row_lp, k)
-    J_cols = index_reducing(col_lp, k)
-    entries = {i: {j: {0: v} for j, c in enumerate(J_cols) if (v := B.data[r - 1][c - 1])}
-               for i, r in enumerate(J_rows)}
-    return GroupRingMatrix(B.field, 1, len(J_rows), len(J_cols), entries)
+    # row i and column j of the expansion are those J(i) and J(j) of B
+    J_cols = [c - 1 for c in index_reducing(col_lp, k)]
+    rows = [B.entries[r - 1] for r in index_reducing(row_lp, k)]
+    entries = {i: {j: r[c] for j, c in enumerate(J_cols) if c in r} for i, r in enumerate(rows)}
+    return GroupRingMatrix(B.field, 1, len(rows), len(J_cols), entries)
 
 
-def verify_expansion_lemma(action, lift, d, field, qd=None, triple=None):
+def verify_expansion_lemma(qd, lift, d, field, triple=None):
     """Check that the isotropy expansion equals the entry-wise circulant
     image of the G-boundary matrix of `triple` (built from `lift` when not
     given), and that each expansion entry matches the direct containment
     test.  Returns (True, None) or (False, report).
     """
-    if qd is None:
-        qd = quotient(action)
     if triple is None:
-        triple = build_triple(action, lift=lift, qd=qd)
-    E = isotropy_expansion(action, lift, d, field, qd=qd)
-    return _expansion_report(E, action, lift, d, field, qd, triple)
+        triple = build_triple(qd.action, lift=lift, qd=qd)
+    return _expansion_report(isotropy_expansion(qd, lift, d, field), qd, lift, d, field, triple)
 
 
-def _expansion_report(E, action, lift, d, field, qd, triple):
+def _expansion_report(E, qd, lift, d, field, triple):
     # verify_expansion_lemma on the isotropy expansion E
-    k, z = action.k, field.zero()
+    action, k, z = qd.action, qd.action.k, field.zero()
     G = rho_extend(g_boundary_matrix(triple, d, field))
     if E.rows != G.rows or E.cols != G.cols:
         return False, f"shape mismatch {E.rows}x{E.cols} vs {G.rows}x{G.cols}"
@@ -254,21 +301,21 @@ def _expansion_report(E, action, lift, d, field, qd, triple):
                 f"d={d}: entry ({i + 1},{j + 1}) differs: expansion has "
                 f"{e.get(j, {0: z})[0]}, circulant image has {g.get(j, {0: z})[0]}"
             )
-    # Entry cases by direct containment: block (a, b), offsets (c, c').
+    # Entry cases by direct containment: block (a, b), offsets (c, c').  Each
+    # alpha^g is a simplicial bijection, so alpha^c lift(omega) lies in
+    # alpha^c' lift(psi) iff alpha^(c - c') lift(omega) lies in lift(psi):
+    # one extended transfer per block decides all k^2 offsets.
     Y = qd.quotient
-    Bq = boundary_matrix(Y, d, field)
+    Bq = _lex_boundary(Y, d, field).entries
     for a, omega in enumerate(Y.simplices(d - 1)):
-        lo = lift[omega]
         for b, psi in enumerate(Y.simplices(d)):
-            lp = lift[psi]
+            hits = extended_transfer(action, lift, psi, omega)
+            sign = Bq[a].get(b, {0: z})[0]
             for c in range(1, k + 1):
-                moved_o = set(action.apply_simplex(c - 1, lo))
+                row = E.entries[k * a + c - 1]
                 for cp in range(1, k + 1):
-                    moved_p = set(action.apply_simplex(cp - 1, lp))
-                    want = (
-                        Bq.data[a][b] if moved_o <= moved_p else field.zero()
-                    )
-                    got = E.entries[k * a + c - 1].get(k * b + cp - 1, {0: z})[0]
+                    want = sign if (c - cp) % k in hits else z
+                    got = row.get(k * b + cp - 1, {0: z})[0]
                     if got != want:
                         return False, (
                             f"d={d}: containment case fails at block ({a + 1},"
@@ -296,19 +343,12 @@ def _outcome(name, failures):
     return CheckOutcome(name, True)
 
 
-def _over_trivial_group(B):
-    # a field matrix as sparse rows over F[Z_1]: entry v becomes {0: v}
-    entries = {i: {j: {0: v} for j, v in enumerate(row) if v} for i, row in enumerate(B.data)}
-    return GroupRingMatrix(B.field, 1, B.rows, B.cols, entries)
-
-
 def check_boundary_squared(X, field, name="boundary-squared-zero"):
     """d_(d-1) d_d = 0 for every d, by the sparse composition check that
     the compressed pipeline runs on consecutive G-boundaries."""
     failures = []
     for d in range(2, X.dim + 1):
-        if not _composes_to_zero(_over_trivial_group(boundary_matrix(X, d - 1, field)),
-                                 _over_trivial_group(boundary_matrix(X, d, field))):
+        if not _composes_to_zero(_lex_boundary(X, d - 1, field), _lex_boundary(X, d, field)):
             failures.append(f"d{d-1} o d{d} != 0 over {field.name}")
     return _outcome(name, failures)
 
@@ -428,7 +468,7 @@ def check_index_reducing(qd, partition):
 def check_expansion_lemma(action, qd, lift, field, triple, expansion):
     failures = []
     for d in range(1, action.complex.dim + 1):
-        ok, report = _expansion_report(expansion(d), action, lift, d, field, qd, triple)
+        ok, report = _expansion_report(expansion(d), qd, lift, d, field, triple)
         if not ok:
             failures.append(f"{field.name}: {report}")
     return _outcome("expansion-equals-circulant-image", failures)
@@ -547,10 +587,10 @@ def run_action_suite(qd, field):
     # compatible boundary, its rank and its isotropy expansion, and of the
     # lex-min triple per d the G-boundary and its Smith form, and the Betti
     # numbers.
-    orient = cache(lambda: compatible_orientations(action, lift, qd=qd)[0])
+    orient = cache(lambda: compatible_orientations(qd, lift))
     partition = cache(lambda d: compatible_ordering(qd, lift, d))
-    parts = cache(lambda d: _compatible_parts(action, lift, d, field, qd, orient(), partition))
-    rank = cache(lambda d: sparse_rank(_over_trivial_group(parts(d)[0])))
+    parts = cache(lambda d: _compatible_parts(qd, lift, d, field, orient(), partition))
+    rank = cache(lambda d: sparse_rank(parts(d)[0]))
     expansion = cache(lambda d: _expand(*parts(d), action.k))
     betti = cache(lambda: compressed_betti(triple, field))
     reduced = cache(lambda d: _g_boundary_snf(triple, d, field))

@@ -4,9 +4,10 @@ An element sum_i a_i alpha^i is stored sparsely as {exponent: coefficient}
 over its nonzero coefficients; multiplication is cyclic convolution.  The
 representation rho sends alpha^c to the k x k matrix of the regular
 representation (the transpose of the circulant matrix of the coefficient
-vector), so rho(w)[i][j] = a_{(i-j) mod k}.  Its images are matrices over
-F[Z_1], sparse rows like any other, which `ring_snf.sparse_rank` ranks; the
-dense matrices of `exact` serve the direct oracle only.
+vector), so rho(w)[i][j] = a_{(i-j) mod k}.  `rho_extend` applies it entry
+by entry, for the rank certificate on a residual core (`ring_snf`) and on a
+whole G-boundary (`verify`); its images are sparse rows over F[Z_1], which
+`ring_snf.sparse_rank` ranks.
 """
 
 
@@ -38,19 +39,15 @@ class GroupRingMatrix:
         return f"GroupRingMatrix({self.field}, k={self.k}, {self.rows}x{self.cols}: {self.entries})"
 
 
-def circulant_expansion(field, k, entries, rows, cols):
-    """rho applied entry-wise to the sparse rows `entries`, {a: {b: {e: c}}},
-    of a rows x cols matrix over F[Z_k]: the (rows k) x (cols k) matrix over
-    F[Z_1] whose row a k + i holds c at column b k + (i - e) mod k."""
-    out = {i: {} for i in range(rows * k)}
-    for a, r in entries.items():
+def rho_extend(M):
+    """rho applied entry-wise to M over F[Z_k]: the (M.rows k) x (M.cols k)
+    matrix over F[Z_1] whose row a k + i holds c at column b k + (i - e) mod k
+    for each term c alpha^e of entry (a, b)."""
+    k = M.k
+    out = {i: {} for i in range(M.rows * k)}
+    for a, r in M.entries.items():
         for b, w in r.items():
             for e, c in w.items():
                 for i in range(k):
                     out[a * k + i][b * k + (i - e) % k] = {0: c}
-    return GroupRingMatrix(field, 1, rows * k, cols * k, out)
-
-
-def rho_extend(M):
-    """Entry-wise matrix extension of rho: blocks (a, b) hold rho(M[a][b])."""
-    return circulant_expansion(M.field, M.k, M.entries, M.rows, M.cols)
+    return GroupRingMatrix(M.field, 1, M.rows * k, M.cols * k, out)

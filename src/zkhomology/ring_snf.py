@@ -39,7 +39,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 
 from .exact import Poly, poly_gcd, snf_over_polys, poly_str
-from .groupring import GroupRingMatrix, circulant_expansion
+from .groupring import GroupRingMatrix, rho_extend
 from .records import record
 
 class SnfDiagonal(record("SnfDiagonal", "lifts k")):
@@ -206,7 +206,7 @@ def snf_over_R(M):
         if not a.divides(b):
             raise ArithmeticError("divisibility chain broken in lifted SNF")
     result = SnfDiagonal(lifts=(Poly.one(field),) * pivots + tuple(chain), k=k)
-    expected = k * pivots + sparse_rank(circulant_expansion(field, k, C.entries, C.rows, C.cols))
+    expected = k * pivots + sparse_rank(rho_extend(C))
     if result.rank_sum() != expected:
         raise ArithmeticError(f"rank certificate failed: SNF predicts "
                               f"{result.rank_sum()}, expanded matrix has rank {expected}")

@@ -3,9 +3,8 @@ and barycentric subdivision.
 
 A simplex is a tuple of strictly increasing non-negative vertex ids.  A
 complex stores, per dimension, the lexicographically sorted list of its
-simplices (this is the default ordering of each chain-group basis) and is
-always downward closed.  Orientations are sign tables relative to the
-increasing-vertex ordering; the default orientation is +1 everywhere.
+simplices (the ordering of each chain-group basis) and is always downward
+closed; every simplex is oriented by its increasing vertex tuple.
 """
 
 from itertools import chain, combinations, groupby, repeat
@@ -111,38 +110,22 @@ def build_complex(generators):
     return Complex(generators)
 
 
-def default_orientation(X):
-    """Increasing-vertex orientation: +1 on every simplex."""
-    return {s: 1 for s in X.all_simplices()}
-
-
-def boundary_matrix(X, d, field, orient=None, row_order=None, col_order=None):
-    """Matrix of the d-th boundary map.
+def boundary_matrix(X, d, field):
+    """Matrix of the d-th boundary map, the direct oracle's input.
 
     Rows run over the (d-1)-simplices and columns over the d-simplices, in
-    the given orders (lexicographic by default).  Entry (i, j) is the signed
-    coefficient of the i-th row chain in the boundary of the j-th column
-    chain, under the orientation sign table.
+    lexicographic order.  Entry (i, j) is the coefficient (-1)^t of the i-th
+    row simplex, the t-th face of the j-th column simplex, in its boundary.
     """
     if not (1 <= d <= X.dim):
         raise DimensionError(f"d={d} out of range 1..{X.dim}")
-    if orient is None:
-        orient = default_orientation(X)
-    rows = tuple(row_order) if row_order is not None else X.simplices(d - 1)
-    cols = tuple(col_order) if col_order is not None else X.simplices(d)
-    if sorted(rows) != list(X.simplices(d - 1)):
-        raise ValueError("row_order is not a permutation of the (d-1)-simplices")
-    if sorted(cols) != list(X.simplices(d)):
-        raise ValueError("col_order is not a permutation of the d-simplices")
+    rows, cols = X.simplices(d - 1), X.simplices(d)
     row_pos = {s: i for i, s in enumerate(rows)}
     z, one = field.zero(), field.one()
     data = [[z] * len(cols) for _ in range(len(rows))]
     for j, s in enumerate(cols):
-        s_sign = orient[s]
         for t, f in faces(s):
             c = one if (t % 2 == 0) else field.neg(one)
-            if s_sign * orient[f] < 0:
-                c = field.neg(c)
             data[row_pos[f]][j] = c
     return FieldMatrix(field, len(rows), len(cols), data)
 

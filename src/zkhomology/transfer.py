@@ -1,5 +1,4 @@
-"""The isotropy transfer triple and what is derived from it: the extended
-transfer and the check of the complex-of-groups axioms.
+"""The isotropy transfer triple and the check of the complex-of-groups axioms.
 
 The triple (quotient, S, T*) is all the compressed pipeline consumes: S
 sends each quotient simplex to the isotropy subgroup of its lift, and T*
@@ -12,32 +11,8 @@ ever materializing the acted-on complex.
 
 from itertools import combinations
 
-from .errors import (
-    AxiomError,
-    DimensionError,
-    TripleValidationError,
-    UnknownSimplexError,
-)
+from .errors import AxiomError, TripleValidationError
 from .actions import Subgroup, lex_lift, quotient
-
-
-def extended_transfer(action, lift, psi, omega):
-    """All exponents c with alpha^c . lift(omega) a face of lift(psi).
-
-    Empty exactly when omega is not a face of psi; otherwise a left coset
-    of the isotropy subgroup of lift(omega).
-    """
-    psi, omega = tuple(psi), tuple(omega)
-    if psi not in lift or omega not in lift:
-        raise UnknownSimplexError(f"{psi} or {omega} is not a quotient simplex")
-    if len(psi) != len(omega) + 1:
-        raise DimensionError("extended transfer needs a codimension-1 pair")
-    lp, lo = lift[psi], lift[omega]
-    hits = frozenset(
-        c for c in range(action.k)
-        if set(action.apply_simplex(c, lo)) <= set(lp)
-    )
-    return hits
 
 
 class IsotropyTriple:
@@ -126,8 +101,8 @@ class IsotropyTriple:
 def build_triple(action, lift=None, qd=None):
     """Assemble (quotient, S, T*) from a regular action and a lift.
 
-    T* is read off the action's orbit walk; `extended_transfer` is the
-    reference route it is checked against."""
+    T* is read off the action's orbit walk; `checks.extended_transfer` is
+    the reference route it is checked against."""
     if qd is None:
         qd = quotient(action)
     if lift is None:

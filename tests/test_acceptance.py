@@ -89,7 +89,7 @@ def test_criterion_3_expansion_lemma(prepared):
     for name, (e, action, qd, lift, triple) in prepared.items():
         for field in FIELDS:
             for d in range(1, action.complex.dim + 1):
-                E = isotropy_expansion(action, lift, d, field, qd=qd)
+                E = isotropy_expansion(qd, lift, d, field)
                 G = rho_extend(g_boundary_matrix(triple, d, field))
                 cases += 1
                 if dense(E) != dense(G):
@@ -103,9 +103,9 @@ def test_criterion_4_rank_preservation(prepared):
     for name, (e, action, qd, lift, _) in prepared.items():
         for field in FIELDS:
             for d in range(1, action.complex.dim + 1):
-                B = compatible_boundary(action, lift, d, field, qd=qd)
-                E = isotropy_expansion(action, lift, d, field, qd=qd)
-                assert field_rank(dense(E)) == field_rank(B), (name, field.name, d)
+                B = compatible_boundary(qd, lift, d, field)
+                E = isotropy_expansion(qd, lift, d, field)
+                assert field_rank(dense(E)) == field_rank(dense(B)), (name, field.name, d)
     print("\nACCEPTANCE 4 PASS: isotropy expansion preserves boundary rank "
           "corpus-wide")
 

@@ -3,8 +3,6 @@ import pytest
 from zkhomology.actions import (
     Subgroup,
     check_regularity,
-    coset_ordering,
-    coset_position,
     lex_lift,
     lex_max_lift,
     quotient,
@@ -12,7 +10,8 @@ from zkhomology.actions import (
     trivial_action,
     validate_action,
 )
-from zkhomology.checks import check_orbit_stabilizer, compatible_ordering, index_reducing
+from zkhomology.checks import (check_orbit_stabilizer, compatible_ordering, coset_ordering,
+                               coset_position, index_reducing)
 from zkhomology.errors import (
     InvalidActionError,
     RegularityError,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from zkhomology import actions, checks, cli, corpus, ring_snf, transfer
+from zkhomology import actions, checks, cli, corpus, ring_snf, simplicial, transfer
 from zkhomology.corpus import entry, names, to_input_dict
 from zkhomology.exact import GF, QQ, FieldMatrix
 from zkhomology.jsonio import (
@@ -18,7 +18,7 @@ from zkhomology.jsonio import (
 )
 from zkhomology.actions import lex_lift, quotient, regularize
 from zkhomology.checks import isotropy_expansion
-from zkhomology.groupring import GroupRingMatrix, circulant_expansion, rho_extend
+from zkhomology.groupring import GroupRingMatrix, rho_extend
 from zkhomology.pipeline import compressed_result, g_boundary_matrix
 from zkhomology.transfer import build_triple
 
@@ -334,14 +334,13 @@ class TestProductionPath:
     @pytest.fixture
     def calls(self, monkeypatch):
         seen = {"extended_transfer": 0}
-        original = transfer.extended_transfer
+        original = checks.extended_transfer
 
         def spy(*args, **kwargs):
             seen["extended_transfer"] += 1
             return original(*args, **kwargs)
 
-        for module in (transfer, checks):
-            monkeypatch.setattr(module, "extended_transfer", spy)
+        monkeypatch.setattr(checks, "extended_transfer", spy)
         return seen
 
     def test_compressed_homology_skips_extended_transfer(self, path_file, calls, capsys):
@@ -497,18 +496,27 @@ class TestVerify:
 
     def test_homology_never_expands_upstairs(self, tmp_path, corpus_actions,
                                              monkeypatch, capsys):
+        # rho_extend runs on the homology path only inside the rank
+        # certificate, on the residual core: never on a whole G-boundary
         runs, before = self._compressed_runs(tmp_path, corpus_actions, capsys)
+        tri = build_triple(corpus_actions["torus9x3_rot3"])
+        expanded = []
 
-        def refuse(M):
-            raise AssertionError("rho_extend on the homology path")
+        def spy(M):
+            expanded.append(M)
+            return rho_extend(M)
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "zkhomology" and hasattr(module, "rho_extend"):
-                monkeypatch.setattr(module, "rho_extend", refuse)
+                monkeypatch.setattr(module, "rho_extend", spy)
         for argv, want in zip(runs, before):
             assert cli.run(argv) == 0
             assert capsys.readouterr().out == want
         assert "compressed betti: [1, 2, 1]" in before[0]
+        whole = [g_boundary_matrix(tri, d, F) for d in (1, 2) for F in (QQ, GF(2), GF(3))]
+        assert expanded and not any(M == G for M in expanded for G in whole)
+        assert all(M.rows < G.rows or M.cols < G.cols for M in expanded
+                   for G in whole if G.field == M.field and G.k == M.k)
 
     def test_compressed_route_builds_no_dense_matrix(self, tmp_path, corpus_actions,
                                                      monkeypatch, capsys):
@@ -518,7 +526,7 @@ class TestVerify:
         act = corpus_actions["torus9x3_rot3"]
         qd = quotient(act)
         tri = build_triple(act, qd=qd)
-        E = isotropy_expansion(act, lex_lift(qd), 1, QQ, qd=qd)
+        E = isotropy_expansion(qd, lex_lift(qd), 1, QQ)
         assert isinstance(E, GroupRingMatrix) and E.k == 1
 
         def refuse(*args):
@@ -533,10 +541,32 @@ class TestVerify:
             assert capsys.readouterr().out == want
         for field in (QQ, GF(2), GF(3)):
             M = g_boundary_matrix(tri, 2, field)
-            for R in (rho_extend(M),
-                      circulant_expansion(field, M.k, M.entries, M.rows, M.cols)):
-                assert isinstance(R, GroupRingMatrix)
-                assert (R.k, R.rows, R.cols) == (1, M.rows * M.k, M.cols * M.k)
+            R = rho_extend(M)
+            assert isinstance(R, GroupRingMatrix)
+            assert (R.k, R.rows, R.cols) == (1, M.rows * M.k, M.cols * M.k)
+
+    def test_verify_builds_dense_matrices_only_for_the_oracle(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # every check but compressed-matches-direct-oracle writes sparse
+        # rows: a FieldMatrix is built only by simplicial.boundary_matrix,
+        # called from betti_direct
+        torus = _write(tmp_path, "torus.json", to_input_dict(entry("torus9x3_rot3")))
+        original, callers = FieldMatrix.__init__, []
+
+        def spy(self, *args):
+            frame = sys._getframe(1)
+            builder = frame.f_code.co_name
+            while frame is not None and frame.f_code is not simplicial.betti_direct.__code__:
+                frame = frame.f_back
+            callers.append((builder, frame is not None))
+            original(self, *args)
+
+        monkeypatch.setattr(FieldMatrix, "__init__", spy)
+        for field in ("Q", "Fp:3"):
+            callers.clear()
+            assert cli.run(["verify", torus, "--field", field]) == 0
+            assert "all checks passed" in capsys.readouterr().out
+            assert callers == [("boundary_matrix", True)] * 2
 
     def test_triple_verify_json(self, triple_file, capsys):
         assert cli.run(["verify", triple_file, "--format", "json"]) == 0

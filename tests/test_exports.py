@@ -94,6 +94,36 @@ def test_test_only_helpers_are_gone():
         assert "fields" not in params and "field" in params, fn.__name__
 
 
+def test_upstairs_model_lives_in_checks():
+    # check-only helpers moved into checks, whose names the package still
+    # resolves; the sign-table and ordering knobs of the dense boundary, the
+    # quotient's all-+1 sign table and the dense-to-sparse conversion are
+    # gone; rho has one function
+    for module, name in ((actions, "coset_ordering"), (actions, "coset_position"),
+                         (transfer, "extended_transfer")):
+        assert not hasattr(module, name), name
+        assert callable(getattr(checks, name))
+    for name in ("coset_ordering", "extended_transfer"):
+        assert getattr(zkhomology, name) is getattr(checks, name)
+    for module, name in ((simplicial, "default_orientation"),
+                         (groupring, "circulant_expansion"),
+                         (checks, "_over_trivial_group")):
+        assert not hasattr(module, name), name
+        assert not hasattr(zkhomology, name)
+    assert list(inspect.signature(simplicial.boundary_matrix).parameters) == ["X", "d", "field"]
+    assert list(inspect.signature(groupring.rho_extend).parameters) == ["M"]
+    # the model takes the quotient data first, never the action, and never
+    # re-quotients: no parameter qd of checks has a default
+    for fn in (checks.compatible_orientations, checks.compatible_boundary,
+               checks.isotropy_expansion, checks.verify_expansion_lemma):
+        params = list(inspect.signature(fn).parameters)
+        assert params[:2] == ["qd", "lift"] and "action" not in params, fn.__name__
+    for name, fn in vars(checks).items():
+        if inspect.isfunction(fn) and fn.__module__ == checks.__name__:
+            qd = inspect.signature(fn).parameters.get("qd")
+            assert qd is None or qd.default is inspect.Parameter.empty, name
+
+
 def test_dense_group_ring_model_is_gone(monkeypatch):
     # group-ring entries are {exponent: coefficient} rows only: no element
     # type, no dense grid, and one product, the sparse composition check,

@@ -35,8 +35,8 @@ from zkhomology.actions import (
 from zkhomology.corpus import build_action, entry, names, regular_entries
 from zkhomology.errors import AxiomError
 from zkhomology.simplicial import build_complex
-from zkhomology.transfer import (IsotropyTriple, build_triple, check_axioms,
-                                 extended_transfer)
+from zkhomology.checks import extended_transfer
+from zkhomology.transfer import IsotropyTriple, build_triple, check_axioms
 
 BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 

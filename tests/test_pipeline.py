@@ -24,7 +24,7 @@ from zkhomology.checks import (
     verify_expansion_lemma,
 )
 from zkhomology.errors import DimensionError, InvalidGeneratorError
-from zkhomology.exact import GF, QQ, FieldMatrix, field_rank
+from zkhomology.exact import GF, QQ, field_rank
 from zkhomology.groupring import rho_extend
 from zkhomology.ring_snf import snf_over_R
 from zkhomology.pipeline import (
@@ -71,26 +71,26 @@ def corpus_triples(request):
 class TestCompatibleOrientations:
     def test_path_lift_and_transport(self, path_setup):
         act, qd, lift = path_setup
-        ox, oq = compatible_orientations(act, lift, qd=qd)
+        ox = compatible_orientations(qd, lift)
         assert oriented_tuple(ox, (0, 1)) == (0, 1)
         assert oriented_tuple(ox, (1, 2)) == (2, 1)
-        assert all(s == 1 for s in oq.values())
 
     def test_trivial_action_keeps_increasing_order(self):
         act = trivial_action(build_complex([{0, 1, 2}]), 2)
-        ox, _ = compatible_orientations(act, lex_lift(quotient(act)))
+        qd = quotient(act)
+        ox = compatible_orientations(qd, lex_lift(qd))
         assert all(s == 1 for s in ox.values())
 
     def test_octagon_transport(self, octagon_setup):
         act, qd, lift = octagon_setup
-        ox, _ = compatible_orientations(act, lift, qd=qd)
+        ox = compatible_orientations(qd, lift)
         assert oriented_tuple(ox, (4, 5)) == (4, 5)   # alpha . [0,1]
         assert oriented_tuple(ox, (3, 4)) == (4, 3)   # alpha . [0,7]
 
     def test_action_commutes_with_chains(self, corpus_triples):
         # g[psi] = [g psi] for the generator, on every corpus complex
         for act, qd, lift, _ in corpus_triples.values():
-            ox, _ = compatible_orientations(act, lift, qd=qd)
+            ox = compatible_orientations(qd, lift)
             for s, sign in ox.items():
                 moved = tuple(act.apply_vertex(1, v) for v in oriented_tuple(ox, s))
                 target = tuple(sorted(moved))
@@ -101,7 +101,7 @@ class TestCompatibleOrientations:
         # pi[psi] = [pi psi]: the projected oriented tuple must be an even
         # permutation of the quotient simplex's increasing-label chain
         for act, qd, lift, _ in corpus_triples.values():
-            ox, oq = compatible_orientations(act, lift, qd=qd)
+            ox = compatible_orientations(qd, lift)
             for s in act.complex.all_simplices():
                 labels = [qd.label[v] for v in oriented_tuple(ox, s)]
                 assert _tuple_parity(labels) == 1
@@ -120,31 +120,32 @@ def _tuple_parity(seq):
 class TestCompatibleBoundary:
     def test_path_matrix(self, path_setup):
         act, qd, lift = path_setup
-        B = compatible_boundary(act, lift, 1, QQ, qd=qd)
+        B = dense(compatible_boundary(qd, lift, 1, QQ))
         assert [[int(v) for v in row] for row in B.data] == [
             [-1, 0], [0, -1], [1, 1]]
 
     def test_trivial_action_is_lex_boundary(self):
         act = trivial_action(build_complex([{0, 1, 2}]), 1)
-        B = compatible_boundary(act, lex_lift(quotient(act)), 1, QQ)
+        qd = quotient(act)
+        B = dense(compatible_boundary(qd, lex_lift(qd), 1, QQ))
         assert B == boundary_matrix(act.complex, 1, QQ)
 
     def test_octagon_rank(self, octagon_setup):
         act, qd, lift = octagon_setup
-        B = compatible_boundary(act, lift, 1, QQ, qd=qd)
+        B = dense(compatible_boundary(qd, lift, 1, QQ))
         assert (B.rows, B.cols) == (8, 8)
         assert field_rank(B) == 7
 
     def test_dimension_gate(self, path_setup):
         act, qd, lift = path_setup
         with pytest.raises(DimensionError):
-            compatible_boundary(act, lift, 2, QQ, qd=qd)
+            compatible_boundary(qd, lift, 2, QQ)
 
     def test_entries_match_quotient_boundary(self, corpus_triples):
         # compatible-matrix entry lemma: same face pair downstairs, same entry
         for act, qd, lift, _ in corpus_triples.values():
             for d in range(1, act.complex.dim + 1):
-                B = compatible_boundary(act, lift, d, QQ, qd=qd)
+                B = dense(compatible_boundary(qd, lift, d, QQ))
                 Bq = boundary_matrix(qd.quotient, d, QQ)
                 rows = compatible_ordering(qd, lift, d - 1).ordering
                 cols = compatible_ordering(qd, lift, d).ordering
@@ -159,10 +160,24 @@ class TestCompatibleBoundary:
                         assert B.data[i][j] == Bq.data[a][b]
 
 
+class TestBoundaryWriters:
+    def test_sparse_writer_equals_the_dense_boundary(self, corpus_actions, fields):
+        # the sparse writer of the checks in lex order against the direct
+        # oracle's dense boundary, entry by entry, on X and on X/G
+        for act in corpus_actions.values():
+            for X in (act.complex, quotient(act).quotient):
+                for field in fields:
+                    for d in range(1, X.dim + 1):
+                        sparse = checks._boundary_rows(field, X.simplices(d - 1),
+                                                       X.simplices(d))
+                        assert sparse == checks._lex_boundary(X, d, field)
+                        assert dense(sparse) == boundary_matrix(X, d, field)
+
+
 class TestIsotropyExpansion:
     def test_path_matrix_and_rank(self, path_setup):
         act, qd, lift = path_setup
-        E = dense(isotropy_expansion(act, lift, 1, QQ, qd=qd))
+        E = dense(isotropy_expansion(qd, lift, 1, QQ))
         assert [[int(v) for v in row] for row in E.data] == [
             [-1, 0], [0, -1], [1, 1], [1, 1]]
         assert field_rank(E) == 2
@@ -171,12 +186,12 @@ class TestIsotropyExpansion:
         act = trivial_action(build_complex([{0, 1, 2}]), 1)
         qd = quotient(act)
         lift = lex_lift(qd)
-        E = dense(isotropy_expansion(act, lift, 1, QQ, qd=qd))
-        assert E == compatible_boundary(act, lift, 1, QQ, qd=qd)
+        E = dense(isotropy_expansion(qd, lift, 1, QQ))
+        assert E == dense(compatible_boundary(qd, lift, 1, QQ))
 
     def test_octagon_free_action_is_permutation_of_boundary(self, octagon_setup):
         act, qd, lift = octagon_setup
-        E = dense(isotropy_expansion(act, lift, 1, QQ, qd=qd))
+        E = dense(isotropy_expansion(qd, lift, 1, QQ))
         assert (E.rows, E.cols) == (8, 8)
         assert field_rank(E) == 7
 
@@ -184,8 +199,8 @@ class TestIsotropyExpansion:
         for act, qd, lift, _ in corpus_triples.values():
             for field in LEMMA_FIELDS:
                 for d in range(1, act.complex.dim + 1):
-                    rb = field_rank(compatible_boundary(act, lift, d, field, qd=qd))
-                    re = field_rank(dense(isotropy_expansion(act, lift, d, field, qd=qd)))
+                    rb = field_rank(dense(compatible_boundary(qd, lift, d, field)))
+                    re = field_rank(dense(isotropy_expansion(qd, lift, d, field)))
                     assert rb == re
 
 
@@ -220,11 +235,11 @@ def _two_stage_g_boundary(tri, d, field, orders, g):
     Y, k = tri.quotient, tri.k
     rows = orders.get(d - 1) or Y.simplices(d - 1)
     cols = orders.get(d) or Y.simplices(d)
-    Bq = boundary_matrix(Y, d, field, row_order=rows, col_order=cols)
+    Bq = boundary_matrix(Y, d, field).data    # lex order: read through Y.index_of
     entries = [
-        [[Bq.data[a][b] if c in tri.Tstar.get((psi, omega), ()) else 0 for c in range(k)]
-         for b, psi in enumerate(cols)]
-        for a, omega in enumerate(rows)
+        [[Bq[Y.index_of(omega)][Y.index_of(psi)] if c in tri.Tstar.get((psi, omega), ())
+          else 0 for c in range(k)] for psi in cols]
+        for omega in rows
     ]
     return ring_matrix(field, k, [[[w[g * m % k] for m in range(k)] for w in row]
                                   for row in entries], len(cols))
@@ -314,16 +329,32 @@ def _imports(module):
 def test_production_path_does_not_import_the_upstairs_model():
     # pipeline and ring_snf compute from a triple alone: they never reach
     # the action, the transfer construction or the lemma checks, and never
-    # expand a matrix to its mk x nk circulant image.  Neither they nor
-    # groupring build a dense matrix, and the checks rank sparse rows too:
-    # the dense matrices and their rank serve the direct oracle only.
+    # expand a matrix to its mk x nk circulant image (ring_snf's certificate
+    # expands the residual core C only).  Neither they nor groupring build a
+    # dense matrix, and the checks write and rank sparse rows too: the dense
+    # matrices and their rank serve the direct oracle only, which the checks
+    # reach through betti_direct.
+    import zkhomology
     for module in ("pipeline.py", "ring_snf.py"):
         imported, names = _imports(module)
         assert not imported & {"actions", "transfer", "checks"}, module
-        assert "rho_extend" not in names, module
+    assert "rho_extend" not in _imports("pipeline.py")[1]
+    tree = ast.parse((Path(zkhomology.__file__).parent / "ring_snf.py").read_text())
+    expanded = [ast.unparse(node.args[0]) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "rho_extend"]
+    assert expanded == ["C"]
     for module in ("pipeline.py", "ring_snf.py", "groupring.py"):
         assert not _imports(module)[1] & {"FieldMatrix", "field_rank"}, module
-    assert "field_rank" not in _imports("checks.py")[1]
+    assert not _imports("checks.py")[1] & {"FieldMatrix", "field_rank", "boundary_matrix"}
+    # of the package's functions, only simplicial.boundary_matrix builds a FieldMatrix
+    builders = set()
+    for path in Path(zkhomology.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call) and ast.unparse(n.func) == "FieldMatrix"
+                    for n in ast.walk(node)):
+                builders.add((path.stem, node.name))
+    assert builders == {("simplicial", "boundary_matrix")}
 
 
 def test_only_the_direct_oracle_calls_field_rank():
@@ -431,8 +462,7 @@ class TestCompressedRank:
         for act, qd, lift, tri in corpus_triples.values():
             for field in fields:
                 for d in range(1, act.complex.dim + 1):
-                    upstairs = field_rank(
-                        compatible_boundary(act, lift, d, field, qd=qd))
+                    upstairs = field_rank(dense(compatible_boundary(qd, lift, d, field)))
                     M = g_boundary_matrix(tri, d, field)
                     assert snf_over_R(M).rank_sum() == upstairs
 
@@ -493,28 +523,28 @@ class TestCompressedBetti:
 class TestExpansionLemma:
     def test_path(self, path_setup):
         act, qd, lift = path_setup
-        ok, report = verify_expansion_lemma(act, lift, 1, QQ, qd=qd)
+        ok, report = verify_expansion_lemma(qd, lift, 1, QQ)
         assert ok, report
 
     def test_trivial_k1(self):
         act = trivial_action(build_complex([{0, 1, 2}]), 1)
         qd = quotient(act)
         for d in (1, 2):
-            ok, report = verify_expansion_lemma(act, lex_lift(qd), d, QQ, qd=qd)
+            ok, report = verify_expansion_lemma(qd, lex_lift(qd), d, QQ)
             assert ok, report
 
     def test_corpus_wide_three_fields(self, corpus_triples):
         for act, qd, lift, _ in corpus_triples.values():
             for field in LEMMA_FIELDS:
                 for d in range(1, act.complex.dim + 1):
-                    ok, report = verify_expansion_lemma(act, lift, d, field, qd=qd)
+                    ok, report = verify_expansion_lemma(qd, lift, d, field)
                     assert ok, report
 
     def test_given_triple_equals_rebuilt(self, corpus_triples):
         for act, qd, lift, tri in corpus_triples.values():
             for d in range(1, act.complex.dim + 1):
-                given = verify_expansion_lemma(act, lift, d, F3, qd=qd, triple=tri)
-                assert given == verify_expansion_lemma(act, lift, d, F3, qd=qd)
+                given = verify_expansion_lemma(qd, lift, d, F3, triple=tri)
+                assert given == verify_expansion_lemma(qd, lift, d, F3)
 
     def test_report_names_the_first_differing_cell(self, corpus_triples):
         # one transfer coset shifted: the report names the first cell, in
@@ -524,17 +554,17 @@ class TestExpansionLemma:
         key = sorted(tampered.Tstar)[0]
         tampered.Tstar[key] = frozenset((c + 1) % act.k for c in tampered.Tstar[key])
         d = len(key[1])
-        E = dense(isotropy_expansion(act, lift, d, F3, qd=qd)).data
+        E = dense(isotropy_expansion(qd, lift, d, F3)).data
         G = dense(rho_extend(g_boundary_matrix(tampered, d, F3))).data
         i, j = next((i, j) for i, row in enumerate(E) for j, v in enumerate(row)
                     if v != G[i][j])
-        assert verify_expansion_lemma(act, lift, d, F3, qd=qd, triple=tampered) == (
+        assert verify_expansion_lemma(qd, lift, d, F3, triple=tampered) == (
             False, f"d={d}: entry ({i + 1},{j + 1}) differs: expansion has {E[i][j]}, "
                    f"circulant image has {G[i][j]}")
 
     def test_both_sides_equal_explicitly(self, corpus_triples):
         act, qd, lift, tri = corpus_triples["cycle9_rot3"]
-        E = isotropy_expansion(act, lift, 1, F3, qd=qd)
+        E = isotropy_expansion(qd, lift, 1, F3)
         G = rho_extend(g_boundary_matrix(tri, 1, F3))
         assert E == G
 
@@ -622,39 +652,31 @@ class TestActionSuite:
     def test_builds_each_upstairs_boundary_once(self, corpus_actions, monkeypatch):
         # one lifted partition and one compatible boundary per dimension,
         # each boundary ranked once, serve every check
-        partitions, boundaries, lifted, ranked = [], [], [], []
-        ordering, boundary, trivial, rank = (checks.compatible_ordering, checks.boundary_matrix,
-                                             checks._over_trivial_group, checks.sparse_rank)
+        partitions, boundaries, ranked = [], [], []
+        ordering, write, rank = (checks.compatible_ordering, checks._boundary_rows,
+                                 checks.sparse_rank)
 
         def counting_ordering(qd, lift, d):
             partitions.append(d)
             return ordering(qd, lift, d)
 
-        def counting_boundary(X, d, field, **kwargs):
-            B = boundary(X, d, field, **kwargs)
-            if kwargs.get("row_order") is not None:
-                boundaries.append((field.name, d, B))
+        def counting_writer(field, rows, cols, orient=None):
+            B = write(field, rows, cols, orient)
+            if orient is not None:      # a compatible boundary
+                boundaries.append((field.name, len(cols[0]) - 1, B))
             return B
 
-        def lifting(B):
-            # a compatible boundary as sparse rows, which sparse_rank ranks
-            M = trivial(B)
-            if any(B is b for *_, b in boundaries):
-                lifted.append(M)
-            return M
-
         def counting_rank(M):
-            if any(M is L for L in lifted):
+            if any(M is b for *_, b in boundaries):
                 ranked.append(M)
             return rank(M)
 
         monkeypatch.setattr(checks, "compatible_ordering", counting_ordering)
-        monkeypatch.setattr(checks, "boundary_matrix", counting_boundary)
-        monkeypatch.setattr(checks, "_over_trivial_group", lifting)
+        monkeypatch.setattr(checks, "_boundary_rows", counting_writer)
         monkeypatch.setattr(checks, "sparse_rank", counting_rank)
         qd = quotient(corpus_actions["torus9x3_rot3"])
         for field in (QQ, F3):
-            for seen in (partitions, boundaries, lifted, ranked):
+            for seen in (partitions, boundaries, ranked):
                 seen.clear()
             outcomes = checks.run_action_suite(qd, field)
             assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
@@ -724,12 +746,12 @@ def test_each_suite_names_its_checks_apart(corpus_actions, monkeypatch):
     # failure on the quotient is told apart from one upstairs
     act = corpus_actions["torus9x3_rot3"]
     qd = quotient(act)
-    original = checks.boundary_matrix
+    original = checks._lex_boundary
 
-    def ones_on_the_quotient(X, d, field, **kwargs):
-        B = original(X, d, field, **kwargs)
-        if X is qd.quotient and d == 1 and not kwargs:
-            return FieldMatrix(field, B.rows, B.cols, [[1] * B.cols] * B.rows)
+    def ones_on_the_quotient(X, d, field):
+        B = original(X, d, field)
+        if X is qd.quotient and d == 1:
+            return ring_matrix(field, 1, [[(1,)] * B.cols] * B.rows)
         return B
 
     for suite, arg in ((checks.run_action_suite, qd),
@@ -739,7 +761,7 @@ def test_each_suite_names_its_checks_apart(corpus_actions, monkeypatch):
         names = [o.name for o in outcomes]
         assert len(set(names)) == len(names)
         with monkeypatch.context() as m:
-            m.setattr(checks, "boundary_matrix", ones_on_the_quotient)
+            m.setattr(checks, "_lex_boundary", ones_on_the_quotient)
             outcomes = {o.name: o for o in suite(arg, F3)}
         assert outcomes["quotient-boundary-squared-zero"].line() == (
             "FAIL quotient-boundary-squared-zero: d1 o d2 != 0 over Fp:3")

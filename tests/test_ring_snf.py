@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from zkhomology.exact import (GF, QQ, FieldMatrix, Poly, field_rank, poly_gcd, poly_str,
                               snf_over_polys)
-from zkhomology.groupring import GroupRingMatrix, circulant_expansion, rho_extend
+from zkhomology.groupring import GroupRingMatrix, rho_extend
 from zkhomology import cli, ring_snf
 from zkhomology.actions import validate_action
 from zkhomology.corpus import entry, to_input_dict
@@ -252,7 +252,7 @@ def test_plain_lift_matches_augmented_lift(M):
 
 def _core_expansion(core):
     """The circulant expansion of a core, dense, for field_rank."""
-    return dense(circulant_expansion(core.field, core.k, core.entries, core.rows, core.cols))
+    return dense(rho_extend(core))
 
 
 def _core_lift(core):

@@ -4,7 +4,6 @@ import pytest
 
 from zkhomology.actions import (
     Subgroup,
-    coset_position,
     lex_lift,
     lex_max_lift,
     quotient,
@@ -16,16 +15,11 @@ from zkhomology.errors import (
     TripleValidationError,
     UnknownSimplexError,
 )
-from zkhomology.checks import extended_transfer_via_face
+from zkhomology.checks import coset_position, extended_transfer, extended_transfer_via_face
 from zkhomology.exact import QQ
 from zkhomology.pipeline import g_boundary_matrix
 from zkhomology.simplicial import build_complex
-from zkhomology.transfer import (
-    IsotropyTriple,
-    build_triple,
-    check_axioms,
-    extended_transfer,
-)
+from zkhomology.transfer import IsotropyTriple, build_triple, check_axioms
 
 from grids import tuples
 
