@@ -304,13 +304,15 @@ def _expansion_report(E, qd, lift, d, field, triple):
     # Entry cases by direct containment: block (a, b), offsets (c, c').  Each
     # alpha^g is a simplicial bijection, so alpha^c lift(omega) lies in
     # alpha^c' lift(psi) iff alpha^(c - c') lift(omega) lies in lift(psi):
-    # one extended transfer per block decides all k^2 offsets.
+    # one extended transfer per block decides all k^2 offsets.  Only face
+    # pairs are visited: on any other block the prediction is zero, as is
+    # the circulant image that E has just matched.
     Y = qd.quotient
-    Bq = _lex_boundary(Y, d, field).entries
+    Bq, psis = _lex_boundary(Y, d, field).entries, Y.simplices(d)
     for a, omega in enumerate(Y.simplices(d - 1)):
-        for b, psi in enumerate(Y.simplices(d)):
-            hits = extended_transfer(action, lift, psi, omega)
-            sign = Bq[a].get(b, {0: z})[0]
+        for b in sorted(Bq[a]):
+            hits = extended_transfer(action, lift, psis[b], omega)
+            sign = Bq[a][b][0]
             for c in range(1, k + 1):
                 row = E.entries[k * a + c - 1]
                 for cp in range(1, k + 1):

@@ -332,12 +332,43 @@ def poly_str(p):
     return "".join(parts)
 
 
+def _monic_coeffs(cs, p):
+    # a nonzero coefficient list over F_p (p > 0) or Q (p = 0), made monic;
+    # over Q a leading +-1 keeps int coefficients ints
+    lead = cs[-1]
+    if lead == 1:
+        return cs
+    if p:
+        inv = pow(lead, -1, p)
+        return [c * inv % p for c in cs]
+    inv = -1 if lead == -1 else 1 / Fraction(lead)
+    return [c * inv for c in cs]
+
+
 def poly_gcd(a, b):
-    """Monic gcd in F[x]; gcd(0, 0) = 0."""
+    """Monic gcd in F[x]; gcd(0, 0) = 0.
+
+    Euclid on plain coefficient lists: the divisor is made monic, so each
+    remainder step only subtracts multiples of it, and one Poly is built at
+    the end.  Over F_p values are reduced mod p once per step; over Q the
+    integral coefficients are taken as ints, so Fractions come in only with
+    a divisor whose leading coefficient is not +-1."""
     _same_field(a, b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    field, p = a.field, a.field.char
+    a, b = ([c if p or c.denominator != 1 else int(c) for c in f.coeffs] for f in (a, b))
+    while b:
+        b = _monic_coeffs(b, p)
+        n = len(b) - 1
+        for i in range(len(a) - 1, n - 1, -1):
+            c = a[i] % p if p else a[i]
+            if c:
+                for j, bj in enumerate(b[:n], i - n):
+                    a[j] -= c * bj
+        a = [c % p for c in a[:n]] if p else a[:n]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return Poly(field, _monic_coeffs(a, p) if a else a)
 
 
 class FieldMatrix:

@@ -10,8 +10,6 @@ model that ties this matrix to the acted-on complex (compatible
 boundaries, the isotropy expansion) lives in `checks`.
 """
 
-from collections import Counter
-from itertools import product
 from math import gcd
 
 from .errors import DimensionError, InvalidGeneratorError
@@ -30,7 +28,8 @@ def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
     face omega of psi, entry (omega, psi) is (-1)^t sigma(T*(psi, omega)):
     coefficient (-1)^t at each exponent c rewritten as c g^-1 mod k, since
     alpha^c = beta^(c g^-1); every other entry is zero.  The entries are
-    written straight into sparse rows.
+    written straight into sparse rows, as ints: +-1 over Q, 1 and p - 1
+    over F_p.
     """
     Y, k = triple.quotient, triple.k
     if not (1 <= d <= Y.dim):
@@ -42,7 +41,7 @@ def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
             or sorted(cols) != list(Y.simplices(d))):
         raise ValueError("orders do not permute the quotient simplices")
     g_inv = pow(generator_exponent, -1, k)
-    sign = (field.one(), field.neg(field.one()))
+    sign = (1, field.neg(1))
     row_pos = {s: i for i, s in enumerate(rows)}
     entries = {i: {} for i in range(len(rows))}
     for j, psi in enumerate(cols):
@@ -65,16 +64,22 @@ def check_generator(exponent, k):
 
 def _composes_to_zero(A, B):
     """A B == 0 over F[Z_k], multiplied over sparse rows of
-    {exponent: coefficient} entries and reduced mod p only at the end."""
+    {exponent: coefficient} entries: each row of A B is accumulated into one
+    length-k coefficient list per column, reduced mod p only at the end."""
     k, p, rows_b = A.k, A.field.char, B.entries
     for row in A.entries.values():
-        acc = Counter()     # (column, exponent) -> coefficient in A B
+        acc = {}            # column -> coefficients of A B at exponents 0..k-1
         for t, a in row.items():
             for j, b in rows_b[t].items():
-                for (s, x), (u, y) in product(a.items(), b.items()):
-                    acc[j, (s + u) % k] += x * y
-        if any(v % p if p else v for v in acc.values()):
-            return False
+                out = acc.get(j)
+                if out is None:
+                    out = acc[j] = [0] * k
+                for s, x in a.items():
+                    for u, y in b.items():
+                        out[(s + u) % k] += x * y
+        for out in acc.values():
+            if any(v % p for v in out) if p else any(out):
+                return False
     return True
 
 

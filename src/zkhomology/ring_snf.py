@@ -8,6 +8,9 @@ M ~ diag(1, S), S the updated matrix less row p and column j (the Schur
 complement).  Repeating while a monomial entry is left, least Markowitz
 cost (r-1)(c-1) first to limit fill-in, gives M ~ diag(1^p, S) for a
 residual S of shape (m-p) x (n-p); a matrix without one is its own residual.
+Over Q the coefficients are ints where integral, as the G-boundaries write
+them: a pivot +-1 is its own inverse, so only a pivot of another value brings
+in Fractions.
 
 The residual is compacted to its core C, its nonzero rows and columns:
 permuting lines puts S in the form [[C, 0], [0, 0]], so the Smith form of
@@ -57,7 +60,8 @@ class SnfDiagonal(record("SnfDiagonal", "lifts k")):
         return sum(self.k - f.degree for f in self.lifts)
 
     def lift_strings(self):
-        return [poly_str(f) for f in self.lifts]
+        # a monic lift of degree 0 is 1
+        return ["1" if len(f.coeffs) == 1 else poly_str(f) for f in self.lifts]
 
 
 def _eliminate_units(field, k, rows):

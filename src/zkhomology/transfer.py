@@ -44,11 +44,15 @@ class IsotropyTriple:
         # One scan of the keys finds the strays (non-faces omega keyed with psi by
         # a nonempty T*) and the first key that is no codimension-1 pair, reported
         # last; pairs are visited in (d, psi, omega) order, faces and strays.
-        stray, late = {}, None
+        # Membership reads the quotient's index, copying only a key that is no
+        # tuple, as `in Y` would: every key of a parsed triple is a tuple.
+        stray, late, index = {}, None, Y._index
         for pair, hits in Tstar.items():
             try:
                 psi, omega = pair
-                codim1 = psi in Y and omega in Y and len(psi) == len(omega) + 1
+                codim1 = ((psi if type(psi) is tuple else tuple(psi)) in index
+                          and (omega if type(omega) is tuple else tuple(omega)) in index
+                          and len(psi) == len(omega) + 1)
             except (TypeError, ValueError) as exc:    # not a pair of simplices
                 late = late or exc
                 continue

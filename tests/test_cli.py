@@ -759,6 +759,32 @@ class TestStartupImports:
         assert checks_ran == "False"
         assert not added & {"zkhomology.corpus", "dataclasses", "inspect"}
 
+    # Every module `import zkhomology.cli` may add to a fresh interpreter:
+    # the package's production modules (`checks` bound, not run) and the
+    # standard library they need, with its C parts.  Cold start grows with
+    # this graph, so a new import has to be added here on purpose.
+    CLI_IMPORTS = frozenset({
+        "zkhomology", "zkhomology.actions", "zkhomology.checks", "zkhomology.cli",
+        "zkhomology.errors", "zkhomology.exact", "zkhomology.groupring",
+        "zkhomology.jsonio", "zkhomology.pipeline", "zkhomology.records",
+        "zkhomology.ring_snf", "zkhomology.simplicial", "zkhomology.transfer",
+        "argparse", "json", "json.decoder", "json.encoder", "json.scanner", "_json",
+        "fractions", "decimal", "_decimal", "heapq", "_heapq", "numbers", "gettext",
+    })
+
+    def test_cli_import_graph_does_not_grow(self):
+        script = "\n".join([
+            "import sys",
+            "before = set(sys.modules)",
+            "import zkhomology.cli",
+            "print(' '.join(sorted(set(sys.modules) - before)))",
+        ])
+        code, out, err = _fresh_interpreter(None, script)
+        assert (code, err) == (0, "")
+        added = set(out.split())
+        assert "zkhomology.ring_snf" in added
+        assert added <= self.CLI_IMPORTS, sorted(added - self.CLI_IMPORTS)
+
     def test_verify_and_corpus_load_their_modules_on_first_use(self, path_file):
         script = "\n".join([
             "import contextlib, io, sys",

@@ -125,6 +125,52 @@ class TestPolyGcd:
             assert (g % base).is_zero()
 
 
+def _divmod_gcd(a, b):
+    """Euclid on Poly remainders, then made monic: the route poly_gcd took
+    before it ran on coefficient lists, kept as its oracle."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+@st.composite
+def _gcd_pairs(draw):
+    """(a, b) over Q, F2, F3 or F5 with a drawn common factor, either of
+    them possibly zero or constant, each scaled by a drawn nonzero constant
+    (a non-integral one over Q), so that neither need be monic."""
+    field = draw(st.sampled_from([QQ, F2, F3, F5]))
+    if field.char == 0:
+        coeff = st.integers(-3, 3)
+        scale = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+    else:
+        coeff = st.integers(0, field.char - 1)
+        scale = st.integers(1, field.char - 1)
+
+    def poly(size):
+        return Poly(field, draw(st.lists(coeff, max_size=size)))
+
+    common = poly(3)
+    a, b = (poly(4) * common if draw(st.booleans()) else poly(2) for _ in range(2))
+    return a.scale(draw(scale)), b.scale(draw(scale))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gcd_pairs())
+@example((Poly.zero(QQ), Poly.zero(QQ)))
+@example((Poly.zero(F2), Poly.zero(F2)))
+@example((P(F5, 3), Poly.zero(F5)))
+@example((Poly.zero(QQ), P(QQ, Fraction(-2, 3))))
+@example((P(F3, 2, 2), P(F3, 1, 0, 2)))
+@example((P(QQ, Fraction(1, 2), 0, Fraction(-1, 2)), P(QQ, 3, 3)))
+def test_list_euclid_matches_the_divmod_euclid(pair):
+    a, b = pair
+    g = poly_gcd(a, b)
+    want = _divmod_gcd(a, b)
+    assert g == want and g.field is a.field
+    assert list(map(type, g.coeffs)) == list(map(type, want.coeffs))
+    assert g.is_zero() == (a.is_zero() and b.is_zero())
+
+
 class TestFieldMatrix:
     def test_shape_checked_and_values_coerced(self):
         with pytest.raises(ValueError, match="shape mismatch"):

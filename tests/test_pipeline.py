@@ -1,5 +1,6 @@
 import ast
 import random
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from zkhomology.checks import (
 )
 from zkhomology.errors import DimensionError, InvalidGeneratorError
 from zkhomology.exact import GF, QQ, field_rank
-from zkhomology.groupring import rho_extend
+from zkhomology.groupring import GroupRingMatrix, rho_extend
 from zkhomology.ring_snf import snf_over_R
 from zkhomology.pipeline import (
     _composes_to_zero,
@@ -227,6 +228,20 @@ class TestGBoundary:
         assert len(entries) == 8 and len(alphas) == 1
         assert abs(alphas[0][1]) == 1
 
+    def test_coefficients_are_plain_ints(self, corpus_triples):
+        # +-1 as int over Q (no Fraction, no bool), 1 and p - 1 over F_p
+        for field, signs in ((QQ, {1, -1}), (F2, {1}), (F3, {1, 2}), (F5, {1, 4})):
+            seen = set()
+            for name, (_, _, _, tri) in corpus_triples.items():
+                for d in range(1, tri.quotient.dim + 1):
+                    for g in (1, tri.k - 1 or 1):
+                        G = g_boundary_matrix(tri, d, field, generator_exponent=g)
+                        for row in G.entries.values():
+                            for w in row.values():
+                                assert {type(c) for c in w.values()} == {int}, name
+                                seen.update(w.values())
+            assert seen == signs, field.name
+
 
 def _two_stage_g_boundary(tri, d, field, orders, g):
     # The quotient boundary sign times sigma(T*), then re-expressed in the
@@ -392,6 +407,40 @@ class TestCompositionCheck:
                             checked += 1
                         compressed_result(tri, field, g, orders)
         assert checked > 0
+
+    def test_one_perturbed_coefficient_is_rejected(self, corpus_triples):
+        # Adding delta x^u to entry (i, t) of A adds delta x^u B[t, :] to row
+        # i of A B, nonzero when row t of B is: so the check must fail.
+        rng = random.Random(23)
+        pairs = [(tri, d) for _, _, _, tri in corpus_triples.values()
+                 for d in range(2, tri.quotient.dim + 1)]
+        assert pairs
+
+        def recast(M, scalar):
+            rows = {i: {j: {e: scalar(c) for e, c in w.items()} for j, w in r.items()}
+                    for i, r in M.entries.items()}
+            return GroupRingMatrix(M.field, M.k, M.rows, M.cols, rows)
+
+        for field, scalar, delta in ((QQ, int, 1), (QQ, Fraction, Fraction(1, 2)),
+                                     (F2, int, 1), (F3, int, 2), (F5, int, 3)):
+            p = field.char
+            for tri, d in pairs:
+                A, B = (recast(g_boundary_matrix(tri, e, field), scalar) for e in (d - 1, d))
+                assert _composes_to_zero(A, B)
+                for _ in range(4):
+                    t = rng.choice([t for t, r in B.entries.items() if r])
+                    i, u = rng.randrange(A.rows), rng.randrange(A.k)
+                    bad = recast(A, scalar)
+                    w = bad.entries[i].setdefault(t, {})
+                    c = w.get(u, 0) + delta
+                    w[u] = c % p if p else c
+                    if not w[u]:
+                        del w[u]
+                    if not w:
+                        del bad.entries[i][t]
+                    assert {type(c) for r in bad.entries.values() for w in r.values()
+                            for c in w.values()} == {scalar}
+                    assert not _composes_to_zero(bad, B), (field.name, d, i, t, u)
 
     def test_product_is_exact_over_the_field(self):
         # (1 + a)^2 = 2 + 2a in F[Z_2]: zero over F2 only
@@ -561,6 +610,35 @@ class TestExpansionLemma:
         assert verify_expansion_lemma(qd, lift, d, F3, triple=tampered) == (
             False, f"d={d}: entry ({i + 1},{j + 1}) differs: expansion has {E[i][j]}, "
                    f"circulant image has {G[i][j]}")
+
+    def test_containment_visits_face_pairs_in_order(self, corpus_triples, monkeypatch):
+        # one extended transfer per face pair (omega, psi), in (row, column)
+        # order; a wrong transfer on one of them is reported at its block
+        act, qd, lift, tri = corpus_triples["torus9x3_rot3"]
+        Y, k, original = qd.quotient, act.k, checks.extended_transfer
+        for d in (1, 2):
+            E = isotropy_expansion(qd, lift, d, F3)
+            blocks = sorted((Y.index_of(w), Y.index_of(s))
+                            for s in Y.simplices(d) for _, w in faces(s))
+            seen, wrong, tamper = [], blocks[len(blocks) // 2], []
+
+            def spy(action, lift_, psi, omega):
+                seen.append((Y.index_of(omega), Y.index_of(psi)))
+                hits = original(action, lift_, psi, omega)
+                return frozenset() if tamper and seen[-1] == wrong else hits
+
+            monkeypatch.setattr(checks, "extended_transfer", spy)
+            assert checks._expansion_report(E, qd, lift, d, F3, tri) == (True, None)
+            assert seen == blocks
+            tamper.append(True)
+            a, b = wrong
+            hits = original(act, lift, Y.simplices(d)[b], Y.simplices(d - 1)[a])
+            c, cp = next((c, cp) for c in range(1, k + 1) for cp in range(1, k + 1)
+                         if (c - cp) % k in hits)
+            got = E.entries[k * a + c - 1][k * b + cp - 1][0]
+            assert checks._expansion_report(E, qd, lift, d, F3, tri) == (
+                False, f"d={d}: containment case fails at block ({a + 1},{b + 1}) "
+                       f"offsets ({c},{cp}): expansion {got}, containment predicts 0")
 
     def test_both_sides_equal_explicitly(self, corpus_triples):
         act, qd, lift, tri = corpus_triples["cycle9_rot3"]

@@ -250,6 +250,16 @@ def test_plain_lift_matches_augmented_lift(M):
     assert lifts == _plain_lifts(M)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_ring_matrices())
+@example(_all_units())
+@example(_no_unit_pivot())
+def test_lift_strings_are_the_printed_lifts(M):
+    # the "1" written for a degree-0 lift is what poly_str prints for it
+    snf = snf_over_R(M)
+    assert snf.lift_strings() == [poly_str(f) for f in snf.lifts]
+
+
 def _core_expansion(core):
     """The circulant expansion of a core, dense, for field_rank."""
     return dense(rho_extend(core))
