@@ -9,7 +9,7 @@ the transfer cosets are all read off that walk.  Everything is read-only
 after construction.
 """
 
-from math import lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     InvalidActionError,
@@ -186,7 +186,9 @@ class RegularityWitness(record("RegularityWitness",
 
 
 def _divisors(k):
-    return [d for d in range(1, k + 1) if k % d == 0]
+    # increasing, by trial division up to sqrt(k)
+    low = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
+    return low + [k // d for d in reversed(low) if d * d != k]
 
 
 def check_regularity(action):
@@ -208,8 +210,12 @@ def check_regularity(action):
     with delta = h2 - h1, realized iff delta v lies in Stab_H(u) v; the
     edge (g u, g v) has the same stabilizers, and its image edges are
     those of (u, v) moved by g.  So one vertex per vertex orbit and one
-    edge per edge orbit are scanned, subgroups in increasing order, at cost
-    sum_{d|k} d * (#vertex orbits + #edge orbits).
+    edge per edge orbit are scanned, subgroups in increasing order.  H =
+    <alpha^s> acts through its image in <alpha>, of order m = n / gcd(s, n)
+    for the order n of alpha, so j < m covers every image of h = j s, and H
+    passes if an earlier subgroup with the same image (the trivial one at
+    least) did: only the first subgroup of each image is scanned, at cost
+    sum_{m|n} m * (#vertex orbits + #edge orbits).
 
     The witness is the one a scan of every vertex, then every edge, and
     every pair (h1, h2) in combinations/product order would meet first:
@@ -220,16 +226,22 @@ def check_regularity(action):
     (e, h2 - h1), so the first failing pair is (e, h) for the least
     failing h.
     """
-    X, move = action.complex, action.apply_vertex
+    X, move, k = action.complex, action.apply_vertex, action.k
     vertices, edges = action.orbit_representatives(0), action.orbit_representatives(1)
-    for order in _divisors(action.k)[1:]:
-        H = Subgroup(action.k, order)
-        hs = H.exponents()
+    n = lcm(*(len(action.locate(v)[0]) for v in vertices))
+    seen = {1}
+    for order in _divisors(k):
+        s = k // order
+        m = n // gcd(s, n)
+        if m in seen:
+            continue
+        seen.add(m)
+        hs = range(0, m * s, s)
         for (u,) in vertices:
             for h in hs[1:]:
                 image = tuple(sorted((u, move(h, u))))
                 if image in X:
-                    return RegularityWitness(H, (u,), (u, u), (0, h), image)
+                    return RegularityWitness(Subgroup(k, order), (u,), (u, u), (0, h), image)
         for u, v in edges:
             reachable = {move(h, v) for h in hs if move(h, u) == u}
             for h in hs:
@@ -237,7 +249,8 @@ def check_regularity(action):
                 if w not in reachable:
                     image = tuple(sorted((u, w)))
                     if image in X:
-                        return RegularityWitness(H, (u, v), (u, v), (0, h), image)
+                        return RegularityWitness(Subgroup(k, order), (u, v), (u, v),
+                                                 (0, h), image)
     return None
 
 

@@ -2,9 +2,13 @@
 dense matrices with exact rank, and Smith normal form over F[x].  The dense
 matrices serve the direct oracle only: the group-ring side ranks sparse rows.
 
-Scalars are plain Python values -- `fractions.Fraction` for rationals and
-canonical integers in [0, p) for prime fields -- with a `Field` object
-supplying the arithmetic.  Polynomials store coefficients lowest degree
+Scalars are plain Python values.  The dense matrices take their arithmetic
+from a `Field` object, on `fractions.Fraction` for Q and integers in [0, p)
+for F_p.  Everything else (group-ring entries, polynomial coefficients, the
+Smith-form lifts) follows one plain convention under Python's operators:
+ints in [0, p) over F_p; over Q, ints where integral and Fractions
+otherwise.  `Poly(field, coeffs)` coerces outside values into it, and F[x]
+divides in `_divmod` alone.  Polynomials store coefficients lowest degree
 first with no trailing zeros; the zero polynomial has degree -inf (a float,
 never an integer).  No floating point enters any computation.
 """
@@ -178,35 +182,81 @@ def _same_field(a, b):
         raise DomainMismatchError(f"mixed fields: {a.field} vs {b.field}")
 
 
+def _plain(p, cs):
+    # a coefficient list over F_p (p > 0) or Q (p = 0) put in the plain
+    # convention, trailing zeros dropped
+    cs = [c % p for c in cs] if p else [c.numerator if c.denominator == 1 else c for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _inverse(p, c):
+    """1 / c for a nonzero plain scalar c over F_p (p > 0) or Q (p = 0), in
+    the plain convention; over Q, +-1 is its own inverse."""
+    if p:
+        return pow(c, -1, p)
+    if c == 1 or c == -1:
+        return c
+    inv = 1 / Fraction(c)
+    return inv.numerator if inv.denominator == 1 else inv
+
+
+def _divmod(p, a, b):
+    """Quotient and remainder of the plain coefficient sequence a by the
+    nonzero b, as plain lists: the one remainder loop of F[x].  Over F_p
+    values are reduced once per quotient term and once at the end."""
+    n = len(b) - 1
+    inv, low = _inverse(p, b[-1]), b[:n]
+    rem = list(a)
+    quo = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = rem[i] * inv % p if p else rem[i] * inv
+        if c:
+            quo[i - n] = c
+            for j, bj in enumerate(low, i - n):
+                rem[j] -= c * bj
+    return _plain(p, quo), _plain(p, rem[:n])
+
+
 class Poly:
     """Dense univariate polynomial over a Field.
 
-    `coeffs` is a tuple, constant term first, with no trailing zeros; the
-    zero polynomial is the empty tuple.
+    `coeffs` is a tuple of plain coefficients (see the module docstring),
+    constant term first, with no trailing zeros; the zero polynomial is the
+    empty tuple.  The constructor coerces and type-checks outside values;
+    every operation returns its result in the plain convention.
     """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        cs = [field.coerce(c) for c in coeffs]
-        z = field.zero()
-        while cs and cs[-1] == z:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_plain(field.char, [field.coerce(c) for c in coeffs]))
+
+    @classmethod
+    def _adopt(cls, field, coeffs):
+        # a Poly on plain coefficients with no trailing zero, unchecked
+        f = object.__new__(cls)
+        f.field, f.coeffs = field, tuple(coeffs)
+        return f
+
+    def _with(self, cs):
+        # a Poly over this field on a list of ints and Fractions
+        return Poly._adopt(self.field, _plain(self.field.char, cs))
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._adopt(field, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, (1,))
+        return cls._adopt(field, (1,))
 
     @classmethod
     def x_pow_minus_one(cls, field, k):
         """x^k - 1, the modulus of the group-ring quotient."""
-        return cls(field, (-1,) + (0,) * (k - 1) + (1,))
+        return cls._adopt(field, (field.char - 1,) + (0,) * (k - 1) + (1,))
 
     @property
     def degree(self):
@@ -222,57 +272,41 @@ class Poly:
 
     def __add__(self, other):
         _same_field(self, other)
-        F = self.field
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
+            out[i] += c
+        return self._with(out)
 
     def __neg__(self):
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return self._with([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         _same_field(self, other)
-        F = self.field
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly.zero(F)
-        out = [F.zero()] * (len(a) + len(b) - 1)
+            return Poly.zero(self.field)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] = F.add(out[i + j], F.mul(ca, cb))
-        return Poly(F, out)
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+        return self._with(out)
 
     def scale(self, c):
-        F = self.field
-        c = F.coerce(c)
-        return Poly(F, [F.mul(c, a) for a in self.coeffs])
+        """c times self, for an int c (or, over Q, a Fraction)."""
+        return self._with([c * a for a in self.coeffs])
 
     def __divmod__(self, other):
         _same_field(self, other)
-        F = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(F), self
-        quo = [F.zero()] * (dq + 1)
-        inv_lead = F.inv(other.leading())
-        for i in range(dq, -1, -1):
-            c = F.mul(rem[i + len(other.coeffs) - 1], inv_lead)
-            quo[i] = c
-            if c != F.zero():
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = F.sub(rem[i + j], F.mul(c, b))
-        return Poly(F, quo), Poly(F, rem)
+        quo, rem = _divmod(self.field.char, self.coeffs, other.coeffs)
+        return Poly._adopt(self.field, quo), Poly._adopt(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -287,9 +321,9 @@ class Poly:
         return (other % self).is_zero()
 
     def monic(self):
-        if self.is_zero():
+        if not self.coeffs or self.coeffs[-1] == 1:
             return self
-        return self.scale(self.field.inv(self.leading()))
+        return self.scale(_inverse(self.field.char, self.coeffs[-1]))
 
     def __eq__(self, other):
         return (
@@ -312,63 +346,29 @@ def poly_str(p):
     """Render a polynomial with terms in descending degree, e.g. "x^2-1"."""
     if p.is_zero():
         return "0"
-    F = p.field
     parts = []
     for e in range(len(p.coeffs) - 1, -1, -1):
         c = p.coeffs[e]
-        if c == F.zero():
+        if not c:
             continue
-        negative = F.char == 0 and c < 0
+        negative = p.field.char == 0 and c < 0
         mag = -c if negative else c
         if e == 0:
             body = str(mag)
         else:
             xs = "x" if e == 1 else f"x^{e}"
-            body = xs if mag == F.one() else f"{mag}{xs}"
-        if not parts:
-            parts.append(("-" if negative else "") + body)
-        else:
-            parts.append(("-" if negative else "+") + body)
+            body = xs if mag == 1 else f"{mag}{xs}"
+        parts.append(("-" if negative else "+" if parts else "") + body)
     return "".join(parts)
 
 
-def _monic_coeffs(cs, p):
-    # a nonzero coefficient list over F_p (p > 0) or Q (p = 0), made monic;
-    # over Q a leading +-1 keeps int coefficients ints
-    lead = cs[-1]
-    if lead == 1:
-        return cs
-    if p:
-        inv = pow(lead, -1, p)
-        return [c * inv % p for c in cs]
-    inv = -1 if lead == -1 else 1 / Fraction(lead)
-    return [c * inv for c in cs]
-
-
 def poly_gcd(a, b):
-    """Monic gcd in F[x]; gcd(0, 0) = 0.
-
-    Euclid on plain coefficient lists: the divisor is made monic, so each
-    remainder step only subtracts multiples of it, and one Poly is built at
-    the end.  Over F_p values are reduced mod p once per step; over Q the
-    integral coefficients are taken as ints, so Fractions come in only with
-    a divisor whose leading coefficient is not +-1."""
+    """Monic gcd in F[x]; gcd(0, 0) = 0."""
     _same_field(a, b)
-    field, p = a.field, a.field.char
-    a, b = ([c if p or c.denominator != 1 else int(c) for c in f.coeffs] for f in (a, b))
+    field, a, b = a.field, a.coeffs, b.coeffs
     while b:
-        b = _monic_coeffs(b, p)
-        n = len(b) - 1
-        for i in range(len(a) - 1, n - 1, -1):
-            c = a[i] % p if p else a[i]
-            if c:
-                for j, bj in enumerate(b[:n], i - n):
-                    a[j] -= c * bj
-        a = [c % p for c in a[:n]] if p else a[:n]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return Poly(field, _monic_coeffs(a, p) if a else a)
+        a, b = b, _divmod(field.char, a, b)[1]
+    return Poly._adopt(field, a).monic()
 
 
 class FieldMatrix:
@@ -456,19 +456,13 @@ def _primitive(polys):
     F[x]; keeping lines primitive blocks the coefficient explosion of
     naive remainder sequences.  No-op over prime fields and on zero lines.
     """
-    if not polys:
-        return polys
-    field = polys[0].field
-    if field.char != 0:
+    if not polys or polys[0].field.char:
         return polys
     coeffs = [c for p in polys for c in p.coeffs]
     if not coeffs:
         return polys
     denom = lcm(*(c.denominator for c in coeffs))
-    numer = 0
-    for c in coeffs:
-        numer = gcd(numer, c.numerator * (denom // c.denominator))
-    scale = Fraction(denom, numer)
+    scale = Fraction(denom, gcd(*(c.numerator * (denom // c.denominator) for c in coeffs)))
     return [p.scale(scale) for p in polys]
 
 

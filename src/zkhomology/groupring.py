@@ -14,10 +14,8 @@ whole G-boundary (`verify`); its images are sparse rows over F[Z_1], which
 class GroupRingMatrix:
     """Sparse matrix over F[Z_k]: `entries` maps every row index to
     {column: {exponent: coefficient}} over its nonzero entries, with
-    coefficients canonical and nonzero in the field: ints in [0, p) over
-    F_p; over Q, ints where integral (the G-boundaries write +-1) and
-    Fractions otherwise.  The rows are adopted as they are: nothing is
-    checked or copied."""
+    nonzero coefficients in the plain convention of `exact`.  The rows are
+    adopted as they are: nothing is checked or copied."""
 
     __slots__ = ("field", "k", "rows", "cols", "entries")
 

@@ -28,18 +28,16 @@ def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
     face omega of psi, entry (omega, psi) is (-1)^t sigma(T*(psi, omega)):
     coefficient (-1)^t at each exponent c rewritten as c g^-1 mod k, since
     alpha^c = beta^(c g^-1); every other entry is zero.  The entries are
-    written straight into sparse rows, as ints: +-1 over Q, 1 and p - 1
-    over F_p.
+    written straight into sparse rows in the plain convention of `exact`:
+    the ints +-1 over Q, 1 and p - 1 over F_p.
     """
     Y, k = triple.quotient, triple.k
     if not (1 <= d <= Y.dim):
         raise DimensionError(f"d={d} out of range 1..{Y.dim}")
-    orders = orders or {}
-    rows = tuple(tuple(s) for s in orders.get(d - 1) or Y.simplices(d - 1))
-    cols = tuple(tuple(s) for s in orders.get(d) or Y.simplices(d))
-    if (sorted(rows) != list(Y.simplices(d - 1))
-            or sorted(cols) != list(Y.simplices(d))):
+    given = {e: tuple(map(tuple, orders[e])) for e in (d - 1, d) if orders and orders.get(e)}
+    if any(sorted(g) != list(Y.simplices(e)) for e, g in given.items()):
         raise ValueError("orders do not permute the quotient simplices")
+    rows, cols = (given.get(e) or Y.simplices(e) for e in (d - 1, d))
     g_inv = pow(generator_exponent, -1, k)
     sign = (1, field.neg(1))
     row_pos = {s: i for i, s in enumerate(rows)}

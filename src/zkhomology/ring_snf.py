@@ -8,9 +8,8 @@ M ~ diag(1, S), S the updated matrix less row p and column j (the Schur
 complement).  Repeating while a monomial entry is left, least Markowitz
 cost (r-1)(c-1) first to limit fill-in, gives M ~ diag(1^p, S) for a
 residual S of shape (m-p) x (n-p); a matrix without one is its own residual.
-Over Q the coefficients are ints where integral, as the G-boundaries write
-them: a pivot +-1 is its own inverse, so only a pivot of another value brings
-in Fractions.
+Coefficients follow the plain convention of `exact`: a pivot +-1 over Q is
+its own inverse, so only a pivot of another value brings in Fractions.
 
 The residual is compacted to its core C, its nonzero rows and columns:
 permuting lines puts S in the form [[C, 0], [0, 0]], so the Smith form of
@@ -41,7 +40,7 @@ every nonzero entry is a unit); the chain check runs on the lifts after the
 from functools import reduce
 from heapq import heapify, heappop, heappush
 
-from .exact import Poly, poly_gcd, snf_over_polys, poly_str
+from .exact import Poly, _inverse, poly_gcd, snf_over_polys, poly_str
 from .groupring import GroupRingMatrix, rho_extend
 from .records import record
 
@@ -67,9 +66,7 @@ class SnfDiagonal(record("SnfDiagonal", "lifts k")):
 def _eliminate_units(field, k, rows):
     """Eliminate monomial pivots from `rows`, {row: {column: {exponent:
     coefficient}}}, in place: least Markowitz cost first, then least row,
-    then least column.  Returns the pivots (row, column) in order.  Over Q,
-    integral coefficients are held as ints: a pivot +-1 is its own inverse,
-    so a Fraction appears only once a pivot needs one.
+    then least column.  Returns the pivots (row, column) in order.
 
     The rows of each column are kept up to date.  For every monomial entry
     the heap holds a key (cost, row, column) no larger than its current one,
@@ -79,12 +76,6 @@ def _eliminate_units(field, k, rows):
     So the first popped key that still holds is the least one, as a rescan
     would find."""
     p = field.char
-    if not p:
-        for r in rows.values():
-            for w in r.values():
-                for e, c in w.items():
-                    if c.denominator == 1:
-                        w[e] = int(c)
     col_rows = {}
     for i, r in rows.items():
         for j in r:
@@ -114,7 +105,7 @@ def _eliminate_units(field, k, rows):
         prow = rows.pop(pi)
         left -= 1
         ((e, c),) = prow.pop(pj).items()
-        inv = c if c == 1 or c == -1 else field.inv(c)
+        inv = _inverse(p, c)
         pivots.append((pi, pj))
         touched = col_rows.pop(pj)
         touched.discard(pi)
@@ -178,7 +169,7 @@ def sparse_rank(M):
 def _unit_pivot_reduce(M):
     """Eliminate monomial pivots from a copy of M's sparse rows.  Returns the
     pivot count p, the residual's core (its nonzero rows and columns in order,
-    renumbered from 0; over Q, ints where integral) and shape (m-p, n-p)."""
+    renumbered from 0) and shape (m-p, n-p)."""
     field, k, rows = M.field, M.k, M.sparse_rows()
     p = len(_eliminate_units(field, k, rows))
     core_rows = [r for _, r in sorted(rows.items()) if r]
@@ -195,8 +186,8 @@ def snf_over_R(M):
     q = Poly.x_pow_minus_one(field, k)
     pivots, C, (m, n) = _unit_pivot_reduce(M)
     zero = Poly.zero(field)
-    core = [[Poly(field, [r[j].get(e, 0) for e in range(k)]) if j in r else zero
-             for j in range(C.cols)] for r in (C.entries[a] for a in range(C.rows))]
+    core = [[Poly._adopt(field, [w.get(e, 0) for e in range(max(w) + 1)]) if w else zero
+             for w in map(C.entries[a].get, range(C.cols))] for a in range(C.rows)]
     if min(C.rows, C.cols) <= 1:
         # at most one line, none of its entries zero: d_0 is their gcd
         chain = [reduce(poly_gcd, (f for row in core for f in row), q)] if core else []

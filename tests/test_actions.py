@@ -1,6 +1,7 @@
 import pytest
 
 from zkhomology.actions import (
+    CyclicAction,
     Subgroup,
     check_regularity,
     lex_lift,
@@ -129,6 +130,23 @@ class TestRegularity:
     def test_trivial_always_regular(self):
         for k in (1, 2, 3):
             assert check_regularity(trivial_action(build_complex([{0, 1, 2}]), k)) is None
+
+    @pytest.mark.parametrize("generator, order", [([0, 1], None), ([1, 0], 2)])
+    def test_scan_does_not_grow_with_k(self, generator, order, monkeypatch):
+        # one edge, fixed or swapped by alpha: every subgroup of Z_k acts
+        # through a subgroup of order at most 2, so the scan moves as many
+        # vertices at k = 10^3 as at 10^5; the swap fails first at the least
+        # subgroup whose image is the swap, of order the 2-part of k
+        original, calls = CyclicAction.apply_vertex, []
+        monkeypatch.setattr(CyclicAction, "apply_vertex",
+                            lambda self, h, v: calls.append(h) or original(self, h, v))
+        counts = []
+        for k, two_part in ((10**3, 8), (10**5, 32)):
+            calls.clear()
+            w = check_regularity(validate_action(build_complex([[0, 1]]), generator, k))
+            assert (w and w.subgroup) == (order and Subgroup(k, order * two_part // 2))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_corpus_regular(self, corpus_actions):
         for act in corpus_actions.values():

@@ -125,12 +125,36 @@ class TestPolyGcd:
             assert (g % base).is_zero()
 
 
-def _divmod_gcd(a, b):
-    """Euclid on Poly remainders, then made monic: the route poly_gcd took
-    before it ran on coefficient lists, kept as its oracle."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+def _strip(field, cs):
+    while cs and cs[-1] == field.zero():
+        cs.pop()
+    return cs
+
+
+def _list_divmod(field, a, b):
+    """Long division of the coefficient list a by the nonzero b with the
+    Field methods alone, independent of Poly's arithmetic: (quotient,
+    remainder) as lists of field values."""
+    rem, b = [field.coerce(c) for c in a], [field.coerce(c) for c in b]
+    inv, n = field.inv(b[-1]), len(b) - 1
+    quo = [field.zero()] * max(len(rem) - n, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i] = field.mul(rem[i + n], inv)
+        for j, bj in enumerate(b):
+            rem[i + j] = field.sub(rem[i + j], field.mul(quo[i], bj))
+    return _strip(field, quo), _strip(field, rem[:n])
+
+
+def _list_gcd(a, b):
+    """Euclid on coefficient lists with the Field methods, then made monic:
+    the reference for poly_gcd."""
+    field, a, b = a.field, list(a.coeffs), list(b.coeffs)
+    while b:
+        a, b = b, _list_divmod(field, a, b)[1]
+    if a:
+        inv = field.inv(field.coerce(a[-1]))
+        a = [field.mul(field.coerce(c), inv) for c in a]
+    return Poly(field, a)
 
 
 @st.composite
@@ -165,10 +189,32 @@ def _gcd_pairs(draw):
 def test_list_euclid_matches_the_divmod_euclid(pair):
     a, b = pair
     g = poly_gcd(a, b)
-    want = _divmod_gcd(a, b)
+    want = _list_gcd(a, b)
     assert g == want and g.field is a.field
     assert list(map(type, g.coeffs)) == list(map(type, want.coeffs))
     assert g.is_zero() == (a.is_zero() and b.is_zero())
+
+
+def _plain(f):
+    # ints in [0, p) over F_p; over Q, ints where integral
+    p = f.field.char
+    return all(type(c) is int and (not p or 0 <= c < p) if c.denominator == 1
+               else not p for c in f.coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gcd_pairs().filter(lambda pair: not pair[1].is_zero()))
+@example((P(QQ, 1, 2, 3), P(QQ, 0, Fraction(2, 3))))
+@example((P(F2, 1, 1, 0, 1), P(F2, 1, 1)))
+@example((P(F5, 2), P(F5, 1, 3)))
+def test_divmod_matches_the_list_division(pair):
+    a, b = pair
+    q, r = divmod(a, b)
+    want = _list_divmod(a.field, a.coeffs, b.coeffs)
+    assert (q, r) == tuple(Poly(a.field, c) for c in want)
+    assert q * b + r == a and r.degree < b.degree
+    assert _plain(q) and _plain(r)
+    assert a % b == r and b.divides(a) == r.is_zero()
 
 
 class TestFieldMatrix:

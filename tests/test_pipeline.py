@@ -25,7 +25,8 @@ from zkhomology.checks import (
     verify_expansion_lemma,
 )
 from zkhomology.errors import DimensionError, InvalidGeneratorError
-from zkhomology.exact import GF, QQ, field_rank
+from zkhomology import pipeline
+from zkhomology.exact import GF, QQ, RationalField, field_rank
 from zkhomology.groupring import GroupRingMatrix, rho_extend
 from zkhomology.ring_snf import snf_over_R
 from zkhomology.pipeline import (
@@ -522,6 +523,25 @@ class TestCompressedRank:
         tri2 = corpus_triples["torus9x3_rot3"][3]
         with pytest.raises(InvalidGeneratorError):
             compressed_result(tri2, QQ, generator_exponent=3)
+
+    def test_plain_coefficients_over_q(self, corpus_triples, monkeypatch):
+        # the compressed route never coerces a scalar over Q, and every lift
+        # it reads holds int coefficients: the corpus and the 6x3, 9x3 and
+        # 12x3 tori
+        triples = [tri for *_, tri in corpus_triples.values()]
+        for k in (2, 3, 4):
+            tris, perm = _grid_torus(3 * k, 3)
+            triples.append(build_triple(validate_action(build_complex(tris), perm, k)))
+        coerced, lifts = [], []
+        coerce = RationalField.coerce
+        monkeypatch.setattr(RationalField, "coerce",
+                            lambda self, v: coerced.append(v) or coerce(self, v))
+        monkeypatch.setattr(pipeline, "snf_over_R",
+                            lambda M: lifts.append(snf_over_R(M)) or lifts[-1])
+        for tri in triples:
+            compressed_result(tri, QQ)
+        assert coerced == []
+        assert lifts and {type(c) for snf in lifts for f in snf.lifts for c in f.coeffs} == {int}
 
 
 class TestCompressedBetti:
