@@ -17,9 +17,13 @@ the 1-based positions used by their definitions (block I_a starts at n_a,
 values of the reducing map land in {1, ..., |Sigma_d|}); callers subtract
 one when addressing Python sequences.
 
-Each check returns a CheckOutcome; a suite is a list of them, every line
-carrying a first counterexample when it fails.  The CLI's verify command
-prints one line per outcome, and the test suite reuses the same functions.
+Each `check_*` function returns its first counterexample as a string, or
+None when it passes; a ZkHomologyError or ArithmeticError it raises is its
+counterexample.  The private guard `_run` alone turns either into a
+CheckOutcome.  A suite is a table of (name, check) pairs, one per outcome
+and each name written once, run in order through `_run`.  The CLI's verify
+command prints one line per outcome, and the test suite reuses the same
+functions.
 """
 
 import random
@@ -233,15 +237,6 @@ def compatible_orientations(qd, lift):
     return orient
 
 
-def oriented_tuple(orient, simplex):
-    """The vertex tuple of the chosen elementary chain for a simplex (the
-    increasing tuple with its last two entries swapped when the sign is -1)."""
-    s = tuple(simplex)
-    if orient[s] == 1 or len(s) == 1:
-        return s
-    return s[:-2] + (s[-1], s[-2])
-
-
 def _compatible_parts(qd, lift, d, field, orient=None, partition=None):
     # The compatible boundary with its row and column lifted partitions;
     # the orientations and partition(d) are built here unless given.
@@ -284,20 +279,21 @@ def verify_expansion_lemma(qd, lift, d, field, triple=None):
     """
     if triple is None:
         triple = build_triple(qd.action, lift=lift, qd=qd)
-    return _expansion_report(isotropy_expansion(qd, lift, d, field), qd, lift, d, field, triple)
+    report = _expansion_report(isotropy_expansion(qd, lift, d, field), qd, lift, d, field, triple)
+    return report is None, report
 
 
 def _expansion_report(E, qd, lift, d, field, triple):
-    # verify_expansion_lemma on the isotropy expansion E
+    # verify_expansion_lemma's first failure on the isotropy expansion E, or None
     action, k, z = qd.action, qd.action.k, field.zero()
     G = rho_extend(g_boundary_matrix(triple, d, field))
     if E.rows != G.rows or E.cols != G.cols:
-        return False, f"shape mismatch {E.rows}x{E.cols} vs {G.rows}x{G.cols}"
+        return f"shape mismatch {E.rows}x{E.cols} vs {G.rows}x{G.cols}"
     for i in range(E.rows):
         e, g = E.entries[i], G.entries[i]
         if e != g:
             j = min(j for j in e.keys() | g.keys() if e.get(j) != g.get(j))
-            return False, (
+            return (
                 f"d={d}: entry ({i + 1},{j + 1}) differs: expansion has "
                 f"{e.get(j, {0: z})[0]}, circulant image has {g.get(j, {0: z})[0]}"
             )
@@ -319,12 +315,11 @@ def _expansion_report(E, qd, lift, d, field, triple):
                     want = sign if (c - cp) % k in hits else z
                     got = row.get(k * b + cp - 1, {0: z})[0]
                     if got != want:
-                        return False, (
+                        return (
                             f"d={d}: containment case fails at block ({a + 1},"
                             f"{b + 1}) offsets ({c},{cp}): expansion {got}, "
                             f"containment predicts {want}"
                         )
-    return True, None
 
 
 @dataclass(frozen=True)
@@ -339,27 +334,28 @@ class CheckOutcome:
         return f"{status} {self.name}{tail}"
 
 
-def _outcome(name, failures):
-    if failures:
-        return CheckOutcome(name, False, failures[0])
-    return CheckOutcome(name, True)
+def _run(name, check):
+    # The outcome of `check()`: its first counterexample, the error it
+    # raises, or a pass.
+    try:
+        detail = check()
+    except (ZkHomologyError, ArithmeticError) as exc:
+        detail = str(exc)
+    return CheckOutcome(name, detail is None, detail or "")
 
 
-def check_boundary_squared(X, field, name="boundary-squared-zero"):
+def check_boundary_squared(X, field):
     """d_(d-1) d_d = 0 for every d, by the sparse composition check that
     the compressed pipeline runs on consecutive G-boundaries."""
-    failures = []
     for d in range(2, X.dim + 1):
         if not _composes_to_zero(_lex_boundary(X, d - 1, field), _lex_boundary(X, d, field)):
-            failures.append(f"d{d-1} o d{d} != 0 over {field.name}")
-    return _outcome(name, failures)
+            return f"d{d-1} o d{d} != 0 over {field.name}"
 
 
 def check_orbit_stabilizer(action):
     """|orbit| * |stabilizer| = k, both counted by applying alpha^0, ...,
     alpha^(k-1) through the permutation, and the stabilizer has the order
     of the action's isotropy (which the action reads off the orbit length)."""
-    failures = []
     perm, k = action.perm, action.k
     for s in action.complex.all_simplices():
         images, t = [], s
@@ -368,28 +364,21 @@ def check_orbit_stabilizer(action):
             t = tuple(sorted(perm[v] for v in t))
         orbit, fixing = len(set(images)), images.count(s)
         if orbit * fixing != k or fixing != action.isotropy(s).order:
-            failures.append(
-                f"simplex {s}: |orbit|={orbit}, |stabilizer|={fixing}, "
-                f"isotropy order {action.isotropy(s).order}, k={k}"
-            )
-            break
-    return _outcome("orbit-stabilizer", failures)
+            return (f"simplex {s}: |orbit|={orbit}, |stabilizer|={fixing}, "
+                    f"isotropy order {action.isotropy(s).order}, k={k}")
 
 
 def check_pointwise_fixing(action):
     """Regular actions fix psi ∩ g.psi vertex-wise, for every g."""
-    failures = []
     for s in action.complex.all_simplices():
         for c in range(action.k):
             moved = set(action.apply_simplex(c, s))
             for v in set(s) & moved:
                 if action.apply_vertex(c, v) != v:
-                    failures.append(f"alpha^{c} moves {v} inside {s} ∩ image")
-    return _outcome("regular-pointwise-fixing", failures)
+                    return f"alpha^{c} moves {v} inside {s} ∩ image"
 
 
 def check_orbit_not_another_face(action):
-    failures = []
     X = action.complex
     for s in X.all_simplices():
         for r in range(1, len(s)):
@@ -397,14 +386,10 @@ def check_orbit_not_another_face(action):
                 for c in range(1, action.k):
                     moved = action.apply_simplex(c, w)
                     if set(moved) <= set(s) and moved != w:
-                        failures.append(
-                            f"alpha^{c} sends face {w} of {s} to another face {moved}"
-                        )
-    return _outcome("orbit-not-another-face", failures)
+                        return f"alpha^{c} sends face {w} of {s} to another face {moved}"
 
 
 def check_unique_face_over_quotient(qd):
-    failures = []
     for s in qd.action.complex.all_simplices():
         sq = qd.project_simplex(s)
         for r in range(1, len(sq) + 1):
@@ -413,44 +398,31 @@ def check_unique_face_over_quotient(qd):
                     w for w in combinations(s, r) if qd.project_simplex(w) == wq
                 ]
                 if len(matches) != 1:
-                    failures.append(
-                        f"{len(matches)} faces of {s} project onto {wq}"
-                    )
-    return _outcome("unique-face-over-quotient", failures)
+                    return f"{len(matches)} faces of {s} project onto {wq}"
 
 
 def check_transfer_cosets(action, qd, lift, triple):
-    failures = []
     k = action.k
     for (psi, omega), hits in sorted(triple.Tstar.items()):
         H = triple.S[omega]
         if len(hits) != H.order:
-            failures.append(f"|T*({psi},{omega})| = {len(hits)} != |S| = {H.order}")
-            continue
+            return f"|T*({psi},{omega})| = {len(hits)} != |S| = {H.order}"
         base = min(hits)
         coset = {(base + e) % k for e in H.exponents()}
         if hits != coset:
-            failures.append(f"T*({psi},{omega}) is not a coset of S({omega})")
+            return f"T*({psi},{omega}) is not a coset of S({omega})"
         via_face = extended_transfer_via_face(qd, lift, psi, omega)
         direct = extended_transfer(action, lift, psi, omega)
         if via_face != direct or direct != hits:
-            failures.append(
-                f"the two transfer routes disagree on ({psi},{omega}): "
-                f"{sorted(direct)} vs {sorted(via_face)}"
-            )
-    return _outcome("transfer-coset-and-two-routes", failures)
+            return (f"the two transfer routes disagree on ({psi},{omega}): "
+                    f"{sorted(direct)} vs {sorted(via_face)}")
 
 
 def check_complex_of_groups(triple):
-    try:
-        check_axioms(triple)
-    except ZkHomologyError as exc:
-        return CheckOutcome("complex-of-groups-axioms", False, str(exc))
-    return CheckOutcome("complex-of-groups-axioms", True)
+    return check_axioms(triple)
 
 
 def check_index_reducing(qd, partition):
-    failures = []
     k = qd.action.k
     for d in range(qd.quotient.dim + 1):
         lp = partition(d)
@@ -458,39 +430,29 @@ def check_index_reducing(qd, partition):
         for b, block in enumerate(lp.blocks):
             slab = J[b * k:(b + 1) * k]
             if set(slab) != set(block):
-                failures.append(
-                    f"d={d}: image of slab {b + 1} is {sorted(set(slab))}, "
-                    f"expected block {list(block)}"
-                )
+                return (f"d={d}: image of slab {b + 1} is {sorted(set(slab))}, "
+                        f"expected block {list(block)}")
         if set(J) != set(range(1, len(lp.ordering) + 1)):
-            failures.append(f"d={d}: index-reducing map is not surjective")
-    return _outcome("index-reducing-range", failures)
+            return f"d={d}: index-reducing map is not surjective"
 
 
 def check_expansion_lemma(action, qd, lift, field, triple, expansion):
-    failures = []
     for d in range(1, action.complex.dim + 1):
-        ok, report = _expansion_report(expansion(d), qd, lift, d, field, triple)
-        if not ok:
-            failures.append(f"{field.name}: {report}")
-    return _outcome("expansion-equals-circulant-image", failures)
+        report = _expansion_report(expansion(d), qd, lift, d, field, triple)
+        if report is not None:
+            return f"{field.name}: {report}"
 
 
 def check_rank_preservation(action, field, rank, expansion):
-    failures = []
     for d in range(1, action.complex.dim + 1):
         rb, re = rank(d), sparse_rank(expansion(d))
         if rb != re:
-            failures.append(
-                f"{field.name} d={d}: boundary rank {rb} vs expansion rank {re}"
-            )
-    return _outcome("expansion-preserves-rank", failures)
+            return f"{field.name} d={d}: boundary rank {rb} vs expansion rank {re}"
 
 
 def check_rank_reconstruction(action, triple, field, rank, reduced):
     """The main rank identity, for every generator of Z_k; `reduced(d)`
     gives the G-boundary at generator alpha and its Smith form."""
-    failures = []
     generators = [t for t in range(1, triple.k + 1) if gcd(t, triple.k) == 1]
     for d in range(1, action.complex.dim + 1):
         upstairs = rank(d)
@@ -499,11 +461,8 @@ def check_rank_reconstruction(action, triple, field, rank, reduced):
                 g_boundary_matrix(triple, d, field, generator_exponent=t))
             got = snf.rank_sum()
             if got != upstairs:
-                failures.append(
-                    f"{field.name} d={d} generator alpha^{t}: "
-                    f"compressed {got} vs boundary {upstairs}"
-                )
-    return _outcome("rank-reconstruction", failures)
+                return (f"{field.name} d={d} generator alpha^{t}: "
+                        f"compressed {got} vs boundary {upstairs}")
 
 
 def _g_boundary_snf(triple, d, field):
@@ -516,37 +475,30 @@ def check_snf_invariants(triple, field, reduced):
     """The SNF of each G-boundary M (its lifts divide each the next, or
     snf_over_R raises), certified on the whole mk x nk expansion rho(M);
     `reduced(d)` gives M and its SNF."""
-    failures = []
     for d in range(1, triple.quotient.dim + 1):
         try:
             M, snf = reduced(d)
         except (ZkHomologyError, ArithmeticError) as exc:
-            failures.append(f"{field.name} d={d}: {exc}")
-            continue
+            return f"{field.name} d={d}: {exc}"
         predicted, expected = snf.rank_sum(), sparse_rank(rho_extend(M))
         if predicted != expected:
-            failures.append(
-                f"{field.name} d={d}: rank certificate failed: SNF predicts "
-                f"{predicted}, expanded matrix has rank {expected}")
-    return _outcome("snf-divisibility-and-certificate", failures)
+            return (f"{field.name} d={d}: rank certificate failed: SNF predicts "
+                    f"{predicted}, expanded matrix has rank {expected}")
 
 
 def check_lift_independence(action, qd, field, betti):
     """`betti()` gives the Betti numbers of the lex-min triple."""
     tri_max = build_triple(action, lift=lex_max_lift(qd), qd=qd)
     tri_max.validate()
-    failures = []
     a = betti()
     b = compressed_betti(tri_max, field)
     if a != b:
-        failures.append(f"{field.name}: lex-min {a} vs lex-max {b}")
-    return _outcome("lift-independence", failures)
+        return f"{field.name}: lex-min {a} vs lex-max {b}"
 
 
 def check_ordering_independence(triple, field, betti):
     """`betti()` gives the Betti numbers of `triple` in its own order."""
     rng = random.Random(ORDERING_SEED)
-    failures = []
     base = betti()
     Y = triple.quotient
     for _ in range(ORDERING_TRIALS):
@@ -557,25 +509,15 @@ def check_ordering_independence(triple, field, betti):
             orders[d] = tuple(perm)
         got = compressed_betti(triple, field, orders=orders)
         if got != base:
-            failures.append(f"{field.name}: reordered quotient gives {got}, expected {base}")
-    return _outcome("ordering-independence", failures)
+            return f"{field.name}: reordered quotient gives {got}, expected {base}"
 
 
 def check_oracle_equality(action, field, betti):
     """`betti()` gives the compressed Betti numbers of the action."""
-    failures = []
     direct = betti_direct(action.complex, field)
     compressed = betti()
     if direct != compressed:
-        failures.append(f"{field.name}: direct {direct} vs compressed {compressed}")
-    return _outcome("compressed-matches-direct-oracle", failures)
-
-
-def _guarded(name, thunk):
-    try:
-        return thunk()
-    except (ZkHomologyError, ArithmeticError) as exc:
-        return CheckOutcome(name, False, str(exc))
+        return f"{field.name}: direct {direct} vs compressed {compressed}"
 
 
 def run_action_suite(qd, field):
@@ -584,8 +526,8 @@ def run_action_suite(qd, field):
     action = qd.action
     lift = lex_lift(qd)
     triple = build_triple(action, lift=lift, qd=qd)
-    # Each piece built once, inside the first guarded check that needs it:
-    # the orientations, the lifted partition of each dimension, per d the
+    # Each piece built once, inside the first check that needs it: the
+    # orientations, the lifted partition of each dimension, per d the
     # compatible boundary, its rank and its isotropy expansion, and of the
     # lex-min triple per d the G-boundary and its Smith form, and the Betti
     # numbers.
@@ -597,9 +539,9 @@ def run_action_suite(qd, field):
     betti = cache(lambda: compressed_betti(triple, field))
     reduced = cache(lambda d: _g_boundary_snf(triple, d, field))
     items = [
+        ("regularity", lambda: None),
         ("boundary-squared-zero", lambda: check_boundary_squared(action.complex, field)),
-        ("quotient-boundary-squared-zero",
-         lambda: check_boundary_squared(qd.quotient, field, "quotient-boundary-squared-zero")),
+        ("quotient-boundary-squared-zero", lambda: check_boundary_squared(qd.quotient, field)),
         ("orbit-stabilizer", lambda: check_orbit_stabilizer(action)),
         ("regular-pointwise-fixing", lambda: check_pointwise_fixing(action)),
         ("orbit-not-another-face", lambda: check_orbit_not_another_face(action)),
@@ -616,39 +558,36 @@ def run_action_suite(qd, field):
         ("ordering-independence", lambda: check_ordering_independence(triple, field, betti)),
         ("compressed-matches-direct-oracle", lambda: check_oracle_equality(action, field, betti)),
     ]
-    outcomes = [CheckOutcome("regularity", True)]
-    outcomes.extend(_guarded(name, thunk) for name, thunk in items)
-    return outcomes
+    return [_run(name, check) for name, check in items]
 
 
 def check_triple_structure(triple):
+    return triple.validate()
+
+
+def _betti_computable(field, betti):
+    # `betti()` runs; an error it raises is reported with the field
     try:
-        triple.validate()
-    except ZkHomologyError as exc:
-        return CheckOutcome("triple-structure", False, str(exc))
-    return CheckOutcome("triple-structure", True)
+        betti()
+    except (ZkHomologyError, ArithmeticError) as exc:
+        return f"{field.name}: {exc}"
 
 
 def run_triple_suite(triple, field):
-    """Invariant suite for a standalone triple (no acted-on complex)."""
-    outcomes = [
-        check_triple_structure(triple),
-        check_boundary_squared(triple.quotient, field, "quotient-boundary-squared-zero"),
+    """Invariant suite for a standalone triple (no acted-on complex); past a
+    failed triple-structure check only the quotient's boundaries are
+    checked."""
+    betti = cache(lambda: compressed_betti(triple, field))
+    reduced = cache(lambda d: _g_boundary_snf(triple, d, field))
+    items = [
+        ("triple-structure", lambda: check_triple_structure(triple)),
+        ("quotient-boundary-squared-zero", lambda: check_boundary_squared(triple.quotient, field)),
+        ("complex-of-groups-axioms", lambda: check_complex_of_groups(triple)),
+        ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, field, reduced)),
+        ("ordering-independence", lambda: check_ordering_independence(triple, field, betti)),
+        ("compressed-betti-computable", lambda: _betti_computable(field, betti)),
     ]
+    outcomes = [_run(name, check) for name, check in items[:2]]
     if outcomes[0].ok:
-        betti = cache(lambda: compressed_betti(triple, field))
-        reduced = cache(lambda d: _g_boundary_snf(triple, d, field))
-        items = [
-            ("complex-of-groups-axioms", lambda: check_complex_of_groups(triple)),
-            ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, field, reduced)),
-            ("ordering-independence", lambda: check_ordering_independence(triple, field, betti)),
-        ]
-        outcomes.extend(_guarded(name, thunk) for name, thunk in items)
-        try:
-            betti()
-        except (ZkHomologyError, ArithmeticError) as exc:
-            outcomes.append(CheckOutcome("compressed-betti-computable", False,
-                                         f"{field.name}: {exc}"))
-        else:
-            outcomes.append(CheckOutcome("compressed-betti-computable", True))
+        outcomes += [_run(name, check) for name, check in items[2:]]
     return outcomes

@@ -173,6 +173,9 @@ def parse_field(descriptor):
             p = int(descriptor[3:])
         except ValueError:
             raise ValueError(f"bad field descriptor {descriptor!r}") from None
+        # int() also reads signs, spaces, "_" and non-ASCII digits
+        if str(p) != descriptor[3:]:
+            raise ValueError(f"bad field descriptor {descriptor!r}")
         return GF(p)
     raise ValueError(f"bad field descriptor {descriptor!r} (want 'Q' or 'Fp:<prime>')")
 

@@ -9,11 +9,14 @@ from zkhomology.groupring import GroupRingMatrix
 
 def ring_matrix(field, k, grid, cols=0):
     """The GroupRingMatrix of a grid of coefficient tuples; missing
-    exponents are zero, and `cols` gives the width of a grid with no rows."""
+    exponents are zero, and `cols` gives the width of a grid with no rows.
+    Coefficients are written in the plain convention of `exact`: ints where
+    integral, as the G-boundaries are."""
     entries = {i: {} for i in range(len(grid))}
     for i, row in enumerate(grid):
         for j, w in enumerate(row):
-            w = {e: c for e, c in enumerate(map(field.coerce, w)) if c}
+            w = {e: c.numerator if c.denominator == 1 else c
+                 for e, c in enumerate(map(field.coerce, w)) if c}
             if w:
                 entries[i][j] = w
     return GroupRingMatrix(field, k, len(grid), len(grid[0]) if grid else cols, entries)

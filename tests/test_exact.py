@@ -63,6 +63,12 @@ class TestFields:
         with pytest.raises(ValueError):
             parse_field("R")
 
+    @pytest.mark.parametrize("descriptor", [
+        "Fp: 3", "Fp:+3", "Fp:03", "Fp:\u0663", "Fp:3 ", "Fp:1_1"])
+    def test_prime_written_canonically(self, descriptor):
+        with pytest.raises(ValueError, match="bad field descriptor"):
+            parse_field(descriptor)
+
     def test_large_prime_accepted(self):
         # Trial division up to sqrt(2^61 - 1) would take minutes.
         assert parse_field("Fp:2305843009213693951").p == 2**61 - 1

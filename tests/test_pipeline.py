@@ -21,7 +21,6 @@ from zkhomology.checks import (
     compatible_ordering,
     compatible_orientations,
     isotropy_expansion,
-    oriented_tuple,
     verify_expansion_lemma,
 )
 from zkhomology.errors import DimensionError, InvalidGeneratorError
@@ -68,6 +67,15 @@ def corpus_triples(request):
         qd = quotient(act)
         out[name] = (act, qd, lex_lift(qd), build_triple(act, qd=qd))
     return out
+
+
+def oriented_tuple(orient, simplex):
+    """The vertex tuple of the chosen elementary chain for a simplex (the
+    increasing tuple with its last two entries swapped when the sign is -1)."""
+    s = tuple(simplex)
+    if orient[s] == 1 or len(s) == 1:
+        return s
+    return s[:-2] + (s[-1], s[-2])
 
 
 class TestCompatibleOrientations:
@@ -648,7 +656,7 @@ class TestExpansionLemma:
                 return frozenset() if tamper and seen[-1] == wrong else hits
 
             monkeypatch.setattr(checks, "extended_transfer", spy)
-            assert checks._expansion_report(E, qd, lift, d, F3, tri) == (True, None)
+            assert verify_expansion_lemma(qd, lift, d, F3, triple=tri) == (True, None)
             assert seen == blocks
             tamper.append(True)
             a, b = wrong
@@ -656,7 +664,7 @@ class TestExpansionLemma:
             c, cp = next((c, cp) for c in range(1, k + 1) for cp in range(1, k + 1)
                          if (c - cp) % k in hits)
             got = E.entries[k * a + c - 1][k * b + cp - 1][0]
-            assert checks._expansion_report(E, qd, lift, d, F3, tri) == (
+            assert verify_expansion_lemma(qd, lift, d, F3, triple=tri) == (
                 False, f"d={d}: containment case fails at block ({a + 1},{b + 1}) "
                        f"offsets ({c},{cp}): expansion {got}, containment predicts 0")
 

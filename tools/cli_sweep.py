@@ -1,0 +1,125 @@
+"""Byte-identity sweep of the command-line interface.
+
+    python tools/cli_sweep.py SRC_DIR
+
+Imports `zkhomology` from SRC_DIR (a checkout's `src/`), writes every
+corpus entry, the isotropy triple of each entry (of its double subdivision
+when the action is not regular) and three tampered copies of that triple
+into a temporary directory, and runs, in this process and on every file:
+`check`; `homology` in each mode, format and lift; and `verify` as a
+table, as JSON and with `--regularize`; `homology` and `verify` over Q,
+F2, F3 and F5.  It prints the number of runs and one sha256 over the
+argv, exit code, stdout and stderr of every run, in order.  Two checkouts
+that print the same line answer every one of these runs byte for byte
+alike.  Standard library only.
+"""
+
+import contextlib
+import copy
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+FIELDS = ("Q", "Fp:2", "Fp:3", "Fp:5")
+
+
+def _tampered(body):
+    # Three damaged copies of a serialized triple: the first T* set shifted
+    # by one (a coset still, so validation may pass while the axioms fail),
+    # the last T* entry dropped, and the last simplex given the whole group.
+    k, (first, *_, last) = body["k"], body["triple"]["Tstar"]
+    shifted, dropped, whole = (copy.deepcopy(body) for _ in range(3))
+    tstar = shifted["triple"]["Tstar"]
+    tstar[first] = sorted((c + 1) % k for c in tstar[first])
+    del dropped["triple"]["Tstar"][last]
+    whole["triple"]["S"][list(body["triple"]["S"])[-1]] = k
+    return {"shifted": shifted, "dropped": dropped, "whole": whole}
+
+
+def write_inputs(directory):
+    """Write the sweep's input files into `directory`; returns the action
+    files and the triple files, as names relative to it."""
+    from zkhomology import actions, corpus, jsonio, transfer
+
+    documents, action_files, triple_files = {}, [], []
+    for name in corpus.names():
+        e = corpus.entry(name)
+        action = corpus.build_action(e)
+        documents[f"{name}.json"] = corpus.to_input_dict(e)
+        action_files.append(f"{name}.json")
+        if actions.check_regularity(action) is not None:
+            action = actions.regularize(action)
+        body = jsonio.triple_to_dict(transfer.build_triple(action))
+        documents[f"{name}.triple.json"] = body
+        triple_files.append(f"{name}.triple.json")
+        for how, damaged in _tampered(body).items():
+            documents[f"{name}.triple.{how}.json"] = damaged
+            triple_files.append(f"{name}.triple.{how}.json")
+    for file_name, document in documents.items():
+        with open(os.path.join(directory, file_name), "w", encoding="utf-8") as fh:
+            json.dump(document, fh)
+    return action_files, triple_files
+
+
+def argvs(action_files, triple_files):
+    """Every command line of the sweep, in order."""
+    for f in action_files + triple_files:
+        yield ["check", f]
+        for field in FIELDS:
+            for mode in ("direct", "compressed", "both"):
+                for fmt in ("table", "json"):
+                    for lift in ("lex-min", "lex-max"):
+                        yield ["homology", f, "--field", field, "--mode", mode,
+                               "--format", fmt, "--lift", lift]
+            yield ["verify", f, "--field", field]
+            yield ["verify", f, "--field", field, "--format", "json"]
+            yield ["verify", f, "--field", field, "--regularize"]
+
+
+def run_one(cli, argv):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:       # argparse rejects the line
+            code = exc.code
+        except Exception as exc:        # an escape from the exit contract
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def sweep(src_dir):
+    """(number of runs, sha256 hex digest) of the sweep over `src_dir`."""
+    sys.path.insert(0, os.path.abspath(src_dir))
+    from zkhomology import cli
+
+    digest, count, cwd = hashlib.sha256(), 0, os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)     # argv and messages carry bare file names
+        try:
+            files = write_inputs(directory)
+            for argv in argvs(*files):
+                code, out, err = run_one(cli, argv)
+                digest.update(repr((argv, code, out, err)).encode())
+                count += 1
+        finally:
+            os.chdir(cwd)
+    return count, digest.hexdigest()
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python tools/cli_sweep.py SRC_DIR", file=sys.stderr)
+        return 2
+    count, hexdigest = sweep(argv[0])
+    print(f"{count} runs sha256 {hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
