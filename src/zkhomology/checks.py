@@ -28,7 +28,6 @@ functions.
 
 import random
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from math import gcd
 
@@ -344,6 +343,23 @@ def _run(name, check):
     return CheckOutcome(name, detail is None, detail or "")
 
 
+def _once(f):
+    # f memoized by its arguments, with the error it raised: a later call
+    # raises that error again rather than running f once more
+    memo = {}
+
+    def call(*args):
+        if args not in memo:
+            try:
+                memo[args] = f(*args), None
+            except (ZkHomologyError, ArithmeticError) as exc:
+                memo[args] = None, exc
+        if memo[args][1]:
+            raise memo[args][1]
+        return memo[args][0]
+    return call
+
+
 def check_boundary_squared(X, field):
     """d_(d-1) d_d = 0 for every d, by the sparse composition check that
     the compressed pipeline runs on consecutive G-boundaries."""
@@ -526,18 +542,19 @@ def run_action_suite(qd, field):
     action = qd.action
     lift = lex_lift(qd)
     triple = build_triple(action, lift=lift, qd=qd)
-    # Each piece built once, inside the first check that needs it: the
+    # Each piece built once, inside the first check that needs it (or
+    # failing once, its error reported again by each later check): the
     # orientations, the lifted partition of each dimension, per d the
     # compatible boundary, its rank and its isotropy expansion, and of the
     # lex-min triple per d the G-boundary and its Smith form, and the Betti
     # numbers.
-    orient = cache(lambda: compatible_orientations(qd, lift))
-    partition = cache(lambda d: compatible_ordering(qd, lift, d))
-    parts = cache(lambda d: _compatible_parts(qd, lift, d, field, orient(), partition))
-    rank = cache(lambda d: sparse_rank(parts(d)[0]))
-    expansion = cache(lambda d: _expand(*parts(d), action.k))
-    betti = cache(lambda: compressed_betti(triple, field))
-    reduced = cache(lambda d: _g_boundary_snf(triple, d, field))
+    orient = _once(lambda: compatible_orientations(qd, lift))
+    partition = _once(lambda d: compatible_ordering(qd, lift, d))
+    parts = _once(lambda d: _compatible_parts(qd, lift, d, field, orient(), partition))
+    rank = _once(lambda d: sparse_rank(parts(d)[0]))
+    expansion = _once(lambda d: _expand(*parts(d), action.k))
+    betti = _once(lambda: compressed_betti(triple, field))
+    reduced = _once(lambda d: _g_boundary_snf(triple, d, field))
     items = [
         ("regularity", lambda: None),
         ("boundary-squared-zero", lambda: check_boundary_squared(action.complex, field)),
@@ -562,6 +579,9 @@ def run_action_suite(qd, field):
 
 
 def check_triple_structure(triple):
+    # `triple` may be the TripleValidationError its parse raised
+    if isinstance(triple, TripleValidationError):
+        raise triple
     return triple.validate()
 
 
@@ -576,9 +596,10 @@ def _betti_computable(field, betti):
 def run_triple_suite(triple, field):
     """Invariant suite for a standalone triple (no acted-on complex); past a
     failed triple-structure check only the quotient's boundaries are
-    checked."""
-    betti = cache(lambda: compressed_betti(triple, field))
-    reduced = cache(lambda d: _g_boundary_snf(triple, d, field))
+    checked, and none when the TripleValidationError of its parse stands in
+    for the triple."""
+    betti = _once(lambda: compressed_betti(triple, field))
+    reduced = _once(lambda d: _g_boundary_snf(triple, d, field))
     items = [
         ("triple-structure", lambda: check_triple_structure(triple)),
         ("quotient-boundary-squared-zero", lambda: check_boundary_squared(triple.quotient, field)),
@@ -587,7 +608,8 @@ def run_triple_suite(triple, field):
         ("ordering-independence", lambda: check_ordering_independence(triple, field, betti)),
         ("compressed-betti-computable", lambda: _betti_computable(field, betti)),
     ]
-    outcomes = [_run(name, check) for name, check in items[:2]]
+    parsed = not isinstance(triple, TripleValidationError)
+    outcomes = [_run(name, check) for name, check in items[:1 + parsed]]
     if outcomes[0].ok:
         outcomes += [_run(name, check) for name, check in items[2:]]
     return outcomes

@@ -176,38 +176,10 @@ def cmd_homology(args, out=None):
         return EXIT_INPUT
     check_generator(args.generator, payload.k)
 
-    if kind == "triple":
-        triple = payload
-        triple.validate()
-        check_axioms(triple)
-        res = compressed_result(triple, field,
-                                generator_exponent=args.generator,
-                                lift_policy="(given triple)")
-        if args.output_format == "json":
-            print(dump_json(res.as_dict()), file=out)
-        else:
-            _print_compressed_table(res, out)
-        return EXIT_OK
-
-    action = payload
-
     direct = None
     if args.mode in ("direct", "both"):
         # The oracle runs on the complex as given; subdivision never changes it.
-        direct = _direct_report(action.complex, field)
-
-    compressed = None
-    if args.mode in ("compressed", "both"):
-        qd = _regular_quotient(action, args.regularize)
-        if qd is None:
-            return EXIT_REGULARITY
-        triple = build_triple(qd.action, lift=_lift_for(qd, args.lift_policy), qd=qd)
-        compressed = compressed_result(
-            triple, field,
-            generator_exponent=args.generator,
-            lift_policy=args.lift_policy,
-        )
-
+        direct = _direct_report(payload.complex, field)
     if args.mode == "direct":
         if args.output_format == "json":
             print(dump_json({"field": field.name, "mode": "direct", **direct}),
@@ -216,22 +188,29 @@ def cmd_homology(args, out=None):
             _print_direct_table(direct, field.name, out)
         return EXIT_OK
 
-    if args.mode == "compressed":
-        if args.output_format == "json":
-            body = compressed.as_dict()
-            body["mode"] = "compressed"
-            print(dump_json(body), file=out)
-        else:
-            _print_compressed_table(compressed, out)
-        return EXIT_OK
-
-    match = list(compressed.betti) == direct["betti"]
+    if kind == "triple":
+        triple, policy = payload, "(given triple)"
+        triple.validate()
+        check_axioms(triple)
+    else:
+        qd = _regular_quotient(payload, args.regularize)
+        if qd is None:
+            return EXIT_REGULARITY
+        policy = args.lift_policy
+        triple = build_triple(qd.action, lift=_lift_for(qd, policy), qd=qd)
+    compressed = compressed_result(triple, field, generator_exponent=args.generator,
+                                   lift_policy=policy)
+    match = direct is None or list(compressed.betti) == direct["betti"]
     if args.output_format == "json":
         body = compressed.as_dict()
-        body["mode"] = "both"
-        body["direct_betti"] = direct["betti"]
-        body["match"] = match
+        if kind == "action":
+            body["mode"] = args.mode
+        if direct is not None:
+            body["direct_betti"] = direct["betti"]
+            body["match"] = match
         print(dump_json(body), file=out)
+    elif direct is None:
+        _print_compressed_table(compressed, out)
     else:
         _print_direct_table(direct, field.name, out)
         _print_compressed_table(compressed, out)
@@ -240,7 +219,7 @@ def cmd_homology(args, out=None):
 
 
 def cmd_verify(args, out=None):
-    from .checks import CheckOutcome, run_action_suite, run_triple_suite
+    from .checks import run_action_suite, run_triple_suite
 
     out = out or sys.stdout
     field = parse_field(args.field)
@@ -248,15 +227,14 @@ def cmd_verify(args, out=None):
         kind, payload = load_input(args.input)
     except TripleValidationError as exc:
         # an S order that does not divide k fails at parse
-        outcomes = [CheckOutcome("triple-structure", False, str(exc))]
+        kind, payload = "triple", exc
+    if kind == "triple":
+        outcomes = run_triple_suite(payload, field)
     else:
-        if kind == "triple":
-            outcomes = run_triple_suite(payload, field)
-        else:
-            qd = _regular_quotient(payload, args.regularize)
-            if qd is None:
-                return EXIT_REGULARITY
-            outcomes = run_action_suite(qd, field)
+        qd = _regular_quotient(payload, args.regularize)
+        if qd is None:
+            return EXIT_REGULARITY
+        outcomes = run_action_suite(qd, field)
 
     ok = all(o.ok for o in outcomes)
     if args.output_format == "json":
@@ -326,8 +304,8 @@ def run(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as exc:
-        # An internal self-check failed: a negative Betti number, an SNF
-        # self-check or a rank certificate.
+        # An internal self-check failed: a negative Betti number, the
+        # composition check, an SNF self-check or its divisibility chain.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

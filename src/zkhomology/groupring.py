@@ -5,9 +5,9 @@ over its nonzero coefficients; multiplication is cyclic convolution.  The
 representation rho sends alpha^c to the k x k matrix of the regular
 representation (the transpose of the circulant matrix of the coefficient
 vector), so rho(w)[i][j] = a_{(i-j) mod k}.  `rho_extend` applies it entry
-by entry, for the rank certificate on a residual core (`ring_snf`) and on a
-whole G-boundary (`verify`); its images are sparse rows over F[Z_1], which
-`ring_snf.sparse_rank` ranks.
+by entry, for `verify`'s rank certificate on a whole G-boundary and its
+expansion lemma; its images are sparse rows over F[Z_1], which
+`ring_snf.sparse_rank` ranks.  The production path never calls it.
 """
 
 

@@ -195,17 +195,18 @@ class TestHomology:
         assert cli.run(["homology", f, "--mode", "both", "--field", "Fp:2"]) == 0
         assert "MATCH" in capsys.readouterr().out
 
-    def test_internal_self_check_failure_exit_four(self, path_file, monkeypatch,
-                                                   capsys):
-        # A rank certificate that cannot hold: the expanded rank is off by one.
+    def test_a_sparse_rank_fault_leaves_homology_unchanged(self, path_file, monkeypatch,
+                                                           capsys):
+        # An expanded rank off by one fails verify's certificate, but homology
+        # ranks nothing over F: its exit code and output stay as they are.
+        # Its internal self-checks exit 4 (the broken chain below).
+        argv = ["homology", path_file, "--field", "Q"]
+        assert cli.run(argv) == 0
+        before = capsys.readouterr()
         original = ring_snf.sparse_rank
         monkeypatch.setattr(ring_snf, "sparse_rank", lambda M: original(M) + 1)
-        assert cli.run(["homology", path_file, "--field", "Q"]) == 4
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.splitlines() == [
-            "error: rank certificate failed: SNF predicts 2, "
-            "expanded matrix has rank 3"]
+        assert cli.run(argv) == 0
+        assert capsys.readouterr() == before
 
     def test_broken_chain_after_the_unit_lifts_exit_four(self, tmp_path, monkeypatch,
                                                          capsys):
@@ -496,32 +497,43 @@ class TestVerify:
 
     def test_homology_never_expands_upstairs(self, tmp_path, corpus_actions,
                                              monkeypatch, capsys):
-        # rho_extend runs on the homology path only inside the rank
-        # certificate, on the residual core: never on a whole G-boundary
+        # homology neither expands a matrix to rho nor ranks one over F: on
+        # the 9x3 torus, on its triple, and on one edge fixed by all of
+        # Z_K, whose core has full isotropy.  verify runs both.
         runs, before = self._compressed_runs(tmp_path, corpus_actions, capsys)
-        tri = build_triple(corpus_actions["torus9x3_rot3"])
-        expanded = []
+        edge = _write(tmp_path, "edge.json",
+                      {"k": 10**4, "simplices": [[0, 1]], "generator": [0, 1]})
+        for field in ("Q", "Fp:2", "Fp:3"):
+            runs.append(["homology", edge, "--mode", "compressed", "--field", field])
+            assert cli.run(runs[-1]) == 0
+            before.append(capsys.readouterr().out)
+        calls = []
 
-        def spy(M):
-            expanded.append(M)
-            return rho_extend(M)
+        def spy(name, original):
+            def called(M):
+                calls.append(name)
+                return original(M)
+            return called
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "zkhomology" and hasattr(module, "rho_extend"):
-                monkeypatch.setattr(module, "rho_extend", spy)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "zkhomology":
+                for name in ("rho_extend", "sparse_rank"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         for argv, want in zip(runs, before):
             assert cli.run(argv) == 0
             assert capsys.readouterr().out == want
         assert "compressed betti: [1, 2, 1]" in before[0]
-        whole = [g_boundary_matrix(tri, d, F) for d in (1, 2) for F in (QQ, GF(2), GF(3))]
-        assert expanded and not any(M == G for M in expanded for G in whole)
-        assert all(M.rows < G.rows or M.cols < G.cols for M in expanded
-                   for G in whole if G.field == M.field and G.k == M.k)
+        assert "compressed betti: [1, 0]" in before[-1]
+        assert calls == []
+        triple = runs[3][1]
+        assert cli.run(["verify", triple]) == 0
+        assert {"rho_extend", "sparse_rank"} <= set(calls)
 
     def test_compressed_route_builds_no_dense_matrix(self, tmp_path, corpus_actions,
                                                      monkeypatch, capsys):
-        # the certificate ranks the core's expansion as sparse rows: no
-        # FieldMatrix is built and the dense field_rank is never called
+        # no FieldMatrix is built and the dense field_rank is never called;
+        # rho_extend, which verify's certificate ranks, writes sparse rows
         runs, before = self._compressed_runs(tmp_path, corpus_actions, capsys)
         act = corpus_actions["torus9x3_rot3"]
         qd = quotient(act)

@@ -27,6 +27,7 @@ from zkhomology.errors import DimensionError, InvalidGeneratorError
 from zkhomology import pipeline
 from zkhomology.exact import GF, QQ, RationalField, field_rank
 from zkhomology.groupring import GroupRingMatrix, rho_extend
+from zkhomology.jsonio import parse_input, triple_to_dict
 from zkhomology.ring_snf import snf_over_R
 from zkhomology.pipeline import (
     _composes_to_zero,
@@ -353,20 +354,19 @@ def _imports(module):
 def test_production_path_does_not_import_the_upstairs_model():
     # pipeline and ring_snf compute from a triple alone: they never reach
     # the action, the transfer construction or the lemma checks, and never
-    # expand a matrix to its mk x nk circulant image (ring_snf's certificate
-    # expands the residual core C only).  Neither they nor groupring build a
-    # dense matrix, and the checks write and rank sparse rows too: the dense
+    # expand a matrix, whole or in part, to its circulant image (that is
+    # verify's certificate).  Neither they nor groupring build a dense
+    # matrix, and the checks write and rank sparse rows too: the dense
     # matrices and their rank serve the direct oracle only, which the checks
     # reach through betti_direct.
     import zkhomology
     for module in ("pipeline.py", "ring_snf.py"):
         imported, names = _imports(module)
         assert not imported & {"actions", "transfer", "checks"}, module
-    assert "rho_extend" not in _imports("pipeline.py")[1]
-    tree = ast.parse((Path(zkhomology.__file__).parent / "ring_snf.py").read_text())
-    expanded = [ast.unparse(node.args[0]) for node in ast.walk(tree)
-                if isinstance(node, ast.Call) and ast.unparse(node.func) == "rho_extend"]
-    assert expanded == ["C"]
+        assert "rho_extend" not in names, module
+        tree = ast.parse((Path(zkhomology.__file__).parent / module).read_text())
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and "rho_extend" in ast.unparse(node.func)], module
     for module in ("pipeline.py", "ring_snf.py", "groupring.py"):
         assert not _imports(module)[1] & {"FieldMatrix", "field_rank"}, module
     assert not _imports("checks.py")[1] & {"FieldMatrix", "field_rank", "boundary_matrix"}
@@ -822,7 +822,7 @@ def test_each_suite_computes_the_lex_min_betti_numbers_once(corpus_actions,
     # lift independence, ordering independence and the oracle comparison
     # share one compressed run of the action suite's lex-min triple; the
     # triple suite shares one between ordering independence and
-    # compressed-betti-computable
+    # compressed-betti-computable, also when that run fails
     unordered = []   # the triples run in their own order
     original = checks.compressed_betti
 
@@ -845,6 +845,38 @@ def test_each_suite_computes_the_lex_min_betti_numbers_once(corpus_actions,
         outcomes = checks.run_triple_suite(tri_min, field)
         assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
         assert len(unordered) == 1 and unordered[0] is tri_min
+    # with its first T* set shifted the triple is still one, but its
+    # G-boundaries no longer compose to zero
+    body = triple_to_dict(tri_min)
+    tstar = body["triple"]["Tstar"]
+    first = next(iter(tstar))
+    tstar[first] = sorted((c + 1) % body["k"] for c in tstar[first])
+    shifted = parse_input(body)[1]
+    unordered.clear()
+    failed = {o.name: o.detail for o in checks.run_triple_suite(shifted, QQ) if not o.ok}
+    error = ("composition check failed at d=2: the G-boundaries d=1 and d=2 "
+             "do not compose to zero")
+    assert failed["ordering-independence"] == error
+    assert failed["compressed-betti-computable"] == f"Q: {error}"
+    assert unordered == [shifted]
+
+
+def test_a_failing_smith_form_runs_once(corpus_actions, monkeypatch):
+    # rank reconstruction and the SNF certificate share the lex-min Smith
+    # form of each dimension, failed or not
+    reduced = []
+
+    def failing(M):
+        reduced.append(M)
+        raise ArithmeticError("boom")
+
+    monkeypatch.setattr(checks, "snf_over_R", failing)
+    outcomes = {o.name: o for o in checks.run_action_suite(
+        quotient(corpus_actions["torus9x3_rot3"]), F3)}
+    assert outcomes["rank-reconstruction"].line() == "FAIL rank-reconstruction: boom"
+    assert outcomes["snf-divisibility-and-certificate"].line() == (
+        "FAIL snf-divisibility-and-certificate: Fp:3 d=1: boom")
+    assert len(reduced) == 1
 
 
 def test_each_suite_names_its_checks_apart(corpus_actions, monkeypatch):

@@ -287,8 +287,8 @@ def _fixed_apex_cone_boundary(k=3, spacing=3):
 @example(_residual_without_rows())
 @example(_fixed_apex_cone_boundary())
 def test_residual_expansion_keeps_the_upstairs_rank(M):
-    # rank_F rho(M) = k p + rank_F rho(C) for the core C of the residual:
-    # the downstairs certificate checks what the full mk x nk one would
+    # rank_F rho(M) = k p + rank_F rho(C) for the core C of the residual,
+    # and the lifts predict it: verify's mk x nk certificate holds
     pivots, core, shape = _unit_pivot_reduce(M)
     assert shape == (M.rows - pivots, M.cols - pivots)
     full = field_rank(dense(rho_extend(M)))
