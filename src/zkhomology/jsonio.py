@@ -111,8 +111,13 @@ def _parse_triple(k, body):
         Y = build_complex(quotient)
     except InvalidSimplexError as exc:
         raise InputFormatError(f"bad quotient simplex: {exc}") from None
-    # A coface key recurs once per face: parse each distinct text once.
-    parse_key = cache(parse_simplex_key)
+    # Keys are read against the quotient's own; only other text is parsed,
+    # for its error or for the checks that follow.
+    keyed = {simplex_key(s): s for s in Y.all_simplices()}
+
+    def parse_key(text):
+        return keyed.get(text) or parse_simplex_key(text)
+
     _require(isinstance(S_body, dict), '"S" must be an object')
     S, subgroup = {}, cache(Subgroup)       # one Subgroup per order
     for key, order in S_body.items():

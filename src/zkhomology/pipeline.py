@@ -13,10 +13,9 @@ boundaries, the isotropy expansion) lives in `checks`.
 from math import gcd
 
 from .errors import DimensionError, InvalidGeneratorError
-from .simplicial import faces
 from .groupring import GroupRingMatrix
 from .records import record
-from .ring_snf import snf_over_R
+from .ring_snf import _smith_diagonal
 
 
 def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
@@ -40,14 +39,17 @@ def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
     rows, cols = (given.get(e) or Y.simplices(e) for e in (d - 1, d))
     g_inv = pow(generator_exponent, -1, k)
     sign = (1, field.neg(1))
-    row_pos = {s: i for i, s in enumerate(rows)}
+    # in lexicographic order a row's position is its index in the quotient
+    row_pos = {s: i for i, s in enumerate(rows)} if d - 1 in given else Y._index
+    Tstar = triple.Tstar
     entries = {i: {} for i in range(len(rows))}
     for j, psi in enumerate(cols):
-        for t, omega in faces(psi):
-            hits = triple.Tstar.get((psi, omega))
+        for t in range(d + 1):
+            omega = psi[:t] + psi[t + 1:]
+            hits = Tstar.get((psi, omega))
             if hits:
                 entries[row_pos[omega]][j] = dict.fromkeys(
-                    [c * g_inv % k for c in hits], sign[t % 2])
+                    hits if g_inv == 1 else [c * g_inv % k for c in hits], sign[t % 2])
     return GroupRingMatrix(field, k, len(rows), len(cols), entries)
 
 
@@ -119,15 +121,19 @@ def compressed_result(triple, field, generator_exponent=1, orders=None,
     dims = [triple.chain_dim(d) for d in range(Y.dim + 1)]
     ranks = [0] * (Y.dim + 2)
     lifts = [()] * (Y.dim + 1)
+    # M_d is reduced in its own rows once it has been checked to compose to
+    # zero with M_(d-1) and M_(d+1)
     prev = None
-    for d in range(1, Y.dim + 1):
-        M = g_boundary_matrix(triple, d, field, orders, generator_exponent)
-        if prev is not None and not _composes_to_zero(prev, M):
+    for d in range(1, Y.dim + 2):
+        M = g_boundary_matrix(triple, d, field, orders, generator_exponent) if d <= Y.dim else None
+        if prev is not None and M is not None and not _composes_to_zero(prev, M):
             raise ArithmeticError(f"composition check failed at d={d}: the G-boundaries "
                                   f"d={d - 1} and d={d} do not compose to zero")
-        prev, snf = M, snf_over_R(M)
-        ranks[d] = snf.rank_sum()
-        lifts[d] = tuple(snf.lift_strings())
+        if prev is not None:
+            snf = _smith_diagonal(prev, prev.entries)
+            ranks[d - 1] = snf.rank_sum()
+            lifts[d - 1] = tuple(snf.lift_strings())
+        prev = M
     reports = []
     for d in range(Y.dim + 1):
         b = dims[d] - ranks[d] - ranks[d + 1]

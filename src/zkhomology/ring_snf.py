@@ -28,11 +28,14 @@ Together: coker M = coker S over R, and an m-generator presentation of it
 has the invariant factors 1^p followed by the m-p of S.  So the first
 min(m, n) = p + min(m-p, n-p) lifts are 1 per pivot, then gcd(d_i, q) for
 i < min(a, b) on the a x b core, then q once per zero line until there are
-min(m, n): a zero entry of R lifts to q.  No transform is kept.  Every call
-checks the divisibility chain on the lifts after the 1s (1 divides
-anything) and expands nothing to rho: that the lifts predict rank_F rho(M)
-is `verify`'s certificate, ranked by the same unit elimination with k = 1
-(`sparse_rank`: over a field every nonzero entry is a unit).
+min(m, n): a zero entry of R lifts to q.  No transform is kept, and no copy
+on the production path: `pipeline` reduces each G-boundary in its own
+rows, while `snf_over_R` works on a copy and leaves its argument unchanged.
+Every call checks the divisibility chain on the lifts after the 1s (1
+divides anything) and expands nothing to rho: that the lifts predict
+rank_F rho(M) is `verify`'s certificate, ranked by the same unit
+elimination with k = 1 (`sparse_rank`: over a field every nonzero entry is
+a unit).
 """
 
 from functools import reduce
@@ -66,13 +69,18 @@ def _eliminate_units(field, k, rows):
     coefficient}}}, in place: least Markowitz cost first, then least row,
     then least column.  Returns the pivots (row, column) in order.
 
-    The rows of each column are kept up to date.  For every monomial entry
-    the heap holds a key (cost, row, column) no larger than its current one,
-    and `live` names one such cost still on the heap.  A key is pushed only
-    when an entry's cost falls below its live one or it has none, and a
-    popped key whose cost has risen since is pushed again at the new cost.
-    So the first popped key that still holds is the least one, as a rescan
-    would find."""
+    The rows of each column are kept up to date.  Heap invariant: for every
+    monomial entry the heap holds a key (cost, row, column) no larger than
+    its current one, and `live` names one such cost still on the heap.  A
+    pivot changes the cost (r-1)(c-1) only in the rows it updates and the
+    columns of the pivot row, and makes monomials only where it writes, so
+    it pushes a key only where one can fall: at the monomial entries of the
+    rows that shrank and of the columns whose row count fell, and at the
+    entries it left as a monomial (new fill, or a cancelled term), each when
+    its cost is below its live one or it has none.  Any other key can only
+    have risen, and a popped key whose cost rose is pushed again at the new
+    cost.  So the first popped key that still holds is the least one, as a
+    rescan would find."""
     p = field.char
     col_rows = {}
     for i, r in rows.items():
@@ -83,6 +91,12 @@ def _eliminate_units(field, k, rows):
     heap = [(key, i, j) for (i, j), key in live.items()]
     heapify(heap)
     pivots = []
+
+    def push(i, j, key):
+        if live.get((i, j), key + 1) > key:
+            live[i, j] = key
+            heappush(heap, (key, i, j))
+
     # rows with an entry: once there are none, every key left is stale
     left = sum(1 for r in rows.values() if r)
     while heap and left:
@@ -95,10 +109,7 @@ def _eliminate_units(field, k, rows):
             continue
         cost = (len(r) - 1) * (len(col_rows[pj]) - 1)
         if cost != key:
-            # the key went up since it was pushed: push the new one
-            if live.get(cell, cost + 1) > cost:
-                live[cell] = cost
-                heappush(heap, (cost, pi, pj))
+            push(pi, pj, cost)      # the key went up since it was pushed
             continue
         prow = rows.pop(pi)
         left -= 1
@@ -107,9 +118,10 @@ def _eliminate_units(field, k, rows):
         pivots.append((pi, pj))
         touched = col_rows.pop(pj)
         touched.discard(pi)
+        counts = {j: len(col_rows[j]) for j in prow}
         for j in prow:
             col_rows[j].discard(pi)
-        shrunk = []
+        shrunk, fresh = [], []
         for i in touched:
             r = rows[i]
             before = len(r)
@@ -120,6 +132,7 @@ def _eliminate_units(field, k, rows):
                 if out is None:
                     out = r[j] = {}
                     col_rows[j].add(i)
+                terms = len(out)
                 for s, fs in f:
                     for t, bt in b.items():
                         u = (s + t) % k
@@ -133,28 +146,25 @@ def _eliminate_units(field, k, rows):
                 if not out:
                     del r[j]
                     col_rows[j].discard(i)
+                elif len(out) == 1 != terms:
+                    fresh.append((i, j))
             if len(r) < before:
                 shrunk.append(i)
                 left -= not r
-        # a key (r-1)(c-1) falls only in a row that got shorter or in a
-        # column of the pivot row; push the keys that fell
         for i in shrunk:
             r = rows[i]
             ri = len(r) - 1
             for j, w in r.items():
                 if len(w) == 1:
-                    key = ri * (len(col_rows[j]) - 1)
-                    if live.get((i, j), key + 1) > key:
-                        live[i, j] = key
-                        heappush(heap, (key, i, j))
-        for j in prow:
-            n = len(col_rows[j]) - 1
-            for i in col_rows[j]:
-                if len(rows[i][j]) == 1:
-                    key = (len(rows[i]) - 1) * n
-                    if live.get((i, j), key + 1) > key:
-                        live[i, j] = key
-                        heappush(heap, (key, i, j))
+                    push(i, j, ri * (len(col_rows[j]) - 1))
+        for j, n in counts.items():
+            c = col_rows[j]
+            if len(c) < n:
+                for i in c:
+                    if len(rows[i][j]) == 1:
+                        push(i, j, (len(rows[i]) - 1) * (len(c) - 1))
+        for i, j in fresh:
+            push(i, j, (len(rows[i]) - 1) * (len(col_rows[j]) - 1))
     return pivots
 
 
@@ -164,11 +174,13 @@ def sparse_rank(M):
     return len(_eliminate_units(M.field, 1, M.sparse_rows()))
 
 
-def _unit_pivot_reduce(M):
-    """Eliminate monomial pivots from a copy of M's sparse rows.  Returns the
-    pivot count p, the residual's core (its nonzero rows and columns in order,
-    renumbered from 0) and shape (m-p, n-p)."""
-    field, k, rows = M.field, M.k, M.sparse_rows()
+def _unit_pivot_reduce(M, rows=None):
+    """Eliminate monomial pivots from `rows`, M's sparse rows, in place: a
+    copy of them unless given.  Returns the pivot count p, the residual's
+    core (its nonzero rows and columns in order, renumbered from 0, sharing
+    their entries with `rows`) and shape (m-p, n-p)."""
+    field, k = M.field, M.k
+    rows = M.sparse_rows() if rows is None else rows
     p = len(_eliminate_units(field, k, rows))
     core_rows = [r for _, r in sorted(rows.items()) if r]
     col_at = {j: b for b, j in enumerate(sorted({j for r in core_rows for j in r}))}
@@ -179,10 +191,17 @@ def _unit_pivot_reduce(M):
 def snf_over_R(M):
     """Smith normal form diagonal of a GroupRingMatrix: 1 for each of the p
     unit pivots, then the lifts of the residual's core C and x^k - 1 for
-    each zero line, checked to divide each the next."""
+    each zero line, checked to divide each the next.  M is left unchanged:
+    the pivots are eliminated from a copy of its rows."""
+    return _smith_diagonal(M, M.sparse_rows())
+
+
+def _smith_diagonal(M, rows):
+    """snf_over_R(M) on `rows`, M's sparse rows or a copy of them, reduced
+    in place: given M's own entries, M is spent."""
     field, k = M.field, M.k
     q = Poly.x_pow_minus_one(field, k)
-    pivots, C, (m, n) = _unit_pivot_reduce(M)
+    pivots, C, (m, n) = _unit_pivot_reduce(M, rows)
     zero = Poly.zero(field)
     core = [[Poly._adopt(field, [w.get(e, 0) for e in range(max(w) + 1)]) if w else zero
              for w in map(C.entries[a].get, range(C.cols))] for a in range(C.rows)]

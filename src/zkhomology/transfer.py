@@ -148,7 +148,9 @@ def check_axioms(triple):
     left, g in S(psi3), is checked on codimension-2 squares only: two
     descents from psi1 to psi3 differ by swaps of adjacent drops, each
     swap changes the sum by a square's g, and the group of that square's
-    bottom face embeds into S(psi3).
+    bottom face embeds into S(psi3).  Of those squares only the ones where
+    psi3 drops a vertex of psi2 at or after the position psi2 dropped from
+    psi1 are read: otherwise mid is psi2 itself and g is 0.
     """
     Y, k, S = triple.quotient, triple.k, triple.S
     e = {pair: min(hits) for pair, hits in triple.Tstar.items() if hits}
@@ -160,10 +162,9 @@ def check_axioms(triple):
             e1 = [e[(psi1, mid)] for mid in drops]
             for a in range(d, -1, -1):
                 psi2 = drops[a]
-                for b in range(d - 1, -1, -1):
+                for b in range(d - 1, a - 1, -1):      # b < a: g = 0
                     psi3 = psi2[:b] + psi2[b + 1:]
-                    j = a if b < a else b + 1
-                    g = (e[(psi2, psi3)] + e1[a] - e1[j] - e[(drops[j], psi3)]) % k
+                    g = (e[(psi2, psi3)] + e1[a] - e1[b + 1] - e[(drops[b + 1], psi3)]) % k
                     if g % (k // S[psi3].order) != 0:
                         raise AxiomError(f"2-morphism of ({psi1},{psi2},{psi3}) has exponent "
                                          f"{g} outside the group of {psi3}",

@@ -1,10 +1,13 @@
 """Matrices over F[Z_k] written as grids of coefficient tuples (exponent 0
-first), and the products the tests compute for themselves."""
+first), the products the tests compute for themselves, and the lens covers
+whose G-boundaries fill in heavily."""
 
 from functools import reduce
 
+from zkhomology.actions import induced_subdivision_action, validate_action
 from zkhomology.exact import FieldMatrix
 from zkhomology.groupring import GroupRingMatrix
+from zkhomology.simplicial import build_complex
 
 
 def ring_matrix(field, k, grid, cols=0):
@@ -77,3 +80,13 @@ def field_product(A, B):
     return FieldMatrix(F, A.rows, B.cols, [
         [reduce(F.add, (F.mul(a, B.data[t][j]) for t, a in enumerate(row)), F.zero())
          for j in range(B.cols)] for row in A.data])
+
+
+def lens_cover(k, s):
+    """S^3 = C_n * C_n, n = k s, under a_i -> a_(i+s), b_j -> b_(j+s),
+    subdivided once: for s >= 2 a regular Z_k action whose quotient is the
+    lens space L(k, 1).  Vertex a_i is i and b_j is n + j."""
+    n = k * s
+    tets = [{i, (i + 1) % n, n + j, n + (j + 1) % n} for i in range(n) for j in range(n)]
+    perm = [(i + s) % n for i in range(n)] + [n + (j + s) % n for j in range(n)]
+    return induced_subdivision_action(validate_action(build_complex(tets), perm, k))

@@ -1,5 +1,6 @@
 import ast
 import random
+from copy import deepcopy
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -544,12 +545,34 @@ class TestCompressedRank:
         coerce = RationalField.coerce
         monkeypatch.setattr(RationalField, "coerce",
                             lambda self, v: coerced.append(v) or coerce(self, v))
-        monkeypatch.setattr(pipeline, "snf_over_R",
-                            lambda M: lifts.append(snf_over_R(M)) or lifts[-1])
+        smith = pipeline._smith_diagonal
+        monkeypatch.setattr(pipeline, "_smith_diagonal",
+                            lambda M, rows: lifts.append(smith(M, rows)) or lifts[-1])
         for tri in triples:
             compressed_result(tri, QQ)
         assert coerced == []
         assert lifts and {type(c) for snf in lifts for f in snf.lifts for c in f.coeffs} == {int}
+
+    def test_g_boundaries_are_reduced_in_their_own_rows(self, monkeypatch):
+        # compressed_result copies no G-boundary, while snf_over_R leaves
+        # the matrix it is given unchanged: the 12x3 torus at k=3, a triple
+        # of the triple ladder
+        tris, perm = _grid_torus(12, 4)
+        tri = build_triple(validate_action(build_complex(tris), perm, 3))
+        copies = []
+        sparse_rows = GroupRingMatrix.sparse_rows
+        monkeypatch.setattr(GroupRingMatrix, "sparse_rows",
+                            lambda M: copies.append(M) or sparse_rows(M))
+        for field in (QQ, F2, F3):
+            compressed_result(tri, field)
+        assert copies == []
+        monkeypatch.undo()
+        for field in (QQ, F2, F3):
+            for d in (1, 2):
+                M = g_boundary_matrix(tri, d, field)
+                before = deepcopy(M.entries)
+                snf_over_R(M)
+                assert M.entries == before
 
 
 class TestCompressedBetti:

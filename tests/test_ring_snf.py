@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from math import gcd
 from unittest import mock
 
@@ -20,7 +20,7 @@ from zkhomology.ring_snf import _eliminate_units, _unit_pivot_reduce, snf_over_R
 from zkhomology.simplicial import build_complex
 from zkhomology.transfer import build_triple
 
-from grids import add, convolve, dense, ring_matrix, tuples
+from grids import add, convolve, dense, lens_cover, ring_matrix, tuples
 from test_random_families import _grid_torus
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -442,13 +442,22 @@ def test_incremental_selection_matches_rescanning(M):
     _assert_same_elimination(M)
 
 
+@cache
+def _lens_triple(k, s):
+    return build_triple(lens_cover(k, s))
+
+
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "F2"])
-@pytest.mark.parametrize("r", [4, 8])
-def test_incremental_selection_matches_rescanning_on_long_tori(field, r):
+@pytest.mark.parametrize("build", [partial(_torus_triple, 3, 4), partial(_torus_triple, 3, 8),
+                                   partial(_lens_triple, 2, 2)], ids=["4", "8", "lens"])
+def test_incremental_selection_matches_rescanning_on_long_tori(field, build):
     # (3r)x3 tori at k=3: r-1 pivots per column block and a residual that
-    # fills in, so keys go stale and are pushed again many times
-    for d in (1, 2):
-        _assert_same_elimination(g_boundary_matrix(_torus_triple(3, r), d, field))
+    # fills in, so keys go stale and are pushed again many times; and the
+    # lens cover at (k, s) = (2, 2), G-boundaries 40x232, 232x384 and
+    # 384x192 with 39, 192 and 191 pivots, where fill-in is heavy
+    triple = build()
+    for d in range(1, triple.quotient.dim + 1):
+        _assert_same_elimination(g_boundary_matrix(triple, d, field))
 
 
 def _non_monomial(draw, field, k):

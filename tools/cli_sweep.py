@@ -8,10 +8,11 @@ when the action is not regular) and three tampered copies of that triple
 into a temporary directory, and runs, in this process and on every file:
 `check`; `homology` in each mode, format and lift; and `verify` as a
 table, as JSON and with `--regularize`; `homology` and `verify` over Q,
-F2, F3 and F5.  It prints the number of runs and one sha256 over the
-argv, exit code, stdout and stderr of every run, in order.  Two checkouts
-that print the same line answer every one of these runs byte for byte
-alike.  Standard library only.
+F2, F3 and F5; and `homology` as JSON with `--generator` set to each
+exponent coprime to k, over each field.  It prints the number of runs and
+one sha256 over the argv, exit code, stdout and stderr of every run, in
+order.  Two checkouts that print the same line answer every one of these
+runs byte for byte alike.  Standard library only.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ import json
 import os
 import sys
 import tempfile
+from math import gcd
 
 FIELDS = ("Q", "Fp:2", "Fp:3", "Fp:5")
 
@@ -41,7 +43,7 @@ def _tampered(body):
 
 def write_inputs(directory):
     """Write the sweep's input files into `directory`; returns the action
-    files and the triple files, as names relative to it."""
+    files and the triple files, as names relative to it, and the k of each."""
     from zkhomology import actions, corpus, jsonio, transfer
 
     documents, action_files, triple_files = {}, [], []
@@ -61,10 +63,11 @@ def write_inputs(directory):
     for file_name, document in documents.items():
         with open(os.path.join(directory, file_name), "w", encoding="utf-8") as fh:
             json.dump(document, fh)
-    return action_files, triple_files
+    ks = {name: document["k"] for name, document in documents.items()}
+    return action_files, triple_files, ks
 
 
-def argvs(action_files, triple_files):
+def argvs(action_files, triple_files, ks):
     """Every command line of the sweep, in order."""
     for f in action_files + triple_files:
         yield ["check", f]
@@ -77,6 +80,11 @@ def argvs(action_files, triple_files):
             yield ["verify", f, "--field", field]
             yield ["verify", f, "--field", field, "--format", "json"]
             yield ["verify", f, "--field", field, "--regularize"]
+        for c in range(1, ks[f] + 1):
+            if gcd(c, ks[f]) == 1:
+                for field in FIELDS:
+                    yield ["homology", f, "--field", field, "--format", "json",
+                           "--generator", str(c)]
 
 
 def run_one(cli, argv):
