@@ -5,9 +5,10 @@ of R.  Subtracting a_ij u^-1 times the pivot row p from every other row i
 clears u's column j; column operations then clear row p, and scaling by
 u^-1 makes the pivot 1.  These steps are unimodular over R, so
 M ~ diag(1, S), S the updated matrix less row p and column j (the Schur
-complement).  Repeating while a monomial entry is left, least Markowitz
-cost (r-1)(c-1) first to limit fill-in, gives M ~ diag(1^p, S) for a
-residual S of shape (m-p) x (n-p); a matrix without one is its own residual.
+complement).  Repeating while a monomial entry is left, taking entries of
+low Markowitz cost (r-1)(c-1) first to limit fill-in, gives
+M ~ diag(1^p, S) for a residual S of shape (m-p) x (n-p); a matrix without
+one is its own residual.
 Coefficients follow the plain convention of `exact`: a pivot +-1 over Q is
 its own inverse, so only a pivot of another value brings in Fractions.
 
@@ -66,65 +67,47 @@ class SnfDiagonal(record("SnfDiagonal", "lifts k")):
 
 def _eliminate_units(field, k, rows):
     """Eliminate monomial pivots from `rows`, {row: {column: {exponent:
-    coefficient}}}, in place: least Markowitz cost first, then least row,
-    then least column.  Returns the pivots (row, column) in order.
+    coefficient}}}, in place, and return the pivots (row, column) in order.
 
-    The rows of each column are kept up to date.  Heap invariant: for every
-    monomial entry the heap holds a key (cost, row, column) no larger than
-    its current one, and `live` names one such cost still on the heap.  A
-    pivot changes the cost (r-1)(c-1) only in the rows it updates and the
-    columns of the pivot row, and makes monomials only where it writes, so
-    it pushes a key only where one can fall: at the monomial entries of the
-    rows that shrank and of the columns whose row count fell, and at the
-    entries it left as a monomial (new fill, or a cancelled term), each when
-    its cost is below its live one or it has none.  Any other key can only
-    have risen, and a popped key whose cost rose is pushed again at the new
-    cost.  So the first popped key that still holds is the least one, as a
-    rescan would find."""
+    One lazy heap of keys (cost, row, column), cost the Markowitz count
+    (r-1)(c-1), picks the pivots.  A key is pushed for every monomial entry
+    at the start, and once each pivot's update is done, for every entry it
+    left as a monomial.  A popped key is skipped if its entry is gone or no
+    longer a monomial, pushed again at the new cost if the cost rose, and
+    otherwise names the next pivot.  So every monomial entry keeps a key
+    until it is a pivot or is rewritten, and a rewrite that leaves a
+    monomial pushes one: the loop ends with no monomial entry left.  The
+    order is near the least cost, not exactly it; the Smith form does not
+    depend on it."""
     p = field.char
     col_rows = {}
     for i, r in rows.items():
         for j in r:
             col_rows.setdefault(j, set()).add(i)
-    live = {(i, j): (len(r) - 1) * (len(col_rows[j]) - 1)
-            for i, r in rows.items() for j, w in r.items() if len(w) == 1}
-    heap = [(key, i, j) for (i, j), key in live.items()]
+    heap = [((len(r) - 1) * (len(col_rows[j]) - 1), i, j)
+            for i, r in rows.items() for j, w in r.items() if len(w) == 1]
     heapify(heap)
     pivots = []
-
-    def push(i, j, key):
-        if live.get((i, j), key + 1) > key:
-            live[i, j] = key
-            heappush(heap, (key, i, j))
-
-    # rows with an entry: once there are none, every key left is stale
-    left = sum(1 for r in rows.values() if r)
-    while heap and left:
+    while heap:
         key, pi, pj = heappop(heap)
-        cell = (pi, pj)
-        if live.get(cell) == key:
-            del live[cell]
         r = rows.get(pi)
         if r is None or len(r.get(pj, ())) != 1:
             continue
         cost = (len(r) - 1) * (len(col_rows[pj]) - 1)
-        if cost != key:
-            push(pi, pj, cost)      # the key went up since it was pushed
+        if cost > key:
+            heappush(heap, (cost, pi, pj))
             continue
         prow = rows.pop(pi)
-        left -= 1
         ((e, c),) = prow.pop(pj).items()
         inv = _inverse(p, c)
         pivots.append((pi, pj))
         touched = col_rows.pop(pj)
         touched.discard(pi)
-        counts = {j: len(col_rows[j]) for j in prow}
         for j in prow:
             col_rows[j].discard(pi)
-        shrunk, fresh = [], []
+        fresh = []
         for i in touched:
             r = rows[i]
-            before = len(r)
             # row -= a u^-1 row_p, with a u^-1 = c^-1 x^-e a
             f = [((t - e) % k, a * inv) for t, a in r.pop(pj).items()]
             for j, b in prow.items():
@@ -132,7 +115,6 @@ def _eliminate_units(field, k, rows):
                 if out is None:
                     out = r[j] = {}
                     col_rows[j].add(i)
-                terms = len(out)
                 for s, fs in f:
                     for t, bt in b.items():
                         u = (s + t) % k
@@ -146,25 +128,10 @@ def _eliminate_units(field, k, rows):
                 if not out:
                     del r[j]
                     col_rows[j].discard(i)
-                elif len(out) == 1 != terms:
+                elif len(out) == 1:
                     fresh.append((i, j))
-            if len(r) < before:
-                shrunk.append(i)
-                left -= not r
-        for i in shrunk:
-            r = rows[i]
-            ri = len(r) - 1
-            for j, w in r.items():
-                if len(w) == 1:
-                    push(i, j, ri * (len(col_rows[j]) - 1))
-        for j, n in counts.items():
-            c = col_rows[j]
-            if len(c) < n:
-                for i in c:
-                    if len(rows[i][j]) == 1:
-                        push(i, j, (len(rows[i]) - 1) * (len(c) - 1))
         for i, j in fresh:
-            push(i, j, (len(rows[i]) - 1) * (len(col_rows[j]) - 1))
+            heappush(heap, ((len(rows[i]) - 1) * (len(col_rows[j]) - 1), i, j))
     return pivots
 
 

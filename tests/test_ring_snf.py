@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from functools import cache, partial
 from math import gcd
 from unittest import mock
@@ -363,24 +362,17 @@ def test_zero_lines_only_pad_the_chain(pair):
     assert lifts == short + (q,) * (min(padded.rows, padded.cols) - len(short))
 
 
-def _rescanning_eliminate(field, k, rows):
-    """The unit-pivot elimination that rescans every row for the monomial
-    entries and the column counts before each pivot, O(pivots * nnz): the
-    selection used before both were kept up to date, kept as an oracle.
-    Same contract as _eliminate_units."""
+def _replay_pivots(field, k, rows, pivots):
+    """Apply `pivots`, in order, to `rows` with the naive update that visits
+    every row per pivot, O(pivots * nnz), asserting that each pivot is a
+    monomial entry of a row still there when its turn comes."""
     p = field.char
     norm = (lambda v: v % p) if p else (lambda v: v)
-    pivots = []
-    while True:
-        units = [(i, j) for i, r in rows.items() for j, w in r.items() if len(w) == 1]
-        if not units:
-            return pivots
-        count = Counter(j for r in rows.values() for j in r)
-        _, pi, pj = min(((len(rows[i]) - 1) * (count[j] - 1), i, j) for i, j in units)
+    for pi, pj in pivots:
+        assert pi in rows and len(rows[pi].get(pj, ())) == 1
         prow = rows.pop(pi)
         ((e, c),) = prow.pop(pj).items()
         inv = field.inv(c)
-        pivots.append((pi, pj))
         for r in rows.values():
             if pj in r:
                 f = [((t - e) % k, a * inv) for t, a in r.pop(pj).items()]
@@ -414,8 +406,9 @@ def _torus_g_boundaries(draw):
 def _assert_same_elimination(M):
     rows, oracle = M.sparse_rows(), M.sparse_rows()
     pivots = _eliminate_units(M.field, M.k, rows)
-    assert pivots == _rescanning_eliminate(M.field, M.k, oracle)
+    _replay_pivots(M.field, M.k, oracle, pivots)
     assert rows == oracle
+    assert not any(len(w) == 1 for r in rows.values() for w in r.values())
     count, core, shape = _unit_pivot_reduce(M)
     assert count == len(pivots)
     assert shape == (M.rows - count, M.cols - count)
@@ -458,6 +451,28 @@ def test_incremental_selection_matches_rescanning_on_long_tori(field, build):
     triple = build()
     for d in range(1, triple.quotient.dim + 1):
         _assert_same_elimination(g_boundary_matrix(triple, d, field))
+
+
+_TORUS_COUNTS = [(8, (1, 6), 12), (17, (3, 1), 6)]
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "F2"])
+@pytest.mark.parametrize("build, counts", [
+    (partial(_torus_triple, 8, 3), _TORUS_COUNTS),
+    (partial(_torus_triple, 16, 3), _TORUS_COUNTS),
+    (partial(_torus_triple, 32, 3), _TORUS_COUNTS),
+    (partial(_lens_triple, 2, 2), [(39, (1, 58), 116), (192, (4, 18), 144), (191, (48, 1), 96)]),
+], ids=["torus-8", "torus-16", "torus-32", "lens"])
+def test_unit_pivot_counts_and_cores_hold_as_k_grows(field, build, counts):
+    # per dimension: unit pivots, core shape and core coefficient terms; on
+    # the fixed 3x3 torus quotient none of them grows with k
+    triple = build()
+    got = []
+    for d in range(1, triple.quotient.dim + 1):
+        pivots, core, _ = _unit_pivot_reduce(g_boundary_matrix(triple, d, field))
+        terms = sum(len(w) for r in core.entries.values() for w in r.values())
+        got.append((pivots, (core.rows, core.cols), terms))
+    assert got == counts
 
 
 def _non_monomial(draw, field, k):

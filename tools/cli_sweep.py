@@ -4,8 +4,11 @@
 
 Imports `zkhomology` from SRC_DIR (a checkout's `src/`), writes every
 corpus entry, the isotropy triple of each entry (of its double subdivision
-when the action is not regular) and three tampered copies of that triple
-into a temporary directory, and runs, in this process and on every file:
+when the action is not regular) and three tampered copies of that triple,
+and the triples of the lens covers (k, s) = (2, 2) and (3, 2), into a
+temporary directory.  A lens cover's unit pivots leave cores of several
+lines, so the pivot order shapes what the polynomial Smith form gets.  It
+runs, in this process and on every file:
 `check`; `homology` in each mode, format and lift; and `verify` as a
 table, as JSON and with `--regularize`; `homology` and `verify` over Q,
 F2, F3 and F5; and `homology` as JSON with `--generator` set to each
@@ -26,6 +29,7 @@ import tempfile
 from math import gcd
 
 FIELDS = ("Q", "Fp:2", "Fp:3", "Fp:5")
+LENS_COVERS = ((2, 2), (3, 2))
 
 
 def _tampered(body):
@@ -39,6 +43,18 @@ def _tampered(body):
     del dropped["triple"]["Tstar"][last]
     whole["triple"]["S"][list(body["triple"]["S"])[-1]] = k
     return {"shifted": shifted, "dropped": dropped, "whole": whole}
+
+
+def _lens_cover(k, s):
+    """S^3 = C_n * C_n, n = k s, under a_i -> a_(i+s), b_j -> b_(j+s),
+    subdivided once: a regular Z_k action whose quotient is L(k, 1)."""
+    from zkhomology import actions, simplicial
+
+    n = k * s
+    tets = [{i, (i + 1) % n, n + j, n + (j + 1) % n} for i in range(n) for j in range(n)]
+    perm = [(i + s) % n for i in range(n)] + [n + (j + s) % n for j in range(n)]
+    action = actions.validate_action(simplicial.build_complex(tets), perm, k)
+    return actions.induced_subdivision_action(action)
 
 
 def write_inputs(directory):
@@ -60,6 +76,10 @@ def write_inputs(directory):
         for how, damaged in _tampered(body).items():
             documents[f"{name}.triple.{how}.json"] = damaged
             triple_files.append(f"{name}.triple.{how}.json")
+    for k, s in LENS_COVERS:
+        name = f"lens_cover_{k}_{s}.triple.json"
+        documents[name] = jsonio.triple_to_dict(transfer.build_triple(_lens_cover(k, s)))
+        triple_files.append(name)
     for file_name, document in documents.items():
         with open(os.path.join(directory, file_name), "w", encoding="utf-8") as fh:
             json.dump(document, fh)
