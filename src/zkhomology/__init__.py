@@ -14,8 +14,8 @@ time.  A brute-force direct oracle is included for verification.
 # the modules a command needs: the `checks` suite loads when one of its
 # names, or `verify`, is first used.
 _EXPORTS = {
-    "exact": ("GF", "QQ", "FieldMatrix", "Poly", "field_rank", "parse_field",
-              "poly_gcd", "snf_over_polys"),
+    "exact": ("GF", "QQ", "FieldMatrix", "field_rank", "parse_field", "poly_gcd",
+              "snf_over_polys"),
     "simplicial": ("Complex", "barycentric_subdivision", "betti_direct",
                    "boundary_matrix", "build_complex"),
     "actions": ("CyclicAction", "Subgroup", "check_regularity", "lex_lift",

@@ -13,10 +13,6 @@ class _WitnessedError(ZkHomologyError):
         self.witness = witness
 
 
-class DomainMismatchError(ZkHomologyError):
-    """Operands live over different fields (or different group rings)."""
-
-
 class InvalidSimplexError(ZkHomologyError):
     """A vertex set does not describe a valid simplex."""
 

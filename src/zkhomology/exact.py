@@ -1,5 +1,5 @@
-"""Exact arithmetic: the fields Q and F_p, univariate polynomials over them,
-dense matrices with exact rank, and Smith normal form over F[x].  The dense
+"""Exact arithmetic: the fields Q and F_p, polynomials over them, dense
+matrices with exact rank, and Smith normal form over F[x].  The dense
 matrices serve the direct oracle only: the group-ring side ranks sparse rows.
 
 Scalars are plain Python values.  The dense matrices take their arithmetic
@@ -7,20 +7,16 @@ from a `Field` object, on `fractions.Fraction` for Q and integers in [0, p)
 for F_p.  Everything else (group-ring entries, polynomial coefficients, the
 Smith-form lifts) follows one plain convention under Python's operators:
 ints in [0, p) over F_p; over Q, ints where integral and Fractions
-otherwise.  `Poly(field, coeffs)` coerces outside values into it, and F[x]
-divides in `_divmod` alone.  Polynomials store coefficients lowest degree
-first with no trailing zeros; the zero polynomial has degree -inf (a float,
-never an integer).  No floating point enters any computation.
+otherwise.  A polynomial is a tuple of such coefficients, constant term
+first, with no trailing zeros: () is zero, and a nonzero f has degree
+len(f) - 1.  The functions on polynomials take the characteristic p (0 for
+Q) in place of a field, and F[x] divides in `_divmod` alone.  No floating
+point enters any computation.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-from .errors import DomainMismatchError
-
-NEG_INF = float("-inf")
-
 
 # Miller-Rabin with the twelve prime bases up to 37 is exact below the
 # least strong pseudoprime to all of them (Sorenson and Webster, "Strong
@@ -180,18 +176,13 @@ def parse_field(descriptor):
     raise ValueError(f"bad field descriptor {descriptor!r} (want 'Q' or 'Fp:<prime>')")
 
 
-def _same_field(a, b):
-    if a.field != b.field:
-        raise DomainMismatchError(f"mixed fields: {a.field} vs {b.field}")
-
-
 def _plain(p, cs):
-    # a coefficient list over F_p (p > 0) or Q (p = 0) put in the plain
-    # convention, trailing zeros dropped
+    # a coefficient list over F_p (p > 0) or Q (p = 0) as a polynomial in
+    # the plain convention: a tuple, trailing zeros dropped
     cs = [c % p for c in cs] if p else [c.numerator if c.denominator == 1 else c for c in cs]
     while cs and not cs[-1]:
         cs.pop()
-    return cs
+    return tuple(cs)
 
 
 def _inverse(p, c):
@@ -206,9 +197,9 @@ def _inverse(p, c):
 
 
 def _divmod(p, a, b):
-    """Quotient and remainder of the plain coefficient sequence a by the
-    nonzero b, as plain lists: the one remainder loop of F[x].  Over F_p
-    values are reduced once per quotient term and once at the end."""
+    """Quotient and remainder of the polynomial a by the nonzero b: the one
+    remainder loop of F[x].  Over F_p values are reduced once per quotient
+    term and once at the end."""
     n = len(b) - 1
     inv, low = _inverse(p, b[-1]), b[:n]
     rem = list(a)
@@ -222,156 +213,50 @@ def _divmod(p, a, b):
     return _plain(p, quo), _plain(p, rem[:n])
 
 
-class Poly:
-    """Dense univariate polynomial over a Field.
-
-    `coeffs` is a tuple of plain coefficients (see the module docstring),
-    constant term first, with no trailing zeros; the zero polynomial is the
-    empty tuple.  The constructor coerces and type-checks outside values;
-    every operation returns its result in the plain convention.
-    """
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs=()):
-        self.field = field
-        self.coeffs = tuple(_plain(field.char, [field.coerce(c) for c in coeffs]))
-
-    @classmethod
-    def _adopt(cls, field, coeffs):
-        # a Poly on plain coefficients with no trailing zero, unchecked
-        f = object.__new__(cls)
-        f.field, f.coeffs = field, tuple(coeffs)
-        return f
-
-    def _with(self, cs):
-        # a Poly over this field on a list of ints and Fractions
-        return Poly._adopt(self.field, _plain(self.field.char, cs))
-
-    @classmethod
-    def zero(cls, field):
-        return cls._adopt(field, ())
-
-    @classmethod
-    def one(cls, field):
-        return cls._adopt(field, (1,))
-
-    @classmethod
-    def x_pow_minus_one(cls, field, k):
-        """x^k - 1, the modulus of the group-ring quotient."""
-        return cls._adopt(field, (field.char - 1,) + (0,) * (k - 1) + (1,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def leading(self):
-        if not self.coeffs:
-            raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        _same_field(self, other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return self._with(out)
-
-    def __neg__(self):
-        return self._with([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        _same_field(self, other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(self.field)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b, i):
-                out[j] += ca * cb
-        return self._with(out)
-
-    def scale(self, c):
-        """c times self, for an int c (or, over Q, a Fraction)."""
-        return self._with([c * a for a in self.coeffs])
-
-    def __divmod__(self, other):
-        _same_field(self, other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quo, rem = _divmod(self.field.char, self.coeffs, other.coeffs)
-        return Poly._adopt(self.field, quo), Poly._adopt(self.field, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def divides(self, other):
-        """True if self divides other (zero divides only zero)."""
-        if self.is_zero():
-            return other.is_zero()
-        return (other % self).is_zero()
-
-    def monic(self):
-        if not self.coeffs or self.coeffs[-1] == 1:
-            return self
-        return self.scale(_inverse(self.field.char, self.coeffs[-1]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __str__(self):
-        return poly_str(self)
-
-    def __repr__(self):
-        return f"Poly({self.field}, {poly_str(self)!r})"
+def _mul(p, a, b):
+    """The product of the polynomials a and b."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b, i):
+            out[j] += ca * cb
+    return _plain(p, out)
 
 
-def poly_str(p):
-    """Render a polynomial with terms in descending degree, e.g. "x^2-1"."""
-    if p.is_zero():
+def _monic(p, f):
+    """f scaled to leading coefficient 1; the zero polynomial stays ()."""
+    if not f or f[-1] == 1:
+        return tuple(f)
+    inv = _inverse(p, f[-1])
+    return _plain(p, [inv * c for c in f])
+
+
+def poly_str(f):
+    """Render a polynomial with terms in descending degree, e.g. "x^2-1".
+    Only a coefficient over Q can be negative: over F_p they lie in [0, p)."""
+    if not f:
         return "0"
     parts = []
-    for e in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[e]
+    for e in range(len(f) - 1, -1, -1):
+        c = f[e]
         if not c:
             continue
-        negative = p.field.char == 0 and c < 0
-        mag = -c if negative else c
+        mag = -c if c < 0 else c
         if e == 0:
             body = str(mag)
         else:
             xs = "x" if e == 1 else f"x^{e}"
             body = xs if mag == 1 else f"{mag}{xs}"
-        parts.append(("-" if negative else "+" if parts else "") + body)
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
     return "".join(parts)
 
 
-def poly_gcd(a, b):
+def poly_gcd(p, a, b):
     """Monic gcd in F[x]; gcd(0, 0) = 0."""
-    _same_field(a, b)
-    field, a, b = a.field, a.coeffs, b.coeffs
     while b:
-        a, b = b, _divmod(field.char, a, b)[1]
-    return Poly._adopt(field, a).monic()
+        a, b = b, _divmod(p, a, b)[1]
+    return _monic(p, a)
 
 
 class FieldMatrix:
@@ -433,25 +318,7 @@ def field_rank(M):
     return rank
 
 
-def _poly_grid(mat):
-    rows = [list(r) for r in mat]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    field = None
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("ragged polynomial matrix")
-        for p in row:
-            if not isinstance(p, Poly):
-                raise TypeError("entries must be Poly")
-            if field is None:
-                field = p.field
-            elif p.field != field:
-                raise DomainMismatchError("polynomial matrix over mixed fields")
-    return rows, m, n, field
-
-
-def _primitive(polys):
+def _primitive(p, line):
     """Scale a row or column of rational polynomials to primitive integer
     form.
 
@@ -459,23 +326,24 @@ def _primitive(polys):
     F[x]; keeping lines primitive blocks the coefficient explosion of
     naive remainder sequences.  No-op over prime fields and on zero lines.
     """
-    if not polys or polys[0].field.char:
-        return polys
-    coeffs = [c for p in polys for c in p.coeffs]
+    coeffs = [] if p else [c for f in line for c in f]
     if not coeffs:
-        return polys
+        return line
     denom = lcm(*(c.denominator for c in coeffs))
     scale = Fraction(denom, gcd(*(c.numerator * (denom // c.denominator) for c in coeffs)))
-    return [p.scale(scale) for p in polys]
+    return [_plain(0, [scale * c for c in f]) for f in line]
 
 
-def snf_over_polys(mat):
-    """Smith normal form over the Euclidean domain F[x].
+def snf_over_polys(p, rows):
+    """Smith normal form over the Euclidean domain F[x], F = F_p (p > 0) or
+    Q (p = 0).
 
-    `mat` is a sequence of rows of Poly.  Returns (D, ok): D is the full
-    diagonal matrix (monic nonzero entries first, each dividing the next,
-    then zeros), ok reports the internal shape/divisibility validation.
-    Transformation matrices are not produced.
+    `rows` is an m x n grid of polynomials in the plain convention.  Returns
+    the min(m, n) invariant factors: the monic nonzero ones first, each
+    dividing the next, then zeros ().  Transformation matrices are not
+    produced.  A ragged grid raises ValueError, and a diagonal that fails
+    its self-check (off-diagonal zeros, monic entries, zeros last,
+    divisibility) raises ArithmeticError.
 
     One Euclidean rule: a nonzero entry of least degree moves to the pivot
     slot, and every other entry of its row and column is replaced by its
@@ -487,16 +355,25 @@ def snf_over_polys(mat):
     a nonzero constant is unimodular over F[x] and keeps coefficients near
     the size of the matrix minors instead of compounding.
     """
-    A, m, n, _ = _poly_grid(mat)
+    A = [list(row) for row in rows]
+    m, n = len(A), len(A[0]) if A else 0
+    if any(len(row) != n for row in A):
+        raise ValueError("ragged polynomial matrix")
+
+    def minus(a, q, b):
+        # a - q b
+        out = list(a) + [0] * (len(q) + len(b) - 1 - len(a))
+        for i, c in enumerate(q):
+            for j, bj in enumerate(b, i):
+                out[j] -= c * bj
+        return _plain(p, out)
+
     for i in range(m):
-        A[i] = _primitive(A[i])
+        A[i] = _primitive(p, A[i])
     t = 0
     size = min(m, n)
     while t < size:
-        nonzero = [
-            (A[i][j].degree, i, j)
-            for i in range(t, m) for j in range(t, n) if not A[i][j].is_zero()
-        ]
+        nonzero = [(len(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
         if not nonzero:
             break
         _, i0, j0 = min(nonzero)
@@ -505,50 +382,45 @@ def snf_over_polys(mat):
             row[t], row[j0] = row[j0], row[t]
         pivot, clear = A[t][t], True
         for i in range(t + 1, m):
-            if not A[i][t].is_zero():
-                q, r = divmod(A[i][t], pivot)
-                clear = clear and r.is_zero()
-                A[i][t:] = _primitive([a - q * b for a, b in zip(A[i][t:], A[t][t:])])
+            if A[i][t]:
+                q, r = _divmod(p, A[i][t], pivot)
+                clear = clear and not r
+                A[i][t:] = _primitive(p, [minus(a, q, b) for a, b in zip(A[i][t:], A[t][t:])])
         for j in range(t + 1, n):
-            if not A[t][j].is_zero():
-                q, r = divmod(A[t][j], pivot)
-                clear = clear and r.is_zero()
-                col = _primitive([row[j] - q * row[t] for row in A[t:]])
+            if A[t][j]:
+                q, r = _divmod(p, A[t][j], pivot)
+                clear = clear and not r
+                col = _primitive(p, [minus(row[j], q, row[t]) for row in A[t:]])
                 for row, v in zip(A[t:], col):
                     row[j] = v
         if clear:
             t += 1
 
     # The first t diagonal entries are the nonzero pivots.
-    diag = [A[i][i].monic() for i in range(t)]
+    diag = [_monic(p, A[i][i]) for i in range(t)]
     for i in range(t):
         for j in range(i + 1, t):
-            if not diag[i].divides(diag[j]):
-                g = poly_gcd(diag[i], diag[j])
-                diag[i], diag[j] = g, (diag[i] * diag[j] // g).monic()
+            if _divmod(p, diag[j], diag[i])[1]:
+                g = poly_gcd(p, diag[i], diag[j])
+                diag[i], diag[j] = g, _monic(p, _divmod(p, _mul(p, diag[i], diag[j]), g)[0])
     for i, d in enumerate(diag):
         A[i][i] = d
 
-    ok = _validate_snf(A, m, n)
-    return A, ok
+    if not _validate_snf(p, A, m, n):
+        raise ArithmeticError("polynomial SNF self-check failed")
+    return [tuple(A[i][i]) for i in range(size)]
 
 
-def _validate_snf(A, m, n):
+def _validate_snf(p, A, m, n):
     for i in range(m):
         for j in range(n):
-            if i != j and not A[i][j].is_zero():
+            if i != j and A[i][j]:
                 return False
     diag = [A[i][i] for i in range(min(m, n))]
     seen_zero = False
-    for p in diag:
-        if p.is_zero():
+    for f in diag:
+        if not f:
             seen_zero = True
-        elif seen_zero:
+        elif seen_zero or f[-1] != 1:
             return False
-        elif p.leading() != p.field.one():
-            return False
-    for a, b in zip(diag, diag[1:]):
-        if not a.is_zero() and not a.divides(b):
-            return False
-    return True
-
+    return all(not a or not _divmod(p, b, a)[1] for a, b in zip(diag, diag[1:]))

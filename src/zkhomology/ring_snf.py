@@ -15,7 +15,8 @@ its own inverse, so only a pivot of another value brings in Fractions.
 The residual is compacted to its core C, its nonzero rows and columns:
 permuting lines puts S in the form [[C, 0], [0, 0]], so the Smith form of
 S is that of C followed by zeros.  C is read off the Euclidean Smith form
-D = U C~ V of its plain lift C~ over F[x].  coker C over R is presented
+D = U C~ V of its plain lift C~ over F[x], whose entry at (a, b) is the
+coefficient list of C's entry {e: c} at (a, b).  coker C over R is presented
 over F[x] by [C~ | q I], and [C~ | q I] = U^-1 [D V^-1 | q U]: row
 operations by U and column operations within each block (by V, by U^-1)
 give [D | q I], whose row i is the summand F[x]/(gcd(d_i, q)), with
@@ -29,9 +30,12 @@ Together: coker M = coker S over R, and an m-generator presentation of it
 has the invariant factors 1^p followed by the m-p of S.  So the first
 min(m, n) = p + min(m-p, n-p) lifts are 1 per pivot, then gcd(d_i, q) for
 i < min(a, b) on the a x b core, then q once per zero line until there are
-min(m, n): a zero entry of R lifts to q.  No transform is kept, and no copy
-on the production path: `pipeline` reduces each G-boundary in its own
-rows, while `snf_over_R` works on a copy and leaves its argument unchanged.
+min(m, n): a zero entry of R lifts to q.  Each lift is a polynomial as
+`exact` keeps one, a tuple of plain coefficients with the constant term
+first: 1 is (1,), and q is (p-1, 0, ..., 0, 1) over F_p and
+(-1, 0, ..., 0, 1) over Q.  No transform is kept, and no copy on the
+production path: `pipeline` reduces each G-boundary in its own rows, while
+`snf_over_R` works on a copy and leaves its argument unchanged.
 Every call checks the divisibility chain on the lifts after the 1s (1
 divides anything) and expands nothing to rho: that the lifts predict
 rank_F rho(M) is `verify`'s certificate, ranked by the same unit
@@ -39,30 +43,31 @@ elimination with k = 1 (`sparse_rank`: over a field every nonzero entry is
 a unit).
 """
 
-from functools import reduce
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 
-from .exact import Poly, _inverse, poly_gcd, snf_over_polys, poly_str
+from .exact import _divmod, _inverse, poly_gcd, poly_str, snf_over_polys
 from .groupring import GroupRingMatrix
 from .records import record
 
 class SnfDiagonal(record("SnfDiagonal", "lifts k")):
     """Diagonal of a Smith normal form over F[Z_k].
 
-    `lifts` are the monic invariant factors in F[x], each dividing
-    x^k - 1 and each dividing the next; an entry of the diagonal over
-    F[Z_k] is zero exactly when its lift is x^k - 1.
+    `lifts` are the invariant factors lifted to F[x], as polynomials in the
+    plain convention of `exact` (coefficient tuples, constant term first):
+    monic, each dividing x^k - 1 and each dividing the next.  An entry of
+    the diagonal over F[Z_k] is a unit exactly when its lift is (1,), and
+    zero exactly when its lift is x^k - 1.
     """
 
     __slots__ = ()
 
     def rank_sum(self):
         """rank_F rho(D): each entry contributes k minus its lift's degree."""
-        return sum(self.k - f.degree for f in self.lifts)
+        return sum(self.k + 1 - len(f) for f in self.lifts)
 
     def lift_strings(self):
-        # a monic lift of degree 0 is 1
-        return ["1" if len(f.coeffs) == 1 else poly_str(f) for f in self.lifts]
+        return [poly_str(f) for f in self.lifts]
 
 
 def _eliminate_units(field, k, rows):
@@ -166,22 +171,19 @@ def snf_over_R(M):
 def _smith_diagonal(M, rows):
     """snf_over_R(M) on `rows`, M's sparse rows or a copy of them, reduced
     in place: given M's own entries, M is spent."""
-    field, k = M.field, M.k
-    q = Poly.x_pow_minus_one(field, k)
+    p, k = M.field.char, M.k
+    q = (p - 1,) + (0,) * (k - 1) + (1,)
     pivots, C, (m, n) = _unit_pivot_reduce(M, rows)
-    zero = Poly.zero(field)
-    core = [[Poly._adopt(field, [w.get(e, 0) for e in range(max(w) + 1)]) if w else zero
+    core = [[[w.get(e, 0) for e in range(max(w) + 1)] if w else ()
              for w in map(C.entries[a].get, range(C.cols))] for a in range(C.rows)]
     if min(C.rows, C.cols) <= 1:
         # at most one line, none of its entries zero: d_0 is their gcd
-        chain = [reduce(poly_gcd, (f for row in core for f in row), q)] if core else []
+        entries = (f for row in core for f in row)
+        chain = [reduce(partial(poly_gcd, p), entries, q)] if core else []
     else:
-        D, ok = snf_over_polys(core)
-        if not ok:
-            raise ArithmeticError("polynomial SNF self-check failed")
-        chain = [poly_gcd(D[i][i], q) for i in range(min(C.rows, C.cols))]
+        chain = [poly_gcd(p, d, q) for d in snf_over_polys(p, core)]
     chain += [q] * (min(m, n) - len(chain))
     for a, b in zip(chain, chain[1:]):
-        if not a.divides(b):
+        if _divmod(p, b, a)[1]:
             raise ArithmeticError("divisibility chain broken in lifted SNF")
-    return SnfDiagonal(lifts=(Poly.one(field),) * pivots + tuple(chain), k=k)
+    return SnfDiagonal(lifts=((1,),) * pivots + tuple(chain), k=k)

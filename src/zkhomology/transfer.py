@@ -40,7 +40,6 @@ class IsotropyTriple:
             if not isinstance(H, Subgroup) or H.k != k or k % H.order != 0:
                 raise TripleValidationError(f"S({q}) is not a subgroup of Z_{k}", witness=q)
             step[q] = k // H.order
-        cosets = {s: {frozenset(range(r, k, s)) for r in range(s)} for s in set(step.values())}
         # One scan of the keys finds the strays (non-faces omega keyed with psi by
         # a nonempty T*) and the first key that is no codimension-1 pair, reported
         # last; pairs are visited in (d, psi, omega) order, faces and strays.
@@ -77,8 +76,11 @@ class IsotropyTriple:
                     if not hits:
                         raise TripleValidationError(
                             f"T*({psi},{omega}) missing or empty for a face pair", witness=pair)
-                    omega_step = step[omega]
-                    if hits not in cosets[omega_step]:
+                    # a coset of S(omega): |S(omega)| exponents in [0, k),
+                    # each a multiple of omega's step from the least
+                    omega_step, base = step[omega], min(hits)
+                    if len(hits) * omega_step != k or not all(
+                            0 <= c < k and (c - base) % omega_step == 0 for c in hits):
                         raise TripleValidationError(
                             f"T*({psi},{omega}) = {sorted(hits)} is not a left "
                             f"coset of S({omega}) (order {S[omega].order})", witness=pair)

@@ -1,6 +1,7 @@
 """Matrices over F[Z_k] written as grids of coefficient tuples (exponent 0
-first), the products the tests compute for themselves, and the lens covers
-whose G-boundaries fill in heavily."""
+first), the products the tests compute for themselves, polynomials over F
+built and divided with the Field methods alone, and the lens covers whose
+G-boundaries fill in heavily."""
 
 from functools import reduce
 
@@ -90,3 +91,43 @@ def lens_cover(k, s):
     tets = [{i, (i + 1) % n, n + j, n + (j + 1) % n} for i in range(n) for j in range(n)]
     perm = [(i + s) % n for i in range(n)] + [n + (j + s) % n for j in range(n)]
     return induced_subdivision_action(validate_action(build_complex(tets), perm, k))
+
+
+def P(field, *coeffs):
+    """The polynomial with these coefficients (constant term first) as
+    `exact` stores one: each coerced through the Field methods, integral
+    rationals as ints, trailing zeros trimmed."""
+    cs = [field.coerce(c) for c in coeffs]
+    if not field.char:
+        cs = [c.numerator if c.denominator == 1 else c for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def x_pow_minus_one(field, k):
+    """x^k - 1, the modulus of F[Z_k]."""
+    return P(field, -1, *(0,) * (k - 1), 1)
+
+
+def list_divmod(field, a, b):
+    """Long division of the coefficient list a by the nonzero b with the
+    Field methods alone, independent of `exact`'s arithmetic: (quotient,
+    remainder) as lists of field values, trailing zeros trimmed."""
+    rem, b = [field.coerce(c) for c in a], [field.coerce(c) for c in b]
+    inv, n = field.inv(b[-1]), len(b) - 1
+    quo = [field.zero()] * max(len(rem) - n, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i] = field.mul(rem[i + n], inv)
+        for j, bj in enumerate(b):
+            rem[i + j] = field.sub(rem[i + j], field.mul(quo[i], bj))
+    rem = rem[:n]
+    for cs in (quo, rem):
+        while cs and cs[-1] == field.zero():
+            cs.pop()
+    return quo, rem
+
+
+def divides(field, a, b):
+    """Whether the polynomial a divides b; zero divides only zero."""
+    return not b if not a else not list_divmod(field, b, a)[1]

@@ -71,6 +71,22 @@ class TestCheck:
         assert cli.run(["check", triple_file]) == 0
         assert "valid" in capsys.readouterr().out
 
+    def test_one_edge_triples_at_large_k(self, tmp_path, capsys):
+        # each T* set is tested as a coset arithmetically, never against a
+        # table of all k / |S| cosets: k = 10^12 checks at once
+        k = 10**12
+        body = {"k": k, "triple": {"quotient": [[0, 1]], "S": {"0": 1, "1": 1, "0,1": 1},
+                                   "Tstar": {"0,1|0": [0], "0,1|1": [k - 1]}}}
+        assert cli.run(["check", _write(tmp_path, "free.json", body)]) == 0
+        assert capsys.readouterr().out == f"triple: valid (k={k}, quotient (2, 1))\n"
+        body["triple"]["S"]["1"] = 2
+        for hits, code in (([3, 3 + k // 2], 0), ([3, 4], 2), ([3], 2)):
+            body["triple"]["Tstar"]["0,1|1"] = hits
+            assert cli.run(["check", _write(tmp_path, "half.json", body)]) == code
+            err = capsys.readouterr().err
+            assert err == ("" if code == 0 else f"input error: T*((0, 1),(1,)) = {hits} "
+                           "is not a left coset of S((1,)) (order 2)\n")
+
 
 class TestBooleansRejected:
     """JSON true and false are not integers: every integer field rejects
@@ -217,9 +233,9 @@ class TestHomology:
         calls = []
         original = ring_snf.poly_gcd
 
-        def out_of_order(a, b):
+        def out_of_order(p, a, b):
             calls.append(a)
-            return b if len(calls) == 1 else original(a, b)
+            return b if len(calls) == 1 else original(p, a, b)
 
         monkeypatch.setattr(ring_snf, "poly_gcd", out_of_order)
         assert cli.run(["homology", f, "--field", "Q"]) == 4

@@ -1,0 +1,22 @@
+"""The byte-identity sweep of the command-line interface, pinned.
+
+`tools/cli_sweep.py` runs `check`, `homology` and `verify` in every mode
+over the corpus, its triples, tampered triples and two lens covers, and
+prints one sha256 over every run's argv, exit code, stdout and stderr.  A
+change that alters output on purpose updates the pin and says why.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PINNED = "3444 runs sha256 56199e7c962e9eba377af4458969413c19655b128527efff6de0fe7cca472397"
+
+
+def test_cli_sweep_prints_the_pinned_line():
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "cli_sweep.py"), str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == PINNED + "\n"

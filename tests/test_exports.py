@@ -45,6 +45,14 @@ def test_complex_of_groups_object_is_gone():
 
 def test_test_only_helpers_are_gone():
     assert not hasattr(exact, "parse_poly")
+    # polynomials are plain coefficient tuples: no class wraps them, and
+    # no error is left for operands over mixed fields
+    assert not hasattr(exact, "Poly")
+    assert not hasattr(zkhomology, "Poly") and "Poly" not in zkhomology.__all__
+    assert not hasattr(errors, "DomainMismatchError")
+    M = groupring.GroupRingMatrix(exact.QQ, 2, 2, 2, {0: {0: {1: 2}}, 1: {1: {0: 1, 1: 1}}})
+    lifts = ring_snf.snf_over_R(M).lifts
+    assert lifts == ((1,), (1, 1)) and all(type(f) is tuple for f in lifts)
     assert not hasattr(groupring, "explicit_circulant_rank")
     assert not hasattr(simplicial.Complex, "euler_characteristic")
     # helpers that restated a step of the production path
@@ -60,7 +68,6 @@ def test_test_only_helpers_are_gone():
                       (actions.QuotientData, "projection_table"),
                       (ring_snf.SnfDiagonal, "diag"),
                       (exact.FieldMatrix, "transpose"),
-                      (exact.Poly, "x"),
                       # conveniences only the tests called
                       (groupring.GroupRingMatrix, "zeros"),
                       (groupring.GroupRingMatrix, "identity"),
@@ -165,7 +172,7 @@ class TestRecords:
 
     def _makers(self):
         H = actions.Subgroup(4, 2)
-        lifts = (exact.Poly(exact.GF(3), [1, 1]),)
+        lifts = ((1, 1),)
         report = pipeline.DimensionReport(1, 3, 2, ("x + 1",), 0)
         return [
             (lambda: actions.Subgroup(4, 2)),

@@ -551,7 +551,7 @@ class TestCompressedRank:
         for tri in triples:
             compressed_result(tri, QQ)
         assert coerced == []
-        assert lifts and {type(c) for snf in lifts for f in snf.lifts for c in f.coeffs} == {int}
+        assert lifts and {type(c) for snf in lifts for f in snf.lifts for c in f} == {int}
 
     def test_g_boundaries_are_reduced_in_their_own_rows(self, monkeypatch):
         # compressed_result copies no G-boundary, while snf_over_R leaves
