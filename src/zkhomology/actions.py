@@ -2,13 +2,14 @@
 
 Group elements are exponents c in {0, ..., k-1} of the generating vertex
 permutation alpha.  Subgroups of Z_k are stored by their order (a divisor
-of k); their coset orderings belong to the upstairs model in `checks`.  An
-action walks each simplex orbit once, when it is built; the permutation's
-order, orbits, isotropy, the regularity verdict, the quotient's fibers and
-the transfer cosets are all read off that walk.  Everything is read-only
-after construction.
+of k); their coset orderings belong to the upstairs model in `checks`.
+`validate_action` walks each simplex orbit once, in the pass that checks
+alpha is simplicial; the permutation's order, orbits, isotropy, the
+regularity scan, the quotient, its lifts and the transfer cosets are all
+read off that walk.  Everything is read-only after construction.
 """
 
+from collections import Counter
 from math import gcd, isqrt, lcm
 
 from .errors import (
@@ -50,31 +51,22 @@ class Subgroup(record("Subgroup", "k order")):
 class CyclicAction:
     """A Z_k action on a complex, given by one generating vertex permutation.
 
-    Each simplex orbit is walked once, following s -> alpha.s through
-    `image`, the image of every simplex under alpha (which validate_action
-    computes while checking that alpha is simplicial).  The walk records,
-    per simplex s, its orbit in walk order and the exponent e with
-    s = alpha^e . representative, the representative being the orbit's
-    first simplex in complex order.  Group elements act by moving along the
-    walk, and the isotropy of s has order k / |orbit|.
+    Built by `validate_action`, which walks each simplex orbit once,
+    following s -> alpha.s.  `orbits(d)` gives the walks of the d-simplex
+    orbits, each from its representative (the orbit's first simplex in
+    complex order), representatives in complex order; `label` numbers the
+    vertex orbits in that order.  Each simplex s is located on its walk by
+    the e with s = alpha^e . representative.  Group elements act by moving
+    along the walk, and the isotropy of s has order k / |orbit|.
     """
 
-    def __init__(self, complex_, perm, k, image):
+    def __init__(self, complex_, perm, k, orbits, walk):
         self.complex = complex_
         self.k = k
         self.perm = dict(perm)
-        walks = {}
-        for s in image:             # the complex's simplices, in order
-            if s in walks:
-                continue
-            walk, t = [s], image[s]
-            while t != s:
-                walk.append(t)
-                t = image[t]
-            n = len(walk)
-            walk = tuple(walk)
-            walks.update(zip(walk, zip([walk] * n, range(n))))
-        self._walk = walks
+        self._orbits = orbits
+        self._walk = walk
+        self.label = {v: i for i, orbit in enumerate(self.orbits(0)) for (v,) in orbit}
 
     def locate(self, s):
         """(the orbit of s in walk order, the e with s = alpha^e . the
@@ -92,9 +84,13 @@ class CyclicAction:
         walk, e = self.locate(s)
         return walk[(e + exponent) % len(walk)]
 
+    def orbits(self, d):
+        """The d-simplex orbits in walk order, representatives in complex order."""
+        return self._orbits[d] if 0 <= d < len(self._orbits) else ()
+
     def orbit_representatives(self, d):
         """One d-simplex per orbit, in complex order."""
-        return tuple(s for s in self.complex.simplices(d) if self._walk[s][1] == 0)
+        return tuple(walk[0] for walk in self.orbits(d))
 
     def isotropy(self, s):
         """The stabilizer subgroup of a simplex of the complex."""
@@ -102,10 +98,6 @@ class CyclicAction:
 
     def simplex_orbit(self, s):
         return tuple(sorted(self.locate(s)[0]))
-
-    def vertex_orbits(self):
-        return tuple(tuple(sorted(w for (w,) in self._walk[u][0]))
-                     for u in self.orbit_representatives(0))
 
     def __repr__(self):
         return f"CyclicAction(k={self.k}, {self.complex!r})"
@@ -146,20 +138,31 @@ def validate_action(X, perm, k):
             witness=dup,
         )
 
-    image = {s: tuple(sorted(map(perm.__getitem__, s))) for s in X.all_simplices()}
-    if not all(map(image.__contains__, image.values())):
-        s, t = next((s, t) for s, t in image.items() if t not in image)
-        raise InvalidActionError(
-            f"not simplicial: {s} maps to {t} which is not a simplex",
-            witness=s,
-        )
-    action = CyclicAction(X, perm, k, image)
+    image, simplices, walks, orbits = perm.__getitem__, X._index, {}, []
+    for d in range(X.dim + 1):
+        level = []
+        for s in X.simplices(d):
+            if s in walks:
+                continue
+            walk, t = [s], tuple(sorted(map(image, s)))
+            while t != s:
+                if t not in simplices:      # name the first failure in complex order
+                    images = ((s, tuple(sorted(map(image, s)))) for s in X.all_simplices())
+                    s, t = next((s, t) for s, t in images if t not in simplices)
+                    raise InvalidActionError(
+                        f"not simplicial: {s} maps to {t} which is not a simplex", witness=s)
+                walk.append(t)
+                t = tuple(sorted(map(image, t)))
+            walk = tuple(walk)
+            for e, t in enumerate(walk):
+                walks[t] = walk, e
+            level.append(walk)
+        orbits.append(tuple(level))
+    action = CyclicAction(X, perm, k, tuple(orbits), walks)
     # the order of perm is the lcm of its cycle lengths, read off the walk
-    order = lcm(*map(len, action.vertex_orbits()))
+    order = lcm(*map(len, action.orbits(0)))
     if k % order != 0:
-        raise InvalidActionError(
-            f"permutation order {order} does not divide k={k}"
-        )
+        raise InvalidActionError(f"permutation order {order} does not divide k={k}")
     return action
 
 
@@ -214,8 +217,12 @@ def check_regularity(action):
     <alpha^s> acts through its image in <alpha>, of order m = n / gcd(s, n)
     for the order n of alpha, so j < m covers every image of h = j s, and H
     passes if an earlier subgroup with the same image (the trivial one at
-    least) did: only the first subgroup of each image is scanned, at cost
-    sum_{m|n} m * (#vertex orbits + #edge orbits).
+    least) did: only the first subgroup of each image is scanned.  And a
+    representative that cannot fail is skipped: {u, h u} is an edge only
+    if u has a neighbour in its own orbit, and w = h v with {u, w} an edge
+    is v itself, reached by h = e, unless u has a neighbour other than v in
+    v's orbit.  The cost is a count over the edges plus sum_{m|n} m times
+    the number of representatives flagged; the skipped ones never fail.
 
     The witness is the one a scan of every vertex, then every edge, and
     every pair (h1, h2) in combinations/product order would meet first:
@@ -226,9 +233,13 @@ def check_regularity(action):
     (e, h2 - h1), so the first failing pair is (e, h) for the least
     failing h.
     """
-    X, move, k = action.complex, action.apply_vertex, action.k
-    vertices, edges = action.orbit_representatives(0), action.orbit_representatives(1)
-    n = lcm(*(len(action.locate(v)[0]) for v in vertices))
+    X, move, k, label = action.complex, action.apply_vertex, action.k, action.label
+    edges = X.simplices(1)
+    # (vertex, vertex orbit) -> the vertex's neighbours in that orbit
+    near = Counter([(u, label[v]) for u, v in edges] + [(v, label[u]) for u, v in edges])
+    vertices = [u for (u,) in action.orbit_representatives(0) if (u, label[u]) in near]
+    edges = [(u, v) for u, v in action.orbit_representatives(1) if near[u, label[v]] > 1]
+    n = lcm(*map(len, action.orbits(0)))
     seen = {1}
     for order in _divisors(k):
         s = k // order
@@ -237,7 +248,7 @@ def check_regularity(action):
             continue
         seen.add(m)
         hs = range(0, m * s, s)
-        for (u,) in vertices:
+        for u in vertices:
             for h in hs[1:]:
                 image = tuple(sorted((u, move(h, u))))
                 if image in X:
@@ -264,17 +275,16 @@ def induced_subdivision_action(action):
 
 def regularize(action):
     """Apply barycentric subdivision twice; the induced action is regular."""
-    once = induced_subdivision_action(action)
-    twice = induced_subdivision_action(once)
-    return twice
+    return induced_subdivision_action(induced_subdivision_action(action))
 
 
 class QuotientData:
     """Quotient complex of a regular action, with projection and fibers.
 
-    Quotient vertex ids are orbit labels: orbits sorted by their least
-    member, numbered from 0.  Only orbit representatives are projected;
-    each fiber is the orbit of its representative.
+    Quotient vertex ids are the action's orbit labels: orbits sorted by
+    their least member, numbered from 0.  Only orbit representatives are
+    projected; `walks[q]` is the orbit walk over q, from its
+    representative, and the fiber over q is that walk sorted.
     """
 
     def __init__(self, action):
@@ -285,36 +295,31 @@ class QuotientData:
                 witness=witness,
             )
         self.action = action
-        orbits = action.vertex_orbits()
-        self.vertex_orbits = orbits
-        self.label = {v: i for i, orbit in enumerate(orbits) for v in orbit}
-        over = {}   # quotient simplex -> representatives projecting onto it
+        self.label = action.label
+        over = {}   # quotient simplex -> the orbit walks projecting onto it
         for d in range(action.complex.dim + 1):
-            for s in action.orbit_representatives(d):
-                q = self.project_simplex(s)
-                if len(q) != len(s):
-                    raise RegularityError(
-                        f"projection collapses {s}; action cannot be regular"
-                    )
-                over.setdefault(q, []).append(s)
-        for q, reps in over.items():
-            if len(reps) > 1:
-                fiber = tuple(sorted(t for s in reps for t in action.simplex_orbit(s)))
-                raise RegularityError(
-                    f"fiber over {q} is not a single orbit: {fiber} vs "
-                    f"{action.simplex_orbit(fiber[0])}"
-                )
+            for walk in action.orbits(d):
+                q = self.project_simplex(walk[0])
+                if len(q) != len(walk[0]):
+                    raise RegularityError(f"projection collapses {walk[0]}; "
+                                          "action cannot be regular")
+                over.setdefault(q, []).append(walk)
+        for q, walks in over.items():
+            if len(walks) > 1:
+                fiber = tuple(sorted(t for walk in walks for t in walk))
+                raise RegularityError(f"fiber over {q} is not a single orbit: {fiber} vs "
+                                      f"{action.simplex_orbit(fiber[0])}")
         self.quotient = Complex(over)
-        self._fibers = {q: action.simplex_orbit(reps[0]) for q, reps in over.items()}
+        self.walks = {q: walks[0] for q, walks in over.items()}
 
     def project_simplex(self, s):
         return tuple(sorted(map(self.label.__getitem__, s)))
 
     def fiber(self, q):
         q = tuple(q)
-        if q not in self._fibers:
+        if q not in self.walks:
             raise UnknownSimplexError(f"{q} is not a simplex of the quotient")
-        return self._fibers[q]
+        return tuple(sorted(self.walks[q]))
 
 
 def quotient(action):
@@ -323,10 +328,10 @@ def quotient(action):
 
 
 def lex_lift(qd):
-    """The deterministic lift: lexicographically least simplex per fiber."""
-    return {q: qd.fiber(q)[0] for q in qd.quotient.all_simplices()}
+    """The deterministic lift: per fiber its least simplex, where its walk starts."""
+    return {q: qd.walks[q][0] for q in qd.quotient.all_simplices()}
 
 
 def lex_max_lift(qd):
-    """The opposite deterministic choice, used by lift-independence tests."""
-    return {q: qd.fiber(q)[-1] for q in qd.quotient.all_simplices()}
+    """The opposite choice, per fiber its greatest simplex; for lift-independence tests."""
+    return {q: max(qd.walks[q]) for q in qd.quotient.all_simplices()}

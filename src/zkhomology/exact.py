@@ -232,9 +232,17 @@ def _monic(p, f):
     return _plain(p, [inv * c for c in f])
 
 
+def _require_polys(p, **polys):
+    for name, f in polys.items():
+        if type(f) is not tuple or f and not (f[-1] % p if p else f[-1]):
+            raise ValueError(f"{name} must be a coefficient tuple with no trailing zero, "
+                             f"got {f!r}")
+
+
 def poly_str(f):
     """Render a polynomial with terms in descending degree, e.g. "x^2-1".
     Only a coefficient over Q can be negative: over F_p they lie in [0, p)."""
+    _require_polys(0, f=f)
     if not f:
         return "0"
     parts = []
@@ -254,6 +262,7 @@ def poly_str(f):
 
 def poly_gcd(p, a, b):
     """Monic gcd in F[x]; gcd(0, 0) = 0."""
+    _require_polys(p, a=a, b=b)
     while b:
         a, b = b, _divmod(p, a, b)[1]
     return _monic(p, a)
@@ -341,9 +350,9 @@ def snf_over_polys(p, rows):
     `rows` is an m x n grid of polynomials in the plain convention.  Returns
     the min(m, n) invariant factors: the monic nonzero ones first, each
     dividing the next, then zeros ().  Transformation matrices are not
-    produced.  A ragged grid raises ValueError, and a diagonal that fails
-    its self-check (off-diagonal zeros, monic entries, zeros last,
-    divisibility) raises ArithmeticError.
+    produced.  A ragged grid or an entry that is not a polynomial raises
+    ValueError, and a diagonal that fails its self-check (off-diagonal
+    zeros, monic entries, zeros last, divisibility) raises ArithmeticError.
 
     One Euclidean rule: a nonzero entry of least degree moves to the pivot
     slot, and every other entry of its row and column is replaced by its
@@ -369,6 +378,7 @@ def snf_over_polys(p, rows):
         return _plain(p, out)
 
     for i in range(m):
+        _require_polys(p, **{f"rows[{i}][{j}]": f for j, f in enumerate(A[i])})
         A[i] = _primitive(p, A[i])
     t = 0
     size = min(m, n)

@@ -174,7 +174,7 @@ def _smith_diagonal(M, rows):
     p, k = M.field.char, M.k
     q = (p - 1,) + (0,) * (k - 1) + (1,)
     pivots, C, (m, n) = _unit_pivot_reduce(M, rows)
-    core = [[[w.get(e, 0) for e in range(max(w) + 1)] if w else ()
+    core = [[tuple([w.get(e, 0) for e in range(max(w) + 1)]) if w else ()
              for w in map(C.entries[a].get, range(C.cols))] for a in range(C.rows)]
     if min(C.rows, C.cols) <= 1:
         # at most one line, none of its entries zero: d_0 is their gcd

@@ -262,6 +262,17 @@ class TestLifts:
         assert lex_lift(qd)[q] == (0, 7)
         assert lex_max_lift(qd)[q] == (3, 4)
 
+    def test_lifts_on_walks_out_of_complex_order(self):
+        # i -> i + 6 walks the orbit of 0 as 0, 6, 3 and that of (0, 1) as
+        # (0, 1), (6, 7), (3, 4): a fiber's greatest simplex is not the last
+        # one its walk meets
+        qd = quotient(validate_action(_cycle(9), [(i + 6) % 9 for i in range(9)], 3))
+        qs = tuple(qd.quotient.all_simplices())
+        assert lex_lift(qd) == {q: qd.fiber(q)[0] for q in qs}
+        assert lex_max_lift(qd) == {q: qd.fiber(q)[-1] for q in qs}
+        assert lex_max_lift(qd)[qd.project_simplex((0, 1))] == (6, 7)
+        assert lex_max_lift(qd)[qd.project_simplex((0,))] == (6,)
+
     def test_singleton_orbit(self, path_action):
         assert lex_lift(quotient(path_action))[(1,)] == (1,)
 

@@ -1,9 +1,10 @@
 """The byte-identity sweep of the command-line interface, pinned.
 
 `tools/cli_sweep.py` runs `check`, `homology` and `verify` in every mode
-over the corpus, its triples, tampered triples and two lens covers, and
-prints one sha256 over every run's argv, exit code, stdout and stderr.  A
-change that alters output on purpose updates the pin and says why.
+over the corpus, its triples, tampered triples, damaged action files, a
+shuffled torus and two lens covers, and prints one sha256 over every
+run's argv, exit code, stdout and stderr.  A change that alters output on
+purpose updates the pin and says why.
 """
 
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PINNED = "3444 runs sha256 56199e7c962e9eba377af4458969413c19655b128527efff6de0fe7cca472397"
+PINNED = "3777 runs sha256 c47b23357d5af1fb489f7a0f1886913122cb49f5d14496a3469817dc32eb3d4e"
 
 
 def test_cli_sweep_prints_the_pinned_line():

@@ -123,6 +123,16 @@ class TestPolyGcd:
         # x^2 + 1 = (x+1)^2 over F2
         assert poly_gcd(2, P(F2, 1, 0, 1), P(F2, 1, 1)) == P(F2, 1, 1)
 
+    @pytest.mark.parametrize("a, b, message", [
+        ((1, 0), (1,), "a must be a coefficient tuple with no trailing zero, got (1, 0)"),
+        ((1,), (1, 2), "b must be a coefficient tuple with no trailing zero, got (1, 2)"),
+        ((1,), 1, "b must be a coefficient tuple with no trailing zero, got 1"),
+    ])
+    def test_no_polynomial_rejected(self, a, b, message):
+        with pytest.raises(ValueError) as info:
+            poly_gcd(2, a, b)
+        assert str(info.value) == message
+
     def test_gcd_with_zero_is_monic(self):
         assert poly_gcd(0, (), P(QQ, 0, 3)) == P(QQ, 0, 1)
         assert poly_gcd(0, (), ()) == ()
@@ -327,6 +337,22 @@ class TestSnfOverPolys:
         with pytest.raises(ValueError, match="ragged polynomial matrix"):
             snf_over_polys(2, [[(1,), (1,)], [(1,)]])
 
+    @pytest.mark.parametrize("p, rows, message", [
+        # (1, 0) once reached pow(0, -1, 2) in _monic and raised from there
+        (2, [[(1, 0)]], "rows[0][0] must be a coefficient tuple with no trailing zero, "
+                        "got (1, 0)"),
+        (3, [[(1,), (2, 3)]], "rows[0][1] must be a coefficient tuple with no trailing zero, "
+                              "got (2, 3)"),
+        (0, [[(1,)], [[1]]], "rows[1][0] must be a coefficient tuple with no trailing zero, "
+                             "got [1]"),
+        (0, [[(1, Fraction(0))]], "rows[0][0] must be a coefficient tuple with no trailing "
+                                  "zero, got (1, Fraction(0, 1))"),
+    ])
+    def test_entry_that_is_no_polynomial_rejected(self, p, rows, message):
+        with pytest.raises(ValueError) as info:
+            snf_over_polys(p, rows)
+        assert str(info.value) == message
+
     def test_self_check_failure_raises(self):
         with mock.patch.object(exact, "_validate_snf", lambda *args: False):
             with pytest.raises(ArithmeticError, match="^polynomial SNF self-check failed$"):
@@ -399,6 +425,11 @@ class TestPolyFormat:
         assert poly_str(()) == "0"
         assert poly_str((1,)) == "1"
         assert poly_str(P(QQ, Fraction(1, 2), 1)) == "x+1/2"
+
+    def test_no_polynomial_rejected(self):
+        with pytest.raises(ValueError) as info:
+            poly_str([1, 1])
+        assert str(info.value) == "f must be a coefficient tuple with no trailing zero, got [1, 1]"
 
     def test_roundtrip(self):
         for field, f in [(QQ, P(QQ, -1, 0, 1)), (QQ, P(QQ, 0, 3, 0, 2)), (F3, ()),

@@ -184,6 +184,11 @@ INPUT_ERRORS = [
      InputFormatError, 'action inputs need contiguous vertex ids 0..n-1', None),
     ('not simplicial', _action([[0, 1], [1, 2]], [1, 0, 2]),
      InvalidActionError, 'not simplicial: (1, 2) maps to (0, 2) which is not a simplex', (1, 2)),
+    # the orbit walk from (0, 1) meets (1, 2) -> (1, 4) before complex order
+    # reaches (0, 3): the first failure in complex order is reported
+    ('not simplicial, first in complex order',
+     _action([[0, 1], [0, 3], [1, 2], [4]], [2, 1, 4, 3, 0], k=3),
+     InvalidActionError, 'not simplicial: (0, 3) maps to (2, 3) which is not a simplex', (0, 3)),
     ('order not dividing k', _action([[0, 1, 2]], [1, 2, 0]),
      InvalidActionError, 'permutation order 3 does not divide k=2', None),
     ('triple not an object', {"k": 2, "triple": [1]},

@@ -7,10 +7,10 @@ assignment of a nonempty subset of each subgroup to each vertex of each
 simplex, and every 3-chain and 4-chain of faces of each quotient simplex.
 They are exponential and serve only as references on small inputs.
 
-`check_regularity` scans orbit representatives only; the scan over every
-vertex and edge stays here as its reference for the whole witness, and
-the orbit walk's isotropy and transfer cosets are checked against
-brute-force counts.
+`check_regularity` scans orbit representatives only, and of those only
+the ones that can fail; the scan over every vertex and edge stays here as
+its reference for the whole witness, and the orbit walk's isotropy and
+transfer cosets are checked against brute-force counts.
 """
 
 import importlib.util
@@ -23,6 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zkhomology.actions import (
+    CyclicAction,
     RegularityWitness,
     Subgroup,
     check_regularity,
@@ -37,6 +38,8 @@ from zkhomology.errors import AxiomError
 from zkhomology.simplicial import build_complex
 from zkhomology.checks import extended_transfer
 from zkhomology.transfer import IsotropyTriple, build_triple, check_axioms
+
+from grids import lens_cover
 
 BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -341,6 +344,38 @@ def test_orbit_decision_matches_scan_on_tori(k, j, regular):
     if regular:
         _isotropy_matches_fixing_count(action)
         _tstar_matches_extended_transfer(action)
+
+
+def _apex_zero_cone(k, spacing=3):
+    """The cone over the cycle 1, ..., k spacing rotated by `spacing` steps,
+    its apex 0 fixed: the apex is the lower vertex of every edge at it."""
+    n = k * spacing
+    tris = [[0, 1 + i, 1 + (i + 1) % n] for i in range(n)]
+    return validate_action(build_complex(tris), [0] + [1 + (i + spacing) % n for i in range(n)], k)
+
+
+def _bench_action(src):
+    return validate_action(build_complex(src.simplices), src.perm, src.k)
+
+
+@pytest.mark.parametrize("build, moves", [
+    pytest.param(lambda k=k: _bench_action(_load_bench_workloads().torus(k, 3)), 0,
+                 id=f"torus{3 * k}x3_k{k}") for k in (2, 3, 4)] + [
+    pytest.param(lambda k=k: _bench_action(_load_bench_workloads().cycle(k)), 0,
+                 id=f"cycle{3 * k}_k{k}") for k in (5, 6)] + [
+    pytest.param(lambda: lens_cover(2, 2), 0, id="lens_cover_2_2"),
+    pytest.param(lambda: lens_cover(4, 3), 0, id="lens_cover_4_3"),
+    # the three apex edges, one per cycle orbit, at subgroups of order 2 and
+    # 4: 2 |H| moves for the reachable set and |H| for the images, each
+    pytest.param(lambda: _apex_zero_cone(4), 3 * 3 * (2 + 4), id="cone12_k4_apex0"),
+])
+def test_regularity_scan_moves_only_representatives_that_can_fail(build, moves, monkeypatch):
+    action = build()
+    original, calls = CyclicAction.apply_vertex, []
+    monkeypatch.setattr(CyclicAction, "apply_vertex",
+                        lambda self, h, v: calls.append(h) or original(self, h, v))
+    assert check_regularity(action) is None
+    assert len(calls) == moves
 
 
 # ----------------------------------------------------------------- axioms

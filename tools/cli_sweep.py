@@ -5,10 +5,12 @@
 Imports `zkhomology` from SRC_DIR (a checkout's `src/`), writes every
 corpus entry, the isotropy triple of each entry (of its double subdivision
 when the action is not regular) and three tampered copies of that triple,
-and the triples of the lens covers (k, s) = (2, 2) and (3, 2), into a
-temporary directory.  A lens cover's unit pivots leave cores of several
-lines, so the pivot order shapes what the polynomial Smith form gets.  It
-runs, in this process and on every file:
+four damaged action files, the 9x3 torus at k = 3 under a fixed vertex
+shuffle, and the triples of the lens covers (k, s) = (2, 2) and (3, 2),
+into a temporary directory.  A lens cover's unit pivots leave cores of
+several lines, so the pivot order shapes what the polynomial Smith form
+gets.  On the shuffled torus the orbit walks run out of complex order.
+It runs, in this process and on every file:
 `check`; `homology` in each mode, format and lift; and `verify` as a
 table, as JSON and with `--regularize`; `homology` and `verify` over Q,
 F2, F3 and F5; and `homology` as JSON with `--generator` set to each
@@ -30,6 +32,17 @@ from math import gcd
 
 FIELDS = ("Q", "Fp:2", "Fp:3", "Fp:5")
 LENS_COVERS = ((2, 2), (3, 2))
+
+# Action files that `validate_action` rejects, one per failure.  The walk
+# from (0, 1) in the first meets the non-simplex (1, 4) before complex order
+# reaches the first failure, (0, 3).
+DAMAGED_ACTIONS = {
+    "not_simplicial": {"k": 3, "simplices": [[0, 1], [0, 3], [1, 2], [4]],
+                       "generator": [2, 1, 4, 3, 0]},
+    "order_not_dividing_k": {"k": 2, "simplices": [[0, 1, 2]], "generator": [1, 2, 0]},
+    "image_repeats": {"k": 2, "simplices": [[0, 1], [1, 2]], "generator": [2, 2, 0]},
+    "image_not_a_vertex": {"k": 2, "simplices": [[0, 1], [1, 2]], "generator": [2, 1, 3]},
+}
 
 
 def _tampered(body):
@@ -57,6 +70,26 @@ def _lens_cover(k, s):
     return actions.induced_subdivision_action(action)
 
 
+def _shuffled_torus(k=3, shift=3, cols=3):
+    """The (k shift) x cols grid torus under the shift by `shift` rows, its
+    vertex v relabelled 7 v + 5 mod n: a free Z_k action whose orbits are
+    walked in an order other than their complex order."""
+    rows = k * shift
+    n = rows * cols
+
+    def v(i, j):
+        return (7 * ((i % rows) * cols + j % cols) + 5) % n
+
+    tris = [tri for i in range(rows) for j in range(cols)
+            for tri in ([v(i, j), v(i + 1, j), v(i, j + 1)],
+                        [v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)])]
+    perm = [0] * n
+    for i in range(rows):
+        for j in range(cols):
+            perm[v(i, j)] = v(i + shift, j)
+    return {"k": k, "simplices": tris, "generator": perm}
+
+
 def write_inputs(directory):
     """Write the sweep's input files into `directory`; returns the action
     files and the triple files, as names relative to it, and the k of each."""
@@ -76,6 +109,11 @@ def write_inputs(directory):
         for how, damaged in _tampered(body).items():
             documents[f"{name}.triple.{how}.json"] = damaged
             triple_files.append(f"{name}.triple.{how}.json")
+    for how, document in DAMAGED_ACTIONS.items():
+        documents[f"damaged.{how}.json"] = document
+        action_files.append(f"damaged.{how}.json")
+    documents["torus9x3_k3_shuffled.json"] = _shuffled_torus()
+    action_files.append("torus9x3_k3_shuffled.json")
     for k, s in LENS_COVERS:
         name = f"lens_cover_{k}_{s}.triple.json"
         documents[name] = jsonio.triple_to_dict(transfer.build_triple(_lens_cover(k, s)))
