@@ -24,8 +24,7 @@ _EXPORTS = {
     "groupring": ("GroupRingMatrix", "rho_extend"),
     "transfer": ("IsotropyTriple", "build_triple", "check_axioms"),
     "ring_snf": ("SnfDiagonal", "snf_over_R"),
-    "pipeline": ("CompressedResult", "compressed_betti", "compressed_result",
-                 "g_boundary_matrix"),
+    "pipeline": ("compressed_betti", "compressed_result", "g_boundary_matrix"),
     "checks": ("compatible_boundary", "compatible_ordering", "compatible_orientations",
                "coset_ordering", "extended_transfer", "index_reducing",
                "isotropy_expansion", "verify_expansion_lemma"),

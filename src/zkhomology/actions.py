@@ -217,7 +217,9 @@ def check_regularity(action):
     <alpha^s> acts through its image in <alpha>, of order m = n / gcd(s, n)
     for the order n of alpha, so j < m covers every image of h = j s, and H
     passes if an earlier subgroup with the same image (the trivial one at
-    least) did: only the first subgroup of each image is scanned.  And a
+    least) did: only the first subgroup of each image is scanned, the one
+    of largest s with gcd(s, n) = g for each divisor g < n of n, so no
+    divisor of k is ever listed.  And a
     representative that cannot fail is skipped: {u, h u} is an edge only
     if u has a neighbour in its own orbit, and w = h v with {u, w} an edge
     is v itself, reached by h = e, unless u has a neighbour other than v in
@@ -240,13 +242,15 @@ def check_regularity(action):
     vertices = [u for (u,) in action.orbit_representatives(0) if (u, label[u]) in near]
     edges = [(u, v) for u, v in action.orbit_representatives(1) if near[u, label[v]] > 1]
     n = lcm(*map(len, action.orbits(0)))
-    seen = {1}
-    for order in _divisors(k):
-        s = k // order
-        m = n // gcd(s, n)
-        if m in seen:
-            continue
-        seen.add(m)
+    # per image order m = n / g > 1, the first subgroup <alpha^s> with that
+    # image: s = g t for the largest t | k/g coprime to n/g
+    scans = []
+    for g in _divisors(n)[:-1]:
+        t = k // g
+        while (c := gcd(t, n // g)) > 1:
+            t //= c
+        scans.append((k // (g * t), g * t, n // g))
+    for order, s, m in sorted(scans):
         hs = range(0, m * s, s)
         for u in vertices:
             for h in hs[1:]:

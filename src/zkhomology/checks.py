@@ -19,11 +19,11 @@ one when addressing Python sequences.
 
 Each `check_*` function returns its first counterexample as a string, or
 None when it passes; a ZkHomologyError or ArithmeticError it raises is its
-counterexample.  The private guard `_run` alone turns either into a
-CheckOutcome.  A suite is a table of (name, check) pairs, one per outcome
-and each name written once, run in order through `_run`.  The CLI's verify
-command prints one line per outcome, and the test suite reuses the same
-functions.
+counterexample.  The private guard `_run` alone turns either into an
+outcome, the dict {"name", "ok", "detail"}.  A suite is a table of (name,
+check) pairs, one per outcome and each name written once, run in order
+through `_run`.  The CLI's verify command prints the list of outcomes as
+it is, or one line per outcome; the test suite reuses the same functions.
 """
 
 import random
@@ -321,26 +321,14 @@ def _expansion_report(E, qd, lift, d, field, triple):
                         )
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    ok: bool
-    detail: str = ""
-
-    def line(self):
-        status = "PASS" if self.ok else "FAIL"
-        tail = f": {self.detail}" if self.detail and not self.ok else ""
-        return f"{status} {self.name}{tail}"
-
-
 def _run(name, check):
-    # The outcome of `check()`: its first counterexample, the error it
-    # raises, or a pass.
+    # The outcome of `check()`, {"name", "ok", "detail"}: its first
+    # counterexample, the error it raises, or a pass.
     try:
         detail = check()
     except (ZkHomologyError, ArithmeticError) as exc:
         detail = str(exc)
-    return CheckOutcome(name, detail is None, detail or "")
+    return {"name": name, "ok": detail is None, "detail": detail or ""}
 
 
 def _once(f):
@@ -610,6 +598,6 @@ def run_triple_suite(triple, field):
     ]
     parsed = not isinstance(triple, TripleValidationError)
     outcomes = [_run(name, check) for name, check in items[:1 + parsed]]
-    if outcomes[0].ok:
+    if outcomes[0]["ok"]:
         outcomes += [_run(name, check) for name, check in items[2:]]
     return outcomes

@@ -6,6 +6,10 @@ and `corpus` (bundled example inputs).  Exit codes are a stable contract:
 0 ok, 2 input error, 3 valid-but-non-regular, 4 verification failure (a
 failed check, a `both`-mode mismatch or a failed internal self-check).
 
+Each result is the plain data a command prints to `sys.stdout`: the direct
+report, `pipeline.compressed_result`'s document and the `checks` outcome
+dicts go out as JSON as they are, or through one table printer.
+
 `check` and `homology` run only the production path; the invariant suite
 (`checks`, bound lazily) and the corpus load on first use.
 """
@@ -114,60 +118,50 @@ def _regular_quotient(action, auto_regularize):
     return quotient(regularize(action))
 
 
-def cmd_check(args, out=None):
-    out = out or sys.stdout
+def cmd_check(args):
     kind, payload = load_input(args.input)
     if kind == "triple":
         payload.validate()
         check_axioms(payload)
         print(f"triple: valid (k={payload.k}, "
-              f"quotient {payload.quotient.face_counts()})", file=out)
+              f"quotient {payload.quotient.face_counts()})")
         return EXIT_OK
     action = payload
-    print(f"action: valid (k={action.k}, complex {action.complex.face_counts()})",
-          file=out)
+    print(f"action: valid (k={action.k}, complex {action.complex.face_counts()})")
     witness = check_regularity(action)
     if witness is None:
-        print("regularity: regular", file=out)
+        print("regularity: regular")
         return EXIT_OK
-    print("regularity: NON-REGULAR", file=out)
-    print("witness: " + witness.describe(), file=out)
+    print("regularity: NON-REGULAR")
+    print("witness: " + witness.describe())
     return EXIT_REGULARITY
 
 
 def _direct_report(X, field):
-    ranks = [0] * (X.dim + 2)
-    for d in range(1, X.dim + 1):
-        ranks[d] = field_rank(boundary_matrix(X, d, field))
-    betti = betti_direct(X, field)
-    per_dim = [
-        {"d": d, "dimC": X.n_simplices(d), "rank": ranks[d]}
-        for d in range(X.dim + 1)
-    ]
-    return {"betti": list(betti), "per_dim": per_dim}
+    ranks = [0] + [field_rank(boundary_matrix(X, d, field)) for d in range(1, X.dim + 1)]
+    return {"field": field.name, "mode": "direct", "betti": list(betti_direct(X, field)),
+            "per_dim": [{"d": d, "dimC": X.n_simplices(d), "rank": ranks[d]}
+                        for d in range(X.dim + 1)]}
 
 
-def _print_compressed_table(res, out):
-    print(f"field: {res.field_name}   k: {res.k}   generator: "
-          f"{res.generator_exponent}   lift: {res.lift_policy}", file=out)
-    print("  d   dim C_d   rank d_d   beta_d   snf lifts", file=out)
-    for r in res.per_dim:
-        lifts = "[" + ", ".join(r.snf_lifts) + "]" if r.snf_lifts else "-"
-        print(f"  {r.d}   {r.chain_dim:7d}   {r.rank:8d}   {r.betti:6d}   {lifts}",
-              file=out)
-    print(f"compressed betti: {list(res.betti)}", file=out)
+def _print_table(doc):
+    """The table of a direct report or of a compressed document, which
+    adds its provenance and the Smith-form lifts."""
+    lifted = "lift" in doc
+    head = f"field: {doc['field']}"
+    if lifted:
+        head += f"   k: {doc['k']}   generator: {doc['generator']}   lift: {doc['lift']}"
+    print(head)
+    print("  d   dim C_d   rank d_d   beta_d" + ("   snf lifts" if lifted else ""))
+    for r, b in zip(doc["per_dim"], doc["betti"]):
+        line = f"  {r['d']}   {r['dimC']:7d}   {r['rank']:8d}   {b:6d}"
+        if lifted:
+            line += "   [" + ", ".join(r["snf_lifts"]) + "]" if r["snf_lifts"] else "   -"
+        print(line)
+    print(f"{'compressed' if lifted else 'direct'} betti: {doc['betti']}")
 
 
-def _print_direct_table(report, field_name, out):
-    print(f"field: {field_name}", file=out)
-    print("  d   dim C_d   rank d_d   beta_d", file=out)
-    for r, b in zip(report["per_dim"], report["betti"]):
-        print(f"  {r['d']}   {r['dimC']:7d}   {r['rank']:8d}   {b:6d}", file=out)
-    print(f"direct betti: {report['betti']}", file=out)
-
-
-def cmd_homology(args, out=None):
-    out = out or sys.stdout
+def cmd_homology(args):
     field = parse_field(args.field)
     kind, payload = load_input(args.input)
     if kind == "triple" and args.mode != "compressed":
@@ -182,10 +176,9 @@ def cmd_homology(args, out=None):
         direct = _direct_report(payload.complex, field)
     if args.mode == "direct":
         if args.output_format == "json":
-            print(dump_json({"field": field.name, "mode": "direct", **direct}),
-                  file=out)
+            print(dump_json(direct))
         else:
-            _print_direct_table(direct, field.name, out)
+            _print_table(direct)
         return EXIT_OK
 
     if kind == "triple":
@@ -198,30 +191,28 @@ def cmd_homology(args, out=None):
             return EXIT_REGULARITY
         policy = args.lift_policy
         triple = build_triple(qd.action, lift=_lift_for(qd, policy), qd=qd)
-    compressed = compressed_result(triple, field, generator_exponent=args.generator,
-                                   lift_policy=policy)
-    match = direct is None or list(compressed.betti) == direct["betti"]
+    doc = compressed_result(triple, field, generator_exponent=args.generator,
+                            lift_policy=policy)
+    match = direct is None or doc["betti"] == direct["betti"]
     if args.output_format == "json":
-        body = compressed.as_dict()
         if kind == "action":
-            body["mode"] = args.mode
+            doc["mode"] = args.mode
         if direct is not None:
-            body["direct_betti"] = direct["betti"]
-            body["match"] = match
-        print(dump_json(body), file=out)
+            doc["direct_betti"] = direct["betti"]
+            doc["match"] = match
+        print(dump_json(doc))
     elif direct is None:
-        _print_compressed_table(compressed, out)
+        _print_table(doc)
     else:
-        _print_direct_table(direct, field.name, out)
-        _print_compressed_table(compressed, out)
-        print("MATCH" if match else "MISMATCH", file=out)
+        _print_table(direct)
+        _print_table(doc)
+        print("MATCH" if match else "MISMATCH")
     return EXIT_OK if match else EXIT_VERIFY
 
 
-def cmd_verify(args, out=None):
+def cmd_verify(args):
     from .checks import run_action_suite, run_triple_suite
 
-    out = out or sys.stdout
     field = parse_field(args.field)
     try:
         kind, payload = load_input(args.input)
@@ -236,32 +227,25 @@ def cmd_verify(args, out=None):
             return EXIT_REGULARITY
         outcomes = run_action_suite(qd, field)
 
-    ok = all(o.ok for o in outcomes)
+    ok = all(o["ok"] for o in outcomes)
     if args.output_format == "json":
-        print(dump_json({
-            "field": field.name,
-            "ok": ok,
-            "checks": [
-                {"name": o.name, "ok": o.ok, "detail": o.detail} for o in outcomes
-            ],
-        }), file=out)
+        print(dump_json({"field": field.name, "ok": ok, "checks": outcomes}))
     else:
         for o in outcomes:
-            print(o.line(), file=out)
-        print("all checks passed" if ok else "VERIFICATION FAILED", file=out)
+            tail = f": {o['detail']}" if o["detail"] else ""
+            print(f"{'PASS' if o['ok'] else 'FAIL'} {o['name']}{tail}")
+        print("all checks passed" if ok else "VERIFICATION FAILED")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_corpus(args, out=None):
+def cmd_corpus(args):
     from .corpus import entry as corpus_entry, names as corpus_names, to_input_dict
 
-    out = out or sys.stdout
     if args.list_names or not args.name:
         for name in corpus_names():
             e = corpus_entry(name)
             tag = "regular" if e.regular else "non-regular"
-            print(f"{name:32s} k={e.k}  betti={list(e.expected_betti)}  [{tag}]",
-                  file=out)
+            print(f"{name:32s} k={e.k}  betti={list(e.expected_betti)}  [{tag}]")
         return EXIT_OK
     try:
         e = corpus_entry(args.name)
@@ -277,9 +261,9 @@ def cmd_corpus(args, out=None):
             print(f"input error: cannot write {args.output}: {exc.strerror}",
                   file=sys.stderr)
             return EXIT_INPUT
-        print(f"wrote {args.output}", file=out)
+        print(f"wrote {args.output}")
     else:
-        print(text, file=out)
+        print(text)
     return EXIT_OK
 
 

@@ -5,16 +5,17 @@ quotient boundary sign of each face pair times the group-ring sum of its
 transfer coset.  Its Smith normal form gives the rank reconstruction
 rank(boundary_d) = sum_i rank(rho(D_ii)), and with it the Betti numbers
 from the quotient data alone, once consecutive G-boundaries are checked to
-compose to zero over F[Z_k] (a product of downstairs size).  The upstairs
-model that ties this matrix to the acted-on complex (compatible
-boundaries, the isotropy expansion) lives in `checks`.
+compose to zero over F[Z_k] (a product of downstairs size).  The answer
+is plain data: `compressed_result` returns the document that `homology
+--format json` prints, its schema stated there once.  The upstairs model
+that ties this matrix to the acted-on complex (compatible boundaries, the
+isotropy expansion) lives in `checks`.
 """
 
 from math import gcd
 
 from .errors import DimensionError, InvalidGeneratorError
 from .groupring import GroupRingMatrix
-from .records import record
 from .ring_snf import _smith_diagonal
 
 
@@ -83,44 +84,19 @@ def _composes_to_zero(A, B):
     return True
 
 
-class DimensionReport(record("DimensionReport", "d chain_dim rank snf_lifts betti")):
-    __slots__ = ()
-
-
-class CompressedResult(record("CompressedResult", "field_name k generator_exponent "
-                              "lift_policy orderings betti per_dim")):
-    """Per-dimension output of the compressed pipeline plus provenance."""
-
-    __slots__ = ()
-
-    def as_dict(self):
-        return {
-            "field": self.field_name,
-            "k": self.k,
-            "generator": self.generator_exponent,
-            "lift": self.lift_policy,
-            "orderings": self.orderings,
-            "betti": list(self.betti),
-            "per_dim": [
-                {
-                    "d": r.d,
-                    "dimC": r.chain_dim,
-                    "rank": r.rank,
-                    "snf_lifts": list(r.snf_lifts),
-                }
-                for r in self.per_dim
-            ],
-        }
-
-
 def compressed_result(triple, field, generator_exponent=1, orders=None,
                       lift_policy="lex-min"):
-    """Betti numbers plus per-dimension diagnostics from a triple alone."""
+    """Betti numbers plus per-dimension diagnostics from a triple alone, as
+    the document `homology --format json` prints: {"field", "k",
+    "generator", "lift", "orderings" ("lex" or "custom"), "betti", "per_dim":
+    [{"d", "dimC", "rank", "snf_lifts"}, ...]}, with the printed Smith-form
+    lifts; on an action input the CLI adds "mode", and in `both` mode
+    "direct_betti" and "match"."""
     check_generator(generator_exponent, triple.k)
     Y = triple.quotient
     dims = [triple.chain_dim(d) for d in range(Y.dim + 1)]
     ranks = [0] * (Y.dim + 2)
-    lifts = [()] * (Y.dim + 1)
+    lifts = [[] for _ in range(Y.dim + 1)]
     # M_d is reduced in its own rows once it has been checked to compose to
     # zero with M_(d-1) and M_(d+1)
     prev = None
@@ -132,20 +108,22 @@ def compressed_result(triple, field, generator_exponent=1, orders=None,
         if prev is not None:
             snf = _smith_diagonal(prev, prev.entries)
             ranks[d - 1] = snf.rank_sum()
-            lifts[d - 1] = tuple(snf.lift_strings())
+            lifts[d - 1] = snf.lift_strings()
         prev = M
-    reports = []
+    betti = []
     for d in range(Y.dim + 1):
-        b = dims[d] - ranks[d] - ranks[d + 1]
-        if b < 0:
+        betti.append(dims[d] - ranks[d] - ranks[d + 1])
+        if betti[d] < 0:
             raise ArithmeticError(f"negative Betti number at dimension {d}")
-        reports.append(DimensionReport(d, dims[d], ranks[d], lifts[d], b))
-    return CompressedResult(
-        field_name=field.name, k=triple.k, generator_exponent=generator_exponent,
-        lift_policy=lift_policy, orderings="lex" if orders is None else "custom",
-        betti=tuple(r.betti for r in reports), per_dim=tuple(reports))
+    return {
+        "field": field.name, "k": triple.k, "generator": generator_exponent,
+        "lift": lift_policy, "orderings": "lex" if orders is None else "custom",
+        "betti": betti,
+        "per_dim": [{"d": d, "dimC": dims[d], "rank": ranks[d], "snf_lifts": lifts[d]}
+                    for d in range(Y.dim + 1)],
+    }
 
 
 def compressed_betti(triple, field, generator_exponent=1, orders=None):
     """Betti numbers of the acted-on complex from the quotient data alone."""
-    return compressed_result(triple, field, generator_exponent, orders).betti
+    return tuple(compressed_result(triple, field, generator_exponent, orders)["betti"])

@@ -1,6 +1,6 @@
 """The check protocol of `checks`: each check reports its first
 counterexample, and an error a check raises is reported as that check's
-counterexample, on its own line."""
+counterexample, in its own outcome {"name", "ok", "detail"}."""
 
 import pytest
 
@@ -57,8 +57,8 @@ def _suite_and_input(suite, torus):
     *(("action", n) for n in ACTION_CHECKS), *(("triple", n) for n in TRIPLE_CHECKS)])
 def test_a_raising_check_fails_alone(suite, name, torus, monkeypatch):
     run, arg, table = _suite_and_input(suite, torus)
-    before = [o.line() for o in run(arg, F3)]
-    assert all(line.startswith("PASS ") for line in before)
+    before = run(arg, F3)
+    assert all(o["ok"] and o["detail"] == "" for o in before)
     fn_name, which = table[name]
     original, calls = getattr(checks, fn_name), []
 
@@ -69,8 +69,9 @@ def test_a_raising_check_fails_alone(suite, name, torus, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(checks, fn_name, boom)
-    after = [o.line() for o in run(arg, F3)]
-    expected = [f"FAIL {name}: boom" if line == f"PASS {name}" else line for line in before]
+    after = run(arg, F3)
+    expected = [{"name": name, "ok": False, "detail": "boom"} if o["name"] == name else o
+                for o in before]
     if name == "triple-structure":
         # past a failed structure check only the quotient's boundaries run
         expected = expected[:2]
@@ -93,9 +94,9 @@ def test_first_counterexample_survives_a_later_error(suite, torus, monkeypatch):
         raise ArithmeticError("later self-check failure")
 
     monkeypatch.setattr(checks, "compressed_betti", reordered)
-    outcomes = {o.name: o for o in run(arg, F3)}
-    assert outcomes["ordering-independence"].line() == (
-        "FAIL ordering-independence: Fp:3: reordered quotient gives (9, 9, 9), "
-        "expected (1, 2, 1)")
+    outcomes = {o["name"]: o for o in run(arg, F3)}
+    assert outcomes["ordering-independence"] == {
+        "name": "ordering-independence", "ok": False,
+        "detail": "Fp:3: reordered quotient gives (9, 9, 9), expected (1, 2, 1)"}
     assert len(trials) == 1
-    assert [o.name for o in outcomes.values() if not o.ok] == ["ordering-independence"]
+    assert [o["name"] for o in outcomes.values() if not o["ok"]] == ["ordering-independence"]

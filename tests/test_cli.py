@@ -1,7 +1,10 @@
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -87,6 +90,27 @@ class TestCheck:
             assert err == ("" if code == 0 else f"input error: T*((0, 1),(1,)) = {hits} "
                            "is not a left coset of S((1,)) (order 2)\n")
 
+    @pytest.mark.parametrize("k, simplices, generator, code, tail", [
+        # the identity: the permutation's order is 1, so no subgroup moves anything
+        (10**18, [[0, 1]], [0, 1], 0, "regularity: regular\n"),
+        # a 2-cycle: the first subgroup that moves a vertex is <alpha^s> for
+        # the largest odd s | k, here 5^17, of order 2^18
+        (2 * 10**17, [[0], [1]], [1, 0], 0, "regularity: regular\n"),
+        (2 * 10**17, [[0, 1]], [1, 0], 3,
+         "regularity: NON-REGULAR\nwitness: subgroup order 262144: simplex (0,), "
+         "vertices (0, 0) moved by exponents (0, 762939453125) give simplex (0, 1), "
+         "but no single element matches\n"),
+    ])
+    def test_regularity_at_large_k_lists_no_divisor_of_k(self, tmp_path, capsys, k,
+                                                         simplices, generator, code, tail):
+        # only divisors of the permutation's order give new images, so the
+        # scan never lists the divisors of k, a trial division up to sqrt(k)
+        body = {"k": k, "simplices": simplices, "generator": generator}
+        started = time.perf_counter()
+        assert cli.run(["check", _write(tmp_path, "big_k.json", body)]) == code
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().out.endswith(tail)
+
 
 class TestBooleansRejected:
     """JSON true and false are not integers: every integer field rejects
@@ -152,6 +176,27 @@ class TestHomology:
         assert data["betti"] == [1, 0]
         assert data["per_dim"][1] == {
             "d": 1, "dimC": 2, "rank": 2, "snf_lifts": ["1"]}
+
+    COMPRESSED_KEYS = ["field", "k", "generator", "lift", "orderings", "betti", "per_dim"]
+
+    @pytest.mark.parametrize("mode, keys, dim_keys", [
+        ("direct", ["field", "mode", "betti", "per_dim"], ["d", "dimC", "rank"]),
+        ("compressed", COMPRESSED_KEYS + ["mode"], ["d", "dimC", "rank", "snf_lifts"]),
+        ("both", COMPRESSED_KEYS + ["mode", "direct_betti", "match"],
+         ["d", "dimC", "rank", "snf_lifts"]),
+    ])
+    def test_json_key_order_on_an_action(self, path_file, capsys, mode, keys, dim_keys):
+        assert cli.run(["homology", path_file, "--mode", mode, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert list(data) == keys and data["mode"] == mode
+        assert [list(r) for r in data["per_dim"]] == [dim_keys] * 2
+
+    def test_json_key_order_on_a_triple(self, triple_file, capsys):
+        assert cli.run(["homology", triple_file, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert list(data) == self.COMPRESSED_KEYS
+        assert data["lift"] == "(given triple)"
+        assert [list(r) for r in data["per_dim"]] == [["d", "dimC", "rank", "snf_lifts"]] * 2
 
     def test_octagon_both_all_fields(self, tmp_path, capsys):
         f = _write(tmp_path, "oct.json", to_input_dict(entry("cycle8_rot4")))
@@ -602,6 +647,14 @@ class TestVerify:
         assert data["ok"] is True
         assert all(c["ok"] for c in data["checks"])
 
+    def test_verify_json_key_order(self, triple_file, path_file, capsys):
+        for f in (triple_file, path_file):
+            assert cli.run(["verify", f, "--format", "json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert list(data) == ["field", "ok", "checks"]
+            assert {tuple(c) for c in data["checks"]} == {("name", "ok", "detail")}
+            assert {c["detail"] for c in data["checks"]} == {""}
+
 
 class TestCorpusCommand:
     def test_list(self, capsys):
@@ -680,6 +733,43 @@ def _fresh_interpreter(argv, script=None):
     proc = subprocess.run([sys.executable, *command], capture_output=True,
                           text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _floor_interpreter():
+    """(executable, environment) of the oldest Python that pyproject.toml
+    admits, set to run this source tree, or None when it is not installed."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'requires-python = ">=(\d+\.\d+)"', text).group(1)
+    exe = shutil.which(f"python{floor}")
+    if exe is None:
+        return None
+    # PYENV_VERSION selects that version behind a pyenv shim; any other
+    # interpreter ignores it
+    env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80", "PYENV_VERSION": floor}
+    probe = subprocess.run([exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    return (exe, env) if probe.stdout.strip() == floor else None
+
+
+def test_declared_python_floor_answers_as_this_interpreter(tmp_path, corpus_actions,
+                                                           capsys):
+    # requires-python is checked, not only declared: the floor's
+    # interpreter prints the same documents and exits with the same codes
+    floor = _floor_interpreter()
+    if floor is None:
+        pytest.skip("the interpreter of the declared Python floor is not installed")
+    exe, env = floor
+    action = _write(tmp_path, "action.json", to_input_dict(entry("cycle8_rot4")))
+    triple = _write(tmp_path, "triple.json",
+                    triple_to_dict(build_triple(corpus_actions["cycle8_rot4"])))
+    for f in (action, triple):
+        for argv in (["homology", f, "--mode", "both", "--format", "json"],
+                     ["homology", f, "--format", "json"],
+                     ["verify", f, "--format", "json"]):
+            proc = subprocess.run([exe, "-m", "zkhomology", *argv], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            code = cli.run(argv)
+            assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out), argv
 
 
 class TestReentrantRun:

@@ -101,6 +101,22 @@ def test_test_only_helpers_are_gone():
         assert "fields" not in params and "field" in params, fn.__name__
 
 
+def test_result_records_are_gone():
+    # each command's result is the plain data it prints: the compressed
+    # document, the direct report and the check outcomes are dicts
+    for module, name in ((pipeline, "CompressedResult"), (pipeline, "DimensionReport"),
+                         (checks, "CheckOutcome")):
+        assert not hasattr(module, name), name
+        assert not hasattr(zkhomology, name) and name not in zkhomology.__all__
+    for module in (pipeline, checks, cli):
+        assert not [name for name, obj in vars(module).items() if hasattr(obj, "as_dict")]
+    assert not hasattr(pipeline, "record")
+    for name in ("_print_direct_table", "_print_compressed_table"):
+        assert not hasattr(cli, name)
+    for fn in (cli.cmd_check, cli.cmd_homology, cli.cmd_verify, cli.cmd_corpus):
+        assert list(inspect.signature(fn).parameters) == ["args"], fn.__name__
+
+
 def test_upstairs_model_lives_in_checks():
     # check-only helpers moved into checks, whose names the package still
     # resolves; the sign-table and ordering knobs of the dense boundary, the
@@ -173,14 +189,10 @@ class TestRecords:
     def _makers(self):
         H = actions.Subgroup(4, 2)
         lifts = ((1, 1),)
-        report = pipeline.DimensionReport(1, 3, 2, ("x + 1",), 0)
         return [
             (lambda: actions.Subgroup(4, 2)),
             (lambda: actions.RegularityWitness(H, (0, 1), (0, 1), (0, 2), (1, 3))),
             (lambda: ring_snf.SnfDiagonal(lifts, 4)),
-            (lambda: pipeline.DimensionReport(1, 3, 2, ("x + 1",), 0)),
-            (lambda: pipeline.CompressedResult("Fp:3", 4, 1, "lex-min", "lex",
-                                               (1, 0), (report,))),
         ]
 
     def test_subgroup_validates_its_order(self):
@@ -232,8 +244,6 @@ class TestRecords:
         assert repr(actions.RegularityWitness(H, (0, 1), (0,), (2,), (1, 2))) == (
             "RegularityWitness(subgroup=Subgroup(k=4, order=2), simplex=(0, 1), "
             "vertices=(0,), exponents=(2,), image=(1, 2))")
-        assert repr(pipeline.DimensionReport(1, 3, 2, (), 0)) == (
-            "DimensionReport(d=1, chain_dim=3, rank=2, snf_lifts=(), betti=0)")
         assert repr(ring_snf.SnfDiagonal((), 4)) == "SnfDiagonal(lifts=(), k=4)"
 
     def test_fields_cannot_be_assigned_or_added(self):
@@ -242,13 +252,3 @@ class TestRecords:
             for name in (record._fields[0], "extra"):
                 with pytest.raises(AttributeError):
                     setattr(record, name, 0)
-
-    def test_as_dict_key_order(self):
-        report = pipeline.DimensionReport(1, 3, 2, ("x + 1",), 0)
-        res = pipeline.CompressedResult("Fp:3", 4, 1, "lex-min", "lex", (1, 0), (report,))
-        body = res.as_dict()
-        assert list(body) == ["field", "k", "generator", "lift", "orderings",
-                              "betti", "per_dim"]
-        assert body["per_dim"] == [{"d": 1, "dimC": 3, "rank": 2,
-                                    "snf_lifts": ["x + 1"]}]
-        assert list(body["per_dim"][0]) == ["d", "dimC", "rank", "snf_lifts"]

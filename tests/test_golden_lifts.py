@@ -55,5 +55,5 @@ def test_lifts_of_cores_with_several_lines(name, field, monkeypatch):
     monkeypatch.setattr(ring_snf, "snf_over_polys", spy)
     res = compressed_result(_triple(name), parse_field(field))
     assert calls, "no core of two or more lines reached the polynomial Smith form"
-    got = {r.d: Counter(f for f in r.snf_lifts if f != "1") for r in res.per_dim}
+    got = {r["d"]: Counter(f for f in r["snf_lifts"] if f != "1") for r in res["per_dim"]}
     assert got == _golden(name, field)

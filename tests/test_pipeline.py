@@ -584,15 +584,22 @@ class TestCompressedBetti:
 
     def test_provenance_fields(self, corpus_triples):
         tri = corpus_triples["path_flip"][3]
-        assert compressed_result(tri, QQ).orderings == "lex"
+        # the result is the plain document that `homology --format json` prints
+        assert compressed_result(tri, QQ) == {
+            "field": "Q", "k": 2, "generator": 1, "lift": "lex-min", "orderings": "lex",
+            "betti": [1, 0],
+            "per_dim": [{"d": 0, "dimC": 3, "rank": 0, "snf_lifts": []},
+                        {"d": 1, "dimC": 2, "rank": 2, "snf_lifts": ["1"]}]}
+        assert compressed_betti(tri, QQ) == (1, 0)
+        assert compressed_result(tri, QQ)["orderings"] == "lex"
         orders = {0: tuple(reversed(tri.quotient.simplices(0)))}
-        assert compressed_result(tri, QQ, orders=orders).orderings == "custom"
+        assert compressed_result(tri, QQ, orders=orders)["orderings"] == "custom"
 
     def test_chain_dims_need_no_upstairs_complex(self, corpus_triples):
         for act, _, _, tri in corpus_triples.values():
             res = compressed_result(tri, QQ)
-            for r in res.per_dim:
-                assert r.chain_dim == act.complex.n_simplices(r.d)
+            for r in res["per_dim"]:
+                assert r["dimC"] == act.complex.n_simplices(r["d"])
 
     def test_generator_independence(self, corpus_triples):
         for act, _, _, tri in corpus_triples.values():
@@ -715,7 +722,7 @@ class TestOracleAgreement:
         tri = build_triple(act)
         assert compressed_betti(tri, QQ) == (2,) == betti_direct(X, QQ)
         res = compressed_result(tri, QQ)
-        assert res.per_dim[0].chain_dim == 2 and res.per_dim[0].snf_lifts == ()
+        assert res["per_dim"] == [{"d": 0, "dimC": 2, "rank": 0, "snf_lifts": []}]
 
     def test_mixed_isotropy_cone(self):
         # hexagon cone with half-turn: apex fixed, everything else free
@@ -757,7 +764,7 @@ class TestActionSuite:
         for field in (QQ, F3):
             built.clear()
             outcomes = checks.run_action_suite(qd, field)
-            assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+            assert all(o["ok"] for o in outcomes), outcomes
             assert built == [lex_lift(qd), lex_max_lift(qd)]
 
     def test_computes_orientations_once(self, corpus_actions, monkeypatch):
@@ -775,7 +782,7 @@ class TestActionSuite:
         for field in (QQ, F3):
             calls.clear()
             outcomes = checks.run_action_suite(qd, field)
-            assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+            assert all(o["ok"] for o in outcomes), outcomes
             assert len(calls) == 1
 
     def test_builds_each_upstairs_boundary_once(self, corpus_actions, monkeypatch):
@@ -808,7 +815,7 @@ class TestActionSuite:
             for seen in (partitions, boundaries, ranked):
                 seen.clear()
             outcomes = checks.run_action_suite(qd, field)
-            assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+            assert all(o["ok"] for o in outcomes), outcomes
             assert sorted(partitions) == [0, 1, 2]
             assert [(f, d) for f, d, _ in boundaries] == [(field.name, 1), (field.name, 2)]
             assert len(ranked) == 2
@@ -830,13 +837,13 @@ class TestActionSuite:
         for field in (QQ, F3):
             reduced.clear()
             outcomes = checks.run_action_suite(qd, field)
-            assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+            assert all(o["ok"] for o in outcomes), outcomes
             lex_min = [g_boundary_matrix(triple, d, field) for d in (1, 2)]
             assert [sum(M == G for M in reduced) for G in lex_min] == [1, 1]
             assert len(reduced) == 4
             reduced.clear()
             outcomes = checks.run_triple_suite(triple, field)
-            assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+            assert all(o["ok"] for o in outcomes), outcomes
             assert reduced == lex_min
 
 
@@ -861,12 +868,12 @@ def test_each_suite_computes_the_lex_min_betti_numbers_once(corpus_actions,
     for field in (QQ, F3):
         unordered.clear()
         outcomes = checks.run_action_suite(qd, field)
-        assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+        assert all(o["ok"] for o in outcomes), outcomes
         # the lex-min and the lex-max triple, once each
         assert len(unordered) == len({id(t) for t in unordered}) == 2
         unordered.clear()
         outcomes = checks.run_triple_suite(tri_min, field)
-        assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
+        assert all(o["ok"] for o in outcomes), outcomes
         assert len(unordered) == 1 and unordered[0] is tri_min
     # with its first T* set shifted the triple is still one, but its
     # G-boundaries no longer compose to zero
@@ -876,7 +883,8 @@ def test_each_suite_computes_the_lex_min_betti_numbers_once(corpus_actions,
     tstar[first] = sorted((c + 1) % body["k"] for c in tstar[first])
     shifted = parse_input(body)[1]
     unordered.clear()
-    failed = {o.name: o.detail for o in checks.run_triple_suite(shifted, QQ) if not o.ok}
+    failed = {o["name"]: o["detail"] for o in checks.run_triple_suite(shifted, QQ)
+              if not o["ok"]}
     error = ("composition check failed at d=2: the G-boundaries d=1 and d=2 "
              "do not compose to zero")
     assert failed["ordering-independence"] == error
@@ -894,11 +902,12 @@ def test_a_failing_smith_form_runs_once(corpus_actions, monkeypatch):
         raise ArithmeticError("boom")
 
     monkeypatch.setattr(checks, "snf_over_R", failing)
-    outcomes = {o.name: o for o in checks.run_action_suite(
+    outcomes = {o["name"]: o for o in checks.run_action_suite(
         quotient(corpus_actions["torus9x3_rot3"]), F3)}
-    assert outcomes["rank-reconstruction"].line() == "FAIL rank-reconstruction: boom"
-    assert outcomes["snf-divisibility-and-certificate"].line() == (
-        "FAIL snf-divisibility-and-certificate: Fp:3 d=1: boom")
+    assert outcomes["rank-reconstruction"] == {
+        "name": "rank-reconstruction", "ok": False, "detail": "boom"}
+    assert outcomes["snf-divisibility-and-certificate"] == {
+        "name": "snf-divisibility-and-certificate", "ok": False, "detail": "Fp:3 d=1: boom"}
     assert len(reduced) == 1
 
 
@@ -918,13 +927,14 @@ def test_each_suite_names_its_checks_apart(corpus_actions, monkeypatch):
     for suite, arg in ((checks.run_action_suite, qd),
                        (checks.run_triple_suite, build_triple(act, qd=qd))):
         outcomes = suite(arg, F3)
-        assert all(o.ok for o in outcomes), [o.line() for o in outcomes]
-        names = [o.name for o in outcomes]
+        assert all(o["ok"] for o in outcomes), outcomes
+        names = [o["name"] for o in outcomes]
         assert len(set(names)) == len(names)
         with monkeypatch.context() as m:
             m.setattr(checks, "_lex_boundary", ones_on_the_quotient)
-            outcomes = {o.name: o for o in suite(arg, F3)}
-        assert outcomes["quotient-boundary-squared-zero"].line() == (
-            "FAIL quotient-boundary-squared-zero: d1 o d2 != 0 over Fp:3")
+            outcomes = {o["name"]: o for o in suite(arg, F3)}
+        assert outcomes["quotient-boundary-squared-zero"] == {
+            "name": "quotient-boundary-squared-zero", "ok": False,
+            "detail": "d1 o d2 != 0 over Fp:3"}
         if suite is checks.run_action_suite:
-            assert outcomes["boundary-squared-zero"].ok
+            assert outcomes["boundary-squared-zero"]["ok"]
