@@ -18,12 +18,11 @@ _EXPORTS = {
               "snf_over_polys"),
     "simplicial": ("Complex", "barycentric_subdivision", "betti_direct",
                    "boundary_matrix", "build_complex"),
-    "actions": ("CyclicAction", "Subgroup", "check_regularity", "lex_lift",
-                "lex_max_lift", "quotient", "regularize", "trivial_action",
-                "validate_action"),
+    "actions": ("CyclicAction", "check_regularity", "lex_lift", "lex_max_lift",
+                "quotient", "regularize", "trivial_action", "validate_action"),
     "groupring": ("GroupRingMatrix", "rho_extend"),
     "transfer": ("IsotropyTriple", "build_triple", "check_axioms"),
-    "ring_snf": ("SnfDiagonal", "snf_over_R"),
+    "ring_snf": ("rank_sum", "snf_over_R"),
     "pipeline": ("compressed_betti", "compressed_result", "g_boundary_matrix"),
     "checks": ("compatible_boundary", "compatible_ordering", "compatible_orientations",
                "coset_ordering", "extended_transfer", "index_reducing",

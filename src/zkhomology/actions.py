@@ -1,15 +1,16 @@
 """Z_k actions on simplicial complexes.
 
 Group elements are exponents c in {0, ..., k-1} of the generating vertex
-permutation alpha.  Subgroups of Z_k are stored by their order (a divisor
-of k); their coset orderings belong to the upstairs model in `checks`.
+permutation alpha.  A subgroup of Z_k is fixed by its order alone, a
+divisor n of k, and is stored as that int: its members are the multiples
+of k / n.  Its coset orderings belong to the upstairs model in `checks`.
 `validate_action` walks each simplex orbit once, in the pass that checks
-alpha is simplicial; the permutation's order, orbits, isotropy, the
+alpha is simplicial; the permutation's order, orbits, isotropy orders, the
 regularity scan, the quotient, its lifts and the transfer cosets are all
 read off that walk.  Everything is read-only after construction.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from math import gcd, isqrt, lcm
 
 from .errors import (
@@ -17,35 +18,7 @@ from .errors import (
     RegularityError,
     UnknownSimplexError,
 )
-from .records import record
 from .simplicial import Complex, barycentric_subdivision
-
-
-class Subgroup(record("Subgroup", "k order")):
-    """The unique subgroup of Z_k of the given order: <alpha^(k/order)>."""
-
-    __slots__ = ()
-
-    def __new__(cls, k, order):
-        if order <= 0 or k % order != 0:
-            raise ValueError(f"order {order} does not divide k={k}")
-        return super().__new__(cls, k, order)
-
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through `_make`: validate there too
-        return cls(*iterable)
-
-    @property
-    def index(self):
-        return self.k // self.order
-
-    def exponents(self):
-        step = self.k // self.order
-        return tuple(j * step for j in range(self.order))
-
-    def __contains__(self, exponent):
-        return exponent % (self.k // self.order) == 0
 
 
 class CyclicAction:
@@ -92,9 +65,9 @@ class CyclicAction:
         """One d-simplex per orbit, in complex order."""
         return tuple(walk[0] for walk in self.orbits(d))
 
-    def isotropy(self, s):
-        """The stabilizer subgroup of a simplex of the complex."""
-        return Subgroup(self.k, self.k // len(self.locate(s)[0]))
+    def isotropy_order(self, s):
+        """The order of the stabilizer of a simplex of the complex."""
+        return self.k // len(self.locate(s)[0])
 
     def simplex_orbit(self, s):
         return tuple(sorted(self.locate(s)[0]))
@@ -171,18 +144,18 @@ def trivial_action(X, k=1):
     return validate_action(X, {v: v for v in X.vertex_ids}, k)
 
 
-class RegularityWitness(record("RegularityWitness",
-                               "subgroup simplex vertices exponents image")):
+class RegularityWitness(namedtuple("RegularityWitness",
+                                   "order simplex vertices exponents image")):
     """A failure of the regularity condition: applying `exponents` (members
-    of the subgroup) to `vertices` (listed from `simplex`, repetition
-    allowed) yields the simplex `image`, yet no single subgroup element
-    agrees with the assignment on every vertex."""
+    of the subgroup of that order) to `vertices` (listed from `simplex`,
+    repetition allowed) yields the simplex `image`, yet no single subgroup
+    element agrees with the assignment on every vertex."""
 
     __slots__ = ()
 
     def describe(self):
         return (
-            f"subgroup order {self.subgroup.order}: simplex {self.simplex}, "
+            f"subgroup order {self.order}: simplex {self.simplex}, "
             f"vertices {self.vertices} moved by exponents {self.exponents} "
             f"give simplex {self.image}, but no single element matches"
         )
@@ -256,7 +229,7 @@ def check_regularity(action):
             for h in hs[1:]:
                 image = tuple(sorted((u, move(h, u))))
                 if image in X:
-                    return RegularityWitness(Subgroup(k, order), (u,), (u, u), (0, h), image)
+                    return RegularityWitness(order, (u,), (u, u), (0, h), image)
         for u, v in edges:
             reachable = {move(h, v) for h in hs if move(h, u) == u}
             for h in hs:
@@ -264,8 +237,7 @@ def check_regularity(action):
                 if w not in reachable:
                     image = tuple(sorted((u, w)))
                     if image in X:
-                        return RegularityWitness(Subgroup(k, order), (u, v), (u, v),
-                                                 (0, h), image)
+                        return RegularityWitness(order, (u, v), (u, v), (0, h), image)
     return None
 
 

@@ -34,11 +34,11 @@ from math import gcd
 from .errors import (DimensionError, RegularityError, TripleValidationError,
                      UnknownSimplexError, ZkHomologyError)
 from .simplicial import betti_direct, faces
-from .actions import Subgroup, lex_lift, lex_max_lift
+from .actions import lex_lift, lex_max_lift
 from .groupring import GroupRingMatrix, rho_extend
 from .transfer import build_triple, check_axioms
 from .pipeline import _composes_to_zero, compressed_betti, g_boundary_matrix
-from .ring_snf import snf_over_R, sparse_rank
+from .ring_snf import rank_sum, snf_over_R, sparse_rank
 
 # check_ordering_independence shuffles each dimension's quotient simplices
 # this many times, from this seed.
@@ -46,22 +46,19 @@ ORDERING_TRIALS = 3
 ORDERING_SEED = 20240601
 
 
-def coset_ordering(H):
-    """Left cosets of H in Z_k in first-appearance order under
-    (e, alpha, ..., alpha^(k-1)); the first coset is H itself.
+def coset_ordering(k, order):
+    """Left cosets of the subgroup of Z_k of the given order in
+    first-appearance order under (e, alpha, ..., alpha^(k-1)); the first
+    coset is the subgroup itself, the multiples of k / order.
 
     Each coset is the sorted tuple of its exponents.
     """
-    step = H.index  # exponents of H are the multiples of step
-    return tuple(
-        tuple(sorted((g + j * step) % H.k for j in range(H.order)))
-        for g in range(step)
-    )
+    return tuple(tuple(range(g, k, k // order)) for g in range(k // order))
 
 
-def coset_position(H, exponent):
-    """1-based position of alpha^exponent's coset in coset_ordering(H)."""
-    return (exponent % H.k) % H.index + 1
+def coset_position(k, order, exponent):
+    """1-based position of alpha^exponent's coset in coset_ordering(k, order)."""
+    return exponent % (k // order) + 1
 
 
 @dataclass(frozen=True)
@@ -93,13 +90,13 @@ def compatible_ordering(qd, lift, d):
     n_next = 1
     for q in qd.quotient.simplices(d):
         ell = lift[q]
-        H = action.isotropy(ell)
-        block = [action.apply_simplex(cs[0], ell) for cs in coset_ordering(H)]
+        order = action.isotropy_order(ell)
+        block = [action.apply_simplex(cs[0], ell) for cs in coset_ordering(action.k, order)]
         if len(set(block)) != len(block) or set(block) != set(qd.fiber(q)):
             raise RegularityError(f"coset orbit of {ell} does not tile the fiber of {q}")
         starts.append(n_next)
         blocks.append(range(n_next, n_next + len(block)))
-        horders.append(H.order)
+        horders.append(order)
         ordering.extend(block)
         n_next += len(block)
     return LiftedPartition(
@@ -121,10 +118,9 @@ def index_reducing(lp, k):
     """
     values = []
     for b, h in enumerate(lp.subgroup_orders):
-        H = Subgroup(k, h)
         q_b = lp.starts[b]
         for c in range(1, k + 1):
-            gamma = coset_position(H, c - 1)
+            gamma = coset_position(k, h, c - 1)
             values.append(q_b - 1 + gamma)
     return tuple(values)
 
@@ -367,9 +363,9 @@ def check_orbit_stabilizer(action):
             images.append(t)
             t = tuple(sorted(perm[v] for v in t))
         orbit, fixing = len(set(images)), images.count(s)
-        if orbit * fixing != k or fixing != action.isotropy(s).order:
+        if orbit * fixing != k or fixing != action.isotropy_order(s):
             return (f"simplex {s}: |orbit|={orbit}, |stabilizer|={fixing}, "
-                    f"isotropy order {action.isotropy(s).order}, k={k}")
+                    f"isotropy order {action.isotropy_order(s)}, k={k}")
 
 
 def check_pointwise_fixing(action):
@@ -408,11 +404,11 @@ def check_unique_face_over_quotient(qd):
 def check_transfer_cosets(action, qd, lift, triple):
     k = action.k
     for (psi, omega), hits in sorted(triple.Tstar.items()):
-        H = triple.S[omega]
-        if len(hits) != H.order:
-            return f"|T*({psi},{omega})| = {len(hits)} != |S| = {H.order}"
+        order = triple.S[omega]
+        if len(hits) != order:
+            return f"|T*({psi},{omega})| = {len(hits)} != |S| = {order}"
         base = min(hits)
-        coset = {(base + e) % k for e in H.exponents()}
+        coset = {(base + e) % k for e in range(0, k, k // order)}
         if hits != coset:
             return f"T*({psi},{omega}) is not a coset of S({omega})"
         via_face = extended_transfer_via_face(qd, lift, psi, omega)
@@ -461,9 +457,9 @@ def check_rank_reconstruction(action, triple, field, rank, reduced):
     for d in range(1, action.complex.dim + 1):
         upstairs = rank(d)
         for t in generators:
-            snf = reduced(d)[1] if t == 1 else snf_over_R(
+            lifts = reduced(d)[1] if t == 1 else snf_over_R(
                 g_boundary_matrix(triple, d, field, generator_exponent=t))
-            got = snf.rank_sum()
+            got = rank_sum(lifts, triple.k)
             if got != upstairs:
                 return (f"{field.name} d={d} generator alpha^{t}: "
                         f"compressed {got} vs boundary {upstairs}")
@@ -481,10 +477,10 @@ def check_snf_invariants(triple, field, reduced):
     `reduced(d)` gives M and its SNF."""
     for d in range(1, triple.quotient.dim + 1):
         try:
-            M, snf = reduced(d)
+            M, lifts = reduced(d)
         except (ZkHomologyError, ArithmeticError) as exc:
             return f"{field.name} d={d}: {exc}"
-        predicted, expected = snf.rank_sum(), sparse_rank(rho_extend(M))
+        predicted, expected = rank_sum(lifts, M.k), sparse_rank(rho_extend(M))
         if predicted != expected:
             return (f"{field.name} d={d}: rank certificate failed: SNF predicts "
                     f"{predicted}, expanded matrix has rank {expected}")

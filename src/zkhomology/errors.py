@@ -29,7 +29,7 @@ class InvalidActionError(_WitnessedError):
 
 class RegularityError(_WitnessedError):
     """An operation that requires a regular action was given a non-regular
-    one.  ``witness`` is the failing (subgroup, simplex, tuple) data."""
+    one.  ``witness`` is the failing `RegularityWitness`."""
 
 
 class UnknownSimplexError(ZkHomologyError):

@@ -31,9 +31,8 @@ integer exponents).  Callers validate a triple, so `verify` reports tampering.
 """
 
 import json
-from functools import cache
 
-from .actions import Subgroup, validate_action
+from .actions import validate_action
 from .errors import InputFormatError, InvalidSimplexError, TripleValidationError
 from .simplicial import build_complex
 from .transfer import IsotropyTriple
@@ -119,17 +118,16 @@ def _parse_triple(k, body):
         return keyed.get(text) or parse_simplex_key(text)
 
     _require(isinstance(S_body, dict), '"S" must be an object')
-    S, subgroup = {}, cache(Subgroup)       # one Subgroup per order
+    S = {}
     for key, order in S_body.items():
         if type(order) is not int or order < 1:
             raise InputFormatError(f"S[{key!r}] must be a positive integer")
         q = parse_key(key)
         if q not in Y:
             raise InputFormatError(f"S defined on {q}, which is not a quotient simplex")
-        try:
-            S[q] = subgroup(k, order)
-        except ValueError as exc:
-            raise TripleValidationError(str(exc), witness=q) from None
+        if k % order != 0:
+            raise TripleValidationError(f"order {order} does not divide k={k}", witness=q)
+        S[q] = order
     _require(isinstance(T_body, dict), '"Tstar" must be an object')
     Tstar = {}
     for key, exps in T_body.items():
@@ -161,7 +159,7 @@ def triple_to_dict(triple):
         "k": triple.k,
         "triple": {
             "quotient": [list(s) for s in Y.all_simplices()],
-            "S": {simplex_key(q): triple.S[q].order for q in Y.all_simplices()},
+            "S": {simplex_key(q): triple.S[q] for q in Y.all_simplices()},
             "Tstar": {
                 f"{simplex_key(psi)}|{simplex_key(omega)}": sorted(v)
                 for (psi, omega), v in sorted(triple.Tstar.items())

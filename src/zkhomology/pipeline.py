@@ -15,8 +15,9 @@ isotropy expansion) lives in `checks`.
 from math import gcd
 
 from .errors import DimensionError, InvalidGeneratorError
+from .exact import poly_str
 from .groupring import GroupRingMatrix
-from .ring_snf import _smith_diagonal
+from .ring_snf import _smith_diagonal, rank_sum
 
 
 def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
@@ -106,9 +107,9 @@ def compressed_result(triple, field, generator_exponent=1, orders=None,
             raise ArithmeticError(f"composition check failed at d={d}: the G-boundaries "
                                   f"d={d - 1} and d={d} do not compose to zero")
         if prev is not None:
-            snf = _smith_diagonal(prev, prev.entries)
-            ranks[d - 1] = snf.rank_sum()
-            lifts[d - 1] = snf.lift_strings()
+            diagonal = _smith_diagonal(prev, prev.entries)
+            ranks[d - 1] = rank_sum(diagonal, triple.k)
+            lifts[d - 1] = [poly_str(f) for f in diagonal]
         prev = M
     betti = []
     for d in range(Y.dim + 1):

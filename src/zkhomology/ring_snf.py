@@ -33,9 +33,12 @@ i < min(a, b) on the a x b core, then q once per zero line until there are
 min(m, n): a zero entry of R lifts to q.  Each lift is a polynomial as
 `exact` keeps one, a tuple of plain coefficients with the constant term
 first: 1 is (1,), and q is (p-1, 0, ..., 0, 1) over F_p and
-(-1, 0, ..., 0, 1) over Q.  No transform is kept, and no copy on the
-production path: `pipeline` reduces each G-boundary in its own rows, while
-`snf_over_R` works on a copy and leaves its argument unchanged.
+(-1, 0, ..., 0, 1) over Q.  The diagonal is that tuple of lifts and
+nothing more: an entry is a unit of R exactly when its lift is (1,), and
+zero exactly when its lift is q, and `rank_sum` reads rank_F rho(D) off
+the lifts.  No transform is kept, and no copy on the production path:
+`pipeline` reduces each G-boundary in its own rows, while `snf_over_R`
+works on a copy and leaves its argument unchanged.
 Every call checks the divisibility chain on the lifts after the 1s (1
 divides anything) and expands nothing to rho: that the lifts predict
 rank_F rho(M) is `verify`'s certificate, ranked by the same unit
@@ -46,28 +49,14 @@ a unit).
 from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 
-from .exact import _divmod, _inverse, poly_gcd, poly_str, snf_over_polys
+from .exact import _divmod, _inverse, poly_gcd, snf_over_polys
 from .groupring import GroupRingMatrix
-from .records import record
 
-class SnfDiagonal(record("SnfDiagonal", "lifts k")):
-    """Diagonal of a Smith normal form over F[Z_k].
 
-    `lifts` are the invariant factors lifted to F[x], as polynomials in the
-    plain convention of `exact` (coefficient tuples, constant term first):
-    monic, each dividing x^k - 1 and each dividing the next.  An entry of
-    the diagonal over F[Z_k] is a unit exactly when its lift is (1,), and
-    zero exactly when its lift is x^k - 1.
-    """
-
-    __slots__ = ()
-
-    def rank_sum(self):
-        """rank_F rho(D): each entry contributes k minus its lift's degree."""
-        return sum(self.k + 1 - len(f) for f in self.lifts)
-
-    def lift_strings(self):
-        return [poly_str(f) for f in self.lifts]
+def rank_sum(lifts, k):
+    """rank_F rho(D) of a Smith diagonal D over F[Z_k] given by its lifts:
+    each entry contributes k minus its lift's degree."""
+    return sum(k + 1 - len(f) for f in lifts)
 
 
 def _eliminate_units(field, k, rows):
@@ -161,10 +150,11 @@ def _unit_pivot_reduce(M, rows=None):
 
 
 def snf_over_R(M):
-    """Smith normal form diagonal of a GroupRingMatrix: 1 for each of the p
-    unit pivots, then the lifts of the residual's core C and x^k - 1 for
-    each zero line, checked to divide each the next.  M is left unchanged:
-    the pivots are eliminated from a copy of its rows."""
+    """Smith normal form diagonal of a GroupRingMatrix, as the tuple of its
+    lifts to F[x]: 1 for each of the p unit pivots, then the lifts of the
+    residual's core C and x^k - 1 for each zero line, checked to divide
+    each the next.  M is left unchanged: the pivots are eliminated from a
+    copy of its rows."""
     return _smith_diagonal(M, M.sparse_rows())
 
 
@@ -186,4 +176,4 @@ def _smith_diagonal(M, rows):
     for a, b in zip(chain, chain[1:]):
         if _divmod(p, b, a)[1]:
             raise ArithmeticError("divisibility chain broken in lifted SNF")
-    return SnfDiagonal(lifts=((1,),) * pivots + tuple(chain), k=k)
+    return ((1,),) * pivots + tuple(chain)

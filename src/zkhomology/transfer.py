@@ -1,7 +1,8 @@
 """The isotropy transfer triple and the check of the complex-of-groups axioms.
 
 The triple (quotient, S, T*) is all the compressed pipeline consumes: S
-sends each quotient simplex to the isotropy subgroup of its lift, and T*
+sends each quotient simplex to the order of the isotropy subgroup of its
+lift, an int n dividing k (the subgroup is the multiples of k / n), and T*
 sends each codimension-1 face pair (psi', omega') to the set of exponents
 c with alpha^c . lift(omega') contained in lift(psi') -- always a left
 coset of S(omega').  A triple only stores its data; `validate` checks it
@@ -12,7 +13,7 @@ ever materializing the acted-on complex.
 from itertools import combinations
 
 from .errors import AxiomError, TripleValidationError
-from .actions import Subgroup, lex_lift, quotient
+from .actions import lex_lift, quotient
 
 
 class IsotropyTriple:
@@ -27,7 +28,7 @@ class IsotropyTriple:
     def chain_dim(self, d):
         """dim C_d of the acted-on complex via orbit-stabilizer: each
         quotient simplex contributes k / |S|, with no access to X."""
-        return sum(self.k // self.S[q].order for q in self.quotient.simplices(d))
+        return sum(self.k // self.S[q] for q in self.quotient.simplices(d))
 
     def validate(self):
         """Structural invariants of a triple (raises TripleValidationError)."""
@@ -36,10 +37,10 @@ class IsotropyTriple:
         for q in Y.all_simplices():
             if q not in S:
                 raise TripleValidationError(f"S undefined on {q}", witness=q)
-            H = S[q]
-            if not isinstance(H, Subgroup) or H.k != k or k % H.order != 0:
+            n = S[q]
+            if type(n) is not int or n < 1 or k % n != 0:
                 raise TripleValidationError(f"S({q}) is not a subgroup of Z_{k}", witness=q)
-            step[q] = k // H.order
+            step[q] = k // n
         # One scan of the keys finds the strays (non-faces omega keyed with psi by
         # a nonempty T*) and the first key that is no codimension-1 pair, reported
         # last; pairs are visited in (d, psi, omega) order, faces and strays.
@@ -83,7 +84,7 @@ class IsotropyTriple:
                             0 <= c < k and (c - base) % omega_step == 0 for c in hits):
                         raise TripleValidationError(
                             f"T*({psi},{omega}) = {sorted(hits)} is not a left "
-                            f"coset of S({omega}) (order {S[omega].order})", witness=pair)
+                            f"coset of S({omega}) (order {S[omega]})", witness=pair)
                     # S(psi) embeds into S(omega): omega's step divides psi's
                     if psi_step % omega_step != 0:
                         raise TripleValidationError(
@@ -113,10 +114,10 @@ def build_triple(action, lift=None, qd=None):
         qd = quotient(action)
     if lift is None:
         lift = lex_lift(qd)
-    Y, k, label, locate = qd.quotient, action.k, qd.label, action.locate
-    walked = {q: locate(lift[q]) for q in Y.all_simplices()}
-    groups = {n: Subgroup(k, k // n) for n in {len(walk) for walk, _ in walked.values()}}
-    S = {q: groups[len(walk)] for q, (walk, _) in walked.items()}
+    Y, k, label, locate, walks = qd.quotient, action.k, qd.label, action.locate, qd.walks
+    # the isotropy order is k / |orbit|; at[q] is the e with lift(q) = alpha^e . walks[q][0]
+    S = {q: k // len(walks[q]) for q in Y.all_simplices()}
+    at = {q: locate(lift[q])[1] for q in Y.all_simplices()}
     Tstar = {}
     for d in range(1, Y.dim + 1):
         for psi in Y.simplices(d):
@@ -127,9 +128,9 @@ def build_triple(action, lift=None, qd=None):
                 # alpha^c lift(omega) lies in lift(psi) iff it is the one face f
                 # of lift(psi) over omega: c = e_f - e_lift(omega) mod |orbit|.
                 p = labels.index(psi[t])
-                walk, e = walked[omega]
-                shift = (locate(lp[:p] + lp[p + 1:])[1] - e) % len(walk)
-                Tstar[(psi, omega)] = frozenset(range(shift, k, len(walk)))
+                n = len(walks[omega])
+                shift = (locate(lp[:p] + lp[p + 1:])[1] - at[omega]) % n
+                Tstar[(psi, omega)] = frozenset(range(shift, k, n))
     return IsotropyTriple(k, Y, S, Tstar)
 
 
@@ -167,7 +168,7 @@ def check_axioms(triple):
                 for b in range(d - 1, a - 1, -1):      # b < a: g = 0
                     psi3 = psi2[:b] + psi2[b + 1:]
                     g = (e[(psi2, psi3)] + e1[a] - e1[b + 1] - e[(drops[b + 1], psi3)]) % k
-                    if g % (k // S[psi3].order) != 0:
+                    if g % (k // S[psi3]) != 0:
                         raise AxiomError(f"2-morphism of ({psi1},{psi2},{psi3}) has exponent "
                                          f"{g} outside the group of {psi3}",
                                          witness=(psi1, psi2, psi3))

@@ -460,13 +460,12 @@ class TestVerify:
     def test_doctored_isotropy_fails_orbit_stabilizer(self, path_file, monkeypatch,
                                                       capsys):
         # The path's middle vertex is fixed by the flip; report it as free.
-        true_isotropy = actions.CyclicAction.isotropy
+        true_isotropy = actions.CyclicAction.isotropy_order
 
         def doctored(action, s):
-            return actions.Subgroup(action.k, 1) if tuple(s) == (1,) \
-                else true_isotropy(action, s)
+            return 1 if tuple(s) == (1,) else true_isotropy(action, s)
 
-        monkeypatch.setattr(actions.CyclicAction, "isotropy", doctored)
+        monkeypatch.setattr(actions.CyclicAction, "isotropy_order", doctored)
         assert cli.run(["verify", path_file]) == 4
         lines = capsys.readouterr().out.splitlines()
         assert "FAIL orbit-stabilizer: simplex (1,): |orbit|=1, |stabilizer|=2, " \
@@ -884,8 +883,8 @@ class TestStartupImports:
     CLI_IMPORTS = frozenset({
         "zkhomology", "zkhomology.actions", "zkhomology.checks", "zkhomology.cli",
         "zkhomology.errors", "zkhomology.exact", "zkhomology.groupring",
-        "zkhomology.jsonio", "zkhomology.pipeline", "zkhomology.records",
-        "zkhomology.ring_snf", "zkhomology.simplicial", "zkhomology.transfer",
+        "zkhomology.jsonio", "zkhomology.pipeline", "zkhomology.ring_snf",
+        "zkhomology.simplicial", "zkhomology.transfer",
         "argparse", "json", "json.decoder", "json.encoder", "json.scanner", "_json",
         "fractions", "decimal", "_decimal", "heapq", "_heapq", "numbers", "gettext",
     })

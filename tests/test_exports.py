@@ -1,6 +1,7 @@
 """The package's public names: every export resolves, and names deleted
 from the API stay deleted."""
 
+import importlib
 import inspect
 import pickle
 import sys
@@ -9,8 +10,8 @@ from dataclasses import fields
 import pytest
 
 import zkhomology
-from zkhomology import (actions, checks, cli, errors, exact, groupring, pipeline,
-                        records, ring_snf, simplicial, transfer)
+from zkhomology import (actions, checks, cli, errors, exact, groupring, jsonio, pipeline,
+                        ring_snf, simplicial, transfer)
 
 
 def test_every_export_resolves():
@@ -51,7 +52,7 @@ def test_test_only_helpers_are_gone():
     assert not hasattr(zkhomology, "Poly") and "Poly" not in zkhomology.__all__
     assert not hasattr(errors, "DomainMismatchError")
     M = groupring.GroupRingMatrix(exact.QQ, 2, 2, 2, {0: {0: {1: 2}}, 1: {1: {0: 1, 1: 1}}})
-    lifts = ring_snf.snf_over_R(M).lifts
+    lifts = ring_snf.snf_over_R(M)
     assert lifts == ((1,), (1, 1)) and all(type(f) is tuple for f in lifts)
     assert not hasattr(groupring, "explicit_circulant_rank")
     assert not hasattr(simplicial.Complex, "euler_characteristic")
@@ -66,7 +67,6 @@ def test_test_only_helpers_are_gone():
         assert not hasattr(zkhomology, name)
     for cls, name in ((transfer.IsotropyTriple, "subgroup"),
                       (actions.QuotientData, "projection_table"),
-                      (ring_snf.SnfDiagonal, "diag"),
                       (exact.FieldMatrix, "transpose"),
                       # conveniences only the tests called
                       (groupring.GroupRingMatrix, "zeros"),
@@ -75,7 +75,6 @@ def test_test_only_helpers_are_gone():
                       (exact.FieldMatrix, "from_rows")):
         assert not hasattr(cls, name)
     # fields that nothing read
-    assert "shape" not in ring_snf.SnfDiagonal._fields
     assert "quotient_order" not in {f.name for f in fields(checks.LiftedPartition)}
     # exact.Field keeps only what Q and F_p share
     assert {n for n in vars(exact.Field) if not n.startswith("__")} == {"char", "name"}
@@ -177,78 +176,37 @@ def test_witness_errors_share_one_init():
         assert cls("message").witness is None
 
 
-class _Pair(records.record("Pair", "lifts k")):
-    __slots__ = ()
+def test_value_records_are_gone():
+    # an isotropy subgroup is its order and a Smith diagonal its lifts, so
+    # no record type wraps either, and the record base is gone with them
+    for module, name in ((actions, "Subgroup"), (ring_snf, "SnfDiagonal")):
+        assert not hasattr(module, name), name
+        assert not hasattr(zkhomology, name) and name not in zkhomology.__all__
+    for module in (actions, ring_snf, transfer, jsonio):
+        assert not hasattr(module, "record")
+    assert not hasattr(actions.CyclicAction, "isotropy")
+    assert callable(actions.CyclicAction.isotropy_order)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("zkhomology.records")
+    assert not hasattr(zkhomology, "records")
+    assert "rank_sum" in zkhomology.__all__ and zkhomology.rank_sum is ring_snf.rank_sum
 
 
-class TestRecords:
-    """The immutable value types of the production path: same fields, repr,
-    equality, hash and validation as frozen dataclasses, without the
-    dataclass machinery at import."""
-
-    def _makers(self):
-        H = actions.Subgroup(4, 2)
-        lifts = ((1, 1),)
-        return [
-            (lambda: actions.Subgroup(4, 2)),
-            (lambda: actions.RegularityWitness(H, (0, 1), (0, 1), (0, 2), (1, 3))),
-            (lambda: ring_snf.SnfDiagonal(lifts, 4)),
-        ]
-
-    def test_subgroup_validates_its_order(self):
-        for args in ((4, 3), (4, 0), (4, -2)):
-            with pytest.raises(ValueError) as exc:
-                actions.Subgroup(*args)
-            assert str(exc.value) == f"order {args[1]} does not divide k=4"
-        with pytest.raises(ValueError, match="order 3 does not divide k=4"):
-            actions.Subgroup(k=4, order=3)
-
-    def test_subgroup_index_is_the_coset_index(self):
-        assert actions.Subgroup(6, 2).index == 3
-        assert actions.Subgroup(k=6, order=6).index == 1
-        assert 3 in actions.Subgroup(6, 2) and 4 not in actions.Subgroup(6, 2)
-
-    def test_equal_fields_equal_objects_and_hashes(self):
-        for make in self._makers():
-            a, b = make(), make()
-            assert a is not b and a == b and hash(a) == hash(b)
-            assert not a != b
-        assert actions.Subgroup(4, 2) != actions.Subgroup(4, 4)
-        assert len({actions.Subgroup(4, 2), actions.Subgroup(4, 2)}) == 1
-
-    def test_equal_only_to_the_same_class(self):
-        # a record is a tuple underneath, but compares by class as a frozen
-        # dataclass does: never equal to a plain tuple or another record
-        H = actions.Subgroup(4, 2)
-        assert H != (4, 2) and (4, 2) != H and not H == (4, 2)
-        assert ring_snf.SnfDiagonal((1,), 4) != _Pair((1,), 4)
-        assert len({H, (4, 2)}) == 2
-        for make in self._makers():
-            assert make() != tuple(make())
-
-    def test_replace_validates_and_pickle_round_trips(self):
-        H = actions.Subgroup(4, 2)
-        assert H._replace(order=4) == actions.Subgroup(4, 4)
-        with pytest.raises(ValueError, match="order 3 does not divide k=4"):
-            H._replace(order=3)
-        with pytest.raises(ValueError, match="order 3 does not divide k=4"):
-            actions.Subgroup._make((4, 3))
-        for make in self._makers():
-            record = make()
-            again = pickle.loads(pickle.dumps(record))
-            assert type(again) is type(record) and again == record
-
-    def test_repr_names_every_field(self):
-        H = actions.Subgroup(4, 2)
-        assert repr(H) == "Subgroup(k=4, order=2)"
-        assert repr(actions.RegularityWitness(H, (0, 1), (0,), (2,), (1, 2))) == (
-            "RegularityWitness(subgroup=Subgroup(k=4, order=2), simplex=(0, 1), "
-            "vertices=(0,), exponents=(2,), image=(1, 2))")
-        assert repr(ring_snf.SnfDiagonal((), 4)) == "SnfDiagonal(lifts=(), k=4)"
-
-    def test_fields_cannot_be_assigned_or_added(self):
-        for make in self._makers():
-            record = make()
-            for name in (record._fields[0], "extra"):
-                with pytest.raises(AttributeError):
-                    setattr(record, name, 0)
+def test_regularity_witness_is_a_plain_namedtuple():
+    # fields, repr, equality, hash and pickling are a namedtuple's; the
+    # subgroup is named by its order
+    values = (2, (0, 1), (0,), (2,), (1, 2))
+    w, same = actions.RegularityWitness(*values), actions.RegularityWitness(*values)
+    assert actions.RegularityWitness._fields == ("order", "simplex", "vertices", "exponents",
+                                                 "image")
+    assert repr(w) == ("RegularityWitness(order=2, simplex=(0, 1), vertices=(0,), "
+                       "exponents=(2,), image=(1, 2))")
+    assert w is not same and w == same and hash(w) == hash(same) and not w != same
+    assert w != w._replace(order=4)
+    again = pickle.loads(pickle.dumps(w))
+    assert type(again) is actions.RegularityWitness and again == w
+    for name in ("order", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 0)
+    assert w.describe() == ("subgroup order 2: simplex (0, 1), vertices (0,) moved by "
+                            "exponents (2,) give simplex (1, 2), but no single element matches")

@@ -1,5 +1,9 @@
+import hashlib
+
 import pytest
 
+from zkhomology.actions import lex_lift, lex_max_lift, quotient
+from zkhomology.corpus import build_action, regular_entries
 from zkhomology.errors import (
     AxiomError,
     InputFormatError,
@@ -7,8 +11,8 @@ from zkhomology.errors import (
     TripleValidationError,
     ZkHomologyError,
 )
-from zkhomology.jsonio import parse_input, parse_simplex_key, simplex_key
-from zkhomology.transfer import check_axioms
+from zkhomology.jsonio import dump_json, parse_input, parse_simplex_key, simplex_key, triple_to_dict
+from zkhomology.transfer import build_triple, check_axioms
 
 
 GOOD_TRIPLE = {
@@ -304,3 +308,21 @@ def test_input_error_contract(body, error, message, witness):
     assert type(info.value) is error
     assert str(info.value) == message
     assert getattr(info.value, "witness", None) == witness
+
+
+# sha256 over the serialized triple of every regular corpus entry, under
+# lex_lift then lex_max_lift, each document followed by a newline
+TRIPLE_FILES_SHA256 = "18dbd6c336b2febd5b2d1bb0b165d6fe5f891be481a6c6745ba41122d29fc93b"
+
+
+def test_serialized_triples_are_pinned():
+    # the bytes that `corpus`, the benchmark inputs and the CLI sweep write
+    # for a triple: S as plain orders, T* as sorted exponent lists
+    digest = hashlib.sha256()
+    for e in regular_entries():
+        action = build_action(e)
+        qd = quotient(action)
+        for policy in (lex_lift, lex_max_lift):
+            doc = triple_to_dict(build_triple(action, lift=policy(qd), qd=qd))
+            digest.update(dump_json(doc).encode() + b"\n")
+    assert digest.hexdigest() == TRIPLE_FILES_SHA256

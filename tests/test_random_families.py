@@ -103,7 +103,7 @@ def test_torus_family_matches_oracle_over_every_field(k):
     action, expected = _torus(_FixedRng([k, 3]))
     assert check_regularity(action) is None
     triple = build_triple(action)
-    assert all(H.order == 1 for H in triple.S.values())
+    assert all(n == 1 for n in triple.S.values())
     generators = [t for t in range(1, k + 1) if gcd(t, k) == 1]
     for field in FIELDS:
         assert betti_direct(action.complex, field) == expected
@@ -126,6 +126,6 @@ def test_cone_has_full_isotropy_apex():
     assert action.k == 3
     triple = build_triple(action)
     apex_label = triple.quotient.n_simplices(0) - 1
-    assert triple.S[(apex_label,)].order == 3
-    assert all(H.order == 1 for q, H in triple.S.items() if q != (apex_label,)
+    assert triple.S[(apex_label,)] == 3
+    assert all(n == 1 for q, n in triple.S.items() if q != (apex_label,)
                and len(q) == 1)

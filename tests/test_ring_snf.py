@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import cache, partial
 from math import gcd
 from unittest import mock
@@ -14,7 +15,8 @@ from zkhomology.actions import validate_action
 from zkhomology.corpus import entry, to_input_dict
 from zkhomology.jsonio import dump_json, triple_to_dict
 from zkhomology.pipeline import g_boundary_matrix
-from zkhomology.ring_snf import _eliminate_units, _unit_pivot_reduce, snf_over_R, sparse_rank
+from zkhomology.ring_snf import (_eliminate_units, _unit_pivot_reduce, rank_sum, snf_over_R,
+                                 sparse_rank)
 from zkhomology.simplicial import build_complex
 from zkhomology.transfer import build_triple
 
@@ -57,9 +59,9 @@ def _unimodular_moves(rng, field, k, grid):
 class TestSnfOverR:
     def test_path_column(self):
         M = ring_matrix(QQ, 2, [[(-1, 0)], [(1, 1)]])
-        snf = snf_over_R(M)
-        assert snf.lift_strings() == ["1"]
-        assert snf.lifts == ((1,),)     # the unit e of the group ring
+        lifts = snf_over_R(M)
+        assert [poly_str(f) for f in lifts] == ["1"]
+        assert lifts == ((1,),)     # the unit e of the group ring
 
     def test_triangle_boundary_entries(self):
         # quotient boundary of the swapped triangles: the lift has rank 2
@@ -67,22 +69,21 @@ class TestSnfOverR:
         # gcd(0, x^2 - 1) = x^2 - 1, which dies in the quotient ring
         e, z = (1, 0), (0, 0)
         M = ring_matrix(QQ, 2, [[(-1, 0), (-1, 0), z], [e, z, (-1, 0)], [z, e, e]])
-        snf = snf_over_R(M)
-        assert snf.lift_strings() == ["1", "1", "x^2-1"]
+        lifts = snf_over_R(M)
+        assert [poly_str(f) for f in lifts] == ["1", "1", "x^2-1"]
         q = x_pow_minus_one(QQ, 2)
-        assert [f == q for f in snf.lifts] == [False, False, True]
-        assert snf.rank_sum() == 4
+        assert [f == q for f in lifts] == [False, False, True]
+        assert rank_sum(lifts, 2) == 4
 
     def test_zero_matrix(self):
-        snf = snf_over_R(GroupRingMatrix(QQ, 2, 2, 2, {0: {}, 1: {}}))
-        assert snf.lift_strings() == ["x^2-1", "x^2-1"]
-        assert snf.lifts == (x_pow_minus_one(QQ, 2),) * 2
-        assert snf.rank_sum() == 0
+        lifts = snf_over_R(GroupRingMatrix(QQ, 2, 2, 2, {0: {}, 1: {}}))
+        assert [poly_str(f) for f in lifts] == ["x^2-1", "x^2-1"]
+        assert lifts == (x_pow_minus_one(QQ, 2),) * 2
+        assert rank_sum(lifts, 2) == 0
 
     def test_empty_shapes(self):
         for m, n in [(0, 3), (3, 0), (0, 0)]:
-            snf = snf_over_R(GroupRingMatrix(QQ, 2, m, n, {i: {} for i in range(m)}))
-            assert snf.lifts == ()
+            assert snf_over_R(GroupRingMatrix(QQ, 2, m, n, {i: {} for i in range(m)})) == ()
 
     def test_lifts_divide_modulus(self):
         rng = random.Random(31)
@@ -91,10 +92,10 @@ class TestSnfOverR:
                 q = x_pow_minus_one(field, k)
                 for _ in range(5):
                     m, n = rng.randint(1, 4), rng.randint(1, 4)
-                    snf = snf_over_R(ring_matrix(field, k, _random_grid(rng, field, k, m, n)))
-                    for f in snf.lifts:
+                    lifts = snf_over_R(ring_matrix(field, k, _random_grid(rng, field, k, m, n)))
+                    for f in lifts:
                         assert divides(field, f, q)
-                    for a, b in zip(snf.lifts, snf.lifts[1:]):
+                    for a, b in zip(lifts, lifts[1:]):
                         assert divides(field, a, b)
 
     def test_rank_certificate(self):
@@ -104,16 +105,14 @@ class TestSnfOverR:
                 for _ in range(10):
                     m, n = rng.randint(1, 4), rng.randint(1, 4)
                     M = ring_matrix(field, k, _random_grid(rng, field, k, m, n))
-                    snf = snf_over_R(M)
-                    assert snf.rank_sum() == field_rank(dense(rho_extend(M)))
+                    assert rank_sum(snf_over_R(M), k) == field_rank(dense(rho_extend(M)))
 
     def test_idempotence_on_normal_forms(self):
         # diag(1, x-1, x^2-1) over Q[Z_2]: images of monic divisors in
         # chain; x^2 - 1 folds to 0 in the group ring
         z = (0, 0)
         M = ring_matrix(QQ, 2, [[(1, 0), z, z], [z, (-1, 1), z], [z, z, z]])
-        snf = snf_over_R(M)
-        assert [poly_str(f) for f in snf.lifts] == ["1", "x-1", "x^2-1"]
+        assert [poly_str(f) for f in snf_over_R(M)] == ["1", "x-1", "x^2-1"]
 
     def test_stable_under_unimodular_factors(self):
         rng = random.Random(41)
@@ -123,15 +122,14 @@ class TestSnfOverR:
                     m, n = rng.randint(1, 3), rng.randint(1, 3)
                     grid = _random_grid(rng, field, k, m, n)
                     moved = _unimodular_moves(rng, field, k, grid)
-                    assert (snf_over_R(ring_matrix(field, k, moved)).lifts
-                            == snf_over_R(ring_matrix(field, k, grid)).lifts)
+                    assert (snf_over_R(ring_matrix(field, k, moved))
+                            == snf_over_R(ring_matrix(field, k, grid)))
 
     def test_wide_and_tall_padding(self):
         # one invariant factor per min(m, n), whichever side is longer
         e, z = (1, 0), (0, 0)
-        snf = snf_over_R(ring_matrix(F2, 2, [[e], [e], [z]]))
-        assert len(snf.lifts) == 1
-        assert len(snf_over_R(ring_matrix(F2, 2, [[e, e, z]])).lifts) == 1
+        assert len(snf_over_R(ring_matrix(F2, 2, [[e], [e], [z]]))) == 1
+        assert len(snf_over_R(ring_matrix(F2, 2, [[e, e, z]]))) == 1
 
 
 def _augmented_lifts(M):
@@ -240,7 +238,7 @@ def _residual_without_rows():
 @example(_all_units_reducing())
 @example(_residual_without_rows())
 def test_plain_lift_matches_augmented_lift(M):
-    lifts = snf_over_R(M).lifts
+    lifts = snf_over_R(M)
     assert lifts == _augmented_lifts(M)
     assert lifts == _plain_lifts(M)
 
@@ -250,9 +248,12 @@ def test_plain_lift_matches_augmented_lift(M):
 @example(_all_units())
 @example(_no_unit_pivot())
 def test_lift_strings_are_the_printed_lifts(M):
-    # the "1" written for a degree-0 lift is what poly_str prints for it
-    snf = snf_over_R(M)
-    assert snf.lift_strings() == [poly_str(f) for f in snf.lifts]
+    # the diagonal is plain data, a tuple of coefficient tuples, and the
+    # "1" printed for a lift is the unit (1,) alone
+    lifts = snf_over_R(M)
+    assert type(lifts) is tuple and all(type(f) is tuple for f in lifts)
+    assert {type(c) for f in lifts for c in f} <= {int, Fraction}
+    assert [poly_str(f) == "1" for f in lifts] == [f == (1,) for f in lifts]
 
 
 def _core_expansion(core):
@@ -288,7 +289,7 @@ def test_residual_expansion_keeps_the_upstairs_rank(M):
     assert shape == (M.rows - pivots, M.cols - pivots)
     full = field_rank(dense(rho_extend(M)))
     assert M.k * pivots + field_rank(_core_expansion(core)) == full
-    assert snf_over_R(M).rank_sum() == full
+    assert rank_sum(snf_over_R(M), M.k) == full
 
 
 @pytest.mark.parametrize("build, pivots, residual", [
@@ -302,7 +303,7 @@ def test_unit_pivot_count_and_residual(build, pivots, residual):
     got, core, shape = _unit_pivot_reduce(M)
     assert got == pivots
     assert shape == residual
-    assert snf_over_R(M).lifts == _augmented_lifts(M)
+    assert snf_over_R(M) == _augmented_lifts(M)
 
 
 @pytest.mark.parametrize("build, core_shape", [
@@ -342,7 +343,7 @@ def _padded_ring_matrices(draw):
 @given(_padded_ring_matrices())
 def test_zero_lines_only_pad_the_chain(pair):
     M, padded = pair
-    lifts = snf_over_R(padded).lifts
+    lifts = snf_over_R(padded)
     assert lifts == _augmented_lifts(padded)
     assert lifts == _plain_lifts(padded)
     pivots, core, shape = _unit_pivot_reduce(padded)
@@ -354,7 +355,7 @@ def test_zero_lines_only_pad_the_chain(pair):
     assert all(any(row) for row in lift)
     assert all(any(col) for col in zip(*lift))
     q = x_pow_minus_one(M.field, M.k)
-    short = snf_over_R(M).lifts
+    short = snf_over_R(M)
     assert lifts == short + (q,) * (min(padded.rows, padded.cols) - len(short))
 
 
@@ -529,7 +530,7 @@ def test_core_of_at_most_one_line_lifts_from_a_gcd(M):
     _, core, _ = _unit_pivot_reduce(M)
     assert min(core.rows, core.cols) <= 1
     with mock.patch.object(ring_snf, "snf_over_polys", _refuse_polynomial_snf):
-        lifts = snf_over_R(M).lifts
+        lifts = snf_over_R(M)
     assert lifts == _augmented_lifts(M)
 
 

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from zkhomology.actions import (
-    Subgroup,
     lex_lift,
     lex_max_lift,
     quotient,
@@ -17,6 +16,7 @@ from zkhomology.errors import (
 )
 from zkhomology.checks import coset_position, extended_transfer, extended_transfer_via_face
 from zkhomology.exact import QQ
+from zkhomology.jsonio import dump_json, load_input, triple_to_dict
 from zkhomology.pipeline import g_boundary_matrix
 from zkhomology.simplicial import build_complex
 from zkhomology.transfer import IsotropyTriple, build_triple, check_axioms
@@ -76,30 +76,29 @@ class TestBuildTriple:
     def test_path_values(self, path_setup):
         act, qd, lift = path_setup
         tri = build_triple(act, lift=lift, qd=qd)
-        assert {q: H.order for q, H in tri.S.items()} == {
-            (0,): 1, (1,): 2, (0, 1): 1}
+        assert tri.S == {(0,): 1, (1,): 2, (0, 1): 1}
         assert tri.Tstar[(0, 1), (1,)] == {0, 1}
         assert tri.Tstar[(0, 1), (0,)] == {0}
 
     def test_trivial_k1(self):
         act = trivial_action(build_complex([{0, 1}, {1, 2}]), 1)
         tri = build_triple(act)
-        assert all(H.order == 1 for H in tri.S.values())
+        assert all(n == 1 for n in tri.S.values())
         assert all(v == {0} for v in tri.Tstar.values())
 
     def test_swapped_triangles_free(self, corpus_actions):
         tri = build_triple(corpus_actions["two_triangles_swap"])
-        assert all(H.order == 1 for H in tri.S.values())
+        assert all(n == 1 for n in tri.S.values())
         assert all(len(v) == 1 for v in tri.Tstar.values())
 
     def test_coset_property_corpus_wide(self, corpus_actions):
         for act in corpus_actions.values():
             tri = build_triple(act)
             for (psi, omega), hits in tri.Tstar.items():
-                H = tri.S[omega]
-                assert len(hits) == H.order
+                order = tri.S[omega]
+                assert len(hits) == order
                 base = min(hits)
-                assert hits == {(base + e) % tri.k for e in H.exponents()}
+                assert hits == {(base + e) % tri.k for e in range(0, tri.k, tri.k // order)}
 
     def test_chain_dim_matches_upstairs(self, corpus_actions):
         for act in corpus_actions.values():
@@ -140,18 +139,18 @@ class TestCosetMap:
     def test_full_isotropy_single_coset(self, path_setup):
         act, qd, lift = path_setup
         tri = build_triple(act, lift=lift, qd=qd)
-        assert coset_position(tri.S[(1,)], 1) == 1
+        assert coset_position(tri.k, tri.S[(1,)], 1) == 1
 
     def test_free_vertex(self, path_setup):
         act, qd, lift = path_setup
         tri = build_triple(act, lift=lift, qd=qd)
-        assert coset_position(tri.S[(0,)], 1) == 2
+        assert coset_position(tri.k, tri.S[(0,)], 1) == 2
 
     def test_identity_always_first(self, corpus_actions):
         for act in corpus_actions.values():
             tri = build_triple(act)
             for q in tri.quotient.all_simplices():
-                assert coset_position(tri.S[q], 0) == 1
+                assert coset_position(tri.k, tri.S[q], 0) == 1
 
 
 class TestComplexOfGroups:
@@ -162,7 +161,7 @@ class TestComplexOfGroups:
     def test_trivial_action_constant(self):
         act = trivial_action(build_complex([{0, 1, 2}]), 3)
         tri = build_triple(act)
-        assert all(H.order == 3 for H in tri.S.values())
+        assert all(n == 3 for n in tri.S.values())
         # every transfer set is all of Z_3, so e = min T* = 0 throughout
         assert all(min(hits) == 0 for hits in tri.Tstar.values())
         assert check_axioms(tri) is None
@@ -170,8 +169,7 @@ class TestComplexOfGroups:
 
 class TestStandaloneTripleValidation:
     def _path_triple_dict(self):
-        from zkhomology.actions import Subgroup
-        S = {(0,): Subgroup(2, 1), (1,): Subgroup(2, 2), (0, 1): Subgroup(2, 1)}
+        S = {(0,): 1, (1,): 2, (0, 1): 1}
         Tstar = {((0, 1), (0,)): frozenset({0}), ((0, 1), (1,)): frozenset({0, 1})}
         return build_complex([{0, 1}]), S, Tstar
 
@@ -192,12 +190,41 @@ class TestStandaloneTripleValidation:
             IsotropyTriple(2, Y, S, Tstar).validate()
 
     def test_isotropy_monotonicity_enforced(self):
-        from zkhomology.actions import Subgroup
         Y = build_complex([{0, 1}])
-        S = {(0,): Subgroup(2, 1), (1,): Subgroup(2, 1), (0, 1): Subgroup(2, 2)}
+        S = {(0,): 1, (1,): 1, (0, 1): 2}
         Tstar = {((0, 1), (0,)): frozenset({0}), ((0, 1), (1,)): frozenset({0})}
         with pytest.raises(TripleValidationError, match="embed"):
             IsotropyTriple(2, Y, S, Tstar).validate()
+
+
+# S values that name no subgroup of Z_4: a bool, no positive order, an
+# order not dividing k, a float and the (k, order) pair of a record
+NOT_AN_ORDER = (True, 0, -2, 3, 2.0, (4, 2))
+
+
+@pytest.mark.parametrize("value", NOT_AN_ORDER, ids=repr)
+def test_validate_takes_only_plain_int_orders(value):
+    Y = build_complex([{0, 1}])
+    S = {(0,): 1, (1,): value, (0, 1): 1}
+    Tstar = {((0, 1), (0,)): frozenset({0}), ((0, 1), (1,)): frozenset({0})}
+    with pytest.raises(TripleValidationError) as info:
+        IsotropyTriple(4, Y, S, Tstar).validate()
+    assert str(info.value) == "S((1,)) is not a subgroup of Z_4"
+    assert info.value.witness == (1,)
+
+
+def test_isotropy_orders_are_plain_ints(corpus_actions, tmp_path):
+    # built from an action and parsed from a triple file alike
+    for name, act in corpus_actions.items():
+        qd = quotient(act)
+        for lift in (lex_lift(qd), lex_max_lift(qd)):
+            tri = build_triple(act, lift=lift, qd=qd)
+            path = tmp_path / f"{name}.json"
+            path.write_text(dump_json(triple_to_dict(tri)))
+            kind, parsed = load_input(path)
+            assert kind == "triple" and parsed == tri
+            for S in (tri.S, parsed.S):
+                assert {type(n) for n in S.values()} == {int}, name
 
 
 def _all_pairs_validate(triple):
@@ -208,8 +235,8 @@ def _all_pairs_validate(triple):
     for q in Y.all_simplices():
         if q not in triple.S:
             raise TripleValidationError(f"S undefined on {q}", witness=q)
-        H = triple.S[q]
-        if not isinstance(H, Subgroup) or H.k != k or k % H.order != 0:
+        n = triple.S[q]
+        if type(n) is not int or n < 1 or k % n != 0:
             raise TripleValidationError(f"S({q}) is not a subgroup of Z_{k}", witness=q)
     for d in range(1, Y.dim + 1):
         for psi in Y.simplices(d):
@@ -225,14 +252,14 @@ def _all_pairs_validate(triple):
                     raise TripleValidationError(
                         f"T*({psi},{omega}) missing or empty for a face pair",
                         witness=(psi, omega))
-                H = triple.S[omega]
-                coset = frozenset((min(hits) + e) % k for e in H.exponents())
+                n = triple.S[omega]
+                coset = frozenset((min(hits) + e) % k for e in range(0, k, k // n))
                 if hits != coset:
                     raise TripleValidationError(
                         f"T*({psi},{omega}) = {sorted(hits)} is not a left "
-                        f"coset of S({omega}) (order {H.order})",
+                        f"coset of S({omega}) (order {n})",
                         witness=(psi, omega))
-                if triple.S[omega].order % triple.S[psi].order != 0:
+                if triple.S[omega] % triple.S[psi] != 0:
                     raise TripleValidationError(
                         f"S({psi}) does not embed into S({omega})",
                         witness=(psi, omega))
@@ -278,7 +305,7 @@ def _tamper(rng, tri, kind):
             [(c + shift) % k for c in moved] + hits[len(moved):])
     elif kind == "broken embedding":
         orders = [h for h in range(1, k + 1) if k % h == 0]
-        tri.S[rng.choice([psi, omega])] = Subgroup(k, rng.choice(orders))
+        tri.S[rng.choice([psi, omega])] = rng.choice(orders)
     elif kind == "non codimension-1 key":
         tri.Tstar[(psi, psi[:1])] = frozenset({0})
     elif kind == "malformed key":
@@ -317,7 +344,7 @@ def test_stray_pair_ordered_among_faces():
     # psi = (0, 2): the non-face pair ((0, 2), (1,)) sorts between the faces
     # (0,) and (2,), so it is the first error although (2,) is missing too
     Y = build_complex([{0, 1, 2}])
-    S = {q: Subgroup(1, 1) for q in Y.all_simplices()}
+    S = dict.fromkeys(Y.all_simplices(), 1)
     Tstar = {(psi, omega): frozenset({0}) for d in (1, 2) for psi in Y.simplices(d)
              for omega in Y.simplices(d - 1) if set(omega) <= set(psi)}
     Tstar[((0, 2), (1,))] = frozenset({0})
