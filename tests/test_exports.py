@@ -192,21 +192,44 @@ def test_value_records_are_gone():
     assert "rank_sum" in zkhomology.__all__ and zkhomology.rank_sum is ring_snf.rank_sum
 
 
-def test_regularity_witness_is_a_plain_namedtuple():
-    # fields, repr, equality, hash and pickling are a namedtuple's; the
-    # subgroup is named by its order
-    values = (2, (0, 1), (0,), (2,), (1, 2))
-    w, same = actions.RegularityWitness(*values), actions.RegularityWitness(*values)
-    assert actions.RegularityWitness._fields == ("order", "simplex", "vertices", "exponents",
-                                                 "image")
-    assert repr(w) == ("RegularityWitness(order=2, simplex=(0, 1), vertices=(0,), "
-                       "exponents=(2,), image=(1, 2))")
-    assert w is not same and w == same and hash(w) == hash(same) and not w != same
-    assert w != w._replace(order=4)
-    again = pickle.loads(pickle.dumps(w))
-    assert type(again) is actions.RegularityWitness and again == w
-    for name in ("order", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(w, name, 0)
-    assert w.describe() == ("subgroup order 2: simplex (0, 1), vertices (0,) moved by "
-                            "exponents (2,) give simplex (1, 2), but no single element matches")
+class TestRecords:
+    """RegularityWitness, the one value record left, is a plain namedtuple:
+    its fields, repr, equality, hash and pickling are a namedtuple's, and
+    the subgroup is named by its order."""
+
+    VALUES = (2, (0, 1), (0,), (2,), (1, 2))
+
+    def _make(self):
+        return actions.RegularityWitness(*self.VALUES)
+
+    def test_equal_fields_equal_objects_and_hashes(self):
+        w, same = self._make(), self._make()
+        assert w is not same and w == same and hash(w) == hash(same)
+        assert not w != same
+        assert w != w._replace(order=4)
+        assert len({w, same}) == 1
+
+    def test_replace_validates_and_pickle_round_trips(self):
+        # no validation rides on _replace or _make any more: the order is
+        # checked where the witness is raised
+        w = self._make()
+        assert w._replace(order=4) == actions.RegularityWitness(4, *self.VALUES[1:])
+        assert actions.RegularityWitness._make(self.VALUES) == w
+        again = pickle.loads(pickle.dumps(w))
+        assert type(again) is actions.RegularityWitness and again == w
+
+    def test_repr_names_every_field(self):
+        w = self._make()
+        assert actions.RegularityWitness._fields == ("order", "simplex", "vertices",
+                                                     "exponents", "image")
+        assert repr(w) == ("RegularityWitness(order=2, simplex=(0, 1), vertices=(0,), "
+                           "exponents=(2,), image=(1, 2))")
+        assert w.describe() == ("subgroup order 2: simplex (0, 1), vertices (0,) moved by "
+                                "exponents (2,) give simplex (1, 2), but no single element "
+                                "matches")
+
+    def test_fields_cannot_be_assigned_or_added(self):
+        w = self._make()
+        for name in ("order", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(w, name, 0)
