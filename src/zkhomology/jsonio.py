@@ -20,17 +20,20 @@ One input schema covers both forms:
 Serialization is canonical (every simplex listed, (dimension, lex) order)
 so parse -> serialize -> parse is the identity.
 
-Parsing reads each item once and raises the first error in this order:
-the top level ("k" a positive integer, JSON's true is none); an action's
-"simplices" (lists; a non-integer vertex anywhere, then the first simplex
-in file order with a negative or boolean vertex, none or a repeat), its
-"generator" (integers, one per vertex of ids 0..n-1), `validate_action`;
-a triple's "quotient" (likewise), S entries in file order (positive order,
-quotient simplex key, order dividing k), T* entries ("<psi>|<omega>" keys,
-integer exponents).  Callers validate a triple, so `verify` reports tampering.
+Parsing raises the first error in this order: the top level ("k" a
+positive integer, JSON's true is none); an action's "simplices" (lists; a
+non-integer vertex anywhere, then the first simplex in file order with a
+negative or boolean vertex, none or a repeat), its "generator" (integers,
+one per vertex of ids 0..n-1), `validate_action`; a triple's "quotient"
+(likewise), S entries in file order (positive order, quotient simplex key,
+order dividing k), T* entries ("<psi>|<omega>" keys, integer exponents).
+A triple's keys, orders and exponents are checked in bulk; its entries are
+read one at a time only when that fails, to name the first error.  Callers
+validate a triple, so `verify` reports tampering.
 """
 
 import json
+from itertools import chain, repeat
 
 from .actions import validate_action
 from .errors import InputFormatError, InvalidSimplexError, TripleValidationError
@@ -110,34 +113,47 @@ def _parse_triple(k, body):
         Y = build_complex(quotient)
     except InvalidSimplexError as exc:
         raise InputFormatError(f"bad quotient simplex: {exc}") from None
-    # Keys are read against the quotient's own; only other text is parsed,
-    # for its error or for the checks that follow.
+    # Keys are read against the quotient's own and values checked, all at
+    # once.  Only if that fails does the loop over the entries run: it raises
+    # the first error, or parses a T* key off the quotient for `validate`.
     keyed = {simplex_key(s): s for s in Y.all_simplices()}
 
     def parse_key(text):
         return keyed.get(text) or parse_simplex_key(text)
 
     _require(isinstance(S_body, dict), '"S" must be an object')
-    S = {}
-    for key, order in S_body.items():
-        if type(order) is not int or order < 1:
-            raise InputFormatError(f"S[{key!r}] must be a positive integer")
-        q = parse_key(key)
-        if q not in Y:
-            raise InputFormatError(f"S defined on {q}, which is not a quotient simplex")
-        if k % order != 0:
-            raise TripleValidationError(f"order {order} does not divide k={k}", witness=q)
-        S[q] = order
+    qs, orders = list(map(keyed.get, S_body)), list(S_body.values())
+    S = dict(zip(qs, orders))
+    if (None in qs or not set(map(type, orders)) <= {int} or min(orders, default=1) < 1
+            or any(map(k.__mod__, orders))):
+        for key, order in S_body.items():       # raises: some entry is bad
+            if type(order) is not int or order < 1:
+                raise InputFormatError(f"S[{key!r}] must be a positive integer")
+            q = parse_key(key)
+            if q not in Y:
+                raise InputFormatError(f"S defined on {q}, which is not a quotient simplex")
+            if k % order != 0:
+                raise TripleValidationError(f"order {order} does not divide k={k}", witness=q)
     _require(isinstance(T_body, dict), '"Tstar" must be an object')
-    Tstar = {}
-    for key, exps in T_body.items():
-        psi, bar, omega = key.partition("|")
-        if not bar:
-            raise InputFormatError(f'Tstar key {key!r} must look like "<psi>|<omega>"')
-        pair = (parse_key(psi), parse_key(omega))
-        if type(exps) is not list or not set(map(type, exps)) <= {int}:
-            raise InputFormatError(f"Tstar[{key!r}] must be a list of exponents")
-        Tstar[pair] = frozenset(map(k.__rmod__, exps))      # each c % k
+    pairs = [(keyed.get(psi), keyed.get(omega))
+             for psi, _, omega in map(str.partition, T_body, repeat("|"))]
+    values = list(T_body.values())
+    lists = set(map(type, values)) <= {list}
+    flat = list(chain.from_iterable(values)) if lists else ()
+    if (lists and all(map(all, pairs))      # no None: every key names quotient simplices
+            and set(map(type, flat)) <= {int} and min(flat, default=0) >= 0
+            and max(flat, default=0) < k):
+        Tstar = dict(zip(pairs, values))    # exponents in [0, k); the triple takes frozensets
+    else:
+        Tstar = {}
+        for key, exps in T_body.items():
+            psi, bar, omega = key.partition("|")
+            if not bar:
+                raise InputFormatError(f'Tstar key {key!r} must look like "<psi>|<omega>"')
+            pair = (parse_key(psi), parse_key(omega))
+            if type(exps) is not list or not set(map(type, exps)) <= {int}:
+                raise InputFormatError(f"Tstar[{key!r}] must be a list of exponents")
+            Tstar[pair] = frozenset(map(k.__rmod__, exps))      # each c % k
     return IsotropyTriple(k, Y, S, Tstar)
 
 

@@ -167,8 +167,8 @@ def _smith_diagonal(M, rows):
     core = [[tuple([w.get(e, 0) for e in range(max(w) + 1)]) if w else ()
              for w in map(C.entries[a].get, range(C.cols))] for a in range(C.rows)]
     if min(C.rows, C.cols) <= 1:
-        # at most one line, none of its entries zero: d_0 is their gcd
-        entries = (f for row in core for f in row)
+        # at most one line, none of its entries zero: d_0 is the gcd of the distinct ones
+        entries = dict.fromkeys(f for row in core for f in row)
         chain = [reduce(partial(poly_gcd, p), entries, q)] if core else []
     else:
         chain = [poly_gcd(p, d, q) for d in snf_over_polys(p, core)]

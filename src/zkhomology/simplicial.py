@@ -7,7 +7,8 @@ simplices (the ordering of each chain-group basis) and is always downward
 closed; every simplex is oriented by its increasing vertex tuple.
 """
 
-from itertools import chain, combinations, groupby, repeat
+from itertools import chain, combinations, groupby, pairwise, repeat
+from operator import lt
 
 from .errors import DimensionError, InvalidSimplexError, UnknownSimplexError
 from .exact import FieldMatrix, field_rank
@@ -38,25 +39,26 @@ class Complex:
     __slots__ = ("_by_dim", "_index")
 
     def __init__(self, simplices):
-        # The given simplices are sorted and checked at once; `as_simplex` runs
-        # only if that check fails, to raise the first error in input order.
+        # Canonical input (non-negative ints, each simplex strictly increasing:
+        # every file the program writes) is taken as it is, checked one column
+        # pair at a time per length.  Other input goes through `as_simplex`,
+        # which canonicalizes it or raises the first error in input order.
         # The closure runs from the top dimension down, each level adding its
         # facets to the level below: a listed face costs one set insertion.
         listed = list(map(tuple, simplices))
-        try:
-            canon = list(map(tuple, map(sorted, map(set, listed))))
-            vertices = list(chain.from_iterable(canon))
-            valid = (list(map(len, canon)) == list(map(len, listed)) and () not in canon
-                     and set(map(type, vertices)) <= {int} and min(vertices, default=0) >= 0)
-        except TypeError:           # unhashable or mutually unordered vertices
-            valid = False
-        if not valid:
+        given = {n: list(level) for n, level in groupby(sorted(listed, key=len), len)}
+        vertices = list(chain.from_iterable(listed))
+        canonical = (0 not in given and set(map(type, vertices)) <= {int}
+                     and min(vertices, default=0) >= 0
+                     and all(all(map(lt, a, b))     # each column below the next
+                             for level in given.values() for a, b in pairwise(zip(*level))))
+        if not canonical:
             canon = list(map(as_simplex, listed))
-        given = {n: set(level) for n, level in groupby(sorted(canon, key=len), len)}
+            given = {n: list(level) for n, level in groupby(sorted(canon, key=len), len)}
         by_dim = [()] * max(given, default=0)
         above = ()
         for n in range(len(by_dim), 0, -1):
-            level = given.get(n, set())
+            level = set(given.get(n, ()))
             level.update(chain.from_iterable(map(combinations, above, repeat(n))))
             by_dim[n - 1] = above = tuple(sorted(level))
         self._by_dim = by_dim = tuple(by_dim)

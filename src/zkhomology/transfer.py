@@ -31,7 +31,16 @@ class IsotropyTriple:
         return sum(self.k // self.S[q] for q in self.quotient.simplices(d))
 
     def validate(self):
-        """Structural invariants of a triple (raises TripleValidationError)."""
+        """Structural invariants of a triple (raises TripleValidationError).
+
+        S must give each quotient simplex an order dividing k.  The face pairs
+        are walked in (d, psi, omega) order: T*(psi, omega) must be a left
+        coset of S(omega), and S(psi) must embed into S(omega).  A walk with
+        no fault over T* with one key per face pair is done; otherwise the
+        keys are scanned, and the first of the fault and the strays (T*
+        nonempty on a codimension-1 non-face pair) is raised, else a key that
+        is no codimension-1 pair.
+        """
         Y, k, S, Tstar = self.quotient, self.k, self.S, self.Tstar
         step = {}           # q -> k / |S(q)|, the step between exponents of S(q)
         for q in Y.all_simplices():
@@ -41,56 +50,30 @@ class IsotropyTriple:
             if type(n) is not int or n < 1 or k % n != 0:
                 raise TripleValidationError(f"S({q}) is not a subgroup of Z_{k}", witness=q)
             step[q] = k // n
-        # One scan of the keys finds the strays (non-faces omega keyed with psi by
-        # a nonempty T*) and the first key that is no codimension-1 pair, reported
-        # last; pairs are visited in (d, psi, omega) order, faces and strays.
-        # Membership reads the quotient's index, copying only a key that is no
-        # tuple, as `in Y` would: every key of a parsed triple is a tuple.
-        stray, late, index = {}, None, Y._index
-        for pair, hits in Tstar.items():
-            try:
-                psi, omega = pair
-                codim1 = ((psi if type(psi) is tuple else tuple(psi)) in index
-                          and (omega if type(omega) is tuple else tuple(omega)) in index
-                          and len(psi) == len(omega) + 1)
-            except (TypeError, ValueError) as exc:    # not a pair of simplices
-                late = late or exc
-                continue
-            if not codim1:
-                late = late or TripleValidationError(
-                    f"T* keyed by a non codimension-1 pair ({psi},{omega})", witness=(psi, omega))
-            elif hits and isinstance(omega, tuple) and not set(psi).issuperset(omega):
-                stray.setdefault(psi, []).append(omega)
         for d in range(1, Y.dim + 1):
             for psi in Y.simplices(d):
-                strays = stray.get(psi, ())
-                omegas = combinations(psi, d)
-                if strays:
-                    omegas = sorted([*omegas, *strays], key=Y.index_of)
                 psi_step = step[psi]
-                for omega in omegas:
+                for omega in combinations(psi, d):
                     pair = (psi, omega)
-                    if omega in strays:
-                        raise TripleValidationError(
-                            f"T*({psi},{omega}) nonempty for a non-face pair", witness=pair)
                     hits = Tstar.get(pair)
                     if not hits:
-                        raise TripleValidationError(
-                            f"T*({psi},{omega}) missing or empty for a face pair", witness=pair)
+                        raise _scan_keys(Y, Tstar, TripleValidationError(
+                            f"T*({psi},{omega}) missing or empty for a face pair", witness=pair))
                     # a coset of S(omega): |S(omega)| exponents in [0, k),
                     # each a multiple of omega's step from the least
                     omega_step, base = step[omega], min(hits)
                     if len(hits) * omega_step != k or not all(
                             0 <= c < k and (c - base) % omega_step == 0 for c in hits):
-                        raise TripleValidationError(
+                        raise _scan_keys(Y, Tstar, TripleValidationError(
                             f"T*({psi},{omega}) = {sorted(hits)} is not a left "
-                            f"coset of S({omega}) (order {S[omega]})", witness=pair)
+                            f"coset of S({omega}) (order {S[omega]})", witness=pair))
                     # S(psi) embeds into S(omega): omega's step divides psi's
                     if psi_step % omega_step != 0:
-                        raise TripleValidationError(
-                            f"S({psi}) does not embed into S({omega})", witness=pair)
-        if late:
-            raise late
+                        raise _scan_keys(Y, Tstar, TripleValidationError(
+                            f"S({psi}) does not embed into S({omega})", witness=pair))
+        faces = sum((d + 1) * Y.n_simplices(d) for d in range(1, Y.dim + 1))
+        if len(Tstar) != faces and (error := _scan_keys(Y, Tstar)):
+            raise error
 
     def __eq__(self, other):
         return (
@@ -103,6 +86,39 @@ class IsotropyTriple:
 
     def __repr__(self):
         return f"IsotropyTriple(k={self.k}, quotient={self.quotient!r})"
+
+
+def _scan_keys(Y, Tstar, fault=None):
+    """The error `validate` raises, given the walk's first fault, if any: the
+    first of the fault (at its witness, a face pair) and the strays of T* in
+    (d, psi, omega) order, else the first key that is no codimension-1 pair
+    of quotient simplices; None if there is none."""
+    # Membership reads the quotient's index, copying only a key that is no
+    # tuple, as `in Y` would: every key of a parsed triple is a tuple.
+    strays, late, index = [], None, Y._index
+    for key, hits in Tstar.items():
+        try:
+            psi, omega = key
+            codim1 = ((psi if type(psi) is tuple else tuple(psi)) in index
+                      and (omega if type(omega) is tuple else tuple(omega)) in index
+                      and len(psi) == len(omega) + 1)
+        except (TypeError, ValueError) as exc:    # not a pair of simplices
+            late = late or exc
+            continue
+        if not codim1:
+            late = late or TripleValidationError(
+                f"T* keyed by a non codimension-1 pair ({psi},{omega})", witness=(psi, omega))
+        elif hits and isinstance(omega, tuple) and psi in index and not set(psi).issuperset(omega):
+            strays.append((psi, omega))
+
+    def order(key):
+        return len(key[0]), index[key[0]], index[key[1]]
+
+    stray = min(strays, key=order, default=None)
+    if stray and not (fault and order(fault.witness) < order(stray)):
+        return TripleValidationError(
+            f"T*({stray[0]},{stray[1]}) nonempty for a non-face pair", witness=stray)
+    return fault or late
 
 
 def build_triple(action, lift=None, qd=None):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PINNED = "3777 runs sha256 c47b23357d5af1fb489f7a0f1886913122cb49f5d14496a3469817dc32eb3d4e"
+PINNED = "5633 runs sha256 92f89078cc3bc694f62431fa5cf5f65205049d48db2bfa76d6b5d5ffc709adba"
 
 
 def test_cli_sweep_prints_the_pinned_line():

@@ -2,8 +2,9 @@ import hashlib
 
 import pytest
 
-from zkhomology.actions import lex_lift, lex_max_lift, quotient
-from zkhomology.corpus import build_action, regular_entries
+from zkhomology import transfer
+from zkhomology.actions import check_regularity, lex_lift, lex_max_lift, quotient, regularize
+from zkhomology.corpus import build_action, entry, names, regular_entries
 from zkhomology.errors import (
     AxiomError,
     InputFormatError,
@@ -13,6 +14,8 @@ from zkhomology.errors import (
 )
 from zkhomology.jsonio import dump_json, parse_input, parse_simplex_key, simplex_key, triple_to_dict
 from zkhomology.transfer import build_triple, check_axioms
+
+from grids import lens_cover
 
 
 GOOD_TRIPLE = {
@@ -117,6 +120,8 @@ class TestTripleSchema:
         kind, triple = parse_input(body)
         triple.validate()
         assert triple.Tstar[(0, 1), (1,)] == {0, 1}
+        body["triple"]["Tstar"] = {"0,1|0": [-2], "0,1|1": [-1, 0]}
+        assert parse_input(body)[1] == parse_input(GOOD_TRIPLE)[1]
 
 
 def _action(simplices, generator=(1, 0), k=2):
@@ -292,6 +297,31 @@ INPUT_ERRORS = [
      ((0, 1, 2), (0, 2), (0,))),
 ]
 
+# Triples whose T* keys are not exactly the face pairs, so that `validate`
+# scans the keys: the first of the walk's fault and the strays in
+# (d, psi, omega) order is raised, a non codimension-1 key last.  An empty
+# T* on a non-face pair is no error (error None: the front end accepts it).
+KEY_SCAN_ROWS = [
+    ('stray before a failing face pair of its coface',
+     _triple(quotient=[[0], [1, 2]], S={"0": 1, "1": 1, "2": 1, "1,2": 1},
+             Tstar={"1,2|0": [0], "1,2|2": [0]}),
+     TripleValidationError, 'T*((1, 2),(0,)) nonempty for a non-face pair', ((1, 2), (0,))),
+    ('failing face pair before a later stray',
+     _triple(quotient=[[0, 1], [2]], S={"0": 1, "1": 2, "2": 1, "0,1": 1},
+             Tstar={"0,1|2": [0], "0,1|0": [0, 1], "0,1|1": [0, 1]}),
+     TripleValidationError,
+     'T*((0, 1),(0,)) = [0, 1] is not a left coset of S((0,)) (order 1)', ((0, 1), (0,))),
+    ('coset fault before a non codimension-1 key',
+     _triple(Tstar={"0,1|0,1": [0], "0,1|0": [0], "0,1|1": [1]}),
+     TripleValidationError,
+     'T*((0, 1),(1,)) = [1] is not a left coset of S((1,)) (order 2)', ((0, 1), (1,))),
+    ('empty T* on a non-face pair',
+     _triple(quotient=[[0, 1], [2]], S={"0": 1, "1": 2, "2": 1, "0,1": 1},
+             Tstar={"0,1|0": [0], "0,1|1": [0, 1], "0,1|2": []}),
+     None, None, None),
+]
+INPUT_ERRORS += KEY_SCAN_ROWS
+
 
 def _front_end(body):
     kind, payload = parse_input(body)
@@ -303,6 +333,9 @@ def _front_end(body):
 @pytest.mark.parametrize("body, error, message, witness",
                          [pytest.param(*row[1:], id=row[0]) for row in INPUT_ERRORS])
 def test_input_error_contract(body, error, message, witness):
+    if error is None:
+        _front_end(body)
+        return
     with pytest.raises(ZkHomologyError) as info:
         _front_end(body)
     assert type(info.value) is error
@@ -326,3 +359,44 @@ def test_serialized_triples_are_pinned():
             doc = triple_to_dict(build_triple(action, lift=policy(qd), qd=qd))
             digest.update(dump_json(doc).encode() + b"\n")
     assert digest.hexdigest() == TRIPLE_FILES_SHA256
+
+
+@pytest.fixture
+def key_scans(monkeypatch):
+    """The arguments of every call `validate` makes to its key scan."""
+    calls, scan = [], transfer._scan_keys
+
+    def spy(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(transfer, "_scan_keys", spy)
+    return calls
+
+
+def test_valid_triples_are_checked_without_a_key_scan(key_scans):
+    # the triple of every corpus entry (of its double subdivision when the
+    # action is not regular) under both lifts, as built and as parsed back,
+    # and the lens cover triples of the CLI sweep
+    actions = [build_action(entry(name)) for name in names()]
+    actions = [regularize(a) if check_regularity(a) is not None else a for a in actions]
+    actions += [lens_cover(2, 2), lens_cover(3, 2)]
+    for action in actions:
+        qd = quotient(action)
+        for policy in (lex_lift, lex_max_lift):
+            triple = build_triple(action, lift=policy(qd), qd=qd)
+            triple.validate()
+            parse_input(triple_to_dict(triple))[1].validate()
+    assert key_scans == []
+
+
+@pytest.mark.parametrize("body, error",
+                         [pytest.param(*row[1:3], id=row[0]) for row in KEY_SCAN_ROWS])
+def test_key_scan_runs_once_on_a_fault_or_a_stray_key(key_scans, body, error):
+    triple = parse_input(body)[1]
+    if error is None:
+        triple.validate()
+    else:
+        with pytest.raises(error):
+            triple.validate()
+    assert len(key_scans) == 1

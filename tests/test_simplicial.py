@@ -96,6 +96,21 @@ class TestClosure:
         with pytest.raises(InvalidSimplexError, match="bad vertex identifier -1"):
             Complex(bad[::-1])
 
+    # Inputs one step from canonical: the check that takes canonical input
+    # as it is must reject each, so that the error stays as_simplex's.
+    @pytest.mark.parametrize("simplices, message", [
+        ([[0, True]], "bad vertex identifier True"),
+        ([[-1, 0]], "bad vertex identifier -1"),
+        ([[0, 1.0]], "bad vertex identifier 1.0"),
+        ([["0", "1"]], "bad vertex identifier '0'"),
+        ([[1, 1]], "repeated vertices in (1, 1)"),
+        ([[0, 1], []], "a simplex needs at least one vertex"),
+    ])
+    def test_near_canonical_input_raises_the_first_error(self, simplices, message):
+        with pytest.raises(InvalidSimplexError) as info:
+            Complex(simplices)
+        assert str(info.value) == message
+
 
 def _outcome(fn, *args):
     """What fn returns, or the type and message of what it raises."""

@@ -213,6 +213,17 @@ def test_validate_takes_only_plain_int_orders(value):
     assert info.value.witness == (1,)
 
 
+def test_one_set_is_judged_against_each_face_group():
+    # {0} is a coset of the trivial group of (0,), but not of Z_2 at (1,)
+    Y = build_complex([{0, 1}])
+    S = {(0,): 1, (1,): 2, (0, 1): 1}
+    Tstar = {((0, 1), (0,)): frozenset({0}), ((0, 1), (1,)): frozenset({0})}
+    with pytest.raises(TripleValidationError) as info:
+        IsotropyTriple(2, Y, S, Tstar).validate()
+    assert str(info.value) == "T*((0, 1),(1,)) = [0] is not a left coset of S((1,)) (order 2)"
+    assert info.value.witness == ((0, 1), (1,))
+
+
 def test_isotropy_orders_are_plain_ints(corpus_actions, tmp_path):
     # built from an action and parsed from a triple file alike
     for name, act in corpus_actions.items():

@@ -4,20 +4,20 @@
 
 Imports `zkhomology` from SRC_DIR (a checkout's `src/`), writes every
 corpus entry, the isotropy triple of each entry (of its double subdivision
-when the action is not regular) and three tampered copies of that triple,
-four damaged action files, the 9x3 torus at k = 3 under a fixed vertex
-shuffle, and the triples of the lens covers (k, s) = (2, 2) and (3, 2),
-into a temporary directory.  A lens cover's unit pivots leave cores of
-several lines, so the pivot order shapes what the polynomial Smith form
-gets.  On the shuffled torus the orbit walks run out of complex order.
-It runs, in this process and on every file:
-`check`; `homology` in each mode, format and lift; and `verify` as a
-table, as JSON and with `--regularize`; `homology` and `verify` over Q,
-F2, F3 and F5; and `homology` as JSON with `--generator` set to each
-exponent coprime to k, over each field.  It prints the number of runs and
-one sha256 over the argv, exit code, stdout and stderr of every run, in
-order.  Two checkouts that print the same line answer every one of these
-runs byte for byte alike.  Standard library only.
+when the action is not regular) and up to six tampered copies of that
+triple (three add a T* key that is no face pair), four damaged action
+files, the 9x3 torus at k = 3 under a fixed vertex shuffle, and the triples
+of the lens covers (k, s) = (2, 2) and (3, 2), into a temporary directory.
+A lens cover's unit pivots leave cores of several lines, so the pivot
+order shapes what the polynomial Smith form gets.  On the shuffled torus
+the orbit walks run out of complex order.  It runs, in this process and
+on every file: `check`; `homology` in each mode, format and lift; and
+`verify` as a table, as JSON and with `--regularize`; `homology` and
+`verify` over Q, F2, F3 and F5; and `homology` as JSON with `--generator`
+set to each exponent coprime to k, over each field.  It prints the number
+of runs and one sha256 over the argv, exit code, stdout and stderr of
+every run, in order.  Two checkouts that print the same line answer every
+one of these runs byte for byte alike.  Standard library only.
 """
 
 import contextlib
@@ -46,16 +46,35 @@ DAMAGED_ACTIONS = {
 
 
 def _tampered(body):
-    # Three damaged copies of a serialized triple: the first T* set shifted
-    # by one (a coset still, so validation may pass while the axioms fail),
-    # the last T* entry dropped, and the last simplex given the whole group.
+    # Damaged copies of a serialized triple: the first T* set shifted by one
+    # (a coset still, so validation may pass while the axioms fail), the
+    # last T* entry dropped, and the last simplex given the whole group.
+    # Three more add a T* key that is no face pair, for validation's scan of
+    # the keys: one whose coface lies off the quotient, and, where the
+    # quotient has one, a pair (psi, w) of the first key's coface and a
+    # simplex w of the face's size that is no face of it, nonempty (a stray)
+    # and empty (still valid).
     k, (first, *_, last) = body["k"], body["triple"]["Tstar"]
     shifted, dropped, whole = (copy.deepcopy(body) for _ in range(3))
     tstar = shifted["triple"]["Tstar"]
     tstar[first] = sorted((c + 1) % k for c in tstar[first])
     del dropped["triple"]["Tstar"][last]
     whole["triple"]["S"][list(body["triple"]["S"])[-1]] = k
-    return {"shifted": shifted, "dropped": dropped, "whole": whole}
+    damaged = {"shifted": shifted, "dropped": dropped, "whole": whole}
+    quotient = body["triple"]["quotient"]
+    psi, omega = first.split("|")
+    coface = list(map(int, psi.split(",")))
+    beyond = 1 + max(v for s in quotient for v in s)
+    extra = {"off_quotient": (f"{omega},{beyond}|{omega}", [0])}
+    for w in quotient:
+        if len(w) == len(coface) - 1 and not set(w) <= set(coface):
+            w_key = ",".join(map(str, w))
+            extra.update(stray=(f"{psi}|{w_key}", [0]), empty_key=(f"{psi}|{w_key}", []))
+            break
+    for how, (key, exps) in extra.items():
+        damaged[how] = copy.deepcopy(body)
+        damaged[how]["triple"]["Tstar"][key] = exps
+    return damaged
 
 
 def _lens_cover(k, s):
