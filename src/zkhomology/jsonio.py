@@ -113,10 +113,11 @@ def _parse_triple(k, body):
         Y = build_complex(quotient)
     except InvalidSimplexError as exc:
         raise InputFormatError(f"bad quotient simplex: {exc}") from None
-    # Keys are read against the quotient's own and values checked, all at
-    # once.  Only if that fails does the loop over the entries run: it raises
-    # the first error, or parses a T* key off the quotient for `validate`.
-    keyed = {simplex_key(s): s for s in Y.all_simplices()}
+    # Keys are read against the quotient's own, each vertex formatted once,
+    # and values checked in bulk.  Only a failure runs the loop over entries:
+    # it raises the first error, or parses a T* key off the quotient for `validate`.
+    names = {v: str(v) for v in Y.vertex_ids}
+    keyed = {",".join(map(names.__getitem__, s)): s for s in Y.all_simplices()}
 
     def parse_key(text):
         return keyed.get(text) or parse_simplex_key(text)

@@ -2,14 +2,14 @@
 
 The G-boundary matrix over F[Z_k] is built straight from the triple: the
 quotient boundary sign of each face pair times the group-ring sum of its
-transfer coset.  Its Smith normal form gives the rank reconstruction
-rank(boundary_d) = sum_i rank(rho(D_ii)), and with it the Betti numbers
-from the quotient data alone, once consecutive G-boundaries are checked to
-compose to zero over F[Z_k] (a product of downstairs size).  The answer
-is plain data: `compressed_result` returns the document that `homology
---format json` prints, its schema stated there once.  The upstairs model
-that ties this matrix to the acted-on complex (compatible boundaries, the
-isotropy expansion) lives in `checks`.
+transfer coset.  One pass builds every G-boundary, checks each consecutive
+pair to compose to zero over F[Z_k] (a product of downstairs size), and
+only then reduces each to its Smith normal form, whose rank reconstruction
+rank(boundary_d) = sum_i rank(rho(D_ii)) gives the Betti numbers from the
+quotient data alone.  `compressed_result` returns them as the document that
+`homology --format json` prints, its schema stated there once;
+`compressed_betti` returns the Betti numbers and prints no lift.  The
+upstairs model that ties this matrix to the acted-on complex lives in `checks`.
 """
 
 from math import gcd
@@ -32,7 +32,7 @@ def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
     written straight into sparse rows in the plain convention of `exact`:
     the ints +-1 over Q, 1 and p - 1 over F_p.
     """
-    Y, k = triple.quotient, triple.k
+    Y, k, Tstar = triple.quotient, triple.k, triple.Tstar
     if not (1 <= d <= Y.dim):
         raise DimensionError(f"d={d} out of range 1..{Y.dim}")
     given = {e: tuple(map(tuple, orders[e])) for e in (d - 1, d) if orders and orders.get(e)}
@@ -43,7 +43,6 @@ def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
     sign = (1, field.neg(1))
     # in lexicographic order a row's position is its index in the quotient
     row_pos = {s: i for i, s in enumerate(rows)} if d - 1 in given else Y._index
-    Tstar = triple.Tstar
     entries = {i: {} for i in range(len(rows))}
     for j, psi in enumerate(cols):
         for t in range(d + 1):
@@ -85,6 +84,26 @@ def _composes_to_zero(A, B):
     return True
 
 
+def _reduce(triple, field, generator_exponent, orders):
+    """Chain dimensions, ranks, Smith diagonals as lifts (none at d = 0) and
+    Betti numbers; every composition check runs before any reduction."""
+    check_generator(generator_exponent, triple.k)
+    dims = [triple.chain_dim(d) for d in range(triple.quotient.dim + 1)]
+    Ms = [g_boundary_matrix(triple, d, field, orders, generator_exponent)
+          for d in range(1, len(dims))]
+    for d, (A, B) in enumerate(zip(Ms, Ms[1:]), 2):
+        if not _composes_to_zero(A, B):
+            raise ArithmeticError(f"composition check failed at d={d}: the G-boundaries "
+                                  f"d={d - 1} and d={d} do not compose to zero")
+    diagonals = [()] + [_smith_diagonal(M, M.entries) for M in Ms]
+    ranks = [rank_sum(diagonal, triple.k) for diagonal in diagonals] + [0]
+    betti = [n - r - r_up for n, r, r_up in zip(dims, ranks, ranks[1:])]
+    for d, b in enumerate(betti):
+        if b < 0:
+            raise ArithmeticError(f"negative Betti number at dimension {d}")
+    return dims, ranks, diagonals, betti
+
+
 def compressed_result(triple, field, generator_exponent=1, orders=None,
                       lift_policy="lex-min"):
     """Betti numbers plus per-dimension diagnostics from a triple alone, as
@@ -93,38 +112,17 @@ def compressed_result(triple, field, generator_exponent=1, orders=None,
     [{"d", "dimC", "rank", "snf_lifts"}, ...]}, with the printed Smith-form
     lifts; on an action input the CLI adds "mode", and in `both` mode
     "direct_betti" and "match"."""
-    check_generator(generator_exponent, triple.k)
-    Y = triple.quotient
-    dims = [triple.chain_dim(d) for d in range(Y.dim + 1)]
-    ranks = [0] * (Y.dim + 2)
-    lifts = [[] for _ in range(Y.dim + 1)]
-    # M_d is reduced in its own rows once it has been checked to compose to
-    # zero with M_(d-1) and M_(d+1)
-    prev = None
-    for d in range(1, Y.dim + 2):
-        M = g_boundary_matrix(triple, d, field, orders, generator_exponent) if d <= Y.dim else None
-        if prev is not None and M is not None and not _composes_to_zero(prev, M):
-            raise ArithmeticError(f"composition check failed at d={d}: the G-boundaries "
-                                  f"d={d - 1} and d={d} do not compose to zero")
-        if prev is not None:
-            diagonal = _smith_diagonal(prev, prev.entries)
-            ranks[d - 1] = rank_sum(diagonal, triple.k)
-            lifts[d - 1] = [poly_str(f) for f in diagonal]
-        prev = M
-    betti = []
-    for d in range(Y.dim + 1):
-        betti.append(dims[d] - ranks[d] - ranks[d + 1])
-        if betti[d] < 0:
-            raise ArithmeticError(f"negative Betti number at dimension {d}")
+    dims, ranks, diagonals, betti = _reduce(triple, field, generator_exponent, orders)
+    shown = {f: poly_str(f) for f in set().union(*diagonals)}
     return {
         "field": field.name, "k": triple.k, "generator": generator_exponent,
         "lift": lift_policy, "orderings": "lex" if orders is None else "custom",
         "betti": betti,
-        "per_dim": [{"d": d, "dimC": dims[d], "rank": ranks[d], "snf_lifts": lifts[d]}
-                    for d in range(Y.dim + 1)],
+        "per_dim": [{"d": d, "dimC": dims[d], "rank": ranks[d],
+                     "snf_lifts": [shown[f] for f in diagonals[d]]} for d in range(len(dims))],
     }
 
 
 def compressed_betti(triple, field, generator_exponent=1, orders=None):
     """Betti numbers of the acted-on complex from the quotient data alone."""
-    return tuple(compressed_result(triple, field, generator_exponent, orders)["betti"])
+    return tuple(_reduce(triple, field, generator_exponent, orders)[3])

@@ -39,7 +39,7 @@ from zkhomology.pipeline import (
 from zkhomology.simplicial import betti_direct, boundary_matrix, build_complex, faces
 from zkhomology.transfer import build_triple
 
-from grids import add, convolve, dense, ring_matrix, ring_product, tuples
+from grids import add, convolve, dense, lens_cover, ring_matrix, ring_product, tuples
 from test_random_families import FAMILIES, _grid_torus
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -573,6 +573,44 @@ class TestCompressedRank:
                 before = deepcopy(M.entries)
                 snf_over_R(M)
                 assert M.entries == before
+
+    def test_each_distinct_lift_is_printed_once(self, corpus_triples, monkeypatch):
+        # the corpus, the 6x3 and 9x3 tori and the (2, 2) lens cover, whose
+        # core reaches the polynomial Smith form
+        triples = [tri for *_, tri in corpus_triples.values()]
+        for k in (2, 3):
+            tris, perm = _grid_torus(3 * k, 3)
+            triples.append(build_triple(validate_action(build_complex(tris), perm, k)))
+        triples.append(build_triple(lens_cover(2, 2)))
+        printed = []
+        poly_str = pipeline.poly_str
+        monkeypatch.setattr(pipeline, "poly_str", lambda f: printed.append(f) or poly_str(f))
+        for tri in triples:
+            for field in (QQ, F2):
+                compressed_betti(tri, field)
+                assert printed == []
+                doc = compressed_result(tri, field)
+                shown = [s for r in doc["per_dim"] for s in r["snf_lifts"]]
+                assert len(printed) == len(set(printed)) == len(set(shown))
+                assert sorted(map(poly_str, printed)) == sorted(set(shown))
+                printed.clear()
+
+    def test_every_composition_check_runs_before_any_reduction(self, monkeypatch):
+        # a failure on the last pair of the 3-dimensional lens triple is
+        # raised before any G-boundary is reduced
+        tri = build_triple(lens_cover(2, 2))
+        assert tri.quotient.dim == 3
+        checked, reduced = [], []
+        monkeypatch.setattr(pipeline, "_composes_to_zero",
+                            lambda A, B: checked.append(B.cols) or len(checked) < 2)
+        monkeypatch.setattr(pipeline, "_smith_diagonal",
+                            lambda M, rows: reduced.append(M) or ())
+        for run in (compressed_result, compressed_betti):
+            checked.clear()
+            with pytest.raises(ArithmeticError, match="composition check failed at d=3"):
+                run(tri, F2)
+            assert checked == [tri.quotient.n_simplices(2), tri.quotient.n_simplices(3)]
+            assert reduced == []
 
 
 class TestCompressedBetti:
