@@ -6,11 +6,11 @@ G-boundary entry by entry (the expansion lemma), and the extended transfer
 by containment with its second route through the unique face.  No other
 module knows this model, and production code never reads it.
 
-Every matrix here is sparse rows over F[Z_1]: `_boundary_rows` writes the
-boundaries of the acted-on complex and of the quotient, in lexicographic
-or compatible order, and every rank is `ring_snf.sparse_rank`.  The dense
-boundaries of the direct oracle are read only by `betti_direct`, in
-`compressed-matches-direct-oracle`.
+Every matrix here is sparse rows: `_boundary_rows` writes the boundaries
+of X and X/G over F[Z_1], in lexicographic or compatible order.  A rank is
+`ring_snf.sparse_rank`, or comes from `pipeline._reduce`, the driver of
+`homology`, run on G-boundaries, on reordered copies of them and, at k = 1,
+on X's lexicographic boundaries for the direct oracle: no dense matrix.
 
 Index conventions: lifted partitions and the index-reducing function keep
 the 1-based positions used by their definitions (block I_a starts at n_a,
@@ -33,11 +33,11 @@ from math import gcd
 
 from .errors import (DimensionError, RegularityError, TripleValidationError,
                      UnknownSimplexError, ZkHomologyError)
-from .simplicial import betti_direct, faces
+from .simplicial import faces
 from .actions import lex_lift, lex_max_lift
 from .groupring import GroupRingMatrix, rho_extend
 from .transfer import build_triple, check_axioms
-from .pipeline import _composes_to_zero, compressed_betti, g_boundary_matrix
+from .pipeline import _composes_to_zero, _g_boundaries, _reduce, compressed_betti, g_boundary_matrix
 from .ring_snf import rank_sum, snf_over_R, sparse_rank
 
 # check_ordering_independence shuffles each dimension's quotient simplices
@@ -451,33 +451,26 @@ def check_rank_preservation(action, field, rank, expansion):
 
 
 def check_rank_reconstruction(action, triple, field, rank, reduced):
-    """The main rank identity, for every generator of Z_k; `reduced(d)`
-    gives the G-boundary at generator alpha and its Smith form."""
+    """The main rank identity, for every generator of Z_k; `reduced(t)`
+    gives the driver's ranks, lifts and Betti numbers at generator alpha^t."""
     generators = [t for t in range(1, triple.k + 1) if gcd(t, triple.k) == 1]
     for d in range(1, action.complex.dim + 1):
         upstairs = rank(d)
         for t in generators:
-            lifts = reduced(d)[1] if t == 1 else snf_over_R(
-                g_boundary_matrix(triple, d, field, generator_exponent=t))
-            got = rank_sum(lifts, triple.k)
+            got = reduced(t)[0][d]
             if got != upstairs:
                 return (f"{field.name} d={d} generator alpha^{t}: "
                         f"compressed {got} vs boundary {upstairs}")
 
 
-def _g_boundary_snf(triple, d, field):
-    """The d-th G-boundary of `triple` and its Smith form over F[Z_k]."""
-    M = g_boundary_matrix(triple, d, field)
-    return M, snf_over_R(M)
-
-
-def check_snf_invariants(triple, field, reduced):
+def check_snf_invariants(triple, field):
     """The SNF of each G-boundary M (its lifts divide each the next, or
     snf_over_R raises), certified on the whole mk x nk expansion rho(M);
-    `reduced(d)` gives M and its SNF."""
+    each M is written afresh and reduced alone, with no composition check."""
     for d in range(1, triple.quotient.dim + 1):
+        M = g_boundary_matrix(triple, d, field)
         try:
-            M, lifts = reduced(d)
+            lifts = snf_over_R(M)
         except (ZkHomologyError, ArithmeticError) as exc:
             return f"{field.name} d={d}: {exc}"
         predicted, expected = rank_sum(lifts, M.k), sparse_rank(rho_extend(M))
@@ -490,32 +483,38 @@ def check_lift_independence(action, qd, field, betti):
     """`betti()` gives the Betti numbers of the lex-min triple."""
     tri_max = build_triple(action, lift=lex_max_lift(qd), qd=qd)
     tri_max.validate()
-    a = betti()
-    b = compressed_betti(tri_max, field)
+    a, b = betti(), compressed_betti(tri_max, field)
     if a != b:
         return f"{field.name}: lex-min {a} vs lex-max {b}"
 
 
+def _shuffled_betti(triple, field, rng):
+    # the Betti numbers from the lexicographic G-boundaries of `triple`, the
+    # quotient's d-simplices permuted by `rng` in the rows and columns alike
+    dims, Ms = _g_boundaries(triple, field, 1)
+    at = [rng.sample(range(n), n) for n in triple.quotient.face_counts()]
+    Ms = [GroupRingMatrix(field, M.k, M.rows, M.cols, {
+        at[d - 1][i]: {at[d][j]: w for j, w in r.items()} for i, r in M.entries.items()})
+        for d, M in enumerate(Ms, 1)]
+    return tuple(_reduce(dims, Ms)[2])
+
+
 def check_ordering_independence(triple, field, betti):
-    """`betti()` gives the Betti numbers of `triple` in its own order."""
+    """`betti()` gives the Betti numbers of `triple` in lexicographic order."""
     rng = random.Random(ORDERING_SEED)
     base = betti()
-    Y = triple.quotient
     for _ in range(ORDERING_TRIALS):
-        orders = {}
-        for d in range(Y.dim + 1):
-            perm = list(Y.simplices(d))
-            rng.shuffle(perm)
-            orders[d] = tuple(perm)
-        got = compressed_betti(triple, field, orders=orders)
+        got = _shuffled_betti(triple, field, rng)
         if got != base:
             return f"{field.name}: reordered quotient gives {got}, expected {base}"
 
 
 def check_oracle_equality(action, field, betti):
-    """`betti()` gives the compressed Betti numbers of the action."""
-    direct = betti_direct(action.complex, field)
-    compressed = betti()
+    """`betti()` gives the compressed Betti numbers of the action; the direct
+    ones are X's lexicographic boundaries at k = 1, run through the driver."""
+    X, compressed = action.complex, betti()
+    Ms = [_lex_boundary(X, d, field) for d in range(1, X.dim + 1)]
+    direct = tuple(_reduce(X.face_counts(), Ms)[2])
     if direct != compressed:
         return f"{field.name}: direct {direct} vs compressed {compressed}"
 
@@ -529,16 +528,15 @@ def run_action_suite(qd, field):
     # Each piece built once, inside the first check that needs it (or
     # failing once, its error reported again by each later check): the
     # orientations, the lifted partition of each dimension, per d the
-    # compatible boundary, its rank and its isotropy expansion, and of the
-    # lex-min triple per d the G-boundary and its Smith form, and the Betti
-    # numbers.
+    # compatible boundary, its rank and its isotropy expansion, and one
+    # driver pass over the lex-min triple per generator alpha^t.
     orient = _once(lambda: compatible_orientations(qd, lift))
     partition = _once(lambda d: compatible_ordering(qd, lift, d))
     parts = _once(lambda d: _compatible_parts(qd, lift, d, field, orient(), partition))
     rank = _once(lambda d: sparse_rank(parts(d)[0]))
     expansion = _once(lambda d: _expand(*parts(d), action.k))
-    betti = _once(lambda: compressed_betti(triple, field))
-    reduced = _once(lambda d: _g_boundary_snf(triple, d, field))
+    reduced = _once(lambda t: _reduce(*_g_boundaries(triple, field, t)))
+    betti = _once(lambda: tuple(reduced(1)[2]))
     items = [
         ("regularity", lambda: None),
         ("boundary-squared-zero", lambda: check_boundary_squared(action.complex, field)),
@@ -554,7 +552,7 @@ def run_action_suite(qd, field):
         ("expansion-equals-circulant-image", lambda: check_expansion_lemma(action, qd, lift, field, triple, expansion)),
         ("expansion-preserves-rank", lambda: check_rank_preservation(action, field, rank, expansion)),
         ("rank-reconstruction", lambda: check_rank_reconstruction(action, triple, field, rank, reduced)),
-        ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, field, reduced)),
+        ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, field)),
         ("lift-independence", lambda: check_lift_independence(action, qd, field, betti)),
         ("ordering-independence", lambda: check_ordering_independence(triple, field, betti)),
         ("compressed-matches-direct-oracle", lambda: check_oracle_equality(action, field, betti)),
@@ -583,12 +581,11 @@ def run_triple_suite(triple, field):
     checked, and none when the TripleValidationError of its parse stands in
     for the triple."""
     betti = _once(lambda: compressed_betti(triple, field))
-    reduced = _once(lambda d: _g_boundary_snf(triple, d, field))
     items = [
         ("triple-structure", lambda: check_triple_structure(triple)),
         ("quotient-boundary-squared-zero", lambda: check_boundary_squared(triple.quotient, field)),
         ("complex-of-groups-axioms", lambda: check_complex_of_groups(triple)),
-        ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, field, reduced)),
+        ("snf-divisibility-and-certificate", lambda: check_snf_invariants(triple, field)),
         ("ordering-independence", lambda: check_ordering_independence(triple, field, betti)),
         ("compressed-betti-computable", lambda: _betti_computable(field, betti)),
     ]

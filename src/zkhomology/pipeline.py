@@ -1,15 +1,16 @@
 """End-to-end compressed homology from an isotropy triple.
 
-The G-boundary matrix over F[Z_k] is built straight from the triple: the
-quotient boundary sign of each face pair times the group-ring sum of its
-transfer coset.  One pass builds every G-boundary, checks each consecutive
-pair to compose to zero over F[Z_k] (a product of downstairs size), and
+The G-boundary matrix over F[Z_k] is written straight from the triple in
+lexicographic order: the quotient boundary sign of each face pair times
+the group-ring sum of its transfer coset.  The private driver `_reduce`
+takes any sparse boundaries, over F[Z_k] or at k = 1 over F, checks each
+consecutive pair to compose to zero (a product of their own size), and
 only then reduces each to its Smith normal form, whose rank reconstruction
-rank(boundary_d) = sum_i rank(rho(D_ii)) gives the Betti numbers from the
-quotient data alone.  `compressed_result` returns them as the document that
-`homology --format json` prints, its schema stated there once;
-`compressed_betti` returns the Betti numbers and prints no lift.  The
-upstairs model that ties this matrix to the acted-on complex lives in `checks`.
+rank(boundary_d) = sum_i rank(rho(D_ii)) gives the Betti numbers.
+`compressed_result` returns them as the document that `homology --format
+json` prints, its schema stated there once; `compressed_betti` prints no
+lift.  `verify` reads its ranks through the driver too; the upstairs model
+that ties the G-boundary to the acted-on complex lives in `checks`.
 """
 
 from math import gcd
@@ -20,14 +21,14 @@ from .groupring import GroupRingMatrix
 from .ring_snf import _smith_diagonal, rank_sum
 
 
-def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
+def g_boundary_matrix(triple, d, field, generator_exponent=1):
     """The d-th G-boundary matrix, in the basis of beta = alpha^g for
     g = generator_exponent.
 
     Rows run over the (d-1)-simplices and columns over the d-simplices of
-    the quotient, in `orders` (lexicographic by default).  For the t-th
-    face omega of psi, entry (omega, psi) is (-1)^t sigma(T*(psi, omega)):
-    coefficient (-1)^t at each exponent c rewritten as c g^-1 mod k, since
+    the quotient, in lexicographic order.  For the t-th face omega of psi,
+    entry (omega, psi) is (-1)^t sigma(T*(psi, omega)): coefficient (-1)^t
+    at each exponent c rewritten as c g^-1 mod k, since
     alpha^c = beta^(c g^-1); every other entry is zero.  The entries are
     written straight into sparse rows in the plain convention of `exact`:
     the ints +-1 over Q, 1 and p - 1 over F_p.
@@ -35,14 +36,10 @@ def g_boundary_matrix(triple, d, field, orders=None, generator_exponent=1):
     Y, k, Tstar = triple.quotient, triple.k, triple.Tstar
     if not (1 <= d <= Y.dim):
         raise DimensionError(f"d={d} out of range 1..{Y.dim}")
-    given = {e: tuple(map(tuple, orders[e])) for e in (d - 1, d) if orders and orders.get(e)}
-    if any(sorted(g) != list(Y.simplices(e)) for e, g in given.items()):
-        raise ValueError("orders do not permute the quotient simplices")
-    rows, cols = (given.get(e) or Y.simplices(e) for e in (d - 1, d))
+    rows, cols = Y.simplices(d - 1), Y.simplices(d)
     g_inv = pow(generator_exponent, -1, k)
     sign = (1, field.neg(1))
-    # in lexicographic order a row's position is its index in the quotient
-    row_pos = {s: i for i, s in enumerate(rows)} if d - 1 in given else Y._index
+    row_pos = Y._index    # in lexicographic order a row's position is its index
     entries = {i: {} for i in range(len(rows))}
     for j, psi in enumerate(cols):
         for t in range(d + 1):
@@ -84,45 +81,50 @@ def _composes_to_zero(A, B):
     return True
 
 
-def _reduce(triple, field, generator_exponent, orders):
-    """Chain dimensions, ranks, Smith diagonals as lifts (none at d = 0) and
-    Betti numbers; every composition check runs before any reduction."""
+def _g_boundaries(triple, field, generator_exponent):
+    """The chain dimensions and every G-boundary of `triple`, d = 1 .. dim."""
     check_generator(generator_exponent, triple.k)
     dims = [triple.chain_dim(d) for d in range(triple.quotient.dim + 1)]
-    Ms = [g_boundary_matrix(triple, d, field, orders, generator_exponent)
-          for d in range(1, len(dims))]
+    return dims, [g_boundary_matrix(triple, d, field, generator_exponent)
+                  for d in range(1, len(dims))]
+
+
+def _reduce(dims, Ms):
+    """Ranks, Smith diagonals as lifts (none at d = 0) and Betti numbers of
+    the chain complex of dimensions `dims` and sparse boundaries `Ms` over
+    F[Z_k] (over F at k = 1): every composition check runs before any
+    reduction, and each M is reduced, and spent, in its own rows."""
     for d, (A, B) in enumerate(zip(Ms, Ms[1:]), 2):
         if not _composes_to_zero(A, B):
             raise ArithmeticError(f"composition check failed at d={d}: the G-boundaries "
                                   f"d={d - 1} and d={d} do not compose to zero")
     diagonals = [()] + [_smith_diagonal(M, M.entries) for M in Ms]
-    ranks = [rank_sum(diagonal, triple.k) for diagonal in diagonals] + [0]
+    ranks = [0] + [rank_sum(D, M.k) for D, M in zip(diagonals[1:], Ms)] + [0]
     betti = [n - r - r_up for n, r, r_up in zip(dims, ranks, ranks[1:])]
     for d, b in enumerate(betti):
         if b < 0:
             raise ArithmeticError(f"negative Betti number at dimension {d}")
-    return dims, ranks, diagonals, betti
+    return ranks, diagonals, betti
 
 
-def compressed_result(triple, field, generator_exponent=1, orders=None,
-                      lift_policy="lex-min"):
+def compressed_result(triple, field, generator_exponent=1, lift_policy="lex-min"):
     """Betti numbers plus per-dimension diagnostics from a triple alone, as
     the document `homology --format json` prints: {"field", "k",
-    "generator", "lift", "orderings" ("lex" or "custom"), "betti", "per_dim":
+    "generator", "lift", "orderings" (always "lex"), "betti", "per_dim":
     [{"d", "dimC", "rank", "snf_lifts"}, ...]}, with the printed Smith-form
     lifts; on an action input the CLI adds "mode", and in `both` mode
     "direct_betti" and "match"."""
-    dims, ranks, diagonals, betti = _reduce(triple, field, generator_exponent, orders)
+    dims, Ms = _g_boundaries(triple, field, generator_exponent)
+    ranks, diagonals, betti = _reduce(dims, Ms)
     shown = {f: poly_str(f) for f in set().union(*diagonals)}
     return {
         "field": field.name, "k": triple.k, "generator": generator_exponent,
-        "lift": lift_policy, "orderings": "lex" if orders is None else "custom",
-        "betti": betti,
+        "lift": lift_policy, "orderings": "lex", "betti": betti,
         "per_dim": [{"d": d, "dimC": dims[d], "rank": ranks[d],
                      "snf_lifts": [shown[f] for f in diagonals[d]]} for d in range(len(dims))],
     }
 
 
-def compressed_betti(triple, field, generator_exponent=1, orders=None):
+def compressed_betti(triple, field, generator_exponent=1):
     """Betti numbers of the acted-on complex from the quotient data alone."""
-    return tuple(_reduce(triple, field, generator_exponent, orders)[3])
+    return tuple(_reduce(*_g_boundaries(triple, field, generator_exponent))[2])

@@ -26,6 +26,12 @@ def ring_matrix(field, k, grid, cols=0):
     return GroupRingMatrix(field, k, len(grid), len(grid[0]) if grid else cols, entries)
 
 
+def permuted(M, rows, cols):
+    """M with its row i moved to rows[i] and its column j to cols[j]."""
+    return GroupRingMatrix(M.field, M.k, M.rows, M.cols, {
+        rows[i]: {cols[j]: w for j, w in r.items()} for i, r in M.entries.items()})
+
+
 def tuples(M):
     """The grid of coefficient tuples of a GroupRingMatrix."""
     z = M.field.zero()

@@ -617,28 +617,33 @@ class TestVerify:
             assert isinstance(R, GroupRingMatrix)
             assert (R.k, R.rows, R.cols) == (1, M.rows * M.k, M.cols * M.k)
 
-    def test_verify_builds_dense_matrices_only_for_the_oracle(self, tmp_path, monkeypatch,
-                                                             capsys):
-        # every check but compressed-matches-direct-oracle writes sparse
-        # rows: a FieldMatrix is built only by simplicial.boundary_matrix,
-        # called from betti_direct
-        torus = _write(tmp_path, "torus.json", to_input_dict(entry("torus9x3_rot3")))
-        original, callers = FieldMatrix.__init__, []
+    def test_verify_builds_no_dense_matrix(self, tmp_path, corpus_actions, monkeypatch,
+                                           capsys):
+        # every check writes and ranks sparse rows, the direct oracle's too:
+        # on an action and on a triple, over Q and F3, no FieldMatrix is
+        # built and neither betti_direct nor the dense field_rank is called
+        act = corpus_actions["torus9x3_rot3"]
+        inputs = (_write(tmp_path, "torus.json", to_input_dict(entry("torus9x3_rot3"))),
+                  _write(tmp_path, "triple.json", triple_to_dict(build_triple(act))))
+        calls = []
 
-        def spy(self, *args):
-            frame = sys._getframe(1)
-            builder = frame.f_code.co_name
-            while frame is not None and frame.f_code is not simplicial.betti_direct.__code__:
-                frame = frame.f_back
-            callers.append((builder, frame is not None))
-            original(self, *args)
+        def spy(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
 
-        monkeypatch.setattr(FieldMatrix, "__init__", spy)
-        for field in ("Q", "Fp:3"):
-            callers.clear()
-            assert cli.run(["verify", torus, "--field", field]) == 0
-            assert "all checks passed" in capsys.readouterr().out
-            assert callers == [("boundary_matrix", True)] * 2
+        monkeypatch.setattr(FieldMatrix, "__init__", spy("FieldMatrix", FieldMatrix.__init__))
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "zkhomology":
+                for fn in ("betti_direct", "field_rank"):
+                    if hasattr(module, fn):
+                        monkeypatch.setattr(module, fn, spy(fn, getattr(module, fn)))
+        for path in inputs:
+            for field in ("Q", "Fp:3"):
+                assert cli.run(["verify", path, "--field", field]) == 0
+                assert "all checks passed" in capsys.readouterr().out
+        assert calls == []
+        # the spies see the direct route, which verify no longer takes
+        assert cli.run(["homology", inputs[0], "--mode", "direct"]) == 0
+        assert set(calls) == {"betti_direct", "FieldMatrix", "field_rank"}
 
     def test_triple_verify_json(self, triple_file, capsys):
         assert cli.run(["verify", triple_file, "--format", "json"]) == 0

@@ -83,12 +83,17 @@ def test_test_only_helpers_are_gone():
     # always goes to stderr
     assert "validate" not in inspect.signature(transfer.IsotropyTriple).parameters
     assert "out" not in inspect.signature(cli._regular_quotient).parameters
-    # upstairs-model knobs no caller set; verify checks the one field it is given
+    # knobs no caller set: the upstairs model's, and the G-boundary orders
+    # that only verify set (it permutes the lex G-boundaries itself); verify
+    # checks the one field it is given
     for fn, names in ((checks.compatible_boundary, {"orient_x"}),
                       (checks.isotropy_expansion, {"orient_x"}),
                       (checks.verify_expansion_lemma, {"orient_x"}),
                       (checks.compatible_ordering, {"quotient_order"}),
                       (checks.check_ordering_independence, {"trials", "seed"}),
+                      (pipeline.g_boundary_matrix, {"orders"}),
+                      (pipeline.compressed_result, {"orders"}),
+                      (pipeline.compressed_betti, {"orders"}),
                       (actions.induced_subdivision_action, {"subdivided", "vmap"})):
         assert not names & set(inspect.signature(fn).parameters), fn.__name__
     for fn in (checks.check_boundary_squared, checks.check_expansion_lemma,

@@ -39,7 +39,8 @@ from zkhomology.pipeline import (
 from zkhomology.simplicial import betti_direct, boundary_matrix, build_complex, faces
 from zkhomology.transfer import build_triple
 
-from grids import add, convolve, dense, lens_cover, ring_matrix, ring_product, tuples
+from grids import (add, convolve, dense, lens_cover, permuted, ring_matrix, ring_product,
+                   tuples)
 from test_random_families import FAMILIES, _grid_torus
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -271,6 +272,13 @@ def _two_stage_g_boundary(tri, d, field, orders, g):
                                   for row in entries], len(cols))
 
 
+def _in_orders(M, Y, d, orders):
+    # the lexicographic d-th G-boundary M of a triple over Y, with the
+    # simplices of each dimension moved to their places in `orders`
+    at = [{s: i for i, s in enumerate(orders.get(e) or Y.simplices(e))} for e in (d - 1, d)]
+    return permuted(M, *([a[s] for s in Y.simplices(e)] for a, e in zip(at, (d - 1, d))))
+
+
 def _dense_g_boundary(tri, d, field, orders, g):
     # The dense one-pass build: a grid of zeros, then sigma of each face
     # pair's coset, exponents rewritten in the basis of alpha^g and
@@ -294,7 +302,9 @@ class TestGBoundaryReference:
     def test_one_pass_equals_two_stage_build(self, corpus_triples, fields):
         # the sparse build against the two-stage build and, entry by entry,
         # the dense one; some generators of the tori at k = 5 and 8 are not
-        # their own inverses
+        # their own inverses.  The references write in lexicographic and in
+        # one shuffled order, the sparse build in lexicographic order only,
+        # moved to the shuffled one here
         triples = [tri for *_, tri in corpus_triples.values()]
         for seed in (101, 202, 303):
             rng = random.Random(seed)
@@ -318,20 +328,11 @@ class TestGBoundaryReference:
                     for d in range(1, Y.dim + 1):
                         for g in exps:
                             want = _two_stage_g_boundary(tri, d, field, orders, g)
-                            got = g_boundary_matrix(tri, d, field, orders, g)
+                            got = _in_orders(g_boundary_matrix(tri, d, field, g), Y, d, orders)
                             assert got == want, (tri, field.name, d, g)
                             dense = _dense_g_boundary(tri, d, field, orders, g)
                             assert tuples(got) == [[tuple(map(field.coerce, w)) for w in row]
                                                    for row in dense], (tri, field.name, d, g)
-
-    def test_non_permutation_orders_rejected(self, corpus_triples):
-        tri = corpus_triples["cycle9_rot3"][3]
-        vertices = tri.quotient.simplices(0)
-        edges = tri.quotient.simplices(1)
-        for orders in ({0: (vertices[0],) * len(vertices)},
-                       {1: edges[:-1]}):
-            with pytest.raises(ValueError):
-                g_boundary_matrix(tri, 1, QQ, orders)
 
 
 def _imports(module):
@@ -357,9 +358,9 @@ def test_production_path_does_not_import_the_upstairs_model():
     # the action, the transfer construction or the lemma checks, and never
     # expand a matrix, whole or in part, to its circulant image (that is
     # verify's certificate).  Neither they nor groupring build a dense
-    # matrix, and the checks write and rank sparse rows too: the dense
-    # matrices and their rank serve the direct oracle only, which the checks
-    # reach through betti_direct.
+    # matrix, and the checks write and rank sparse rows too, for the direct
+    # oracle as well: the dense matrices and their rank serve the CLI's
+    # direct route only.
     import zkhomology
     for module in ("pipeline.py", "ring_snf.py"):
         imported, names = _imports(module)
@@ -370,7 +371,8 @@ def test_production_path_does_not_import_the_upstairs_model():
                     and "rho_extend" in ast.unparse(node.func)], module
     for module in ("pipeline.py", "ring_snf.py", "groupring.py"):
         assert not _imports(module)[1] & {"FieldMatrix", "field_rank"}, module
-    assert not _imports("checks.py")[1] & {"FieldMatrix", "field_rank", "boundary_matrix"}
+    assert not _imports("checks.py")[1] & {"FieldMatrix", "field_rank", "boundary_matrix",
+                                            "betti_direct"}
     # of the package's functions, only simplicial.boundary_matrix builds a FieldMatrix
     builders = set()
     for path in Path(zkhomology.__file__).parent.glob("*.py"):
@@ -397,6 +399,7 @@ def test_only_the_direct_oracle_calls_field_rank():
 class TestCompositionCheck:
     def test_passes_corpus_wide(self, corpus_triples, fields):
         # every generator, every field, lexicographic and one shuffled order
+        # of the lexicographic G-boundaries
         rng = random.Random(11)
         checked = 0
         for name, (_, _, _, tri) in corpus_triples.items():
@@ -408,14 +411,14 @@ class TestCompositionCheck:
                 shuffled[d] = tuple(perm)
             exps = [g for g in range(1, tri.k + 1) if gcd(g, tri.k) == 1]
             for field in fields:
-                for orders in (None, shuffled):
-                    for g in exps:
-                        mats = [g_boundary_matrix(tri, d, field, orders, g)
+                for g in exps:
+                    for orders in ({}, shuffled):
+                        mats = [_in_orders(g_boundary_matrix(tri, d, field, g), Y, d, orders)
                                 for d in range(1, Y.dim + 1)]
                         for A, B in zip(mats, mats[1:]):
                             assert _composes_to_zero(A, B), (name, field.name, g)
                             checked += 1
-                        compressed_result(tri, field, g, orders)
+                    compressed_result(tri, field, g)
         assert checked > 0
 
     def test_one_perturbed_coefficient_is_rejected(self, corpus_triples):
@@ -629,9 +632,6 @@ class TestCompressedBetti:
             "per_dim": [{"d": 0, "dimC": 3, "rank": 0, "snf_lifts": []},
                         {"d": 1, "dimC": 2, "rank": 2, "snf_lifts": ["1"]}]}
         assert compressed_betti(tri, QQ) == (1, 0)
-        assert compressed_result(tri, QQ)["orderings"] == "lex"
-        orders = {0: tuple(reversed(tri.quotient.simplices(0)))}
-        assert compressed_result(tri, QQ, orders=orders)["orderings"] == "custom"
 
     def test_chain_dims_need_no_upstairs_complex(self, corpus_triples):
         for act, _, _, tri in corpus_triples.values():
@@ -657,12 +657,7 @@ class TestCompressedBetti:
         for act, _, _, tri in corpus_triples.values():
             base = compressed_betti(tri, QQ)
             for _ in range(3):
-                orders = {}
-                for d in range(tri.quotient.dim + 1):
-                    perm = list(tri.quotient.simplices(d))
-                    rng.shuffle(perm)
-                    orders[d] = tuple(perm)
-                assert compressed_betti(tri, QQ, orders=orders) == base
+                assert checks._shuffled_betti(tri, QQ, rng) == base
 
 
 class TestExpansionLemma:
@@ -784,6 +779,38 @@ class TestOracleAgreement:
             assert compressed_betti(tri, GF(2), generator_exponent=t) == (1, 1)
 
 
+# the 6-vertex real projective plane: Betti numbers (1, 1, 1) over F2 only
+RP2 = [{0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 5}, {0, 5, 1},
+       {1, 2, 4}, {2, 3, 5}, {3, 4, 1}, {4, 5, 2}, {5, 1, 3}]
+
+
+@st.composite
+def _complexes(draw):
+    """A field and the closure of up to 8 drawn sets of at most 4 of 7
+    vertices: the empty complex when none is drawn, 0-dimensional ones when
+    every set is a vertex."""
+    field = draw(st.sampled_from([QQ, F2, F3, F5]))
+    size = draw(st.integers(1, 4))
+    facets = draw(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=size), max_size=8))
+    return field, build_complex(facets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complexes())
+@example((QQ, build_complex([])))
+@example((F3, build_complex([{0}, {3}, {4}])))
+@example((F5, build_complex([{0, 1, 2, 3}])))
+@example((QQ, build_complex(RP2)))
+@example((F2, build_complex(RP2)))
+def test_driver_at_k1_equals_the_dense_betti_numbers(case):
+    # the reduction driver on the lexicographic boundaries of X at k = 1, as
+    # verify's direct oracle runs it, against the dense Gaussian elimination
+    # of betti_direct, which verify no longer runs
+    field, X = case
+    Ms = [checks._lex_boundary(X, d, field) for d in range(1, X.dim + 1)]
+    assert tuple(pipeline._reduce(X.face_counts(), Ms)[2]) == betti_direct(X, field)
+
+
 class TestActionSuite:
     # verify checks one field per run, so each test runs the suite once per
     # field and counts per run.
@@ -858,61 +885,88 @@ class TestActionSuite:
             assert [(f, d) for f, d, _ in boundaries] == [(field.name, 1), (field.name, 2)]
             assert len(ranked) == 2
 
+    @pytest.mark.parametrize("k, s", [(2, 2), (3, 2)])
+    def test_passes_on_the_lens_covers(self, k, s):
+        # verify at scale: every check passes on the (2, 2) and (3, 2) lens
+        # covers, whose quotients are 3-dimensional, over Q and F2
+        qd = quotient(lens_cover(k, s))
+        assert qd.quotient.dim == 3
+        for field in (QQ, F2):
+            outcomes = checks.run_action_suite(qd, field)
+            assert [o for o in outcomes if not o["ok"]] == [] and len(outcomes) == 17
+
     def test_reduces_each_lex_min_g_boundary_once(self, corpus_actions, monkeypatch):
-        # rank reconstruction at generator alpha and the SNF certificate
-        # share one Smith form per dimension; the other generator, alpha^2,
-        # takes one more per dimension
-        reduced = []
-        original = checks.snf_over_R
+        # the driver reduces each lex-min G-boundary at generator alpha in
+        # one pass, which rank reconstruction and every check that reads the
+        # Betti numbers share; the SNF certificate reduces a fresh copy of
+        # each once more.  The other passes are the generator alpha^2, the
+        # lex-max triple and the reorderings, each one G-boundary per
+        # dimension, and the oracle's one pass over X's boundaries at k = 1.
+        # On this torus the lex-max triple writes the lex-min G-boundaries,
+        # so its pass reduces them a second time
+        driven, certified = [], []
+        smith, snf = pipeline._smith_diagonal, checks.snf_over_R
 
-        def counting(M):
-            reduced.append(M)
-            return original(M)
+        def written(M):
+            return M.k, M.rows, M.cols, deepcopy(M.entries)
 
-        monkeypatch.setattr(checks, "snf_over_R", counting)
+        monkeypatch.setattr(pipeline, "_smith_diagonal",
+                            lambda M, rows: driven.append(written(M)) or smith(M, rows))
+        monkeypatch.setattr(checks, "snf_over_R",
+                            lambda M: certified.append(written(M)) or snf(M))
         qd = quotient(corpus_actions["torus9x3_rot3"])
         triple = build_triple(qd.action, lift=lex_lift(qd), qd=qd)
+        generators, trials = 2, checks.ORDERING_TRIALS
         for field in (QQ, F3):
-            reduced.clear()
-            outcomes = checks.run_action_suite(qd, field)
-            assert all(o["ok"] for o in outcomes), outcomes
-            lex_min = [g_boundary_matrix(triple, d, field) for d in (1, 2)]
-            assert [sum(M == G for M in reduced) for G in lex_min] == [1, 1]
-            assert len(reduced) == 4
-            reduced.clear()
-            outcomes = checks.run_triple_suite(triple, field)
-            assert all(o["ok"] for o in outcomes), outcomes
-            assert reduced == lex_min
+            lex_min = [written(g_boundary_matrix(triple, d, field)) for d in (1, 2)]
+            assert lex_min == [written(g_boundary_matrix(build_triple(
+                qd.action, lift=lex_max_lift(qd), qd=qd), d, field)) for d in (1, 2)]
+            for suite, arg, passes, upstairs, lex in (
+                    (checks.run_action_suite, qd, generators + 1 + trials, 2, 2),
+                    (checks.run_triple_suite, triple, 1 + trials, 0, 1)):
+                driven.clear()
+                certified.clear()
+                outcomes = suite(arg, field)
+                assert all(o["ok"] for o in outcomes), outcomes
+                assert certified == lex_min
+                assert [driven.count(G) for G in lex_min] == [lex, lex]
+                assert [M[0] for M in driven].count(triple.k) == 2 * passes
+                assert [M[0] for M in driven].count(1) == upstairs
 
 
 def test_each_suite_computes_the_lex_min_betti_numbers_once(corpus_actions,
                                                              monkeypatch):
-    # lift independence, ordering independence and the oracle comparison
-    # share one compressed run of the action suite's lex-min triple; the
-    # triple suite shares one between ordering independence and
-    # compressed-betti-computable, also when that run fails
-    unordered = []   # the triples run in their own order
-    original = checks.compressed_betti
-
-    def counting(triple, field, **kwargs):
-        if "orders" not in kwargs:
-            unordered.append(triple)
-        return original(triple, field, **kwargs)
-
-    monkeypatch.setattr(checks, "compressed_betti", counting)
+    # rank reconstruction, lift independence, ordering independence and the
+    # oracle comparison share the action suite's one driver pass over its
+    # lex-min triple at generator alpha, and compressed_betti runs only on
+    # the lex-max triple; the triple suite shares one compressed run between
+    # ordering independence and compressed-betti-computable, also when that
+    # run fails, and its other driver passes are the reorderings
+    passes, runs = [], []   # the G-boundaries of each driver pass; compressed runs
+    reduce_, betti_ = checks._reduce, checks.compressed_betti
+    monkeypatch.setattr(checks, "_reduce", lambda dims, Ms: passes.append(
+        [(M.k, deepcopy(M.entries)) for M in Ms]) or reduce_(dims, Ms))
+    monkeypatch.setattr(checks, "compressed_betti",
+                        lambda triple, field: runs.append(triple) or betti_(triple, field))
     act = corpus_actions["torus9x3_rot3"]
     qd = quotient(act)
     tri_min = build_triple(act, qd=qd)
     for field in (QQ, F3):
-        unordered.clear()
+        lex_min = [(3, g_boundary_matrix(tri_min, d, field).entries) for d in (1, 2)]
+        passes.clear()
+        runs.clear()
         outcomes = checks.run_action_suite(qd, field)
         assert all(o["ok"] for o in outcomes), outcomes
-        # the lex-min and the lex-max triple, once each
-        assert len(unordered) == len({id(t) for t in unordered}) == 2
-        unordered.clear()
+        # generators alpha and alpha^2, the reorderings and the oracle
+        assert len(passes) == 2 + checks.ORDERING_TRIALS + 1
+        assert passes.count(lex_min) == 1
+        assert len(runs) == 1 and runs[0].S == build_triple(act, lift=lex_max_lift(qd), qd=qd).S
+        passes.clear()
+        runs.clear()
         outcomes = checks.run_triple_suite(tri_min, field)
         assert all(o["ok"] for o in outcomes), outcomes
-        assert len(unordered) == 1 and unordered[0] is tri_min
+        assert runs == [tri_min]
+        assert len(passes) == checks.ORDERING_TRIALS and lex_min not in passes
     # with its first T* set shifted the triple is still one, but its
     # G-boundaries no longer compose to zero
     body = triple_to_dict(tri_min)
@@ -920,33 +974,41 @@ def test_each_suite_computes_the_lex_min_betti_numbers_once(corpus_actions,
     first = next(iter(tstar))
     tstar[first] = sorted((c + 1) % body["k"] for c in tstar[first])
     shifted = parse_input(body)[1]
-    unordered.clear()
+    passes.clear()
+    runs.clear()
     failed = {o["name"]: o["detail"] for o in checks.run_triple_suite(shifted, QQ)
               if not o["ok"]}
     error = ("composition check failed at d=2: the G-boundaries d=1 and d=2 "
              "do not compose to zero")
     assert failed["ordering-independence"] == error
     assert failed["compressed-betti-computable"] == f"Q: {error}"
-    assert unordered == [shifted]
+    # the certificate reduces each G-boundary alone, past the composition check
+    assert "snf-divisibility-and-certificate" not in failed
+    assert runs == [shifted] and passes == []
 
 
 def test_a_failing_smith_form_runs_once(corpus_actions, monkeypatch):
-    # rank reconstruction and the SNF certificate share the lex-min Smith
-    # form of each dimension, failed or not
-    reduced = []
+    # a Smith form that fails in the driver pass over the lex-min triple at
+    # generator alpha runs once, and rank reconstruction and each check that
+    # reads the Betti numbers report it; the SNF certificate reduces its own
+    # copy, so it passes, and a failure there is its own and runs once too
+    qd = quotient(corpus_actions["torus9x3_rot3"])
+    readers = ("rank-reconstruction", "lift-independence", "ordering-independence",
+               "compressed-matches-direct-oracle")
+    for module, name, failed in ((pipeline, "_smith_diagonal", {n: "boom" for n in readers}),
+                                 (checks, "snf_over_R", {
+                                     "snf-divisibility-and-certificate": "Fp:3 d=1: boom"})):
+        reduced = []
 
-    def failing(M):
-        reduced.append(M)
-        raise ArithmeticError("boom")
+        def failing(M, *rows):
+            reduced.append(M)
+            raise ArithmeticError("boom")
 
-    monkeypatch.setattr(checks, "snf_over_R", failing)
-    outcomes = {o["name"]: o for o in checks.run_action_suite(
-        quotient(corpus_actions["torus9x3_rot3"]), F3)}
-    assert outcomes["rank-reconstruction"] == {
-        "name": "rank-reconstruction", "ok": False, "detail": "boom"}
-    assert outcomes["snf-divisibility-and-certificate"] == {
-        "name": "snf-divisibility-and-certificate", "ok": False, "detail": "Fp:3 d=1: boom"}
-    assert len(reduced) == 1
+        with monkeypatch.context() as m:
+            m.setattr(module, name, failing)
+            outcomes = checks.run_action_suite(qd, F3)
+        assert {o["name"]: o["detail"] for o in outcomes if not o["ok"]} == failed
+        assert len(reduced) == 1
 
 
 def test_each_suite_names_its_checks_apart(corpus_actions, monkeypatch):
